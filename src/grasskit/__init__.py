@@ -3,8 +3,9 @@ counting experiments.
 
 Modules:
 
-* ``linalg``     - small dense SVD (one-sided Jacobi), orthonormalization,
-                   Gram volumes, subspace intersection;
+* ``linalg``     - small dense SVD (LAPACK, canonical signs and order),
+                   ranks, orthonormalization, Gram volumes, subspace
+                   intersection;
 * ``grassmann``  - principal angles, the invariant distance, geodesics,
                    nearest-point projection onto a sub-Grassmannian;
 * ``affine``     - affine planes, the local chart, incidence, the product

@@ -41,9 +41,6 @@ EXPERIMENTS = ("geometry-selftest", "sharp-dimension", "kakeya-sweep", "bl-audit
 DEFAULT_CONSTANTS = {
     "eps": 0.1,
     "K": None,            # broad-narrow scale; None = feasible default
-    "C1": None,           # narrow-witness radius constant
-    "c_tilde": None,      # greedy step constant
-    "c_prime": None,      # certificate volume constant
     "rangeofp_k": "m",    # symbol reading in the exponent-range formula
     "ratio_bound": 10.0,
     "growth_bound": 2.0,
@@ -91,6 +88,34 @@ def _is_dyadic(x: float) -> bool:
     return abs(k - round(k)) <= 1e-9
 
 
+def _number(value, name: str, kind=float):
+    """``kind(value)``, or a ConfigError unless that is a finite number."""
+    try:
+        out = kind(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"{name} must be a number, got {value!r}") from exc
+    if not math.isfinite(out):
+        raise ConfigError(f"{name} must be finite, got {value!r}")
+    return out
+
+
+def _numbers(data: dict, key: str) -> list[float]:
+    raw = data.get(key, [])
+    if not isinstance(raw, (list, tuple)):
+        raise ConfigError(f"{key} must be a list of numbers")
+    return [_number(x, f"{key} entry") for x in raw]
+
+
+def _check_constants(constants: dict) -> None:
+    """Type-check the numeric constants; the values are echoed unchanged."""
+    for key in ("eps", "ratio_bound", "growth_bound", "slope_tol", "suite_scale"):
+        _number(constants[key], f"constants.{key}")
+    if _number(constants["tuples"], "constants.tuples", int) < 1:
+        raise ConfigError("constants.tuples must be >= 1")
+    if constants["K"] is not None and _number(constants["K"], "constants.K", int) < 2:
+        raise ConfigError("constants.K must be an integer >= 2")
+
+
 def parse_config(data: dict, overrides: dict | None = None) -> ExperimentConfig:
     if not isinstance(data, dict):
         raise ConfigError("config must be a JSON object")
@@ -111,7 +136,7 @@ def parse_config(data: dict, overrides: dict | None = None) -> ExperimentConfig:
     if kind != "geometry-selftest" and params is None:
         raise ConfigError(f"experiment {kind} requires params")
 
-    deltas = [float(d) for d in data.get("deltas", [])]
+    deltas = _numbers(data, "deltas")
     if kind in ("sharp-dimension", "kakeya-sweep"):
         if len(deltas) < 2:
             raise ConfigError("need at least two scales in deltas")
@@ -120,20 +145,36 @@ def parse_config(data: dict, overrides: dict | None = None) -> ExperimentConfig:
         if any(b >= a for a, b in zip(deltas, deltas[1:])):
             raise ConfigError("deltas must be strictly decreasing")
 
-    p_values = [float(p) for p in data.get("p_values", [])]
+    p_values = _numbers(data, "p_values")
+    if kind == "kakeya-sweep" and any(p <= 0.0 for p in p_values):
+        raise ConfigError("p_values must be positive")
+    if kind == "bl-audit":
+        if params.beta > params.l + 1:
+            # the audited ceiling assumes beta <= l+1
+            raise ConfigError("bl-audit requires beta <= l+1")
+        p_max = admissible_p_max(params.l, params.m, params.d, params.beta)
+        if any(not 1.0 <= p <= p_max + 1e-9 for p in p_values):
+            raise ConfigError(f"bl-audit p_values must lie in [1, {p_max}]")
+
     constants = dict(DEFAULT_CONSTANTS)
     extra = data.get("constants", {}) or {}
+    if not isinstance(extra, dict):
+        raise ConfigError("constants must be a JSON object")
     unknown = set(extra) - set(constants)
     if unknown:
         raise ConfigError(f"unknown constants: {sorted(unknown)}")
     constants.update(extra)
     if constants["rangeofp_k"] not in ("m", "l"):
         raise ConfigError("rangeofp_k must be 'm' or 'l'")
+    _check_constants(constants)
 
-    seed = int(overrides.get("seed", data.get("seed", 0)))
-    workers = int(overrides.get("workers",
-                                data.get("workers",
-                                         os.environ.get("GRASSKIT_WORKERS", 1))))
+    seed = _number(overrides.get("seed", data.get("seed", 0)), "seed", int)
+    if seed < 0:
+        raise ConfigError("seed must be >= 0")
+    workers = _number(overrides.get("workers",
+                                    data.get("workers",
+                                             os.environ.get("GRASSKIT_WORKERS", 1))),
+                      "workers", int)
     if workers < 1:
         raise ConfigError("workers must be >= 1")
     out = overrides.get("out", data.get("out"))
@@ -266,7 +307,10 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
         violations = [r for r in records if not r["ok"]]
         passed = not violations
         summary = {"tuples": n_tuples, "p_values": p_values,
-                   "violations": len(violations)}
+                   "violations": len(violations),
+                   "min_slack": min(r["rhs"] - r["lower"] for r in records),
+                   "note": "lower bound only: 0 violations means no "
+                           "counterexample was found, not a proof"}
 
     return {
         "schema_version": 1,

@@ -161,11 +161,6 @@ def build_direction_net(sub_dim: int, ambient: int, delta: float) -> list[Subspa
     return net
 
 
-def snap_to_net(subspace: Subspace, net: list[Subspace]) -> int:
-    """Index of the nearest net element."""
-    return int(np.argmin([grassmann_distance(subspace, u) for u in net]))
-
-
 # ----------------------------------------------------------------- cells
 
 def cell_indices(points: np.ndarray, delta: float) -> np.ndarray:

@@ -16,3 +16,8 @@ class InvalidScaleError(InvalidInputError):
 
 class ResourceCapError(RuntimeError):
     """A computation would exceed a configured memory/size guard."""
+
+
+class CertificateError(RuntimeError):
+    """A certificate that the construction guarantees came out invalid
+    (a numerical breakdown, not bad input)."""

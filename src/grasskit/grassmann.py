@@ -234,10 +234,6 @@ def geodesic(v: Subspace, w: Subspace) -> Geodesic:
                     linalg.frozen(perp), non_unique)
 
 
-def geodesic_point(v: Subspace, w: Subspace, t: float) -> Subspace:
-    return geodesic(v, w).at(t)
-
-
 def vector_projection(x, pi: Subspace) -> np.ndarray:
     """Standard orthogonal projection of a vector onto the plane ``pi``."""
     return pi.project(np.asarray(x, dtype=float))
@@ -284,6 +280,3 @@ def project_to_sub_grassmannian(v: Subspace, pi: Subspace,
         unique = False
     return GrassmannProjection(w, dist, unique)
 
-
-def distance_to_sub_grassmannian(v: Subspace, pi: Subspace) -> float:
-    return project_to_sub_grassmannian(v, pi).distance

@@ -24,7 +24,8 @@ from . import linalg
 from .affine import ChartMPlane, ChartPoint, embed_tilde
 from .discretize import (SlabNeighborhood, GridCounter, build_direction_net,
                          cells_per_axis, spacing_report, SpacingReport)
-from .errors import InvalidInputError, ResourceCapError
+from .errors import (CertificateError, InvalidInputError, OutOfChartError,
+                     ResourceCapError)
 from .grassmann import (Subspace, distance as grassmann_distance,
                         project_to_sub_grassmannian, random_subspace)
 
@@ -428,22 +429,6 @@ def feasible_K(params: FamilyParams) -> int:
     raise InvalidInputError("no feasible K below 2^24")
 
 
-def default_broad_narrow_K(eps: float, p: float, closure_constant: float = 1.0,
-                           cap: int = 2 ** 20) -> int:
-    """Smallest power of two K with closure_constant (log K)^p K^(-eps p) <= 1/2.
-
-    This is the induction-closing choice; it grows far beyond what finite
-    experiments can net, so callers normally pass an explicit K and this
-    value is only reported.
-    """
-    K = 2
-    while K <= cap:
-        if closure_constant * math.log(K) ** p * K ** (-eps * p) <= 0.5:
-            return K
-        K *= 2
-    return cap
-
-
 @dataclass(frozen=True)
 class TransverseTuple:
     """A (d-m+2)-tuple of direction balls with a volume certificate: the
@@ -580,7 +565,7 @@ def broad_narrow_classify(bush: BushDirections, params: FamilyParams,
                           vol_target, constants.K)
     if not tup.certified():
         # the per-step threshold guarantees this cannot happen
-        raise AssertionError("greedy certificate below the volume target")
+        raise CertificateError("greedy certificate below the volume target")
     return Broad(tup, tuple(selected))
 
 
@@ -603,7 +588,10 @@ def random_transverse_tuple(params: FamilyParams, rng: np.random.Generator,
 
 # -------------------------------------------------- counting functionals
 
-def dim_projection(u: Subspace, w: Subspace, tol: float = 1e-9) -> int:
+DIM_PROJECTION_TOL = 1e-9
+
+
+def dim_projection(u: Subspace, w: Subspace, tol: float = DIM_PROJECTION_TOL) -> int:
     """dim of the orthogonal projection of u into w (rank of the overlap)."""
     if u.dim == 0 or w.dim == 0:
         return 0
@@ -684,13 +672,34 @@ def bl_constant_lower(subspaces, p: float, rng: np.random.Generator | None = Non
             for _ in range(n_random):
                 candidates.append(random_subspace(rng, ambient, r))
 
-    best_value, best_candidate = -math.inf, candidates[0]
-    for u in candidates:
-        total = sum(dim_projection(u, w) for w in ws)
-        value = u.dim - (p / jj) * total
-        if value > best_value + 1e-12:
-            best_value, best_candidate = value, u
-    return BlInstance(ws, float(p), float(best_value), best_candidate, len(candidates))
+    values = _functional_values(candidates, ws, p)
+    # first candidate of the top value cluster (values sit on a lattice of
+    # spacing far above 1e-12, so this is the first maximizer)
+    best = int(np.flatnonzero(values >= values.max() - 1e-12)[0])
+    return BlInstance(ws, float(p), float(values[best]), candidates[best],
+                      len(candidates))
+
+
+def _functional_values(candidates: list[Subspace], ws: tuple[Subspace, ...],
+                       p: float) -> np.ndarray:
+    """dim U - (p/J) sum_j dim proj_{W_j} U for every candidate U, with the
+    projection ranks of all same-dimension candidates read off one batched
+    singular-value call per W_j (the rule of :func:`dim_projection`)."""
+    # grouped with a dict: np.unique would import numpy.ma, about 1 MB of
+    # resident memory on an otherwise small process
+    groups: dict[int, list[int]] = {}
+    for i, u in enumerate(candidates):
+        if u.dim:
+            groups.setdefault(u.dim, []).append(i)
+    totals = np.zeros(len(candidates), dtype=int)
+    for idx in groups.values():
+        stack = np.stack([candidates[i].basis for i in idx])
+        for w in ws:
+            if w.dim:
+                sigma = np.linalg.svd(w.basis.T @ stack, compute_uv=False)
+                totals[idx] += linalg.ranks(sigma, DIM_PROJECTION_TOL)
+    dims = np.array([u.dim for u in candidates])
+    return dims - (p / len(ws)) * totals
 
 
 def tuple_obstruction_subspaces(tup: TransverseTuple, params: FamilyParams) -> list[Subspace]:
@@ -884,6 +893,6 @@ def rescale_family(family: PlaneFamily, core: ChartMPlane, K: float) -> PlaneFam
     for v in family.members:
         try:
             members.append(mapping.m_plane(v))
-        except Exception:
+        except OutOfChartError:
             continue
     return PlaneFamily(family.params, family.scale * K, tuple(members))

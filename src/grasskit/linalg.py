@@ -5,14 +5,14 @@ values: no function mutates its argument, and arrays stored in result
 objects are marked read-only.  A subspace basis is always an
 ``(ambient, dim)`` array with orthonormal columns.
 
-The singular value decomposition is a one-sided Jacobi iteration.  All
-matrices in this package are tiny (nothing above 32x32), where Jacobi is
-simple, deterministic and accurate to close to machine precision.
+The singular value decomposition is LAPACK's (``numpy.linalg.svd``)
+followed by one vectorized canonicalization of signs and order, so equal
+inputs give equal bases.  Callers that only need ranks or volumes take
+the singular values alone.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,9 +21,6 @@ from .errors import InvalidInputError
 
 # rank decisions are made relative to the largest singular value
 RANK_TOL = 1e-10
-
-_JACOBI_SWEEPS = 60
-_JACOBI_EPS = 1e-15
 
 
 def as_matrix(a) -> np.ndarray:
@@ -66,128 +63,74 @@ class SvdResult:
         return self.left @ d @ self.right.T
 
     def rank(self, tol: float = RANK_TOL) -> int:
-        s = self.singular_values
-        if len(s) == 0 or s[0] == 0.0:
-            return 0
-        return int(np.sum(s > tol * s[0]))
-
-
-def _jacobi_tall(b: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One-sided Jacobi on a tall matrix b (n, k), n >= k.
-
-    Returns (u_full (n,n), sigma (k,), v (k,k)) with b = u_full[:, :k] * sigma @ v.T.
-    """
-    n, k = b.shape
-    w = b.copy()
-    v = np.eye(k)
-    for _ in range(_JACOBI_SWEEPS):
-        off = 0.0
-        for i in range(k - 1):
-            for j in range(i + 1, k):
-                x = w[:, i]
-                y = w[:, j]
-                alpha = float(x @ x)
-                beta = float(y @ y)
-                gamma = float(x @ y)
-                if alpha == 0.0 or beta == 0.0:
-                    continue
-                denom = math.sqrt(alpha) * math.sqrt(beta)
-                if denom == 0.0:
-                    continue
-                off = max(off, abs(gamma) / denom)
-                if abs(gamma) <= _JACOBI_EPS * denom:
-                    continue
-                zeta = (beta - alpha) / (2.0 * gamma)
-                t = math.copysign(1.0, zeta) / (abs(zeta) + math.sqrt(1.0 + zeta * zeta))
-                c = 1.0 / math.sqrt(1.0 + t * t)
-                s = c * t
-                w[:, i], w[:, j] = c * x - s * y, s * x + c * y
-                v[:, i], v[:, j] = c * v[:, i] - s * v[:, j], s * v[:, i] + c * v[:, j]
-        if off <= _JACOBI_EPS:
-            break
-
-    sigma = np.linalg.norm(w, axis=0) if k else np.zeros(0)
-
-    # canonical signs: the largest-magnitude entry of each right vector is
-    # made positive (flip u and v together, which preserves the product)
-    for i in range(k):
-        col = v[:, i]
-        pivot = int(np.argmax(np.abs(np.round(col, 12))))
-        if col[pivot] < 0.0:
-            v[:, i] = -col
-            w[:, i] = -w[:, i]
-
-    # non-increasing sigma; degenerate blocks broken lexicographically on
-    # the right vectors so repeated values still give deterministic bases
-    order = sorted(
-        range(k),
-        key=lambda i: (-round(float(sigma[i]), 12), tuple(np.round(-v[:, i], 10))),
-    )
-    w = w[:, order]
-    v = v[:, order]
-    sigma = sigma[list(order)]
-
-    cutoff = (sigma[0] if k else 0.0) * 1e-14
-    u_cols = []
-    for i in range(k):
-        if sigma[i] > cutoff:
-            u_cols.append(w[:, i] / sigma[i])
-        else:
-            sigma[i] = max(sigma[i], 0.0)
-    u_part = np.column_stack(u_cols) if u_cols else np.zeros((n, 0))
-    u_full = orthonormal_completion(u_part, n)
-    return u_full, sigma, v
+        return int(ranks(self.singular_values, tol))
 
 
 def svd(a) -> SvdResult:
-    """Full SVD of an arbitrary small dense matrix."""
+    """Full SVD of an arbitrary small dense matrix (LAPACK), canonicalized.
+
+    The small-side singular vectors (right ones for a tall matrix, left
+    ones otherwise) are made to have a positive largest-magnitude entry;
+    the big-side vectors flip with them, which preserves the product.
+    Singular values come non-increasing, and blocks of equal (rounded)
+    values are ordered lexicographically on the small-side vectors.
+    """
     m = as_matrix(a)
     r, c = m.shape
     if r == 0 or c == 0:
         return SvdResult(frozen(np.eye(r)), frozen(np.zeros(min(r, c))), frozen(np.eye(c)))
-    if r <= c:
-        u_full, sigma, v = _jacobi_tall(m.T)
-        # m = v * sigma @ u_full[:, :r].T, so left <- v, right <- u_full
-        return SvdResult(frozen(v), frozen(sigma), frozen(u_full))
-    u_full, sigma, v = _jacobi_tall(m)
-    return SvdResult(frozen(u_full), frozen(sigma), frozen(v))
+    u, sigma, vt = np.linalg.svd(m, full_matrices=True)
+    v = vt.T
+    small, big = (u, v) if r <= c else (v, u)
+    k = len(sigma)
+    cols = np.arange(k)
+    pivot = np.argmax(np.abs(np.round(small, 12)), axis=0)
+    signs = np.where(small[pivot, cols] < 0.0, -1.0, 1.0)
+    small *= signs
+    big[:, :k] *= signs
+    rounded = np.round(sigma, 12)
+    if np.any(rounded[1:] == rounded[:-1]):
+        neg = np.round(-small, 10)
+        order = sorted(range(k), key=lambda i: (-rounded[i], tuple(neg[:, i])))
+        small, sigma = small[:, order], sigma[order]
+        big[:, :k] = big[:, order]
+    left, right = (small, big) if r <= c else (big, small)
+    return SvdResult(frozen(left), frozen(sigma), frozen(right))
+
+
+def ranks(sigma: np.ndarray, tol: float = RANK_TOL) -> np.ndarray:
+    """Numerical ranks from singular values along the last axis (sorted
+    non-increasing): the count above ``tol`` times the largest, 0 when the
+    largest is 0.  Works on one matrix's values or on a batch."""
+    s = np.asarray(sigma, dtype=float)
+    if s.shape[-1] == 0:
+        return np.zeros(s.shape[:-1], dtype=int)
+    return np.sum(s > tol * s[..., :1], axis=-1)
 
 
 def singular_values(a) -> np.ndarray:
-    return svd(a).singular_values
+    m = as_matrix(a)
+    if m.size == 0:
+        return np.zeros(min(m.shape))
+    return np.linalg.svd(m, compute_uv=False)
 
 
 def rank_of(a, tol: float = RANK_TOL) -> int:
-    return svd(a).rank(tol)
+    return int(ranks(singular_values(a), tol))
 
 
 def orthonormal_completion(q: np.ndarray, ambient: int | None = None) -> np.ndarray:
     """Extend orthonormal columns ``q`` to a square orthogonal matrix.
 
-    Candidates are taken from the identity, most-independent first, so the
-    completion is deterministic.
+    The extra columns come from a QR factorization of ``[q | I]``; the first
+    columns of the result are ``q`` itself, exactly.
     """
     n = q.shape[0] if ambient is None else ambient
     if q.size == 0:
         q = np.zeros((n, 0))
-    cols = [q[:, i] for i in range(q.shape[1])]
-    while len(cols) < n:
-        best, best_norm = None, -1.0
-        basis = np.column_stack(cols) if cols else np.zeros((n, 0))
-        for i in range(n):
-            e = np.zeros(n)
-            e[i] = 1.0
-            r = e - basis @ (basis.T @ e) if cols else e
-            nr = float(np.linalg.norm(r))
-            if nr > best_norm + 1e-12:
-                best, best_norm = r, nr
-        # re-orthogonalize once for numerical hygiene
-        r = best / best_norm
-        if cols:
-            r = r - basis @ (basis.T @ r)
-            r = r / np.linalg.norm(r)
-        cols.append(r)
-    return np.column_stack(cols)
+    full, _ = np.linalg.qr(np.hstack([q, np.eye(n)]))
+    full[:, :q.shape[1]] = q
+    return full
 
 
 @dataclass(frozen=True)
@@ -262,8 +205,7 @@ def gram_volume(vectors) -> float:
         return 1.0
     if j > q:
         return 0.0
-    s = svd(m).singular_values
-    return float(np.prod(s[:j]))
+    return float(np.prod(singular_values(m)[:j]))
 
 
 def nullspace(a, tol: float = RANK_TOL) -> np.ndarray:

@@ -174,3 +174,76 @@ def test_workers_env_var_default(tmp_path, monkeypatch):
     assert cfg.workers == 2
     cfg = cli.parse_config(base_config(), {"workers": 5})
     assert cfg.workers == 5
+
+
+# ----------------------------------------------------------- contract
+
+def _main_exit(tmp_path, capsys, cfg, command="run"):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    code = cli.main([command, "--config", str(path)])
+    return code, capsys.readouterr().out
+
+
+@pytest.mark.parametrize("field, value", [
+    ("deltas", ["abc", 0.25]),
+    ("deltas", [float("nan"), 0.25]),
+    ("deltas", 0.5),
+    ("p_values", [1.0, "high"]),
+    ("p_values", [0.0]),
+    ("seed", "seven"),
+    ("seed", -1),
+    ("workers", "two"),
+    ("constants", {"eps": "small"}),
+    ("constants", {"tuples": "many"}),
+    ("constants", {"tuples": 0}),
+    ("constants", {"K": 1}),
+    ("constants", ["eps"]),
+])
+def test_bad_entries_exit_2(tmp_path, capsys, field, value):
+    cfg = base_config(experiment="kakeya-sweep")
+    cfg[field] = value
+    for command in ("validate", "run"):
+        code, out = _main_exit(tmp_path, capsys, cfg, command)
+        assert code == 2
+        assert json.loads(out)["error"] == "config"
+
+
+def test_bl_audit_beta_above_l_plus_one_exit_2(tmp_path, capsys):
+    cfg = {"experiment": "bl-audit",
+           "params": {"l": 0, "m": 1, "d": 1, "n": 2, "beta": 1.5},
+           "seed": 1, "constants": {"tuples": 2}}
+    for command in ("validate", "run"):
+        code, out = _main_exit(tmp_path, capsys, cfg, command)
+        assert code == 2
+        err = json.loads(out)
+        assert err["error"] == "config" and "beta" in err["message"]
+
+
+def test_bl_audit_p_outside_admissible_range_exit_2(tmp_path, capsys):
+    cfg = {"experiment": "bl-audit",
+           "params": {"l": 0, "m": 1, "d": 1, "n": 2, "beta": 1.0},
+           "p_values": [1.0, 3.0], "seed": 1, "constants": {"tuples": 2}}
+    code, out = _main_exit(tmp_path, capsys, cfg)
+    assert code == 2
+    assert json.loads(out)["error"] == "config"
+
+
+@pytest.mark.parametrize("name", ["C1", "c_tilde", "c_prime"])
+def test_unwired_constants_are_unknown(tmp_path, capsys, name):
+    cfg = base_config(constants={name: 1.0})
+    code, out = _main_exit(tmp_path, capsys, cfg, "validate")
+    assert code == 2
+    err = json.loads(out)
+    assert err["error"] == "config" and "unknown constants" in err["message"]
+    assert name not in cli.DEFAULT_CONSTANTS
+
+
+def test_bl_audit_reports_min_slack(tmp_path):
+    cfg = {"experiment": "bl-audit",
+           "params": {"l": 0, "m": 1, "d": 1, "n": 2, "beta": 1.0},
+           "seed": 3, "constants": {"tuples": 3}}
+    report = cli.run_experiment(cli.parse_config(cfg))
+    slack = report["summary"]["min_slack"]
+    assert slack == min(r["rhs"] - r["lower"] for r in report["records"])
+    assert slack >= -1e-9

@@ -246,6 +246,33 @@ def test_bl_monotone_in_candidates():
     assert bigger.best_value >= base.best_value - 1e-12
 
 
+def test_bl_batched_value_equals_explicit_candidate_max():
+    # the documented candidate set, rebuilt here and scored one candidate
+    # at a time through dim_projection
+    from grasskit.grassmann import random_subspace
+    ambient = 6
+    for trial in range(3):
+        g = rng_for(79, trial)
+        ws = [random_subspace(g, ambient, int(g.integers(1, ambient))) for _ in range(3)]
+        extra = [random_subspace(g, ambient, k) for k in (1, 3, 5)]
+        comps = [w.complement() for w in ws]
+        explicit = [Subspace.zero(ambient), Subspace.full(ambient)] + comps
+        for a in range(3):
+            for b in range(a + 1, 3):
+                explicit += [comps[a].sum(comps[b]), comps[a].intersect(comps[b])]
+        explicit.append(comps[0].sum(comps[1]).sum(comps[2]))
+        explicit += kk._coordinate_candidates(ambient, 2) + extra
+        draws = rng_for(80, trial)
+        explicit += [random_subspace(draws, ambient, r)
+                     for r in range(1, ambient) for _ in range(4)]
+        for p in (1.0, 1.2, 2.5):
+            inst = kk.bl_constant_lower(ws, p, rng_for(80, trial), n_random=4,
+                                        factor_dim=2, extra_candidates=extra)
+            assert inst.n_candidates == len(explicit)
+            assert inst.best_value == max(inst.value_of(u) for u in explicit)
+            assert inst.value_of(inst.best_candidate) == inst.best_value
+
+
 def test_bl_invalid_exponent():
     with pytest.raises(InvalidInputError):
         kk.bl_constant_lower([Subspace.full(2)], 3.5)

@@ -70,6 +70,56 @@ def test_svd_against_numpy_on_random_batch():
         assert np.allclose(ours, ref, atol=1e-11)
 
 
+def test_svd_sign_rule_and_order():
+    # the small-side vectors (right for tall, left otherwise) have a
+    # positive largest-magnitude entry; singular values never increase
+    for shape in [(3, 2), (2, 5), (4, 4), (6, 3), (1, 4)]:
+        for trial in range(6):
+            a = rng_for(31, shape[0], shape[1], trial).standard_normal(shape)
+            res = linalg.svd(a)
+            small = res.right if shape[0] > shape[1] else res.left
+            pivots = np.argmax(np.abs(small), axis=0)
+            assert np.all(small[pivots, np.arange(small.shape[1])] > 0.0)
+            assert np.all(np.diff(res.singular_values) <= 0.0)
+
+
+def test_svd_repeated_singular_value_is_deterministic():
+    q1 = linalg.orthonormalize(rng_for(37).standard_normal((5, 5))).matrix
+    q2 = linalg.orthonormalize(rng_for(38).standard_normal((3, 3))).matrix
+    d = np.zeros((5, 3))
+    d[:3, :3] = np.diag([2.0, 2.0, 0.5])
+    a = q1 @ d @ q2.T
+    first, second = linalg.svd(a), linalg.svd(a)
+    assert np.allclose(first.singular_values, [2.0, 2.0, 0.5], atol=1e-12)
+    assert np.array_equal(first.left, second.left)
+    assert np.array_equal(first.right, second.right)
+    assert np.array_equal(first.singular_values, second.singular_values)
+    # the tied pair is ordered lexicographically, larger vector first
+    tied = np.round(first.right[:, :2], 10)
+    assert tuple(tied[:, 0]) >= tuple(tied[:, 1])
+    assert np.max(np.abs(first.reconstruct() - a)) <= 1e-10
+
+
+def test_orthonormal_completion_keeps_q_exactly():
+    for n, k in [(4, 0), (4, 1), (5, 3), (6, 6)]:
+        q = linalg.orthonormalize(rng_for(41, n, k).standard_normal((n, max(k, 1)))).matrix[:, :k]
+        full = linalg.orthonormal_completion(q, n)
+        assert full.shape == (n, n)
+        assert np.array_equal(full[:, :k], q)
+        assert np.allclose(full.T @ full, np.eye(n), atol=1e-12)
+
+
+def test_rank_of_matches_numpy_on_rank_deficient_batch():
+    for trial in range(40):
+        g = rng_for(43, trial)
+        r, c = (int(x) for x in g.integers(1, 8, size=2))
+        k = int(g.integers(0, min(r, c) + 1))
+        a = g.standard_normal((r, k)) @ g.standard_normal((k, c))
+        a *= 10.0 ** int(g.integers(-8, 9))   # the tolerance is relative
+        assert linalg.rank_of(a) == np.linalg.matrix_rank(a)
+        assert linalg.svd(a).rank() == np.linalg.matrix_rank(a)
+
+
 # ------------------------------------------------------ orthonormalize
 
 def test_orthonormalize_axis_rescale():
