@@ -49,10 +49,6 @@ class AffinePlane:
         object.__setattr__(self, "offset", linalg.frozen(x))
 
     @classmethod
-    def from_point_direction(cls, point, direction: Subspace) -> "AffinePlane":
-        return cls(direction, np.asarray(point, dtype=float))
-
-    @classmethod
     def through_points(cls, points) -> "AffinePlane":
         """Affine span of a point list (first point is the anchor)."""
         pts = [np.asarray(p, dtype=float).ravel() for p in points]
@@ -273,17 +269,6 @@ class ChartMPlane:
     def slice_dim(self) -> int:
         return self.offsets.shape[1]
 
-    @property
-    def section_dim(self) -> int:
-        """m - l, the dimension of each slice section."""
-        return self.direction.dim
-
-    def ambient_n(self) -> int:
-        return self.slice_dim + self.l
-
-    def m(self) -> int:
-        return self.section_dim + self.l
-
     def section(self, j: int) -> AffinePlane:
         """The j-th slice section as an affine plane of R^(n-l)."""
         return AffinePlane(self.direction, self.offsets[j])
@@ -376,11 +361,6 @@ class Chart:
     @property
     def slice_dim(self) -> int:
         return self.n - self.l
-
-    @property
-    def point_dim(self) -> int:
-        """Free parameters of a chart l-plane: (n-l)(l+1)."""
-        return (self.n - self.l) * (self.l + 1)
 
     def _slice_targets(self) -> np.ndarray:
         """Last-l coordinates of the anchors of slices 0..l."""

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 from . import __version__, kakeya, selftest
 from .discretize import box_count, box_dimension_fit
-from .errors import ResourceCapError
+from .errors import InvalidInputError, ResourceCapError
 from .kakeya import FamilyParams, admissible_p_max
 from .sampling import rng_for
 
@@ -82,9 +82,10 @@ class ExperimentConfig:
 
 
 def _is_dyadic(x: float) -> bool:
-    if x <= 0:
+    """x = 2^-k for an integer k >= 0 (log2 of x itself stays finite)."""
+    if not 0 < x <= 1:
         return False
-    k = math.log2(1.0 / x)
+    k = math.log2(x)
     return abs(k - round(k)) <= 1e-9
 
 
@@ -94,7 +95,7 @@ def _number(value, name: str, kind=float):
         out = kind(value)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"{name} must be a number, got {value!r}") from exc
-    if not math.isfinite(out):
+    if isinstance(out, float) and not math.isfinite(out):
         raise ConfigError(f"{name} must be finite, got {value!r}")
     return out
 
@@ -108,8 +109,10 @@ def _numbers(data: dict, key: str) -> list[float]:
 
 def _check_constants(constants: dict) -> None:
     """Type-check the numeric constants; the values are echoed unchanged."""
-    for key in ("eps", "ratio_bound", "growth_bound", "slope_tol", "suite_scale"):
+    for key in ("eps", "ratio_bound", "growth_bound", "slope_tol"):
         _number(constants[key], f"constants.{key}")
+    if _number(constants["suite_scale"], "constants.suite_scale") <= 0:
+        raise ConfigError("constants.suite_scale must be > 0")
     if _number(constants["tuples"], "constants.tuples", int) < 1:
         raise ConfigError("constants.tuples must be >= 1")
     if constants["K"] is not None and _number(constants["K"], "constants.K", int) < 2:
@@ -131,30 +134,10 @@ def parse_config(data: dict, overrides: dict | None = None) -> ExperimentConfig:
             params = FamilyParams.from_dict(raw)
         except (KeyError, TypeError) as exc:
             raise ConfigError(f"params is missing a field: {exc}") from exc
-        except ValueError as exc:
+        except (ValueError, OverflowError) as exc:
             raise ConfigError(str(exc)) from exc
     if kind != "geometry-selftest" and params is None:
         raise ConfigError(f"experiment {kind} requires params")
-
-    deltas = _numbers(data, "deltas")
-    if kind in ("sharp-dimension", "kakeya-sweep"):
-        if len(deltas) < 2:
-            raise ConfigError("need at least two scales in deltas")
-        if any(not _is_dyadic(d) for d in deltas):
-            raise ConfigError("deltas must be dyadic (powers of 1/2)")
-        if any(b >= a for a, b in zip(deltas, deltas[1:])):
-            raise ConfigError("deltas must be strictly decreasing")
-
-    p_values = _numbers(data, "p_values")
-    if kind == "kakeya-sweep" and any(p <= 0.0 for p in p_values):
-        raise ConfigError("p_values must be positive")
-    if kind == "bl-audit":
-        if params.beta > params.l + 1:
-            # the audited ceiling assumes beta <= l+1
-            raise ConfigError("bl-audit requires beta <= l+1")
-        p_max = admissible_p_max(params.l, params.m, params.d, params.beta)
-        if any(not 1.0 <= p <= p_max + 1e-9 for p in p_values):
-            raise ConfigError(f"bl-audit p_values must lie in [1, {p_max}]")
 
     constants = dict(DEFAULT_CONSTANTS)
     extra = data.get("constants", {}) or {}
@@ -167,6 +150,34 @@ def parse_config(data: dict, overrides: dict | None = None) -> ExperimentConfig:
     if constants["rangeofp_k"] not in ("m", "l"):
         raise ConfigError("rangeofp_k must be 'm' or 'l'")
     _check_constants(constants)
+
+    deltas = _numbers(data, "deltas")
+    if kind in ("sharp-dimension", "kakeya-sweep"):
+        if len(deltas) < 2:
+            raise ConfigError("need at least two scales in deltas")
+        if any(not _is_dyadic(d) for d in deltas):
+            raise ConfigError("deltas must be dyadic (powers of 1/2) in (0, 1]")
+        if any(b >= a for a, b in zip(deltas, deltas[1:])):
+            raise ConfigError("deltas must be strictly decreasing")
+
+    p_values = _numbers(data, "p_values")
+    if kind == "kakeya-sweep" and any(p <= 0.0 for p in p_values):
+        raise ConfigError("p_values must be positive")
+    if kind == "bl-audit":
+        if params.beta > params.l + 1:
+            # the audited ceiling assumes beta <= l+1
+            raise ConfigError("bl-audit requires beta <= l+1")
+        try:
+            p_max = admissible_p_max(params.l, params.m, params.d, params.beta)
+            k_min = kakeya.feasible_K(params)
+        except (InvalidInputError, OverflowError) as exc:
+            raise ConfigError(f"bl-audit params out of range: {exc}") from exc
+        if any(not 1.0 <= p <= p_max + 1e-9 for p in p_values):
+            raise ConfigError(f"bl-audit p_values must lie in [1, {p_max}]")
+        if constants["K"] is not None and int(constants["K"]) < k_min:
+            # below it a certificate threshold exceeds 1/2, and whether the
+            # tuple draw succeeds within its 64 tries depends on the seed
+            raise ConfigError(f"bl-audit constants.K must be >= {k_min}")
 
     seed = _number(overrides.get("seed", data.get("seed", 0)), "seed", int)
     if seed < 0:
@@ -217,19 +228,11 @@ def _sharp_unit(arg: tuple) -> dict:
 
 def _kakeya_unit(arg: tuple) -> dict:
     params_dict, delta, p_values, eps = arg
-    params = FamilyParams.from_dict(params_dict)
-    family = kakeya.generate_sharp_example(params, delta)
+    family = kakeya.generate_sharp_example(FamilyParams.from_dict(params_dict), delta)
     counter = kakeya.overlap_counter(family)
     total = family.total_slab_measure()
-    rows = []
-    for p in p_values:
-        lhs = kakeya.lp_counting_norm(family, p, counter=counter)
-        exponent = ((params.m - params.l) * (params.d - params.m)
-                    * (1.0 - 1.0 / p) + eps)
-        rhs = delta ** (-exponent) * total ** (1.0 / p)
-        rows.append({"delta": delta, "p": p, "members": len(family),
-                     "lhs": lhs, "rhs": rhs,
-                     "ratio": lhs / rhs if rhs > 0 else math.inf})
+    rows = [{"p": p, **kakeya.kakeya_ratio(family, p, eps, counter, total).to_dict()}
+            for p in p_values]
     return {"delta": delta, "rows": rows}
 
 

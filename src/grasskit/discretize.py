@@ -10,7 +10,13 @@ Conventions fixed here and used everywhere:
   and balls are closed Euclidean balls centered at family members;
 * a slab neighborhood of a chart m-plane is the product over the l+1
   slices of the band of width delta around the section, clipped to the
-  box; its measure is the exact volume of that clipped product.
+  box; its measure is the exact volume of that clipped product;
+* a grid cell is counted by one int64 key, the row-major mixed-radix
+  number of its index tuple (axis 0 most significant), so sorted keys
+  follow lexicographic tuple order; counts sort keys and compare
+  neighbours.  ``GridCounter`` uses radix ``cells_per_axis(scale)``;
+  ``box_count`` packs ``idx - idx.min(0)`` with radix ``span + 1`` and
+  counts rows by lexsort when even that overflows int64.
 """
 
 from __future__ import annotations
@@ -28,6 +34,7 @@ from .grassmann import Subspace, distance as grassmann_distance
 
 CANDIDATE_CAP = 4_000_000
 CELL_CAP = 16_000_000
+KEY_MAX = np.iinfo(np.int64).max
 
 
 def _check_scale(delta: float) -> float:
@@ -75,21 +82,26 @@ def min_pairwise_distance(points: np.ndarray) -> float:
     return best
 
 
-def _farthest_point_net(candidates: np.ndarray, delta: float) -> np.ndarray:
-    """Farthest-point insertion: separation >= delta, covering (of the
-    candidates) < delta.  Starts from the lexicographically first
-    candidate, so the result is deterministic."""
-    order = np.lexsort(candidates.T[::-1])
-    cands = candidates[order]
+def _farthest_point_indices(dist_to, delta: float) -> list[int]:
+    """Farthest-point insertion from candidate 0, where ``dist_to(i)`` is
+    the distance array from candidate i: separation >= delta, covering (of
+    the candidates) < delta."""
     chosen = [0]
-    dist = np.linalg.norm(cands - cands[0], axis=1)
+    dist = dist_to(0)
     while True:
         nxt = int(np.argmax(dist))
         if dist[nxt] < delta:
-            break
+            return chosen
         chosen.append(nxt)
-        dist = np.minimum(dist, np.linalg.norm(cands - cands[nxt], axis=1))
-    return cands[chosen]
+        dist = np.minimum(dist, dist_to(nxt))
+
+
+def _farthest_point_net(candidates: np.ndarray, delta: float) -> np.ndarray:
+    """Starts from the lexicographically first candidate, so the result is
+    deterministic."""
+    cands = candidates[np.lexsort(candidates.T[::-1])]
+    return cands[_farthest_point_indices(
+        lambda i: np.linalg.norm(cands - cands[i], axis=1), delta)]
 
 
 def build_net(dim: int, delta: float, half_width: float = 1.0) -> DeltaNet:
@@ -131,18 +143,8 @@ def build_direction_net(sub_dim: int, ambient: int, delta: float) -> list[Subspa
         n_cand = min(int(40 * (2.0 / delta) ** dim_g), 400_000)
         g = rng.standard_normal((n_cand, ambient))
         cands = g / np.linalg.norm(g, axis=1, keepdims=True)
-
-        def line_dist(u, block):
-            return np.arccos(np.clip(np.abs(block @ u), 0.0, 1.0))
-
-        keep = [0]
-        dist = line_dist(cands[0], cands)
-        while True:
-            nxt = int(np.argmax(dist))
-            if dist[nxt] < delta:
-                break
-            keep.append(nxt)
-            dist = np.minimum(dist, line_dist(cands[nxt], cands))
+        keep = _farthest_point_indices(
+            lambda i: np.arccos(np.clip(np.abs(cands @ cands[i]), 0.0, 1.0)), delta)
         return [Subspace(cands[i].reshape(-1, 1)) for i in keep]
     n_cand = min(int(10 * (2.0 / delta) ** dim_g), 4_000)
     cands = []
@@ -150,44 +152,66 @@ def build_direction_net(sub_dim: int, ambient: int, delta: float) -> list[Subspa
         res = linalg.orthonormalize(rng.standard_normal((ambient, sub_dim)))
         if res.rank == sub_dim:
             cands.append(Subspace(res.matrix))
-    net: list[Subspace] = [cands[0]]
-    dist = np.array([grassmann_distance(cands[0], c) for c in cands])
-    while True:
-        nxt = int(np.argmax(dist))
-        if dist[nxt] < delta:
-            break
-        net.append(cands[nxt])
-        dist = np.minimum(dist, [grassmann_distance(cands[nxt], c) for c in cands])
-    return net
+    keep = _farthest_point_indices(
+        lambda i: np.array([grassmann_distance(cands[i], c) for c in cands]), delta)
+    return [cands[i] for i in keep]
 
 
 # ----------------------------------------------------------------- cells
+
+def cells_per_axis(delta: float) -> int:
+    return int(math.ceil(2.0 / delta - 1e-12))
+
 
 def cell_indices(points: np.ndarray, delta: float) -> np.ndarray:
     """Integer grid cells (anchored at -1, half-open, side delta)."""
     delta = _check_scale(delta)
     pts = np.atleast_2d(np.asarray(points, dtype=float))
-    n_cells = int(math.ceil(2.0 / delta - 1e-12))
     idx = np.floor((pts + 1.0) / delta).astype(np.int64)
-    return np.clip(idx, 0, n_cells - 1)
+    return np.clip(idx, 0, cells_per_axis(delta) - 1)
 
 
-def cells_per_axis(delta: float) -> int:
-    return int(math.ceil(2.0 / delta - 1e-12))
+def _cell_keys(idx: np.ndarray, lo, radix) -> np.ndarray:
+    """Mixed-radix int64 key of each row of ``idx - lo`` (axis 0 most
+    significant); the caller keeps the product of ``radix`` within int64."""
+    keys = idx[:, 0] - lo[0]
+    for a in range(1, idx.shape[1]):
+        keys *= radix[a]
+        keys += idx[:, a]
+        keys -= lo[a]
+    return keys
+
+
+def _run_starts(sorted_keys: np.ndarray) -> np.ndarray:
+    """Index of the first element of each run of equal sorted keys."""
+    return np.flatnonzero(np.diff(sorted_keys, prepend=sorted_keys[:1] - 1))
+
+
+def _lexsort_distinct_rows(idx: np.ndarray) -> int:
+    rows = idx[np.lexsort(idx.T[::-1])]
+    return 1 + int(np.count_nonzero(np.any(rows[1:] != rows[:-1], axis=1)))
+
+
+def _distinct_rows(idx: np.ndarray) -> int:
+    if idx.shape[0] == 0:
+        return 0
+    lo = idx.min(axis=0)
+    radix = idx.max(axis=0) - lo + 1
+    if math.prod(int(r) for r in radix) > KEY_MAX:
+        return _lexsort_distinct_rows(idx)
+    keys = _cell_keys(idx, lo, radix)
+    keys.sort()
+    return 1 + int(np.count_nonzero(keys[1:] != keys[:-1]))
 
 
 def box_count(points_or_slabs, delta: float) -> int:
     """Number of occupied grid cells for points or slab neighborhoods."""
     if (not isinstance(points_or_slabs, np.ndarray)
             and all(isinstance(s, SlabNeighborhood) for s in points_or_slabs)):
-        occupied: set = set()
-        for s in points_or_slabs:
-            occupied.update(map(tuple, s.cells(delta)))
-        return len(occupied)
+        cells = [s.cells(delta) for s in points_or_slabs]
+        return _distinct_rows(np.concatenate(cells)) if cells else 0
     pts = np.atleast_2d(np.asarray(points_or_slabs, dtype=float))
-    if pts.shape[0] == 0:
-        return 0
-    return np.unique(cell_indices(pts, delta), axis=0).shape[0]
+    return _distinct_rows(cell_indices(pts, delta))
 
 
 @dataclass(frozen=True)
@@ -213,9 +237,10 @@ def box_dimension_fit(deltas, counts) -> BoxFit:
     return BoxFit(float(slope), float(intercept), resid)
 
 
-@dataclass
+@dataclass(eq=False)
 class GridCounter:
-    """Sparse per-cell multiplicity over the chart grid.
+    """Sparse per-cell multiplicity over the chart grid: sorted cell keys
+    and their counts.
 
     Workers fill disjoint counters and merge once at the end; the merge is
     order-independent because addition commutes.
@@ -223,36 +248,56 @@ class GridCounter:
 
     scale: float
     dim: int
-    counts: dict = field(default_factory=dict)
+    keys: np.ndarray = field(default_factory=lambda: np.zeros(0, np.int64))
+    counts: np.ndarray = field(default_factory=lambda: np.zeros(0, np.int64))
+
+    def __post_init__(self):
+        self.radix = cells_per_axis(_check_scale(self.scale))
+        if self.radix ** self.dim > KEY_MAX:
+            raise ResourceCapError("grid too fine for int64 cell keys")
 
     def add_cells(self, cells: np.ndarray, weight: int = 1) -> None:
-        for row in map(tuple, np.atleast_2d(cells)):
-            self.counts[row] = self.counts.get(row, 0) + weight
+        idx = np.atleast_2d(np.asarray(cells, dtype=np.int64))
+        if idx.size == 0:
+            return
+        if idx.shape[1] != self.dim or idx.min() < 0 or idx.max() >= self.radix:
+            raise InvalidInputError("cells lie outside the counter's grid")
+        keys = np.sort(_cell_keys(idx, [0] * self.dim, [self.radix] * self.dim))
+        starts = _run_starts(keys)
+        self._absorb(keys[starts], np.diff(np.r_[starts, keys.size]) * weight)
 
     def add_points(self, points: np.ndarray, weight: int = 1) -> None:
         self.add_cells(cell_indices(points, self.scale), weight)
 
+    def _absorb(self, keys: np.ndarray, counts: np.ndarray) -> None:
+        """Add keys with their counts, summing the counts of equal keys."""
+        keys = np.concatenate([self.keys, keys])
+        order = np.argsort(keys)
+        keys = keys[order]
+        starts = _run_starts(keys)
+        counts = np.concatenate([self.counts, counts])[order]
+        self.keys, self.counts = keys[starts], np.add.reduceat(counts, starts)
+
     @property
     def occupied(self) -> int:
-        return len(self.counts)
+        return int(self.keys.size)
 
     def total(self) -> int:
-        return sum(self.counts.values())
+        return int(self.counts.sum())
 
     def lp_power_sum(self, p: float) -> float:
-        return float(sum(v ** p for v in self.counts.values()))
+        return float(np.sum(self.counts.astype(float) ** p))
 
     def merge(self, other: "GridCounter") -> None:
         if other.scale != self.scale or other.dim != self.dim:
             raise InvalidInputError("cannot merge counters of different grids")
-        for k, v in other.counts.items():
-            self.counts[k] = self.counts.get(k, 0) + v
+        self._absorb(other.keys, other.counts)
 
     def to_csv(self, path) -> None:
-        with open(path, "w") as fh:
-            fh.write(",".join(f"i{a}" for a in range(self.dim)) + ",count\n")
-            for key in sorted(self.counts):
-                fh.write(",".join(str(i) for i in key) + f",{self.counts[key]}\n")
+        cells = np.unravel_index(self.keys, (self.radix,) * self.dim)
+        np.savetxt(path, np.column_stack([*cells, self.counts]), fmt="%d",
+                   delimiter=",", comments="",
+                   header=",".join(f"i{a}" for a in range(self.dim)) + ",count")
 
 
 # ------------------------------------------------------------- polytopes
@@ -347,19 +392,19 @@ class SlabNeighborhood:
             total += float(excess @ excess)
         return math.sqrt(total)
 
-    def factor_measure(self, j: int) -> float:
-        """Exact volume of R_j (band around section j clipped to the box)."""
+    def _factor_constraints(self, j: int) -> tuple[np.ndarray, np.ndarray]:
+        """R_j as {x : a x <= b}: the slice box, then the band."""
         q = self.core.slice_dim
         nf = self._normal()
-        a_rows = [np.eye(q), -np.eye(q)]
-        b_rows = [np.ones(q), np.ones(q)]
-        if nf.shape[1]:
-            shift = nf.T @ self.core.offsets[j]
-            a_rows += [nf.T, -nf.T]
-            b_rows += [shift + self.scale, self.scale - shift]
-        a = np.vstack(a_rows)
-        b = np.concatenate(b_rows)
-        return polytope_volume(a, b)
+        shift = nf.T @ self.core.offsets[j]
+        a = np.vstack([np.eye(q), -np.eye(q), nf.T, -nf.T])
+        b = np.concatenate([np.ones(q), np.ones(q), shift + self.scale,
+                            self.scale - shift])
+        return a, b
+
+    def factor_measure(self, j: int) -> float:
+        """Exact volume of R_j (band around section j clipped to the box)."""
+        return polytope_volume(*self._factor_constraints(j))
 
     def measure(self) -> float:
         out = 1.0
@@ -377,16 +422,13 @@ class SlabNeighborhood:
             # the band is the whole box
             ranges = [np.arange(n_cells)] * q
         else:
-            verts = self._factor_vertices(j)
+            verts = polytope_vertices(*self._factor_constraints(j))
             if verts.shape[0] == 0:
                 return np.zeros((0, q), dtype=np.int64)
             lo = cell_indices(np.min(verts, axis=0)[None, :], gd)[0]
             hi = cell_indices(np.max(verts, axis=0)[None, :], gd)[0]
             ranges = [np.arange(lo[i], hi[i] + 1) for i in range(q)]
-        total = 1
-        for r in ranges:
-            total *= len(r)
-        if total > CELL_CAP:
+        if math.prod(len(r) for r in ranges) > CELL_CAP:
             raise ResourceCapError("slab rasterization exceeds the cell cap")
         mesh = np.meshgrid(*ranges, indexing="ij")
         idx = np.column_stack([m.ravel() for m in mesh])
@@ -394,21 +436,10 @@ class SlabNeighborhood:
         keep = self.factor_deviation(j, centers) <= self.scale
         return idx[keep]
 
-    def _factor_vertices(self, j: int) -> np.ndarray:
-        q = self.core.slice_dim
-        nf = self._normal()
-        shift = nf.T @ self.core.offsets[j]
-        a = np.vstack([np.eye(q), -np.eye(q), nf.T, -nf.T])
-        b = np.concatenate([np.ones(q), np.ones(q), shift + self.scale,
-                            self.scale - shift])
-        return polytope_vertices(a, b)
-
     def cells(self, grid_delta: float | None = None) -> np.ndarray:
         """Grid cells of the chart product whose centers lie in the slab."""
         factor = [self.factor_cells(j, grid_delta) for j in range(self.copies)]
-        total = 1
-        for f in factor:
-            total *= f.shape[0]
+        total = math.prod(f.shape[0] for f in factor)
         if total > CELL_CAP:
             raise ResourceCapError("slab product exceeds the cell cap")
         if total == 0:
@@ -425,10 +456,6 @@ class SlabNeighborhood:
 def slab_membership(point: ChartPoint, slab: SlabNeighborhood,
                     slack: float = 0.0) -> bool:
     return slab.contains(point, slack)
-
-
-def slab_measure(slab: SlabNeighborhood) -> float:
-    return slab.measure()
 
 
 def ball_measure(delta: float, l: int, n: int) -> float:

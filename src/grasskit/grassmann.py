@@ -79,10 +79,6 @@ class Subspace:
         full = linalg.orthonormal_completion(self.basis, self.ambient_dim)
         return Subspace(full[:, self.dim:])
 
-    def contains_vector(self, x, tol: float = 1e-9) -> bool:
-        x = np.asarray(x, dtype=float)
-        return float(np.max(np.abs(x - self.project(x)), initial=0.0)) <= tol
-
     def contains(self, other: "Subspace", tol: float = 1e-9) -> bool:
         return linalg.containment_residual(self.basis, other.basis) <= tol
 

@@ -22,14 +22,12 @@ import numpy as np
 
 from . import linalg
 from .affine import ChartMPlane, ChartPoint, embed_tilde
-from .discretize import (SlabNeighborhood, GridCounter, build_direction_net,
+from .discretize import (CELL_CAP, SlabNeighborhood, GridCounter, build_direction_net,
                          cells_per_axis, spacing_report, SpacingReport)
 from .errors import (CertificateError, InvalidInputError, OutOfChartError,
                      ResourceCapError)
 from .grassmann import (Subspace, distance as grassmann_distance,
                         project_to_sub_grassmannian, random_subspace)
-
-CELL_CAP = 16_000_000
 
 
 # ---------------------------------------------------------------- params
@@ -285,12 +283,8 @@ def generate_sharp_example(params: FamilyParams, delta: float) -> PlaneFamily:
             rem //= size
             if ax.kind == "tilt":
                 tilt[ax.index] = val
-            elif ax.kind == "offset":
-                jj, column = ax.index
-                offsets[jj, column] += val
-            else:
-                jj, column = ax.index
-                offsets[jj, column] += val
+            else:  # "offset" and "base" both shift a slice coordinate
+                offsets[ax.index] += val
         cols = np.zeros((slice_dim, r))
         for a in range(r):
             cols[base_cols[a], a] = 1.0
@@ -418,12 +412,10 @@ def feasible_K(params: FamilyParams) -> int:
     """Smallest power of two making the default constants usable at desk
     scale: the per-step threshold and the volume target must fit below 1/2
     (unit vectors cannot exceed volume 1)."""
-    n = params.n
-    c_tilde = 10.0 * n
-    c_prime = 10.0 * (10.0 * n) ** (params.d - params.l + 1)
     K = 2
     while K < 2 ** 24:
-        if c_tilde / K <= 0.5 and c_prime * K ** (-n) <= 0.5:
+        c = ClassifierConstants.for_params(params, K)
+        if c.c_tilde / K <= 0.5 and c.c_prime * K ** (-params.n) <= 0.5:
             return K
         K *= 2
     raise InvalidInputError("no feasible K below 2^24")
@@ -758,8 +750,9 @@ def overlap_counter(family: PlaneFamily, grid_delta: float | None = None,
     if cells_per_axis(delta) ** dim > cell_cap:
         raise ResourceCapError("chart grid exceeds the cell cap; coarsen delta")
     counter = GridCounter(delta, dim)
-    for i in range(len(family)):
-        counter.add_cells(family.slab(i).cells(delta))
+    if len(family):
+        counter.add_cells(np.concatenate([family.slab(i).cells(delta)
+                                          for i in range(len(family))]))
     return counter
 
 
@@ -810,12 +803,17 @@ class KakeyaReport:
         return self.bounded and self.max_growth <= self.growth_bound + 1e-9
 
 
-def kakeya_ratio(family: PlaneFamily, p: float, eps: float) -> KakeyaRow:
-    """One row of the counting-inequality sweep at the family's scale."""
+def kakeya_ratio(family: PlaneFamily, p: float, eps: float,
+                 counter: GridCounter | None = None,
+                 total: float | None = None) -> KakeyaRow:
+    """One row of the counting-inequality sweep at the family's scale.
+    Exponents sharing a family may pass its overlap counter and total slab
+    measure in."""
     params = family.params
     delta = family.scale
-    lhs = lp_counting_norm(family, p)
-    total = family.total_slab_measure()
+    lhs = lp_counting_norm(family, p, counter=counter)
+    if total is None:
+        total = family.total_slab_measure()
     exponent = (params.m - params.l) * (params.d - params.m) * (1.0 - 1.0 / p) + eps
     rhs = delta ** (-exponent) * total ** (1.0 / p)
     return KakeyaRow(delta, len(family), float(lhs), float(rhs),

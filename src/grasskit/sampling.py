@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .affine import AffinePlane, Chart, ChartMPlane, ChartPoint
+from .affine import AffinePlane, ChartMPlane, ChartPoint
 from .grassmann import random_subspace
 
 
@@ -50,10 +50,3 @@ def random_affine_plane(rng: np.random.Generator, ambient: int, dim: int,
                         offset_scale: float = 0.4) -> AffinePlane:
     direction = random_subspace(rng, ambient, dim)
     return AffinePlane(direction, rng.uniform(-offset_scale, offset_scale, size=ambient))
-
-
-def random_chart_l_plane(rng: np.random.Generator, chart: Chart,
-                         scale: float = 0.9) -> AffinePlane:
-    """Random transverse l-plane of R^n whose chart coordinates stay in the box."""
-    point = random_chart_point(rng, chart.l, chart.n, scale)
-    return chart.plane_of(point)

@@ -1,7 +1,12 @@
+import contextlib
 import copy
+import io
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from grasskit import cli
 
@@ -247,3 +252,94 @@ def test_bl_audit_reports_min_slack(tmp_path):
     slack = report["summary"]["min_slack"]
     assert slack == min(r["rhs"] - r["lower"] for r in report["records"])
     assert slack >= -1e-9
+
+
+def test_bl_audit_K_below_feasible_exit_2(tmp_path, capsys):
+    # K=2 used to pass validate, then the tuple draw gave up with a traceback
+    cfg = {"experiment": "bl-audit",
+           "params": {"l": 0, "m": 1, "d": 1, "n": 2, "beta": 1.0},
+           "constants": {"tuples": 1, "K": 2}}
+    for command in ("validate", "run"):
+        code, out = _main_exit(tmp_path, capsys, cfg, command)
+        assert code == 2
+        err = json.loads(out)
+        assert err["error"] == "config" and "constants.K" in err["message"]
+
+
+@pytest.mark.parametrize("scale", [0, -0.5, float("nan"), float("inf")])
+def test_suite_scale_not_positive_finite_exit_2(tmp_path, capsys, scale):
+    cfg = {"experiment": "geometry-selftest", "constants": {"suite_scale": scale}}
+    for command in ("validate", "run"):
+        code, out = _main_exit(tmp_path, capsys, cfg, command)
+        assert code == 2
+        err = json.loads(out)
+        assert err["error"] == "config" and "suite_scale" in err["message"]
+
+
+@pytest.mark.parametrize("deltas", [[2.0, 1.0], [0.5, 5e-324 * 3]])
+def test_deltas_outside_unit_interval_or_not_dyadic_exit_2(tmp_path, capsys, deltas):
+    code, out = _main_exit(tmp_path, capsys, base_config(deltas=deltas), "run")
+    assert code == 2
+    assert "dyadic" in json.loads(out)["message"]
+
+
+# ------------------------------------------------------------- fuzzing
+
+_scalars = (st.none() | st.booleans() | st.integers() | st.floats()
+            | st.text(max_size=4))
+_json = st.recursive(_scalars, lambda inner: st.lists(inner, max_size=3)
+                     | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+                     max_leaves=6)
+# values at the edges of int and float conversion
+_edges = st.sampled_from([-1, 0, 2 ** 63, 10 ** 400, 1e308, 5e-324,
+                          float("inf"), float("nan")])
+_any_number = st.integers(-1, 6) | _edges | st.integers() | st.floats() | _json
+# 2^-k with k at the float exponent boundaries, where 1/delta overflows
+_dyadic = st.sampled_from([-1, 0, 1, 4, 1022, 1023, 1024, 1074, 1075]).map(
+    lambda k: 2.0 ** -k)
+_FUZZ = {
+    "experiment": _json,
+    "params": _json,
+    "deltas": (st.lists(_dyadic, min_size=2, max_size=4)
+               | st.lists(st.floats(), max_size=4) | _json),
+    "p_values": st.lists(st.floats(0.5, 3.0) | st.floats(), max_size=3) | _json,
+    "constants": _json,
+    "seed": _any_number,
+    "workers": _any_number,
+    "out": _json,
+    **{f"params.{name}": _any_number for name in ("l", "m", "d", "n", "beta")},
+    **{f"constants.{name}": _any_number for name in cli.DEFAULT_CONSTANTS},
+}
+
+
+@st.composite
+def _near_valid_configs(draw):
+    """A valid config with one to three fields replaced by fuzz, so that
+    most examples get past the early checks to the later ones."""
+    cfg = {"experiment": draw(st.sampled_from(cli.EXPERIMENTS)),
+           "params": {"l": 0, "m": 1, "d": 1, "n": 2, "beta": 1.0},
+           "deltas": [0.25, 0.125], "constants": {}}
+    paths = draw(st.lists(st.sampled_from(sorted(_FUZZ)), min_size=1,
+                          max_size=3, unique=True))
+    for path in paths:
+        *outer, key = path.split(".")
+        target = cfg[outer[0]] if outer else cfg
+        if isinstance(target, dict):
+            target[key] = draw(_FUZZ[path])
+    return cfg
+
+
+@settings(max_examples=400, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(_near_valid_configs() | _json)
+def test_validate_fuzz_exits_0_or_2_without_traceback(data):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "cfg.json"
+        path.write_text(json.dumps(data))
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(["validate", "--config", str(path)])
+    assert code in (0, 2)
+    assert "Traceback" not in err.getvalue()
+    if code == 2:
+        assert json.loads(out.getvalue())["error"] == "config"

@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from grasskit import discretize as dz
 from grasskit.affine import ChartMPlane, ChartPoint
-from grasskit.errors import InvalidInputError, InvalidScaleError
+from grasskit.errors import InvalidInputError, InvalidScaleError, ResourceCapError
 from grasskit.grassmann import Subspace
-from grasskit.sampling import rng_for
+from grasskit.sampling import random_chart_m_plane, rng_for
 
 
 def vertical_line_plane(x0):
@@ -197,6 +199,112 @@ def test_grid_counter_merge_and_csv(tmp_path):
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "i0,i1,count"
     assert len(lines) == 3
+
+
+# ------------------------------------------------- cell keys (oracles)
+
+def tuple_set_count(points, delta):
+    return len(set(map(tuple, dz.cell_indices(points, delta))))
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data(), dim=st.integers(1, 6), k=st.integers(0, 10))
+def test_box_count_matches_tuple_set(data, dim, k):
+    # points beyond the box exercise the clipping of the outer cells
+    pts = data.draw(hnp.arrays(float, st.tuples(st.integers(0, 200), st.just(dim)),
+                               elements=st.floats(-1.5, 1.5)))
+    delta = 2.0 ** -k
+    assert dz.box_count(pts, delta) == tuple_set_count(pts, delta)
+
+
+def test_box_count_key_overflow_uses_lexsort(monkeypatch):
+    # 2048 cells per axis in 6 dimensions: the span product is 2^66
+    delta = 2.0 ** -10
+    pts = rng_for(5).uniform(-1.0, 1.0, size=(3000, 6))
+    pts[:2] = [[-1.0] * 6, [1.0] * 6]
+    pts[2:40] = pts[40:78]  # duplicates
+    calls = []
+
+    def spy(idx):
+        calls.append(idx.shape)
+        return lexsort_count(idx)
+
+    lexsort_count = dz._lexsort_distinct_rows
+    monkeypatch.setattr(dz, "_lexsort_distinct_rows", spy)
+    assert dz.box_count(pts, delta) == tuple_set_count(pts, delta) == 2962
+    assert calls == [(3000, 6)]
+
+
+@settings(max_examples=30, deadline=None)
+@given(shape=st.sampled_from([(0, 1, 2), (0, 1, 3), (1, 2, 3), (0, 2, 3)]),
+       k=st.integers(1, 4), seed=st.integers(0, 2 ** 32 - 1),
+       members=st.integers(0, 4))
+def test_slab_box_count_matches_set_union(shape, k, seed, members):
+    l, m, n = shape
+    delta = 2.0 ** -k
+    rng = rng_for(seed)
+    slabs = [dz.SlabNeighborhood(random_chart_m_plane(rng, l, m, n), delta)
+             for _ in range(members)]
+    union: set = set()
+    for s in slabs:
+        union.update(map(tuple, s.cells(delta)))
+    assert dz.box_count(slabs, delta) == len(union)
+
+
+def dict_counter(batches):
+    ref: dict = {}
+    for cells, weight in batches:
+        for row in map(tuple, cells):
+            ref[row] = ref.get(row, 0) + weight
+    return ref
+
+
+def dict_csv(ref, dim):
+    lines = [",".join(f"i{a}" for a in range(dim)) + ",count\n"]
+    for key in sorted(ref):
+        lines.append(",".join(str(i) for i in key) + f",{ref[key]}\n")
+    return "".join(lines).encode()
+
+
+@st.composite
+def counter_batches(draw, dim, k):
+    radix = dz.cells_per_axis(2.0 ** -k)
+    cells = hnp.arrays(np.int64, st.tuples(st.integers(0, 30), st.just(dim)),
+                       elements=st.integers(0, radix - 1))
+    return draw(st.lists(st.tuples(cells, st.integers(0, 4)), max_size=4))
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), dim=st.integers(1, 3), k=st.integers(0, 5))
+def test_grid_counter_matches_dict_reference(tmp_path_factory, data, dim, k):
+    delta = 2.0 ** -k
+    batches_a = data.draw(counter_batches(dim, k))
+    batches_b = data.draw(counter_batches(dim, k))
+    a, b = dz.GridCounter(delta, dim), dz.GridCounter(delta, dim)
+    for cells, weight in batches_a:
+        a.add_cells(cells, weight)
+    for cells, weight in batches_b:
+        b.add_cells(cells, weight)
+    a.merge(b)
+    ref = dict_counter(batches_a + batches_b)
+    assert a.occupied == len(ref)
+    assert a.total() == sum(ref.values())
+    for p in (1.0, 1.5, 2.0):
+        assert a.lp_power_sum(p) == pytest.approx(
+            float(sum(v ** p for v in ref.values())), rel=1e-12)
+    path = tmp_path_factory.mktemp("csv") / "cells.csv"
+    a.to_csv(path)
+    assert path.read_bytes() == dict_csv(ref, dim)
+
+
+def test_grid_counter_rejects_off_grid_cells_and_overflowing_grids():
+    counter = dz.GridCounter(0.5, 2)
+    with pytest.raises(InvalidInputError):
+        counter.add_cells(np.array([[0, 4]]))
+    with pytest.raises(InvalidInputError):
+        counter.add_cells(np.array([[0, 1, 2]]))
+    with pytest.raises(ResourceCapError):
+        dz.GridCounter(2.0 ** -10, 6)
 
 
 # --------------------------------------------------------------- spacing
