@@ -6,8 +6,8 @@ Modules:
 * ``linalg``     - small dense SVD (LAPACK, canonical signs and order),
                    ranks, orthonormalization, Gram volumes, subspace
                    intersection;
-* ``grassmann``  - principal angles, the invariant distance, geodesics,
-                   nearest-point projection onto a sub-Grassmannian;
+* ``grassmann``  - principal angles, distances, geodesics and projection
+                   onto a sub-Grassmannian over (N, q, k) stacks of bases;
 * ``affine``     - affine planes, the local chart, incidence, the product
                    embedding, the two comparable metrics;
 * ``discretize`` - separated nets, slab neighborhoods, grid counting,

@@ -158,10 +158,11 @@ def _max_norm_on_sphere(m: np.ndarray, c: np.ndarray, r: float) -> float:
         mid = 0.5 * (lo + hi)
         if mid <= lam_max:
             mid = np.nextafter(lam_max, np.inf)
-        if phi(mid) > r * r:
-            lo = mid
-        else:
-            hi = mid
+        step = (mid, hi) if phi(mid) > r * r else (lo, mid)
+        if step == (lo, hi):
+            # a fixed point: every later step would repeat this one
+            break
+        lo, hi = step
     y = b / (hi - lam)
     # guard against numerical corner cases with axis candidates
     best = value(y * (r / max(np.linalg.norm(y), 1e-300)))

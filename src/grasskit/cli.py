@@ -37,6 +37,7 @@ from .kakeya import FamilyParams, admissible_p_max
 from .sampling import rng_for
 
 EXPERIMENTS = ("geometry-selftest", "sharp-dimension", "kakeya-sweep", "bl-audit")
+MAX_TUPLES = 100_000  # bl-audit tuples per run; their work units are built up front
 
 DEFAULT_CONSTANTS = {
     "eps": 0.1,
@@ -231,9 +232,8 @@ def _kakeya_unit(arg: tuple) -> dict:
     family = kakeya.generate_sharp_example(FamilyParams.from_dict(params_dict), delta)
     counter = kakeya.overlap_counter(family)
     total = family.total_slab_measure()
-    rows = [{"p": p, **kakeya.kakeya_ratio(family, p, eps, counter, total).to_dict()}
-            for p in p_values]
-    return {"delta": delta, "rows": rows}
+    return {"delta": delta,
+            "rows": [kakeya.kakeya_ratio(family, p, eps, counter, total) for p in p_values]}
 
 
 def _bl_unit(arg: tuple) -> dict:
@@ -260,11 +260,11 @@ def _run_units(fn, units: list, workers: int) -> list:
 
 def run_experiment(cfg: ExperimentConfig) -> dict:
     started = time.perf_counter()
+    timing = {}
     if cfg.experiment == "geometry-selftest":
         suites = selftest.run_all(cfg.seed, cfg.constants["suite_scale"])
+        timing["suites"] = {name: res.pop("runtime") for name, res in suites.items()}
         records = [{"suite": name, **res} for name, res in suites.items()]
-        for rec in records:
-            rec.pop("runtime", None)
         passed = all(res["passed"] for res in suites.values())
         summary = {"suites_passed": passed}
     elif cfg.experiment == "sharp-dimension":
@@ -284,24 +284,20 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
         units = [(cfg.params.to_dict(), d, p_values, eps) for d in cfg.deltas]
         blocks = _run_units(_kakeya_unit, units, cfg.workers)
         blocks.sort(key=lambda b: -b["delta"])
-        records = [row for b in blocks for row in b["rows"]]
-        ratio_bound = cfg.constants["ratio_bound"]
-        growth_bound = cfg.constants["growth_bound"]
-        flags = {}
-        for p in p_values:
-            seq = [r["ratio"] for r in records if r["p"] == p]
-            growth = max((b / a for a, b in zip(seq, seq[1:]) if a > 0),
-                         default=1.0)
-            flags[f"p={p:.6g}"] = {
-                "bounded": all(r <= ratio_bound for r in seq),
-                "max_ratio": max(seq), "max_growth": growth,
-                "growth_ok": growth <= growth_bound + 1e-9,
-            }
-        passed = all(f["bounded"] and f["growth_ok"] for f in flags.values())
+        records = [{"p": p, **row.to_dict()}
+                   for b in blocks for p, row in zip(p_values, b["rows"])]
+        reports = [kakeya.KakeyaReport(p, eps, tuple(b["rows"][i] for b in blocks),
+                                       cfg.constants["ratio_bound"],
+                                       cfg.constants["growth_bound"])
+                   for i, p in enumerate(p_values)]
+        flags = {f"p={rep.p:.6g}": rep.flags() for rep in reports}
+        passed = all(rep.ok for rep in reports)
         summary = {"p_values": p_values, "eps": eps, "flags": flags}
     else:  # bl-audit
         p_values = _p_list(cfg)
         n_tuples = int(cfg.constants["tuples"])
+        if n_tuples > MAX_TUPLES:
+            raise ResourceCapError(f"constants.tuples {n_tuples} is above the cap {MAX_TUPLES}")
         units = [(cfg.params.to_dict(), i, cfg.seed, p_values,
                   cfg.constants["K"]) for i in range(n_tuples)]
         blocks = _run_units(_bl_unit, units, cfg.workers)
@@ -322,7 +318,7 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
         "records": records,
         "summary": summary,
         "passed": passed,
-        "timing": {"total_seconds": time.perf_counter() - started},
+        "timing": {"total_seconds": time.perf_counter() - started, **timing},
     }
 
 

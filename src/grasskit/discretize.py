@@ -30,7 +30,7 @@ import numpy as np
 from . import linalg
 from .affine import ChartMPlane, ChartPoint
 from .errors import InvalidInputError, InvalidScaleError, ResourceCapError
-from .grassmann import Subspace, distance as grassmann_distance
+from .grassmann import Subspace, distances, random_subspaces
 
 CANDIDATE_CAP = 4_000_000
 CELL_CAP = 16_000_000
@@ -146,15 +146,11 @@ def build_direction_net(sub_dim: int, ambient: int, delta: float) -> list[Subspa
         keep = _farthest_point_indices(
             lambda i: np.arccos(np.clip(np.abs(cands @ cands[i]), 0.0, 1.0)), delta)
         return [Subspace(cands[i].reshape(-1, 1)) for i in keep]
-    n_cand = min(int(10 * (2.0 / delta) ** dim_g), 4_000)
-    cands = []
-    while len(cands) < n_cand:
-        res = linalg.orthonormalize(rng.standard_normal((ambient, sub_dim)))
-        if res.rank == sub_dim:
-            cands.append(Subspace(res.matrix))
+    cands = random_subspaces(rng, min(int(10 * (2.0 / delta) ** dim_g), 4_000),
+                             ambient, sub_dim)
     keep = _farthest_point_indices(
-        lambda i: np.array([grassmann_distance(cands[i], c) for c in cands]), delta)
-    return [cands[i] for i in keep]
+        lambda i: distances(np.broadcast_to(cands[i], cands.shape), cands), delta)
+    return [Subspace(cands[i]) for i in keep]
 
 
 # ----------------------------------------------------------------- cells

@@ -5,6 +5,11 @@ of subspaces contained in a fixed plane.
 A ``Subspace`` is the universal currency: an orthonormal column basis plus
 the ambient dimension.  Equality of subspaces is always decided through
 principal angles, never by comparing bases.
+
+The kernels work on stacks: N bases of k-subspaces of R^q are one float
+array of shape (N, q, k), and the pair kernels take two stacks of the same
+N.  The functions on ``Subspace`` objects are views of a stack of size 1,
+so a single pair and a stacked pair take the same arithmetic.
 """
 
 from __future__ import annotations
@@ -14,10 +19,32 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import linalg
-from .errors import InvalidInputError
+from .errors import CertificateError, InvalidInputError
 
 # two subspaces are considered equal when all principal angles are below this
 EQUALITY_TOL = 1e-9
+# largest entry of |B^T B - I| accepted for an orthonormal basis B
+ORTHONORMAL_TOL = 1e-10
+
+
+def _check_bases(b: np.ndarray) -> np.ndarray:
+    """``b`` as a float stack (N, q, k) of orthonormal bases, or
+    InvalidInputError."""
+    b = np.asarray(b, dtype=float)
+    if b.ndim != 3 or b.shape[2] > b.shape[1]:
+        raise InvalidInputError(f"expected an (N, q, k) stack with k <= q, got {b.shape}")
+    # written so that a non-finite entry fails it too
+    if b.size and not (np.abs(np.swapaxes(b, 1, 2) @ b - np.eye(b.shape[2])).max()
+                       <= ORTHONORMAL_TOL):
+        raise InvalidInputError("basis columns are not finite and orthonormal")
+    return b
+
+
+def _check_pair(v: np.ndarray, w: np.ndarray, equal_dims: bool = True):
+    v, w = _check_bases(v), _check_bases(w)
+    if v.shape[:2] != w.shape[:2] or (equal_dims and v.shape[2] != w.shape[2]):
+        raise InvalidInputError(f"stacks of shapes {v.shape} and {w.shape} do not pair")
+    return v, w
 
 
 @dataclass(frozen=True)
@@ -31,13 +58,7 @@ class Subspace:
 
     def __post_init__(self):
         b = linalg.as_matrix(self.basis)
-        q, k = b.shape
-        if k > q:
-            raise InvalidInputError(f"dim {k} exceeds ambient {q}")
-        if k:
-            g = b.T @ b - np.eye(k)
-            if np.max(np.abs(g)) > 1e-10:
-                raise InvalidInputError("basis columns are not orthonormal")
+        _check_bases(b[None])
         object.__setattr__(self, "basis", linalg.frozen(b))
 
     @classmethod
@@ -102,15 +123,27 @@ class Subspace:
         return Subspace.from_vectors(stacked)
 
 
-def random_subspace(rng: np.random.Generator, ambient: int, dim: int) -> Subspace:
-    """Uniformly distributed subspace (orthonormalized Gaussian columns)."""
-    if dim == 0:
-        return Subspace.zero(ambient)
+def orthonormal_draws(rng: np.random.Generator, raw: np.ndarray) -> np.ndarray:
+    """Orthonormal bases (N, q, k) of the Gaussian matrices ``raw``; a
+    rank-deficient draw (probability zero) is never used but replaced by a
+    fresh draw from ``rng``, taken after the whole block."""
+    raw = np.array(raw, dtype=float)
     while True:
-        g = rng.standard_normal((ambient, dim))
-        res = linalg.orthonormalize(g)
-        if res.rank == dim:
-            return Subspace(res.matrix)
+        basis, keep = linalg.orthonormalize_stack(raw)
+        bad = ~keep.all(axis=1)
+        if not bad.any():
+            return basis
+        raw[bad] = rng.standard_normal((int(bad.sum()),) + raw.shape[1:])
+
+
+def random_subspaces(rng: np.random.Generator, count: int, ambient: int,
+                     dim: int) -> np.ndarray:
+    """``count`` uniform subspaces, drawn as ``count`` single draws would be."""
+    return orthonormal_draws(rng, rng.standard_normal((count, ambient, dim)))
+
+
+def random_subspace(rng: np.random.Generator, ambient: int, dim: int) -> Subspace:
+    return Subspace(random_subspaces(rng, 1, ambient, dim)[0])
 
 
 @dataclass(frozen=True)
@@ -125,58 +158,83 @@ class PrincipalAngleData:
     left_aligned: np.ndarray
     right_aligned: np.ndarray
 
-    def __post_init__(self):
-        object.__setattr__(self, "angles", linalg.frozen(np.asarray(self.angles, dtype=float).ravel()))
-        object.__setattr__(self, "left_aligned", linalg.frozen(self.left_aligned))
-        object.__setattr__(self, "right_aligned", linalg.frozen(self.right_aligned))
 
+def aligned_angles(v: np.ndarray, w: np.ndarray, equal_dims: bool = True):
+    """Principal angles between the pairs of two stacks of bases.
 
-def _aligned_angles(v: Subspace, w: Subspace) -> PrincipalAngleData:
-    """Principal angles between subspaces of possibly different dims.
-
-    Returns min(dim v, dim w) angles.  The overlap matrix of the two bases
-    has singular values cos(theta_i); its singular vectors rotate each
-    basis into aligned position.
+    Returns the angles (N, k), ascending, with the aligned bases of both
+    stacks (N, q, k each), where k = min(dim v, dim w).  The overlap matrix
+    of a pair has singular values cos(theta_i); its singular vectors rotate
+    each basis into aligned position.  One stacked SVD serves all N pairs.
     """
-    a = v.basis.T @ w.basis
-    dec = linalg.svd(a)
-    k = min(v.dim, w.dim)
-    left = v.basis @ dec.left[:, :k]
-    right = w.basis @ dec.right[:, :k]
+    v, w = _check_pair(v, w, equal_dims)
+    k = min(v.shape[2], w.shape[2])
+    if k == 0:
+        return np.zeros((len(v), 0)), v[:, :, :0], w[:, :, :0]
+    u, _, vt = np.linalg.svd(np.swapaxes(v, 1, 2) @ w, full_matrices=False)
+    left = v @ u[:, :, :k]
+    right = w @ np.swapaxes(vt, 1, 2)[:, :, :k]
     # atan2 of the aligned pair keeps full precision near 0 where arccos of
     # the (clipped) singular value would lose half the digits
-    angles = np.zeros(k)
-    for i in range(k):
-        c = float(np.clip(left[:, i] @ right[:, i], -1.0, 1.0))
-        s = float(np.linalg.norm(right[:, i] - c * left[:, i]))
-        angles[i] = np.arctan2(s, c)
-    angles = np.minimum(angles, np.pi / 2.0)
-    order = np.argsort(angles, kind="stable")
-    return PrincipalAngleData(angles[order], left[:, order], right[:, order])
+    lt, rt = np.swapaxes(left, 1, 2), np.swapaxes(right, 1, 2)
+    c = np.clip(np.vecdot(lt, rt), -1.0, 1.0)
+    # contiguous rows, so each norm takes the dot a lone 1-d vector would
+    gap = np.ascontiguousarray(rt - c[:, :, None] * lt)
+    angles = np.minimum(np.arctan2(np.sqrt(np.vecdot(gap, gap)), c), np.pi / 2.0)
+    if k == 1:
+        return angles, left, right
+    order = np.argsort(angles, axis=1, kind="stable")
+    return (np.take_along_axis(angles, order, 1),
+            np.take_along_axis(left, order[:, None, :], 2),
+            np.take_along_axis(right, order[:, None, :], 2))
+
+
+def distances(v: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Invariant geodesic distances (N,): l2 norms of the principal angles."""
+    angles = aligned_angles(v, w)[0]
+    return np.sqrt(np.vecdot(angles, angles))
 
 
 def principal_angles(v: Subspace, w: Subspace) -> PrincipalAngleData:
-    if v.ambient_dim != w.ambient_dim:
-        raise InvalidInputError("ambient dimension mismatch")
-    if v.dim != w.dim:
-        raise InvalidInputError("principal_angles needs equal dimensions")
-    return _aligned_angles(v, w)
+    return PrincipalAngleData(*(linalg.frozen(x[0]) for x in
+                                aligned_angles(v.basis[None], w.basis[None])))
 
 
 def distance(v: Subspace, w: Subspace) -> float:
     """Invariant geodesic distance: l2 norm of the principal angles."""
-    if v.dim == 0 and w.dim == 0:
-        return 0.0
-    if v.dim == 1 and w.dim == 1 and v.ambient_dim == w.ambient_dim:
-        # single principal angle; skip the decomposition machinery
-        dot = float(v.basis[:, 0] @ w.basis[:, 0])
-        c = min(abs(dot), 1.0)
-        s = float(np.linalg.norm(w.basis[:, 0] - dot * v.basis[:, 0]))
-        return float(np.arctan2(s, c))
-    return float(np.linalg.norm(principal_angles(v, w).angles))
+    return float(distances(v.basis[None], w.basis[None])[0])
 
 
 RIGHT_ANGLE_TOL = 1e-9
+
+
+def geodesic_frames(v: np.ndarray, w: np.ndarray):
+    """Geodesics between the pairs of two stacks of equal-dim bases.
+
+    Returns the angles (N, k), the aligned start bases and the unit
+    directions of motion (N, q, k each), and the ``non_unique`` flags (N,).
+    In every aligned direction the arc is cos(t theta) v_i + sin(t theta)
+    v_i_perp with v_i_perp the unit vector in span{v_i, w_i} orthogonal to
+    v_i on the w_i side; directions with theta = 0 stay constant.
+    """
+    angles, left, right = aligned_angles(v, w)
+    moving = angles >= 1e-12
+    sines = np.where(moving, np.sin(angles), 1.0)[:, None, :]
+    perp = np.where(moving[:, None, :],
+                    (right - np.cos(angles)[:, None, :] * left) / sines, 0.0)
+    non_unique = np.any(moving & (np.abs(angles - np.pi / 2.0) <= RIGHT_ANGLE_TOL), axis=1)
+    return angles, left, perp, non_unique
+
+
+def geodesic_points(angles: np.ndarray, start: np.ndarray, perp: np.ndarray,
+                    t: float) -> np.ndarray:
+    """Bases (N, q, k) of gamma(t) on the geodesics of ``geodesic_frames``."""
+    cols = np.cos(t * angles)[:, None, :] * start + np.sin(t * angles)[:, None, :] * perp
+    basis, keep = linalg.orthonormalize_stack(cols)
+    if not keep.all():
+        # the columns are orthonormal by construction
+        raise CertificateError("geodesic columns lost rank")
+    return basis
 
 
 @dataclass(frozen=True)
@@ -195,39 +253,16 @@ class Geodesic:
     perp: np.ndarray
     non_unique: bool = field(default=False)
 
-    @property
-    def length(self) -> float:
-        return float(np.linalg.norm(self.angles))
-
     def at(self, t: float) -> Subspace:
-        if self.start.dim == 0:
-            return self.start
-        cols = (np.cos(t * self.angles) * self.aligned_start
-                + np.sin(t * self.angles) * self.perp)
-        return Subspace.from_vectors(cols)
+        return Subspace(geodesic_points(self.angles[None], self.aligned_start[None],
+                                        self.perp[None], t)[0])
 
 
 def geodesic(v: Subspace, w: Subspace) -> Geodesic:
-    """Explicit geodesic from the aligned principal-angle bases.
-
-    In every aligned direction the arc is cos(t theta) v_i + sin(t theta) v_i_perp
-    with v_i_perp the unit vector in span{v_i, w_i} orthogonal to v_i on the
-    w_i side; directions with theta = 0 stay constant.
-    """
-    data = principal_angles(v, w)
-    k = v.dim
-    perp = np.zeros((v.ambient_dim, k))
-    non_unique = False
-    for i in range(k):
-        th = data.angles[i]
-        if th < 1e-12:
-            continue
-        if abs(th - np.pi / 2.0) <= RIGHT_ANGLE_TOL:
-            non_unique = True
-        u = data.right_aligned[:, i] - np.cos(th) * data.left_aligned[:, i]
-        perp[:, i] = u / np.sin(th)
-    return Geodesic(v, w, linalg.frozen(data.angles), data.left_aligned,
-                    linalg.frozen(perp), non_unique)
+    """Explicit geodesic from the aligned principal-angle bases."""
+    angles, start, perp, non_unique = geodesic_frames(v.basis[None], w.basis[None])
+    return Geodesic(v, w, linalg.frozen(angles[0]), linalg.frozen(start[0]),
+                    linalg.frozen(perp[0]), bool(non_unique[0]))
 
 
 def vector_projection(x, pi: Subspace) -> np.ndarray:
@@ -250,29 +285,35 @@ class GrassmannProjection:
     unique: bool
 
 
-def project_to_sub_grassmannian(v: Subspace, pi: Subspace,
-                                tol: float = linalg.RANK_TOL) -> GrassmannProjection:
-    """Closest l-subspace of ``pi`` to ``v`` (dim v = l <= dim pi).
+def project_stack(v: np.ndarray, pi: np.ndarray, tol: float = linalg.RANK_TOL):
+    """Closest l-subspaces of the planes ``pi`` (N, q, m) to the bases ``v``
+    (N, q, l), l <= m: returns their bases (N, q, l), the distances (N,)
+    and the ``unique`` flags (N,).
 
-    The aligned principal-angle basis of the pair (v, pi) spans the
+    The aligned principal-angle basis of a pair (v, pi) spans the
     minimizer, and the aligned right vectors are parallel to the
     projections of the aligned left vectors into ``pi``.
     """
-    if v.ambient_dim != pi.ambient_dim:
-        raise InvalidInputError("ambient dimension mismatch")
-    if v.dim > pi.dim:
+    l = np.shape(v)[-1]
+    if l > np.shape(pi)[-1]:
         raise InvalidInputError("target plane dimension is too small")
-    if v.dim == 0:
-        return GrassmannProjection(v, 0.0, True)
-    data = _aligned_angles(v, pi)
-    dist = float(np.linalg.norm(data.angles))
-    unique = bool(np.max(data.angles) < np.pi / 2.0 - 1e-12)
-    w = Subspace.from_vectors(data.right_aligned)
-    if w.dim < v.dim:
+    angles, _, right = aligned_angles(v, pi, equal_dims=False)
+    pi = np.asarray(pi, dtype=float)
+    unique = np.max(angles, axis=1, initial=0.0) < np.pi / 2.0 - 1e-12
+    w, keep = linalg.orthonormalize_stack(right, tol)
+    short = ~keep.all(axis=1)
+    if short.any():
         # degenerate alignment; pad inside pi away from the found columns
-        rest = [pi.basis[:, i] for i in range(pi.dim)]
-        cols = [w.basis[:, i] for i in range(w.dim)] + rest
-        w = Subspace(linalg.orthonormalize(cols).matrix[:, :v.dim])
-        unique = False
-    return GrassmannProjection(w, dist, unique)
+        padded, kept = linalg.orthonormalize_stack(
+            np.concatenate([w[short], pi[short]], axis=2), tol)
+        first = np.argsort(~kept, axis=1, kind="stable")[:, :l]
+        w[short] = np.take_along_axis(padded, first[:, None, :], 2)
+        unique &= ~short
+    return w, np.sqrt(np.vecdot(angles, angles)), unique
 
+
+def project_to_sub_grassmannian(v: Subspace, pi: Subspace,
+                                tol: float = linalg.RANK_TOL) -> GrassmannProjection:
+    """Closest l-subspace of ``pi`` to ``v`` (dim v = l <= dim pi)."""
+    w, dist, unique = project_stack(v.basis[None], pi.basis[None], tol)
+    return GrassmannProjection(Subspace(w[0]), float(dist[0]), bool(unique[0]))

@@ -26,8 +26,7 @@ from .discretize import (CELL_CAP, SlabNeighborhood, GridCounter, build_directio
                          cells_per_axis, spacing_report, SpacingReport)
 from .errors import (CertificateError, InvalidInputError, OutOfChartError,
                      ResourceCapError)
-from .grassmann import (Subspace, distance as grassmann_distance,
-                        project_to_sub_grassmannian, random_subspace)
+from .grassmann import Subspace, distances, project_to_sub_grassmannian, random_subspaces
 
 
 # ---------------------------------------------------------------- params
@@ -365,11 +364,11 @@ def bush_directions(anchor: ChartPoint, family: PlaneFamily,
     if net is None:
         r = family.params.m - family.params.l
         net = build_direction_net(r, family.params.n - family.params.l, delta)
+    bases = np.stack([u.basis for u in net])
     buckets: dict[int, list[int]] = {}
     for i in touching:
-        key = int(np.argmin([grassmann_distance(family.members[i].direction, u)
-                             for u in net]))
-        buckets.setdefault(key, []).append(i)
+        direction = np.broadcast_to(family.members[i].direction.basis, bases.shape)
+        buckets.setdefault(int(np.argmin(distances(direction, bases))), []).append(i)
     entries = tuple((net[key], tuple(idx)) for key, idx in sorted(buckets.items()))
     return BushDirections(anchor, entries)
 
@@ -472,7 +471,10 @@ def _select_balls(bush: BushDirections, constants: ClassifierConstants, n: int):
     except OverflowError:
         significance = 0.0
     order = sorted(range(len(bush.entries)), key=lambda i: (-bush.counts[i], i))
-    centers: list[tuple[Subspace, list[int]]] = []
+    dirs = np.stack([u.basis for u in bush.directions])
+    dist = distances(np.repeat(dirs, len(dirs), axis=0),  # dist[i, j]: from i to j
+                     np.tile(dirs, (len(dirs), 1, 1))).reshape(len(dirs), -1)
+    centers: list[tuple[int, list[int]]] = []
     assigned = set()
     for i in order:
         if i in assigned:
@@ -482,21 +484,20 @@ def _select_balls(bush: BushDirections, constants: ClassifierConstants, n: int):
         for j in order:
             if j in assigned:
                 continue
-            if grassmann_distance(bush.entries[i][0], bush.entries[j][0]) <= radius:
+            if dist[i, j] <= radius:
                 members.extend(bush.entries[j][1])
                 assigned.add(j)
-        centers.append((bush.entries[i][0], members))
+        centers.append((i, members))
     centers = [(c, ms) for c, ms in centers if len(ms) >= significance]
-    classes: dict[int, list[tuple[Subspace, list[int]]]] = {}
+    classes: dict[int, list[tuple[int, list[int]]]] = {}
     for c, ms in centers:
         classes.setdefault(int(math.floor(math.log2(len(ms)))), []).append((c, ms))
     best_class = max(classes, key=lambda k: (sum(len(ms) for _, ms in classes[k]), k))
     chosen = []
     for c, ms in sorted(classes[best_class], key=lambda e: -len(e[1])):
-        if all(grassmann_distance(c, c2) > constants.separation_factor * radius
-               for c2, _ in chosen):
+        if all(dist[c, c2] > constants.separation_factor * radius for c2, _ in chosen):
             chosen.append((c, ms))
-    return chosen
+    return [(bush.entries[c][0], ms) for c, ms in chosen]
 
 
 def broad_narrow_classify(bush: BushDirections, params: FamilyParams,
@@ -570,7 +571,8 @@ def random_transverse_tuple(params: FamilyParams, rng: np.random.Generator,
     count = n_directions or 4 * (params.d - params.l + 2)
     anchor = ChartPoint(np.zeros((params.l + 1, q)))
     for _ in range(64):
-        entries = tuple((random_subspace(rng, q, r), (i,)) for i in range(count))
+        entries = tuple((Subspace(b), (i,))
+                        for i, b in enumerate(random_subspaces(rng, count, q, r)))
         bush = BushDirections(anchor, entries)
         result = broad_narrow_classify(bush, params, K=K)
         if isinstance(result, Broad):
@@ -661,8 +663,7 @@ def bl_constant_lower(subspaces, p: float, rng: np.random.Generator | None = Non
     candidates += list(extra_candidates)
     if rng is not None:
         for r in range(1, ambient):
-            for _ in range(n_random):
-                candidates.append(random_subspace(rng, ambient, r))
+            candidates += map(Subspace, random_subspaces(rng, n_random, ambient, r))
 
     values = _functional_values(candidates, ws, p)
     # first candidate of the top value cluster (values sit on a lattice of
@@ -799,8 +800,16 @@ class KakeyaReport:
         return max(growths, default=1.0)
 
     @property
+    def growth_ok(self) -> bool:
+        return self.max_growth <= self.growth_bound + 1e-9
+
+    @property
     def ok(self) -> bool:
-        return self.bounded and self.max_growth <= self.growth_bound + 1e-9
+        return self.bounded and self.growth_ok
+
+    def flags(self) -> dict:
+        return {"bounded": self.bounded, "max_ratio": max(r.ratio for r in self.rows),
+                "max_growth": self.max_growth, "growth_ok": self.growth_ok}
 
 
 def kakeya_ratio(family: PlaneFamily, p: float, eps: float,

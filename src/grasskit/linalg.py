@@ -133,6 +133,33 @@ def orthonormal_completion(q: np.ndarray, ambient: int | None = None) -> np.ndar
     return full
 
 
+def orthonormalize_stack(m: np.ndarray, tol: float = RANK_TOL) -> tuple[np.ndarray, np.ndarray]:
+    """Modified Gram-Schmidt with a second re-orthogonalization pass over a
+    stack ``m`` of (ambient, k) column matrices, shape (N, ambient, k).
+
+    Returns the bases (N, ambient, k) and a keep mask (N, k).  A column at
+    or below ``tol`` times the largest input column norm of its matrix
+    after projection is dropped and left zero; a zero column projects
+    nothing away from the later ones.
+    """
+    m = np.asarray(m, dtype=float)
+    n, ambient, k = m.shape
+    cols = np.zeros((n, k, ambient))
+    keep = np.zeros((n, k), dtype=bool)
+    floor = tol * np.sqrt((m * m).sum(axis=1).max(axis=1, initial=0.0))
+    for i in range(k):
+        # np.vecdot takes the same BLAS dot as ``u @ v`` on 1-d vectors, so
+        # one matrix gets the same bits alone and inside a stack
+        v = m[:, :, i].copy()
+        for _ in range(2):
+            for j in range(i):
+                v -= np.vecdot(cols[:, j], v)[:, None] * cols[:, j]
+        nv = np.sqrt(np.vecdot(v, v))[:, None]
+        keep[:, i] = nv[:, 0] > floor
+        np.divide(v, nv, out=cols[:, i], where=keep[:, i, None])
+    return np.swapaxes(cols, -1, -2), keep
+
+
 @dataclass(frozen=True)
 class OrthonormalizeResult:
     """Orthonormal basis for the span of the input vectors.
@@ -151,43 +178,20 @@ class OrthonormalizeResult:
 
 
 def orthonormalize(vectors, tol: float = RANK_TOL) -> OrthonormalizeResult:
-    """Modified Gram-Schmidt with a second re-orthogonalization pass.
-
-    Accepts a sequence of same-length vectors or an (ambient, k) column
-    matrix.  Vectors below ``tol`` (relative to the largest input norm)
-    after projection are reported as dropped rather than kept.
-    """
-    if isinstance(vectors, np.ndarray) and vectors.ndim == 2:
-        m = as_matrix(vectors)
-    else:
+    """``orthonormalize_stack`` of one (ambient, k) matrix, or of a sequence of
+    same-length vectors as its columns, with the dropped columns removed."""
+    if not (isinstance(vectors, np.ndarray) and vectors.ndim == 2):
         vs = [np.asarray(v, dtype=float).ravel() for v in vectors]
-        if not vs:
-            raise InvalidInputError("orthonormalize needs at least one vector")
-        q = len(vs[0])
-        if any(len(v) != q for v in vs):
+        if len({len(v) for v in vs}) > 1:
             raise InvalidInputError("vectors do not share an ambient dimension")
-        m = as_matrix(np.column_stack(vs))
+        vectors = np.column_stack(vs) if vs else np.zeros((0, 0))
+    m = as_matrix(vectors)
     if m.shape[1] == 0:
         raise InvalidInputError("orthonormalize needs at least one vector")
-
-    scale = float(np.max(np.linalg.norm(m, axis=0))) if m.size else 0.0
-    if scale == 0.0:
-        return OrthonormalizeResult(frozen(np.zeros((m.shape[0], 0))), 0,
-                                    tuple(range(m.shape[1])))
-    kept: list[np.ndarray] = []
-    dropped: list[int] = []
-    for i in range(m.shape[1]):
-        v = m[:, i].copy()
-        for _ in range(2):
-            for u in kept:
-                v -= (u @ v) * u
-        nv = float(np.linalg.norm(v))
-        if nv <= tol * scale:
-            dropped.append(i)
-        else:
-            kept.append(v / nv)
-    basis = np.column_stack(kept) if kept else np.zeros((m.shape[0], 0))
-    return OrthonormalizeResult(frozen(basis), len(kept), tuple(dropped))
+    basis, keep = orthonormalize_stack(m[None], tol)
+    dropped = tuple(np.flatnonzero(~keep[0]).tolist())
+    kept = basis[0][:, keep[0]] if dropped else basis[0]
+    return OrthonormalizeResult(frozen(kept), kept.shape[1], dropped)
 
 
 def gram_volume(vectors) -> float:

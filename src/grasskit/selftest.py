@@ -13,17 +13,22 @@ from dataclasses import dataclass, asdict
 
 import numpy as np
 
-from . import linalg
 from .affine import (Chart, affine_distance, embed_tilde, embed_tilde_point,
                      incidence, rho_distance, ChartMPlane)
-from .grassmann import (Subspace, distance, geodesic,
-                        project_to_sub_grassmannian, random_subspace)
+from .errors import ResourceCapError
+from .grassmann import (distances, geodesic_frames, geodesic_points,
+                        orthonormal_draws, project_stack)
 from .sampling import (random_affine_plane, random_chart_m_plane,
                        random_chart_point, random_point_on, rng_for)
 
 
+class _Result:
+    def to_dict(self) -> dict:
+        return {**asdict(self), "passed": self.passed}
+
+
 @dataclass(frozen=True)
-class GeodesicSuiteResult:
+class GeodesicSuiteResult(_Result):
     samples: int
     max_symmetry_error: float
     min_triangle_slack: float
@@ -38,8 +43,21 @@ class GeodesicSuiteResult:
                 and self.max_scaling_error <= 1e-8
                 and self.max_containment_residual <= 1e-8)
 
-    def to_dict(self) -> dict:
-        return {**asdict(self), "passed": self.passed}
+
+# per-sample Gaussian block: v, w, u in G(2,4), then a, b in G(2,3), each
+# an (ambient, dim) draw in that order
+GEODESIC_DRAWS = ((4, 2), (4, 2), (4, 2), (3, 2), (3, 2))
+GEODESIC_WIDTH = sum(q * k for q, k in GEODESIC_DRAWS)
+GEODESIC_TIMES = (0.25, 0.5, 0.75)
+CONTENDER_CHUNK = 4096  # projection-suite contender distances in one stack
+
+
+def _blocks(g, block: np.ndarray, shapes) -> list[np.ndarray]:
+    """Orthonormal stacks of the consecutive (ambient, dim) draws in the
+    rows of ``block``; see :func:`grassmann.orthonormal_draws`."""
+    ends = np.cumsum([q * k for q, k in shapes])
+    return [orthonormal_draws(g, block[:, end - q * k:end].reshape(-1, q, k))
+            for (q, k), end in zip(shapes, ends)]
 
 
 def geodesic_suite(seed: int, samples: int = 1000) -> GeodesicSuiteResult:
@@ -47,31 +65,24 @@ def geodesic_suite(seed: int, samples: int = 1000) -> GeodesicSuiteResult:
     G(2,4), and total geodesy inside a fixed 3-plane."""
     start = time.perf_counter()
     g = rng_for(seed, 1)
-    pi = Subspace(np.eye(4)[:, :3])
-    sym = scaling = containment = 0.0
-    triangle = np.inf
-    for _ in range(samples):
-        v = random_subspace(g, 4, 2)
-        w = random_subspace(g, 4, 2)
-        u = random_subspace(g, 4, 2)
-        d = distance(v, w)
-        sym = max(sym, abs(d - distance(w, v)))
-        triangle = min(triangle, distance(v, u) + distance(u, w) - d)
-        geo = geodesic(v, w)
-        for t in (0.25, 0.5, 0.75):
-            scaling = max(scaling, abs(distance(v, geo.at(t)) - t * d))
-        a = Subspace.from_vectors(pi.basis @ random_subspace(g, 3, 2).basis)
-        b = Subspace.from_vectors(pi.basis @ random_subspace(g, 3, 2).basis)
-        inner = geodesic(a, b)
-        for t in (0.25, 0.5, 0.75):
-            containment = max(containment, linalg.containment_residual(
-                pi.basis, inner.at(t).basis))
-    return GeodesicSuiteResult(samples, sym, triangle, scaling, containment,
-                               time.perf_counter() - start)
+    block = g.standard_normal((samples, GEODESIC_WIDTH))
+    v, w, u, a, b = _blocks(g, block, GEODESIC_DRAWS)
+    pi = np.eye(4)[:, :3]
+    d = distances(v, w)
+    sym = np.max(np.abs(d - distances(w, v)), initial=0.0)
+    triangle = np.min(distances(v, u) + distances(u, w) - d, initial=np.inf)
+    frames = geodesic_frames(v, w)[:3]
+    scaling = max(np.max(np.abs(distances(v, geodesic_points(*frames, t)) - t * d),
+                         initial=0.0) for t in GEODESIC_TIMES)
+    inner = geodesic_frames(pi @ a, pi @ b)[:3]
+    points = [geodesic_points(*inner, t) for t in GEODESIC_TIMES]
+    containment = max(np.max(np.abs(x - pi @ (pi.T @ x)), initial=0.0) for x in points)
+    return GeodesicSuiteResult(samples, float(sym), float(triangle), float(scaling),
+                               float(containment), time.perf_counter() - start)
 
 
 @dataclass(frozen=True)
-class ProjectionSuiteResult:
+class ProjectionSuiteResult(_Result):
     samples: int
     contenders: int
     max_containment_residual: float
@@ -83,9 +94,6 @@ class ProjectionSuiteResult:
         return (self.max_containment_residual <= 1e-8
                 and self.min_minimality_slack >= -1e-6)
 
-    def to_dict(self) -> dict:
-        return {**asdict(self), "passed": self.passed}
-
 
 def projection_suite(seed: int, samples: int = 500,
                      contenders: int = 200) -> ProjectionSuiteResult:
@@ -94,28 +102,31 @@ def projection_suite(seed: int, samples: int = 500,
     random competitors."""
     start = time.perf_counter()
     g = rng_for(seed, 2)
-    containment = 0.0
+    # per sample: v (3x1), pi (3x2), then the contenders' coordinates in pi
+    block = g.standard_normal((samples, 9 + 2 * contenders))
+    v, pi = _blocks(g, block, ((3, 1), (3, 2)))
+    res, dist, _ = project_stack(v, pi)
+    projected = pi @ (np.swapaxes(pi, 1, 2) @ v)
+    norms = np.linalg.norm(projected, axis=1, keepdims=True)
+    keep = norms[:, 0, 0] > 1e-10
+    x = projected[keep] / norms[keep]
+    containment = np.max(np.abs(x - res[keep] @ (np.swapaxes(res[keep], 1, 2) @ x)),
+                         initial=0.0)
+    # contenders go by chunks of samples, so memory stays flat in the size
+    step = max(1, CONTENDER_CHUNK // contenders)
     slack = np.inf
-    for _ in range(samples):
-        v = random_subspace(g, 3, 1)
-        pi = random_subspace(g, 3, 2)
-        res = project_to_sub_grassmannian(v, pi)
-        projected = pi.project(v.basis)
-        norms = np.linalg.norm(projected, axis=0)
-        keep = projected[:, norms > 1e-10]
-        if keep.shape[1]:
-            containment = max(containment, linalg.containment_residual(
-                res.subspace.basis, keep / np.linalg.norm(keep, axis=0)))
-        for _ in range(contenders):
-            u = g.standard_normal(2)
-            w = Subspace((pi.basis @ (u / np.linalg.norm(u))).reshape(-1, 1))
-            slack = min(slack, distance(v, w) - res.distance)
-    return ProjectionSuiteResult(samples, contenders, containment, float(slack),
+    for i in range(0, samples, step):
+        # unit coordinate vectors; a zero draw is redrawn like a deficient basis
+        units = orthonormal_draws(g, block[i:i + step, 9:].reshape(-1, 2, 1))
+        lines = np.repeat(pi[i:i + step], contenders, axis=0) @ units
+        d = distances(np.repeat(v[i:i + step], contenders, axis=0), lines)
+        slack = min(slack, np.min(d.reshape(-1, contenders) - dist[i:i + step, None]))
+    return ProjectionSuiteResult(samples, contenders, float(containment), float(slack),
                                  time.perf_counter() - start)
 
 
 @dataclass(frozen=True)
-class EmbeddingSuiteResult:
+class EmbeddingSuiteResult(_Result):
     samples: int
     incidence_disagreements: int
     parallelism_disagreements: int
@@ -126,9 +137,6 @@ class EmbeddingSuiteResult:
     def passed(self) -> bool:
         return (self.incidence_disagreements == 0
                 and self.parallelism_disagreements == 0)
-
-    def to_dict(self) -> dict:
-        return {**asdict(self), "passed": self.passed}
 
 
 def embedding_suite(seed: int, samples: int = 1000, l: int = 1, m: int = 2,
@@ -158,7 +166,7 @@ def embedding_suite(seed: int, samples: int = 1000, l: int = 1, m: int = 2,
 
 
 @dataclass(frozen=True)
-class ChartSuiteResult:
+class ChartSuiteResult(_Result):
     samples: int
     max_point_roundtrip: float
     max_projective_roundtrip: float
@@ -177,9 +185,6 @@ class ChartSuiteResult:
                 and self.ratio_low >= 1.0 / (100 * n)
                 and self.ratio_prefix_low >= self.ratio_low
                 and self.ratio_prefix_high <= self.ratio_high)
-
-    def to_dict(self) -> dict:
-        return {**asdict(self), "passed": self.passed}
 
 
 def chart_suite(seed: int, samples: int = 500) -> ChartSuiteResult:
@@ -210,15 +215,22 @@ def chart_suite(seed: int, samples: int = 500) -> ChartSuiteResult:
                             time.perf_counter() - start)
 
 
+# per-suite cap: Gaussians a batched suite draws up front, or per-sample samples
+SUITE_WORK_CAP = 1_000_000
+
+
 def run_all(seed: int, scale: float = 1.0) -> dict:
     """All invariant suites at a size factor (1.0 = acceptance sizes)."""
-    def sized(base):
-        return max(10, int(base * scale))
-
+    geo, proj, contenders, emb, chart = (max(10, int(base * scale))
+                                         for base in (1000, 500, 200, 1000, 500))
+    work = max(GEODESIC_WIDTH * geo, proj * (9 + 2 * contenders), emb, chart)
+    if work > SUITE_WORK_CAP:
+        raise ResourceCapError(f"suite_scale {scale} needs {work} draws or samples "
+                               f"in one suite, above the cap {SUITE_WORK_CAP}")
     suites = {
-        "geodesic": geodesic_suite(seed, sized(1000)),
-        "projection": projection_suite(seed, sized(500), sized(200)),
-        "embedding": embedding_suite(seed, sized(1000)),
-        "chart": chart_suite(seed, sized(500)),
+        "geodesic": geodesic_suite(seed, geo),
+        "projection": projection_suite(seed, proj, contenders),
+        "embedding": embedding_suite(seed, emb),
+        "chart": chart_suite(seed, chart),
     }
     return {name: res.to_dict() for name, res in suites.items()}

@@ -343,3 +343,49 @@ def test_validate_fuzz_exits_0_or_2_without_traceback(data):
     assert "Traceback" not in err.getvalue()
     if code == 2:
         assert json.loads(out.getvalue())["error"] == "config"
+
+
+# ------------------------------------------------------------ caps
+
+@pytest.mark.parametrize("cfg", [
+    {"experiment": "geometry-selftest", "constants": {"suite_scale": 1e12}},
+    {"experiment": "bl-audit", "params": {"l": 1, "m": 2, "d": 2, "n": 4, "beta": 1.0},
+     "constants": {"tuples": 10 ** 9}},
+])
+def test_oversized_runs_hit_the_cap_before_allocating(tmp_path, capsys, cfg):
+    # without the caps these ran for ever or exhausted memory building units
+    code, out = _main_exit(tmp_path, capsys, cfg, "run")
+    assert code == 3
+    err = json.loads(out)
+    assert err["error"] == "resource-cap" and "cap" in err["message"]
+
+
+# --------------------------------------------------------- reports
+
+def test_selftest_keeps_suite_runtimes_under_timing():
+    cfg = cli.parse_config({"experiment": "geometry-selftest", "seed": 2,
+                            "constants": {"suite_scale": 0.02}})
+    report = cli.run_experiment(cfg)
+    suites = report["timing"]["suites"]
+    assert list(suites) == [r["suite"] for r in report["records"]]
+    assert all(isinstance(t, float) and t >= 0.0 for t in suites.values())
+    assert not any("runtime" in r for r in report["records"])
+    assert strip_timing(report) == strip_timing(cli.run_experiment(cfg))
+
+
+def test_sweep_flags_are_the_kakeya_report_flags():
+    from grasskit import kakeya as kk
+    cfg = cli.parse_config(base_config(experiment="kakeya-sweep",
+                                       deltas=[2.0 ** -4, 2.0 ** -5, 2.0 ** -6],
+                                       constants={"ratio_bound": 1.0}))
+    report = cli.run_experiment(cfg)
+    params = kk.FamilyParams(0, 1, 1, 2, 1.0)
+    families = [kk.generate_sharp_example(params, d) for d in cfg.deltas]
+    for p in report["summary"]["p_values"]:
+        rep = kk.verify_kakeya_inequality(families, p, 0.1, ratio_bound=1.0)
+        flags = report["summary"]["flags"][f"p={p:.6g}"]
+        assert flags == {"bounded": rep.bounded, "max_ratio": max(r.ratio for r in rep.rows),
+                         "max_growth": rep.max_growth,
+                         "growth_ok": rep.max_growth <= rep.growth_bound + 1e-9}
+    assert report["passed"] == all(f["bounded"] and f["growth_ok"]
+                                   for f in report["summary"]["flags"].values())

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from grasskit import grassmann as gr
 from grasskit.errors import InvalidInputError
@@ -222,3 +223,112 @@ def test_vector_projection_pythagoras():
         p = gr.vector_projection(x, pi)
         assert np.allclose(x @ x, p @ p + (x - p) @ (x - p))
         assert np.allclose(gr.vector_projection(p, pi), p)
+
+
+# ------------------------------------------------------- stacked kernels
+
+def _orthonormal(raw):
+    return np.linalg.qr(raw)[0]
+
+
+@st.composite
+def _stacked_pairs(draw):
+    """Two (N, q, k) stacks of random bases, built from hypothesis-drawn seeds."""
+    n = draw(st.integers(1, 6))
+    k = draw(st.integers(1, 3))
+    q = draw(st.integers(k, 6))
+    g = rng_for(77, draw(st.integers(0, 2 ** 32 - 1)))
+    v = _orthonormal(g.standard_normal((n, q, k)))
+    w = _orthonormal(g.standard_normal((n, q, k)))
+    return v, w, g
+
+
+@settings(max_examples=60, deadline=None)
+@given(_stacked_pairs())
+def test_stacked_angles_and_distances_match_arccos_reference(pair):
+    v, w, g = pair
+    angles, left, right = gr.aligned_angles(v, w)
+    dists = gr.distances(v, w)
+    cosines = np.linalg.svd(np.swapaxes(v, 1, 2) @ w, compute_uv=False)
+    reference = np.sort(np.arccos(np.clip(cosines, -1.0, 1.0)), axis=1)
+    # arccos loses digits near 0 and pi/2; compare only where it is sharp
+    sharp = (reference > 1e-3) & (reference < np.pi / 2 - 1e-3)
+    assert np.all(np.abs(angles - reference)[sharp] <= 1e-10)
+    rows = sharp.all(axis=1)
+    assert np.allclose(dists[rows], np.linalg.norm(reference[rows], axis=1), atol=1e-10)
+    assert np.all(np.diff(angles, axis=1) >= 0.0)
+    overlap = np.swapaxes(left, 1, 2) @ right
+    assert np.allclose(overlap, np.cos(angles)[:, None, :] * np.eye(angles.shape[1]),
+                       atol=1e-9)
+    # symmetric, and blind to the choice of basis of either subspace
+    assert np.allclose(gr.distances(w, v), dists, atol=1e-12)
+    k = v.shape[2]
+    turn = _orthonormal(g.standard_normal((len(v), k, k)))
+    assert np.allclose(gr.distances(v @ turn, w), dists, atol=1e-12)
+
+
+def test_single_pair_functions_equal_their_stack_entries_bit_for_bit():
+    g = rng_for(78)
+    for q, k in [(4, 2), (3, 1), (5, 3), (2, 1)]:
+        v = gr.random_subspaces(g, 25, q, k)
+        w = gr.random_subspaces(g, 25, q, k)
+        stacked = gr.distances(v, w)
+        single = [gr.distance(gr.Subspace(a), gr.Subspace(b)) for a, b in zip(v, w)]
+        assert stacked.tolist() == single
+
+
+def test_stack_checks_reject_bad_bases_and_mismatched_pairs():
+    good = gr.random_subspaces(rng_for(79), 3, 4, 2)
+    bent = good.copy()
+    bent[1, 0, 0] += 1e-8
+    broken = good.copy()
+    broken[2, 1, 1] = np.nan
+    for bad in (bent, broken, good[0], good[:, :1, :]):
+        with pytest.raises(InvalidInputError):
+            gr.distances(bad, good)
+    for other in (good[:2], gr.random_subspaces(rng_for(80), 3, 5, 2),
+                  gr.random_subspaces(rng_for(81), 3, 4, 1)):
+        with pytest.raises(InvalidInputError):
+            gr.distances(good, other)
+
+
+def test_random_subspaces_is_the_sequence_of_single_draws():
+    stacked = gr.random_subspaces(rng_for(82), 6, 4, 2)
+    g = rng_for(82)
+    for basis in stacked:
+        assert np.array_equal(basis, gr.random_subspace(g, 4, 2).basis)
+
+
+def test_orthonormal_draws_redraws_a_rank_deficient_draw():
+    raw = rng_for(83).standard_normal((4, 3, 2))
+    raw[2, :, 1] = 2.0 * raw[2, :, 0]
+    g = rng_for(84)
+    bases = gr.orthonormal_draws(g, raw)
+    assert np.allclose(np.swapaxes(bases, 1, 2) @ bases, np.eye(2), atol=1e-12)
+    clean = gr.orthonormal_draws(rng_for(85), raw[[0, 1, 3]])
+    assert np.array_equal(bases[[0, 1, 3]], clean)
+    replacement = gr.orthonormal_draws(rng_for(86), rng_for(84).standard_normal((1, 3, 2)))
+    assert np.array_equal(bases[2], replacement[0])
+
+
+def test_geodesic_frames_flag_right_angles_per_pair():
+    e = np.eye(3)
+    v = np.stack([e[:, :1], e[:, :1]])
+    w = np.stack([e[:, 1:2], (e[:, :1] + e[:, 1:2]) / np.sqrt(2.0)])
+    angles, start, perp, non_unique = gr.geodesic_frames(v, w)
+    assert non_unique.tolist() == [True, False]
+    assert np.allclose(angles[:, 0], [np.pi / 2, np.pi / 4])
+    mid = gr.geodesic_points(angles, start, perp, 0.5)
+    assert np.allclose(gr.distances(v, mid), angles[:, 0] / 2, atol=1e-12)
+
+
+def test_project_stack_pads_only_the_degenerate_pairs():
+    pi = np.stack([np.eye(3)[:, :2]] * 2)
+    v = np.stack([np.array([[0.0], [0.0], [1.0]]),
+                  np.array([[1.0], [0.0], [1.0]]) / np.sqrt(2.0)])
+    bases, dists, unique = gr.project_stack(v, pi)
+    assert unique.tolist() == [False, True]
+    assert np.allclose(dists, [np.pi / 2, np.pi / 4])
+    assert np.allclose(np.swapaxes(bases, 1, 2) @ bases, np.eye(1))
+    assert np.allclose(bases[:, 2, :], 0.0)
+    assert np.allclose(np.abs(bases[1, :, 0]), [1.0, 0.0, 0.0])

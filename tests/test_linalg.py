@@ -213,3 +213,17 @@ def test_intersect_matches_rank_nullity():
         assert res.shape[1] == expected
         assert linalg.containment_residual(u, res) <= 1e-9
         assert linalg.containment_residual(w, res) <= 1e-9
+
+
+def test_orthonormalize_stack_matches_single_calls_with_dropped_columns():
+    g = rng_for(42)
+    m = g.standard_normal((20, 5, 3))
+    m[3, :, 2] = m[3, :, 0] - 0.5 * m[3, :, 1]
+    m[7, :, 1] = 0.0
+    bases, keep = linalg.orthonormalize_stack(m)
+    for one, basis, kept in zip(m, bases, keep):
+        res = linalg.orthonormalize(one)
+        assert np.array_equal(basis[:, kept], res.matrix)
+        assert res.dropped == tuple(np.flatnonzero(~kept))
+        assert not np.any(basis[:, ~kept])
+    assert keep.sum() == 20 * 3 - 2
