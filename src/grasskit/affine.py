@@ -241,6 +241,25 @@ class ChartPoint:
         return cls(arr)
 
 
+def chart_offsets(directions: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    """Section offsets of N chart m-planes, made orthogonal to their section
+    directions.
+
+    ``directions`` (N, q, r) are orthonormal bases in the slice R^q and
+    ``offsets`` (N, l+1, q) the raw offsets; returns the projected offsets,
+    or raises OutOfChartError when one of them leaves the chart box.
+    """
+    if offsets.ndim != 3 or offsets.shape[::2] != directions.shape[:2]:
+        raise InvalidInputError("offsets/direction ambient mismatch")
+    if not np.all(np.isfinite(offsets)):
+        raise InvalidInputError("offsets have non-finite entries")
+    dt = np.swapaxes(directions, 1, 2)
+    o = offsets - np.swapaxes(directions @ (dt @ np.swapaxes(offsets, 1, 2)), 1, 2)
+    if o.size and np.max(np.abs(o)) > 1.0 + CHART_TOL:
+        raise OutOfChartError("section offset outside the chart box")
+    return o
+
+
 @dataclass(frozen=True)
 class ChartMPlane:
     """Chart form of an m-plane: one direction in R^(n-l) shared by all
@@ -254,13 +273,18 @@ class ChartMPlane:
     offsets: np.ndarray
 
     def __post_init__(self):
-        o = linalg.as_matrix(self.offsets)
-        if o.shape[1] != self.direction.ambient_dim:
-            raise InvalidInputError("offsets/direction ambient mismatch")
-        o = o - (self.direction.project(o.T)).T
-        if np.max(np.abs(o)) > 1.0 + CHART_TOL:
-            raise OutOfChartError("section offset outside the chart box")
-        object.__setattr__(self, "offsets", linalg.frozen(o))
+        o = chart_offsets(self.direction.basis[None], linalg.as_matrix(self.offsets)[None])
+        object.__setattr__(self, "offsets", linalg.frozen(o[0]))
+
+    @classmethod
+    def view(cls, basis: np.ndarray, offsets: np.ndarray) -> "ChartMPlane":
+        """The plane over one row of arrays that already passed
+        :func:`chart_offsets`; the offsets are kept as given, not projected
+        again."""
+        plane = object.__new__(cls)
+        object.__setattr__(plane, "direction", Subspace(basis))
+        object.__setattr__(plane, "offsets", offsets)
+        return plane
 
     @property
     def l(self) -> int:
@@ -282,18 +306,6 @@ class ChartMPlane:
 
     def parallel_to(self, other: "ChartMPlane", tol: float = 1e-9) -> bool:
         return self.direction.same(other.direction, tol)
-
-    def to_json(self) -> list[float]:
-        flat = list(self.offsets.ravel()) + list(self.direction.basis.ravel())
-        return [float(v) for v in flat]
-
-    @classmethod
-    def from_json(cls, data, l: int, m: int, n: int) -> "ChartMPlane":
-        data = np.asarray(data, dtype=float)
-        no = (l + 1) * (n - l)
-        offsets = data[:no].reshape(l + 1, n - l)
-        basis = data[no:].reshape(n - l, m - l)
-        return cls(Subspace(basis), offsets)
 
 
 def incidence(point: ChartPoint, plane: ChartMPlane, tol: float = INCIDENCE_TOL) -> bool:

@@ -163,8 +163,14 @@ def cell_indices(points: np.ndarray, delta: float) -> np.ndarray:
     """Integer grid cells (anchored at -1, half-open, side delta)."""
     delta = _check_scale(delta)
     pts = np.atleast_2d(np.asarray(points, dtype=float))
-    idx = np.floor((pts + 1.0) / delta).astype(np.int64)
-    return np.clip(idx, 0, cells_per_axis(delta) - 1)
+    # column by column: a reduction or ufunc over the short axis of a tall
+    # array is far slower than the same work on its strided columns
+    idx = np.empty(pts.shape, dtype=np.int64)
+    for a in range(pts.shape[1]):
+        col = pts[:, a] + 1.0
+        col /= delta
+        idx[:, a] = np.floor(col, out=col)
+    return np.clip(idx, 0, cells_per_axis(delta) - 1, out=idx)
 
 
 def _cell_keys(idx: np.ndarray, lo, radix) -> np.ndarray:
@@ -191,9 +197,10 @@ def _lexsort_distinct_rows(idx: np.ndarray) -> int:
 def _distinct_rows(idx: np.ndarray) -> int:
     if idx.shape[0] == 0:
         return 0
-    lo = idx.min(axis=0)
-    radix = idx.max(axis=0) - lo + 1
-    if math.prod(int(r) for r in radix) > KEY_MAX:
+    cols = [idx[:, a] for a in range(idx.shape[1])]
+    lo = [int(c.min()) for c in cols]
+    radix = [int(c.max()) - low + 1 for c, low in zip(cols, lo)]
+    if math.prod(radix) > KEY_MAX:
         return _lexsort_distinct_rows(idx)
     keys = _cell_keys(idx, lo, radix)
     keys.sort()
@@ -363,8 +370,11 @@ class SlabNeighborhood:
         nf = self._normal()
         if nf.shape[1] == 0:
             return np.zeros(pts.shape[0])
-        dev = (pts - self.core.offsets[j]) @ nf
-        return np.max(np.abs(dev), axis=1)
+        dev = np.abs((pts - self.core.offsets[j]) @ nf)
+        out = dev[:, 0].copy()
+        for a in range(1, dev.shape[1]):
+            np.maximum(out, dev[:, a], out=out)
+        return out
 
     def contains(self, point: ChartPoint | np.ndarray, slack: float = 0.0) -> bool:
         coords = point.coords if isinstance(point, ChartPoint) else \

@@ -27,7 +27,7 @@ EQUALITY_TOL = 1e-9
 ORTHONORMAL_TOL = 1e-10
 
 
-def _check_bases(b: np.ndarray) -> np.ndarray:
+def check_bases(b: np.ndarray) -> np.ndarray:
     """``b`` as a float stack (N, q, k) of orthonormal bases, or
     InvalidInputError."""
     b = np.asarray(b, dtype=float)
@@ -41,7 +41,7 @@ def _check_bases(b: np.ndarray) -> np.ndarray:
 
 
 def _check_pair(v: np.ndarray, w: np.ndarray, equal_dims: bool = True):
-    v, w = _check_bases(v), _check_bases(w)
+    v, w = check_bases(v), check_bases(w)
     if v.shape[:2] != w.shape[:2] or (equal_dims and v.shape[2] != w.shape[2]):
         raise InvalidInputError(f"stacks of shapes {v.shape} and {w.shape} do not pair")
     return v, w
@@ -58,7 +58,7 @@ class Subspace:
 
     def __post_init__(self):
         b = linalg.as_matrix(self.basis)
-        _check_bases(b[None])
+        check_bases(b[None])
         object.__setattr__(self, "basis", linalg.frozen(b))
 
     @classmethod

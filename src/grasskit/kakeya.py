@@ -10,6 +10,13 @@ metric is the Euclidean metric on the feature embedding
 
 which is comparable to the chart metric on bounded sets (the projector
 part is the chordal distance between directions).
+
+A family of M members is held as arrays, with q = n-l and r = m-l:
+``directions`` (M, q, r) orthonormal section bases and ``offsets``
+(M, l+1, q) section offsets orthogonal to them.  Generation, union
+sampling, the feature embedding and the JSON form work on these arrays;
+``PlaneFamily.members`` gives ``ChartMPlane`` views of the rows for the
+per-member geometry (slabs, bushes, rescaling).
 """
 
 from __future__ import annotations
@@ -21,12 +28,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import linalg
-from .affine import ChartMPlane, ChartPoint, embed_tilde
+from .affine import ChartMPlane, ChartPoint, chart_offsets, embed_tilde
 from .discretize import (CELL_CAP, SlabNeighborhood, GridCounter, build_direction_net,
                          cells_per_axis, spacing_report, SpacingReport)
 from .errors import (CertificateError, InvalidInputError, OutOfChartError,
                      ResourceCapError)
-from .grassmann import Subspace, distances, project_to_sub_grassmannian, random_subspaces
+from .grassmann import (Subspace, check_bases, distances, project_to_sub_grassmannian,
+                        random_subspaces)
 
 
 # ---------------------------------------------------------------- params
@@ -101,33 +109,81 @@ def admissible_p_max(l: int, m: int, d: int, beta: float,
 
 # --------------------------------------------------------------- families
 
-@dataclass(frozen=True)
+def _flat_rows(a: np.ndarray) -> np.ndarray:
+    return a.reshape(a.shape[0], math.prod(a.shape[1:]))
+
+
+@dataclass(frozen=True, init=False, eq=False)
 class PlaneFamily:
-    """A finite separated family of chart m-planes at one scale."""
+    """A finite separated family of chart m-planes at one scale.
+
+    The M members are held as two read-only arrays, with q = n-l and
+    r = m-l: ``directions`` (M, q, r), the orthonormal bases of the section
+    directions, and ``offsets`` (M, l+1, q), the section offsets, each row
+    orthogonal to its direction and inside the chart box.  ``members`` is a
+    tuple of ``ChartMPlane`` views of these rows, built on each access; a
+    view shares its family's offsets and is not projected again.
+    ``PlaneFamily(params, scale, members)`` stacks the given planes.
+    """
 
     params: FamilyParams
     scale: float
-    members: tuple[ChartMPlane, ...]
-    _features: np.ndarray | None = field(default=None, repr=False, compare=False)
+    directions: np.ndarray
+    offsets: np.ndarray
+    _features: np.ndarray | None = field(default=None, repr=False)
 
-    def __post_init__(self):
-        object.__setattr__(self, "members", tuple(self.members))
+    def __init__(self, params: FamilyParams, scale: float, members):
+        q, r = params.n - params.l, params.m - params.l
+        members = tuple(members)
+        if any(v.direction.basis.shape != (q, r) or v.offsets.shape != (params.l + 1, q)
+               for v in members):
+            raise InvalidInputError("member shapes do not match the family parameters")
+        self._assign(params, scale,
+                     np.reshape([v.direction.basis for v in members], (len(members), q, r)),
+                     np.reshape([v.offsets for v in members], (len(members), params.l + 1, q)))
+
+    @classmethod
+    def from_arrays(cls, params: FamilyParams, scale: float, directions: np.ndarray,
+                    offsets: np.ndarray) -> "PlaneFamily":
+        """Family over stacked member arrays, checked as ``ChartMPlane``
+        checks one member: the directions must be orthonormal, and the
+        offsets are projected orthogonal to them and kept in the chart box."""
+        q, r = params.n - params.l, params.m - params.l
+        directions = np.asarray(directions, dtype=float)
+        if directions.shape[1:] != (q, r) or np.shape(offsets)[1:] != (params.l + 1, q):
+            raise InvalidInputError("member shapes do not match the family parameters")
+        family = object.__new__(cls)
+        family._assign(params, scale, check_bases(directions),
+                       chart_offsets(directions, np.asarray(offsets, dtype=float)))
+        return family
+
+    def _assign(self, params, scale, directions, offsets) -> None:
+        object.__setattr__(self, "params", params)
+        object.__setattr__(self, "scale", scale)
+        object.__setattr__(self, "directions", linalg.frozen(directions))
+        object.__setattr__(self, "offsets", linalg.frozen(offsets))
 
     def __len__(self) -> int:
-        return len(self.members)
+        return self.directions.shape[0]
+
+    def member(self, index: int) -> ChartMPlane:
+        return ChartMPlane.view(self.directions[index], self.offsets[index])
+
+    @property
+    def members(self) -> tuple[ChartMPlane, ...]:
+        return tuple(self.member(i) for i in range(len(self)))
 
     def feature_matrix(self) -> np.ndarray:
-        """Rows embed members into Euclidean space for separation/spacing."""
+        """Rows embed members into Euclidean space for separation/spacing:
+        the projector D D^T / sqrt(2) of each direction, then the offsets."""
         if self._features is None:
-            rows = []
-            for v in self.members:
-                proj = v.direction.projector().ravel() / math.sqrt(2.0)
-                rows.append(np.concatenate([proj, v.offsets.ravel()]))
-            object.__setattr__(self, "_features", np.array(rows))
+            proj = self.directions @ np.swapaxes(self.directions, 1, 2) / math.sqrt(2.0)
+            object.__setattr__(self, "_features",
+                               np.concatenate([_flat_rows(proj), _flat_rows(self.offsets)], axis=1))
         return self._features
 
     def slab(self, index: int, scale: float | None = None) -> SlabNeighborhood:
-        return SlabNeighborhood(self.members[index], self.scale if scale is None else scale)
+        return SlabNeighborhood(self.member(index), self.scale if scale is None else scale)
 
     def slabs(self, scale: float | None = None) -> list[SlabNeighborhood]:
         return [self.slab(i, scale) for i in range(len(self))]
@@ -144,19 +200,24 @@ class PlaneFamily:
         return float(sum(s.measure() for s in self.slabs()))
 
     def to_json(self) -> dict:
+        """Each member row is its offsets, then its direction basis, flattened."""
+        rows = np.concatenate([_flat_rows(self.offsets), _flat_rows(self.directions)], axis=1)
         return {
             "schema_version": 1,
             "params": self.params.to_dict(),
             "scale": self.scale,
-            "members": [v.to_json() for v in self.members],
+            "members": rows.tolist(),
         }
 
     @classmethod
     def from_json(cls, data: dict) -> "PlaneFamily":
         params = FamilyParams.from_dict(data["params"])
-        members = [ChartMPlane.from_json(row, params.l, params.m, params.n)
-                   for row in data["members"]]
-        return cls(params, float(data["scale"]), tuple(members))
+        q, r = params.n - params.l, params.m - params.l
+        n_off = (params.l + 1) * q
+        rows = np.asarray(data["members"], dtype=float).reshape(-1, n_off + q * r)
+        m = len(rows)
+        return cls.from_arrays(params, float(data["scale"]), rows[:, n_off:].reshape(m, q, r),
+                               rows[:, :n_off].reshape(m, params.l + 1, q))
 
     def save(self, path) -> None:
         with open(path, "w") as fh:
@@ -221,19 +282,18 @@ def _graded_axes(specs: list[tuple[str, tuple, float, float]], budget: float,
     return axes
 
 
-def generate_sharp_example(params: FamilyParams, delta: float) -> PlaneFamily:
-    """Deterministic family realizing the sharp-example constructions.
+def _sharp_axes(params: FamilyParams, delta: float):
+    """Generator axes of the sharp example and the slice columns that carry
+    the direction: returns (axes, base_cols, tilt_cols).
 
     For beta > l+1 members form a graded net inside the m-planes of a
     (d+1)-dimensional coordinate subspace; for beta <= l+1 they form a full
     net of the m-planes inside d-planes fibered over a beta-dimensional
-    base set in the leading slice coordinates.  Grids use pitch 2*delta so
-    the family is delta-separated with the spacing constant recorded by
-    :meth:`PlaneFamily.spacing`.
+    base set in the leading slice coordinates.  Direction column a is the
+    unit vector on ``base_cols[a]`` tilted by the ``tilt_cols`` entries.
     """
     l, m, d, n = params.l, params.m, params.d, params.n
     pitch = 2.0 * delta
-    slice_dim = n - l
     n_i = n - d                    # leading slice coordinates (the base block)
     n_j = d - l                    # middle slice coordinates (direction block)
     r = m - l                      # section dimension
@@ -252,7 +312,6 @@ def generate_sharp_example(params: FamilyParams, delta: float) -> PlaneFamily:
         for a in range(r):
             for b in range(len(tilt_cols)):
                 specs.append(("tilt", (a, b), -0.45, 0.45))
-        axes = _graded_axes(specs, params.spacing_exponent, pitch)
     else:
         base_cols, tilt_cols = j_axes[:r], j_axes[r:]
         specs = []
@@ -265,33 +324,44 @@ def generate_sharp_example(params: FamilyParams, delta: float) -> PlaneFamily:
         for jj in range(l + 1):
             for ax in range(n_i):
                 specs.append(("base", (jj, ax), -0.85, 0.85))
-        axes = _graded_axes(specs, params.spacing_exponent, pitch)
+    return _graded_axes(specs, params.spacing_exponent, pitch), base_cols, tilt_cols
 
+
+def generate_sharp_example(params: FamilyParams, delta: float) -> PlaneFamily:
+    """Deterministic family realizing the sharp-example constructions (see
+    :func:`_sharp_axes`).  Grids use pitch 2*delta so the family is
+    delta-separated with the spacing constant recorded by
+    :meth:`PlaneFamily.spacing`.
+
+    Member i takes on each axis the point indexed by its digit in the
+    mixed-radix expansion of i (first axis least significant); all members
+    are evaluated at once as arrays.
+    """
+    axes, base_cols, tilt_cols = _sharp_axes(params, delta)
     sizes = [len(a.points) for a in axes]
-    total = int(np.prod(sizes)) if sizes else 1
+    total = math.prod(sizes)
     if total > 2_000_000:
         raise ResourceCapError(f"sharp example would have {total} members")
 
-    members = []
-    for flat in range(total):
-        tilt = np.zeros((r, len(tilt_cols)))
-        offsets = np.zeros((l + 1, slice_dim))
-        rem = flat
-        for ax, size in zip(axes, sizes):
-            val = float(ax.points[rem % size])
-            rem //= size
-            if ax.kind == "tilt":
-                tilt[ax.index] = val
-            else:  # "offset" and "base" both shift a slice coordinate
-                offsets[ax.index] += val
-        cols = np.zeros((slice_dim, r))
-        for a in range(r):
-            cols[base_cols[a], a] = 1.0
-            for b, ax in enumerate(tilt_cols):
-                cols[ax, a] = tilt[a, b]
-        direction = Subspace.from_vectors(cols) if r else Subspace.zero(slice_dim)
-        members.append(ChartMPlane(direction, offsets))
-    return PlaneFamily(params, delta, tuple(members))
+    r = params.m - params.l
+    cols = np.zeros((total, params.n - params.l, r))
+    cols[:, base_cols, range(r)] = 1.0
+    offsets = np.zeros((total, params.l + 1, params.n - params.l))
+    flat, stride = np.arange(total), 1
+    for ax, size in zip(axes, sizes):
+        vals = ax.points[flat // stride % size]
+        stride *= size
+        if ax.kind == "tilt":
+            cols[:, tilt_cols[ax.index[1]], ax.index[0]] = vals
+        else:  # "offset" and "base" both shift a slice coordinate
+            offsets[:, ax.index[0], ax.index[1]] += vals
+    directions = linalg.orthonormalize_stack(cols)[0]
+    return PlaneFamily.from_arrays(params, delta, directions, offsets)
+
+
+# candidate rows (tick-lattice points of the slice products) evaluated per
+# chunk of members by union_sample_points; bounds its temporaries
+UNION_CHUNK_ROWS = 1 << 18
 
 
 def union_sample_points(family: PlaneFamily, pitch: float | None = None,
@@ -300,34 +370,49 @@ def union_sample_points(family: PlaneFamily, pitch: float | None = None,
 
     Each member contributes the product over slices of a pitch-spaced
     sample of its section inside the box; sampling at half the box-count
-    scale keeps cell counts exact up to boundary slivers.
+    scale keeps cell counts exact up to boundary slivers.  Section j of a
+    member is sampled on the tick lattice offset_j + D t, t in ticks^r,
+    evaluated for a chunk of members at once; rows come member by member,
+    slice 0 varying slowest.  ResourceCapError when the total exceeds
+    ``cap``.
     """
     pitch = family.scale / 2.0 if pitch is None else pitch
+    _, copies, q = family.offsets.shape
+    r = family.directions.shape[2]
+    half = math.sqrt(q)
+    ticks = np.arange(-half, half + pitch / 2.0, pitch)
+    mesh = np.meshgrid(*([ticks] * r), indexing="ij")
+    coeff = np.column_stack([g.ravel() for g in mesh]) if r else np.zeros((1, 0))
+    step = max(1, UNION_CHUNK_ROWS // len(coeff) ** copies)
     out = []
     total = 0
-    for v in family.members:
-        per_slice = []
-        for j in range(v.l + 1):
-            if v.direction.dim == 0:
-                per_slice.append(v.offsets[j][None, :])
-                continue
-            half = math.sqrt(v.slice_dim)
-            ticks = np.arange(-half, half + pitch / 2.0, pitch)
-            mesh = np.meshgrid(*([ticks] * v.direction.dim), indexing="ij")
-            coeff = np.column_stack([g.ravel() for g in mesh])
-            pts = v.offsets[j][None, :] + coeff @ v.direction.basis.T
-            pts = pts[np.max(np.abs(pts), axis=1) <= 1.0]
-            per_slice.append(pts)
-        rows = per_slice[0]
-        for pts in per_slice[1:]:
-            left = np.repeat(rows, pts.shape[0], axis=0)
-            right = np.tile(pts, (rows.shape[0], 1))
-            rows = np.hstack([left, right])
+    for start in range(0, len(family), step):
+        offsets = family.offsets[start:start + step]
+        span = coeff @ np.swapaxes(family.directions[start:start + step], 1, 2)
+        pts, keep = [], None
+        for j in range(copies):
+            if r:
+                p = offsets[:, j, None, :] + span
+                inside = np.abs(p[..., 0]) <= 1.0
+                for a in range(1, q):
+                    inside &= np.abs(p[..., a]) <= 1.0
+            else:  # a point section is taken as it is
+                p = offsets[:, j, None, :]
+                inside = np.ones(p.shape[:2], dtype=bool)
+            pts.append(p)
+            # keep[c, t_0, ..., t_j]: member c keeps the tick tuple
+            keep = inside if keep is None else \
+                keep[..., None] & inside.reshape(len(p), *([1] * j), -1)
+        # flat row indices and np.take: far faster than a boolean or a
+        # two-array index over the (member, tick) axes
+        idx = np.unravel_index(np.flatnonzero(keep), keep.shape)
+        rows = np.concatenate([np.take(p.reshape(-1, q), idx[0] * p.shape[1] + idx[j + 1], axis=0)
+                               for j, p in enumerate(pts)], axis=1)
         total += rows.shape[0]
         if total > cap:
             raise ResourceCapError("union sample exceeds the point cap")
         out.append(rows)
-    return np.vstack(out) if out else np.zeros((0, family.params.chart_dim))
+    return np.concatenate(out) if out else np.zeros((0, family.params.chart_dim))
 
 
 # ------------------------------------------------------------------ bush
@@ -367,7 +452,7 @@ def bush_directions(anchor: ChartPoint, family: PlaneFamily,
     bases = np.stack([u.basis for u in net])
     buckets: dict[int, list[int]] = {}
     for i in touching:
-        direction = np.broadcast_to(family.members[i].direction.basis, bases.shape)
+        direction = np.broadcast_to(family.directions[i], bases.shape)
         buckets.setdefault(int(np.argmin(distances(direction, bases))), []).append(i)
     entries = tuple((net[key], tuple(idx)) for key, idx in sorted(buckets.items()))
     return BushDirections(anchor, entries)

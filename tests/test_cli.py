@@ -360,6 +360,18 @@ def test_oversized_runs_hit_the_cap_before_allocating(tmp_path, capsys, cfg):
     assert err["error"] == "resource-cap" and "cap" in err["message"]
 
 
+def test_union_point_cap_exit_3(tmp_path, capsys):
+    # the union at 2^-13 would hold tens of millions of points
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(base_config(deltas=[2.0 ** -4, 2.0 ** -13])))
+    code = cli.main(["run", "--config", str(path)])
+    out, err = capsys.readouterr()
+    assert code == 3
+    assert json.loads(out) == {"error": "resource-cap",
+                               "message": "union sample exceeds the point cap"}
+    assert "Traceback" not in err
+
+
 # --------------------------------------------------------- reports
 
 def test_selftest_keeps_suite_runtimes_under_timing():

@@ -217,6 +217,24 @@ def test_box_count_matches_tuple_set(data, dim, k):
     assert dz.box_count(pts, delta) == tuple_set_count(pts, delta)
 
 
+@pytest.mark.parametrize("dim", [1, 2, 3, 6])
+def test_column_wise_kernels_match_the_array_expressions(dim):
+    # cell_indices and factor_deviation work column by column; the
+    # whole-array expressions they replaced are the reference, bit for bit
+    pts = rng_for(6, dim).uniform(-1.3, 1.3, size=(5000, dim))
+    pts[::7] = 1.0
+    for delta in (1.0, 0.3, 2.0 ** -5, 2.0 ** -10):
+        old = np.clip(np.floor((pts + 1.0) / delta).astype(np.int64), 0,
+                      dz.cells_per_axis(delta) - 1)
+        assert np.array_equal(dz.cell_indices(pts, delta), old)
+    for m in range(dim):
+        plane = random_chart_m_plane(rng_for(7, dim, m), 0, m, dim, offset_scale=0.3)
+        slab = dz.SlabNeighborhood(plane, 2.0 ** -4)
+        nf = plane.normal_frame()
+        old = np.max(np.abs((pts - plane.offsets[0]) @ nf), axis=1)
+        assert np.array_equal(slab.factor_deviation(0, pts), old)
+
+
 def test_box_count_key_overflow_uses_lexsort(monkeypatch):
     # 2048 cells per axis in 6 dimensions: the span product is 2^66
     delta = 2.0 ** -10

@@ -4,7 +4,7 @@ import pytest
 from grasskit import discretize as dz
 from grasskit import kakeya as kk
 from grasskit.affine import ChartMPlane, ChartPoint, incidence
-from grasskit.errors import InvalidInputError
+from grasskit.errors import InvalidInputError, OutOfChartError, ResourceCapError
 from grasskit.grassmann import Subspace
 from grasskit.sampling import rng_for, random_chart_m_plane, random_point_on
 
@@ -91,6 +91,151 @@ def test_family_json_round_trip(tmp_path):
     assert back.params == fam.params
     assert len(back) == len(fam)
     assert np.allclose(back.feature_matrix(), fam.feature_matrix())
+
+
+# ------------------------------------- array-backed families: references
+
+def reference_sharp_example(params, delta):
+    """The per-member loop that generate_sharp_example replaced."""
+    axes, base_cols, tilt_cols = kk._sharp_axes(params, delta)
+    l, r, slice_dim = params.l, params.m - params.l, params.n - params.l
+    sizes = [len(a.points) for a in axes]
+    members = []
+    for flat in range(int(np.prod(sizes))):
+        tilt = np.zeros((r, len(tilt_cols)))
+        offsets = np.zeros((l + 1, slice_dim))
+        rem = flat
+        for ax, size in zip(axes, sizes):
+            val = float(ax.points[rem % size])
+            rem //= size
+            if ax.kind == "tilt":
+                tilt[ax.index] = val
+            else:
+                offsets[ax.index] += val
+        cols = np.zeros((slice_dim, r))
+        for a in range(r):
+            cols[base_cols[a], a] = 1.0
+            for b, ax in enumerate(tilt_cols):
+                cols[ax, a] = tilt[a, b]
+        direction = Subspace.from_vectors(cols) if r else Subspace.zero(slice_dim)
+        members.append(ChartMPlane(direction, offsets))
+    return kk.PlaneFamily(params, delta, tuple(members))
+
+
+def reference_union_sample_points(family, pitch=None, cap=6_000_000):
+    """The per-member loop that union_sample_points replaced."""
+    pitch = family.scale / 2.0 if pitch is None else pitch
+    out = []
+    total = 0
+    for v in family.members:
+        per_slice = []
+        for j in range(v.l + 1):
+            if v.direction.dim == 0:
+                per_slice.append(v.offsets[j][None, :])
+                continue
+            half = np.sqrt(v.slice_dim)
+            ticks = np.arange(-half, half + pitch / 2.0, pitch)
+            mesh = np.meshgrid(*([ticks] * v.direction.dim), indexing="ij")
+            coeff = np.column_stack([g.ravel() for g in mesh])
+            pts = v.offsets[j][None, :] + coeff @ v.direction.basis.T
+            pts = pts[np.max(np.abs(pts), axis=1) <= 1.0]
+            per_slice.append(pts)
+        rows = per_slice[0]
+        for pts in per_slice[1:]:
+            left = np.repeat(rows, pts.shape[0], axis=0)
+            right = np.tile(pts, (rows.shape[0], 1))
+            rows = np.hstack([left, right])
+        total += rows.shape[0]
+        if total > cap:
+            raise ResourceCapError("union sample exceeds the point cap")
+        out.append(rows)
+    return np.vstack(out) if out else np.zeros((0, family.params.chart_dim))
+
+
+def reference_feature_matrix(family):
+    return np.array([np.concatenate([v.direction.projector().ravel() / np.sqrt(2.0),
+                                     v.offsets.ravel()]) for v in family.members])
+
+
+ARRAY_FAMILY_CASES = [
+    ((0, 1, 1, 2, 0.0), (4, 6)),
+    ((0, 1, 1, 2, 0.5), (4, 6)),
+    ((0, 1, 1, 2, 1.0), (4, 6)),
+    ((1, 1, 2, 3, 0.0), (3, 5)),    # r = 0: point sections
+    ((1, 1, 2, 3, 1.0), (3, 5)),
+    ((0, 2, 2, 3, 1.0), (3, 4)),    # r = 2: a two-dimensional tick lattice
+    ((1, 2, 3, 4, 0.5), (2, 3)),    # l = 1, r = 1: a product of two slices
+]
+
+
+@pytest.mark.parametrize("chunk_rows", [kk.UNION_CHUNK_ROWS, 1000])
+@pytest.mark.parametrize("params, exponents", ARRAY_FAMILY_CASES)
+def test_array_family_matches_per_member_loops(params, exponents, chunk_rows, monkeypatch):
+    # a small chunk splits the members over many chunks
+    monkeypatch.setattr(kk, "UNION_CHUNK_ROWS", chunk_rows)
+    for k in exponents:
+        params_k, delta = kk.FamilyParams(*params), 2.0 ** -k
+        fam = kk.generate_sharp_example(params_k, delta)
+        ref = reference_sharp_example(params_k, delta)
+        assert fam.to_json() == ref.to_json()
+        assert np.array_equal(fam.feature_matrix(), reference_feature_matrix(ref))
+        pts = kk.union_sample_points(fam)
+        assert np.array_equal(pts, reference_union_sample_points(ref))
+
+
+def test_family_members_are_views_of_the_arrays():
+    fam = kk.generate_sharp_example(kk.FamilyParams(1, 2, 3, 4, 0.5), 2.0 ** -3)
+    back = kk.PlaneFamily(fam.params, fam.scale, fam.members)
+    assert np.array_equal(back.directions, fam.directions)
+    assert np.array_equal(back.offsets, fam.offsets)
+    for i, v in enumerate(fam.members):
+        assert np.array_equal(v.offsets, fam.offsets[i])
+        assert np.array_equal(v.direction.basis, fam.directions[i])
+    assert not fam.offsets.flags.writeable and not fam.directions.flags.writeable
+
+
+def test_family_rejects_members_of_another_shape():
+    plane = ChartMPlane(Subspace.spanned_by_axes(2, [1]), np.zeros((1, 2)))
+    with pytest.raises(InvalidInputError):
+        kk.PlaneFamily(kk.FamilyParams(1, 1, 2, 3, 1.0), 0.25, (plane,))
+
+
+def test_family_json_rejects_a_member_outside_the_chart():
+    fam = kk.generate_sharp_example(kk.FamilyParams(0, 1, 1, 2, 1.0), 2.0 ** -3)
+    data = fam.to_json()
+    data["members"][-1][0] = 1.5 + abs(data["members"][-1][0])
+    with pytest.raises(OutOfChartError):
+        kk.PlaneFamily.from_json(data)
+
+
+def test_empty_family_round_trip():
+    params = kk.FamilyParams(1, 1, 2, 3, 1.0)
+    fam = kk.PlaneFamily(params, 0.25, ())
+    back = kk.PlaneFamily.from_json(fam.to_json())
+    assert len(back) == 0 and back.directions.shape == (0, 2, 0)
+    assert back.feature_matrix().shape == (0, 4 + 4)
+    assert kk.union_sample_points(back).shape == (0, 4)
+
+
+def test_sharp_planar_work_is_pinned():
+    # the work perfbench's sharp-planar workload checks: its traced
+    # kakeya.union_sample_points.points and the per-delta box counts
+    params = kk.FamilyParams(0, 1, 1, 2, 1.0)
+    points = 0
+    for k in range(4, 11):
+        pts = kk.union_sample_points(kk.generate_sharp_example(params, 2.0 ** -k))
+        points += len(pts)
+        assert dz.box_count(pts, 2.0 ** -k) == 4 ** k
+    assert points == 2_796_032
+
+
+def test_union_point_cap_is_exact(monkeypatch):
+    monkeypatch.setattr(kk, "UNION_CHUNK_ROWS", 1000)
+    fam = kk.generate_sharp_example(kk.FamilyParams(0, 1, 1, 2, 1.0), 2.0 ** -5)
+    total = len(kk.union_sample_points(fam))
+    with pytest.raises(ResourceCapError):
+        kk.union_sample_points(fam, cap=total - 1)
+    assert len(kk.union_sample_points(fam, cap=total)) == total
 
 
 # ----------------------------------------------------------------- bush
