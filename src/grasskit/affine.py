@@ -232,14 +232,6 @@ class ChartPoint:
         """The point of R^N obtained by concatenating the slice coordinates."""
         return self.coords.ravel().copy()
 
-    def to_json(self) -> list[float]:
-        return [float(v) for v in self.coords.ravel()]
-
-    @classmethod
-    def from_json(cls, data, l: int, n: int) -> "ChartPoint":
-        arr = np.asarray(data, dtype=float).reshape(l + 1, n - l)
-        return cls(arr)
-
 
 def chart_offsets(directions: np.ndarray, offsets: np.ndarray) -> np.ndarray:
     """Section offsets of N chart m-planes, made orthogonal to their section

@@ -242,7 +242,7 @@ def _bl_unit(arg: tuple) -> dict:
     tup = kakeya.random_transverse_tuple(params, rng_for(seed, 90, index), K=K)
     rows = []
     for p in p_values:
-        rep = kakeya.verify_bl_bound(tup, params, p, rng_for(seed, 91, index))
+        rep = kakeya.verify_bl_bound(tup, params, p)
         rows.append({"tuple": index, "p": p, "lower": rep.instance.best_value,
                      "rhs": rep.rhs, "ok": rep.ok, "volume": tup.volume,
                      "threshold": tup.threshold})

@@ -679,12 +679,9 @@ def dim_projection(u: Subspace, w: Subspace, tol: float = DIM_PROJECTION_TOL) ->
 
 @dataclass(frozen=True)
 class BlInstance:
-    """Evaluation of the counting functional over a candidate lattice.
-
-    best_value is a certified lower bound of
-    sup_U (dim U - (p/J) sum_j dim proj_{W_j} U); the true supremum ranges
-    over all subspaces while the candidates are a finite lattice.
-    """
+    """best_value is the maximum over the +/∩ lattice of the kernels
+    K_j = W_j-perp of dim U - (p/J) sum_j dim proj_{W_j} U, a lower bound
+    of its supremum over all subspaces U."""
 
     subspaces: tuple[Subspace, ...]
     p: float
@@ -698,58 +695,58 @@ class BlInstance:
         return u.dim - (self.p / j) * total
 
 
-def _coordinate_candidates(ambient: int, factor_dim: int | None) -> list[Subspace]:
-    out = []
-    if ambient <= 6:
-        import itertools
-        for size in range(1, ambient):
-            for combo in itertools.combinations(range(ambient), size):
-                out.append(Subspace.spanned_by_axes(ambient, combo))
-        return out
-    for i in range(ambient):
-        out.append(Subspace.spanned_by_axes(ambient, [i]))
-    if factor_dim:
-        copies = ambient // factor_dim
-        for c in range(copies):
-            out.append(Subspace.spanned_by_axes(
-                ambient, range(c * factor_dim, (c + 1) * factor_dim)))
-    return out
+# Three generators span a modular lattice of at most 28 members (Dedekind),
+# 30 with 0 and R^N, so only J >= 4 kernels can reach the cap.
+LATTICE_CAP = 256
+LATTICE_TOL = 1e-9  # projector entries closer than this are equal
+CROSS_CHECK_DRAWS = 12  # random subspaces per proper dimension in verify_bl_bound
 
 
-def bl_constant_lower(subspaces, p: float, rng: np.random.Generator | None = None,
-                      n_random: int = 12, factor_dim: int | None = None,
-                      extra_candidates=()) -> BlInstance:
-    """Maximize the dimension-counting functional over a candidate lattice.
+def kernel_lattice(subspaces) -> list[Subspace]:
+    """The closure of {0, R^N, K_1..K_J} (K_j = W_j-perp) under sum and
+    intersection, in order of discovery: a worklist pairs each new member
+    with every earlier one, skipping comparable pairs (P_a P_b = P_a or P_b),
+    and members are told apart by their projectors P.  Raises
+    ResourceCapError beyond ``LATTICE_CAP`` members."""
+    ambient = subspaces[0].ambient_dim
+    members: list[Subspace] = []
+    projectors = np.empty((LATTICE_CAP, ambient, ambient))
 
-    Candidates: zero, the full space, every W_j-complement, sums and
-    pairwise intersections of the complements, coordinate subspaces, plus
-    seeded random subspaces of every dimension.  The result is a lower
-    bound of the true supremum and monotone in the candidate set.
-    """
+    def same(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        return np.all(np.abs(a - b) <= LATTICE_TOL, axis=(-2, -1))
+
+    def add(u: Subspace) -> None:
+        proj = u.projector()
+        if same(projectors[:len(members)], proj).any():
+            return
+        if len(members) == LATTICE_CAP:
+            raise ResourceCapError(f"kernel lattice of {len(subspaces)} subspaces "
+                                   f"exceeds {LATTICE_CAP} members")
+        projectors[len(members)] = proj
+        members.append(u)
+
+    for u in [Subspace.zero(ambient), Subspace.full(ambient),
+              *(w.complement() for w in subspaces)]:
+        add(u)
+    for b, ub in enumerate(members):  # the walk takes in members added on the way
+        prods = projectors[:b] @ projectors[b]
+        comparable = same(prods, projectors[:b]) | same(prods, projectors[b])
+        for a in np.flatnonzero(~comparable):
+            add(members[a].sum(ub))
+            add(members[a].intersect(ub))
+    return members
+
+
+def bl_constant_lower(subspaces, p: float) -> BlInstance:
+    """The dimension-counting functional at the maximum over the +/∩ lattice
+    of the kernels (:func:`kernel_lattice`), a lower bound of its supremum."""
     ws = tuple(subspaces)
     if not ws:
         raise InvalidInputError("need at least one subspace")
     jj = len(ws)
     if not 1.0 <= p <= jj + 1e-12:
         raise InvalidInputError(f"exponent {p} outside [1, J={jj}]")
-    ambient = ws[0].ambient_dim
-    comps = [w.complement() for w in ws]
-    candidates: list[Subspace] = [Subspace.zero(ambient), Subspace.full(ambient)]
-    candidates += list(comps)
-    for a in range(jj):
-        for b in range(a + 1, jj):
-            candidates.append(comps[a].sum(comps[b]))
-            candidates.append(comps[a].intersect(comps[b]))
-    total_sum = comps[0]
-    for c in comps[1:]:
-        total_sum = total_sum.sum(c)
-    candidates.append(total_sum)
-    candidates += _coordinate_candidates(ambient, factor_dim)
-    candidates += list(extra_candidates)
-    if rng is not None:
-        for r in range(1, ambient):
-            candidates += map(Subspace, random_subspaces(rng, n_random, ambient, r))
-
+    candidates = kernel_lattice(ws)
     values = _functional_values(candidates, ws, p)
     # first candidate of the top value cluster (values sit on a lattice of
     # spacing far above 1e-12, so this is the first maximizer)
@@ -808,6 +805,9 @@ def verify_bl_bound(tup: TransverseTuple, params: FamilyParams, p: float,
 
     A violation would falsify the transversality certificate or the case
     analysis behind the ceiling, so it is reported as a hard failure.
+
+    With ``rng``, random subspaces of every proper dimension are scored too,
+    and one that beats the lattice maximum raises CertificateError.
     """
     if not tup.certified():
         raise InvalidInputError("tuple is not certified transverse")
@@ -819,7 +819,13 @@ def verify_bl_bound(tup: TransverseTuple, params: FamilyParams, p: float,
     if p > p_max + 1e-9:
         raise InvalidInputError(f"exponent {p} above the admissible maximum {p_max}")
     ws = tuple_obstruction_subspaces(tup, params)
-    inst = bl_constant_lower(ws, p, rng, factor_dim=params.n - params.l)
+    inst = bl_constant_lower(ws, p)
+    if rng is not None:
+        ambient = ws[0].ambient_dim
+        draws = [Subspace(b) for r in range(1, ambient)
+                 for b in random_subspaces(rng, CROSS_CHECK_DRAWS, ambient, r)]
+        if draws and _functional_values(draws, ws, p).max() > inst.best_value + 1e-12:
+            raise CertificateError("a random subspace beats the kernel-lattice maximum")
     l, m, d, beta = params.l, params.m, params.d, params.beta
     rhs = (l + 1) * (d - l) + beta - ((l + 1) * (d - m) + beta) * p
     return BlBoundReport(inst, float(rhs), inst.best_value <= rhs + 1e-9,

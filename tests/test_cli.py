@@ -93,9 +93,22 @@ def test_run_is_deterministic_modulo_timing(tmp_path):
         json.dumps(strip_timing(b), sort_keys=True)
 
 
-def test_worker_count_does_not_change_output(tmp_path):
+def bl_audit_config(**over):
+    cfg = {
+        "experiment": "bl-audit",
+        "params": {"l": 0, "m": 1, "d": 1, "n": 2, "beta": 1.0},
+        "seed": 3,
+        "constants": {"tuples": 2},
+    }
+    cfg.update(over)
+    return cfg
+
+
+@pytest.mark.parametrize("cfg", [base_config(), bl_audit_config()],
+                         ids=["sharp-dimension", "bl-audit"])
+def test_worker_count_does_not_change_output(tmp_path, cfg):
     cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps(base_config()))
+    cfg_path.write_text(json.dumps(cfg))
     serial = cli.run_experiment(cli.load_config(str(cfg_path), {"workers": 1}))
     parallel = cli.run_experiment(cli.load_config(str(cfg_path), {"workers": 2}))
     a, b = strip_timing(serial), strip_timing(parallel)
@@ -116,12 +129,7 @@ def test_run_kakeya_sweep(tmp_path):
 
 
 def test_run_bl_audit_small(tmp_path):
-    cfg = {
-        "experiment": "bl-audit",
-        "params": {"l": 0, "m": 1, "d": 1, "n": 2, "beta": 1.0},
-        "seed": 3,
-        "constants": {"tuples": 5},
-    }
+    cfg = bl_audit_config(constants={"tuples": 5})
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(cfg))
     report = cli.run_experiment(cli.load_config(str(cfg_path)))
@@ -142,17 +150,13 @@ def test_csv_export(tmp_path):
 
 
 def test_seed_override_changes_bl_audit(tmp_path):
-    cfg = {
-        "experiment": "geometry-selftest",
-        "seed": 1,
-        "constants": {"suite_scale": 0.02},
-    }
     cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps(cfg))
+    cfg_path.write_text(json.dumps(bl_audit_config(seed=1)))
     a = cli.run_experiment(cli.load_config(str(cfg_path)))
     b = cli.run_experiment(cli.load_config(str(cfg_path), {"seed": 2}))
     assert a["passed"] and b["passed"]
-    assert a["config"]["seed"] != b["config"]["seed"]
+    assert (a["config"]["seed"], b["config"]["seed"]) == (1, 2)
+    assert [r["volume"] for r in a["records"]] != [r["volume"] for r in b["records"]]
 
 
 def test_resource_cap_exit_3(tmp_path, capsys):
@@ -358,6 +362,30 @@ def test_oversized_runs_hit_the_cap_before_allocating(tmp_path, capsys, cfg):
     assert code == 3
     err = json.loads(out)
     assert err["error"] == "resource-cap" and "cap" in err["message"]
+
+
+FOUR_KERNELS = bl_audit_config(params={"l": 0, "m": 1, "d": 3, "n": 4, "beta": 1.0},
+                               constants={"tuples": 3})
+
+
+def test_bl_audit_with_four_kernels_passes(tmp_path, capsys):
+    # J = d - m + 2 = 4 kernels: a 16-member lattice, under the cap
+    code, out = _main_exit(tmp_path, capsys, FOUR_KERNELS)
+    assert code == 0
+    assert json.loads(out)["summary"]["violations"] == 0
+
+
+def test_bl_audit_lattice_cap_exit_3(tmp_path, capsys, monkeypatch):
+    from grasskit import kakeya as kk
+    monkeypatch.setattr(kk, "LATTICE_CAP", 4)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(FOUR_KERNELS))
+    code = cli.main(["run", "--config", str(path)])
+    out, err = capsys.readouterr()
+    assert code == 3
+    assert json.loads(out) == {"error": "resource-cap", "message":
+                               "kernel lattice of 4 subspaces exceeds 4 members"}
+    assert "Traceback" not in err
 
 
 def test_union_point_cap_exit_3(tmp_path, capsys):

@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from grasskit import discretize as dz
 from grasskit import kakeya as kk
 from grasskit.affine import ChartMPlane, ChartPoint, incidence
-from grasskit.errors import InvalidInputError, OutOfChartError, ResourceCapError
+from grasskit.errors import (CertificateError, InvalidInputError, OutOfChartError,
+                             ResourceCapError)
 from grasskit.grassmann import Subspace
 from grasskit.sampling import rng_for, random_chart_m_plane, random_point_on
 
@@ -381,41 +383,108 @@ def test_bl_single_subspace_kernel_maximizer():
     assert inst.value_of(w.complement()) == pytest.approx(3.0)
 
 
-def test_bl_monotone_in_candidates():
+def _projectors_match(a: Subspace, b: Subspace) -> bool:
+    return a.dim == b.dim and np.allclose(a.projector(), b.projector(), rtol=0, atol=1e-9)
+
+
+def test_kernel_lattice_is_closed_and_distinct():
     from grasskit.grassmann import random_subspace
+    for shape in [(0, 1, 2, 3), (0, 1, 3, 4)]:
+        params = kk.FamilyParams(*shape, 1.0)
+        tup = kk.random_transverse_tuple(params, rng_for(66, *shape))
+        ws = kk.tuple_obstruction_subspaces(tup, params)
+        lattice = kk.kernel_lattice(ws)
+        ambient = ws[0].ambient_dim
+        assert any(u.dim == 0 for u in lattice) and any(u.dim == ambient for u in lattice)
+        for w in ws:
+            assert any(_projectors_match(u, w.complement()) for u in lattice)
+        for i, a in enumerate(lattice):
+            assert not any(_projectors_match(a, b) for b in lattice[i + 1:])
+            for b in lattice[i + 1:]:
+                for c in (a.sum(b), a.intersect(b)):
+                    assert any(_projectors_match(c, u) for u in lattice)
     g = rng_for(66)
-    ws = [random_subspace(g, 4, 2) for _ in range(2)]
-    base = kk.bl_constant_lower(ws, 1.5)
-    extra = [random_subspace(g, 4, k) for k in (1, 2, 3) for _ in range(5)]
-    bigger = kk.bl_constant_lower(ws, 1.5, extra_candidates=extra)
-    assert bigger.best_value >= base.best_value - 1e-12
+    generic = [random_subspace(g, 4, 2) for _ in range(3)]
+    # pairwise sums are R^4 and pairwise intersections 0
+    assert len(kk.kernel_lattice(generic)) == 5
 
 
-def test_bl_batched_value_equals_explicit_candidate_max():
-    # the documented candidate set, rebuilt here and scored one candidate
-    # at a time through dim_projection
+def test_kernel_lattice_cap(monkeypatch):
+    params = kk.FamilyParams(0, 1, 3, 4, 1.0)
+    ws = kk.tuple_obstruction_subspaces(kk.random_transverse_tuple(params, rng_for(67)),
+                                        params)
+    assert len(kk.kernel_lattice(ws)) == 16
+    monkeypatch.setattr(kk, "LATTICE_CAP", 15)
+    with pytest.raises(ResourceCapError):
+        kk.kernel_lattice(ws)
+
+
+def test_bl_value_is_the_lattice_max_member_by_member():
+    # the lattice scored one member at a time through dim_projection
     from grasskit.grassmann import random_subspace
     ambient = 6
     for trial in range(3):
         g = rng_for(79, trial)
         ws = [random_subspace(g, ambient, int(g.integers(1, ambient))) for _ in range(3)]
-        extra = [random_subspace(g, ambient, k) for k in (1, 3, 5)]
-        comps = [w.complement() for w in ws]
-        explicit = [Subspace.zero(ambient), Subspace.full(ambient)] + comps
-        for a in range(3):
-            for b in range(a + 1, 3):
-                explicit += [comps[a].sum(comps[b]), comps[a].intersect(comps[b])]
-        explicit.append(comps[0].sum(comps[1]).sum(comps[2]))
-        explicit += kk._coordinate_candidates(ambient, 2) + extra
-        draws = rng_for(80, trial)
-        explicit += [random_subspace(draws, ambient, r)
-                     for r in range(1, ambient) for _ in range(4)]
+        lattice = kk.kernel_lattice(ws)
         for p in (1.0, 1.2, 2.5):
-            inst = kk.bl_constant_lower(ws, p, rng_for(80, trial), n_random=4,
-                                        factor_dim=2, extra_candidates=extra)
-            assert inst.n_candidates == len(explicit)
-            assert inst.best_value == max(inst.value_of(u) for u in explicit)
+            inst = kk.bl_constant_lower(ws, p)
+            values = [u.dim - (p / 3) * sum(kk.dim_projection(u, w) for w in ws)
+                      for u in lattice]
+            assert inst.n_candidates == len(lattice)
+            assert inst.best_value == max(values)
             assert inst.value_of(inst.best_candidate) == inst.best_value
+
+
+def _bl_subspaces(data, kind):
+    """Obstruction subspaces of a certified tuple, or J random or coordinate
+    subspaces of a small ambient space.  Four random subspaces can span an
+    infinite lattice (four lines in R^3 do), so random draws stop at J = 3."""
+    from grasskit.grassmann import random_subspace
+    seed = data.draw(st.integers(0, 2 ** 32 - 1))
+    if kind == "tuple":
+        shape = data.draw(st.sampled_from([(0, 1, 1, 2), (0, 1, 2, 3), (1, 2, 2, 4),
+                                           (0, 1, 3, 4), (0, 2, 3, 4)]))
+        params = kk.FamilyParams(*shape, 1.0)
+        tup = kk.random_transverse_tuple(params, rng_for(seed))
+        return kk.tuple_obstruction_subspaces(tup, params)
+    ambient = data.draw(st.integers(2, 6))
+    if kind == "random":
+        g = rng_for(seed)
+        return [random_subspace(g, ambient, data.draw(st.integers(0, ambient)))
+                for _ in range(data.draw(st.integers(1, 3)))]
+    return [Subspace.spanned_by_axes(ambient, data.draw(
+        st.sets(st.integers(0, ambient - 1)).map(sorted)))
+        for _ in range(data.draw(st.integers(1, 4)))]
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), kind=st.sampled_from(["tuple", "random", "axes"]))
+def test_no_coordinate_or_random_subspace_beats_the_lattice(data, kind):
+    import itertools
+    from grasskit.grassmann import random_subspace
+    ws = _bl_subspaces(data, kind)
+    p = data.draw(st.floats(1.0, float(len(ws))))
+    inst = kk.bl_constant_lower(ws, p)
+    ambient = ws[0].ambient_dim
+    g = rng_for(data.draw(st.integers(0, 2 ** 32 - 1)))
+    others = [Subspace.spanned_by_axes(ambient, axes) for r in range(1, ambient)
+              for axes in itertools.combinations(range(ambient), r)]
+    others += [random_subspace(g, ambient, r) for r in range(1, ambient) for _ in range(12)]
+    assert kk._functional_values(others, inst.subspaces, p).max() <= inst.best_value + 1e-12
+
+
+def test_verify_bl_bound_cross_check_catches_a_short_lattice(monkeypatch):
+    params = kk.FamilyParams(1, 2, 2, 4, 1.0)
+    tup = kk.random_transverse_tuple(params, rng_for(67))
+    assert kk.verify_bl_bound(tup, params, 1.0, rng_for(68)).ok
+    # a lattice missing its top member scores below the random draws
+    lattice = kk.kernel_lattice
+    monkeypatch.setattr(kk, "kernel_lattice", lambda ws: lattice(ws)[:1])
+    with pytest.raises(CertificateError):
+        kk.verify_bl_bound(tup, params, 1.0, rng_for(68))
+    # without an rng there is no cross-check
+    assert kk.verify_bl_bound(tup, params, 1.0).instance.best_value == 0.0
 
 
 def test_bl_invalid_exponent():
