@@ -10,7 +10,12 @@ Conventions fixed here and used everywhere:
   and balls are closed Euclidean balls centered at family members;
 * a slab neighborhood of a chart m-plane is the product over the l+1
   slices of the band of width delta around the section, clipped to the
-  box; its measure is the exact volume of that clipped product;
+  box.  ``SlabNeighborhood`` holds a stack of planes (one plane is a stack
+  of one) and answers for all at once, member by member: exact measures by
+  Lasserre's facet recursion; cells by scanning each band inside the cell
+  box of its vertices, along lines of centers over the first q-1 axes cut
+  to intervals of the last, then the deviation test on the centers.  A
+  member's rows are lexicographic, slice 0 most significant;
 * a grid cell is counted by one int64 key, the row-major mixed-radix
   number of its index tuple (axis 0 most significant), so sorted keys
   follow lexicographic tuple order; counts sort keys and compare
@@ -21,7 +26,6 @@ Conventions fixed here and used everywhere:
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -164,10 +168,12 @@ def cell_indices(points: np.ndarray, delta: float) -> np.ndarray:
     delta = _check_scale(delta)
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     # column by column: a reduction or ufunc over the short axis of a tall
-    # array is far slower than the same work on its strided columns
+    # array is far slower than the same work on its strided columns.  One
+    # column buffer serves every column, so at most one temporary is alive
     idx = np.empty(pts.shape, dtype=np.int64)
+    col = np.empty(pts.shape[0])
     for a in range(pts.shape[1]):
-        col = pts[:, a] + 1.0
+        np.add(pts[:, a], 1.0, out=col)
         col /= delta
         idx[:, a] = np.floor(col, out=col)
     return np.clip(idx, 0, cells_per_axis(delta) - 1, out=idx)
@@ -305,163 +311,237 @@ class GridCounter:
 
 # ------------------------------------------------------------- polytopes
 
-def polytope_vertices(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Vertices of {x : a x <= b} by enumerating active constraint sets."""
-    q = a.shape[1]
-    rows = a.shape[0]
-    vertices = []
-    for combo in itertools.combinations(range(rows), q):
-        sub = a[list(combo)]
-        if abs(np.linalg.det(sub)) < 1e-12:
-            continue
-        x = np.linalg.solve(sub, b[list(combo)])
-        if np.all(a @ x <= b + 1e-9):
-            vertices.append(x)
-    if not vertices:
-        return np.zeros((0, q))
-    v = np.array(vertices)
-    return np.unique(np.round(v, 12), axis=0)
+VERTEX_TOL = 1e-9
+ZERO_TOL = 1e-12
+# work per batch of the stacked slab kernels: (polytope, row subset)
+# systems for polytope_vertices and polytope_volume, scan lines for the
+# raster; they bound the temporaries, not the results
+VERTEX_BATCH = 1 << 16
+RASTER_BATCH = 1 << 17
 
 
-def polytope_volume(a: np.ndarray, b: np.ndarray) -> float:
-    """Exact volume of a bounded polytope {x : a x <= b} (0 if flat/empty)."""
-    q = a.shape[1]
-    verts = polytope_vertices(a, b)
-    if verts.shape[0] < q + 1:
-        return 0.0
-    if q == 1:
-        return float(np.max(verts) - np.min(verts))
-    from scipy.spatial import ConvexHull, QhullError
-    try:
-        return float(ConvexHull(verts).volume)
-    except QhullError:
-        return 0.0
+def _grids(spans: np.ndarray, what: str) -> tuple[np.ndarray, np.ndarray]:
+    """Every point of the grids 0 <= idx < spans[p] (spans (P, c)), grid
+    after grid in row-major order: its grid p and its index tuple.  Raises
+    ResourceCapError before allocating more than CELL_CAP points."""
+    size = np.prod(spans, axis=1)
+    if size.sum() > CELL_CAP:
+        raise ResourceCapError(f"{what} exceeds the cell cap")
+    grid = np.repeat(np.arange(size.size), size)
+    rest = np.arange(grid.size) - np.repeat(np.cumsum(size) - size, size)
+    idx = np.empty((grid.size, spans.shape[1]), dtype=np.int64)
+    for ax in reversed(range(spans.shape[1])):
+        idx[:, ax] = rest % spans[grid, ax]
+        rest //= spans[grid, ax]
+    return grid, idx
+
+
+def _intervals(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Ends of {t : a t <= b} over the last axis (a = 0, b < 0 empties it)."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        x = b / a
+    hi = np.where(a > 0, x, np.where((a == 0) & (b < 0), -np.inf, np.inf))
+    return (np.max(np.where(a < 0, x, -np.inf), axis=-1, initial=-np.inf),
+            np.min(hi, axis=-1, initial=np.inf))
+
+
+def polytope_vertices(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Vertices of polytopes {x : a x <= b}, a (P, R, q) and b (P, R): the
+    regular, feasible solutions of the q-subsets of rows, solved for a
+    batch of polytopes at a time.  Returns them padded to the largest
+    count V, (P, V, q), with the mask (P, V) of those present."""
+    sub = np.arange(a.shape[1])[:, None]
+    for _ in range(a.shape[2] - 1):  # the increasing q-tuples, lexicographic
+        row, step = _grids(a.shape[1] - 1 - sub[:, -1:], "vertex enumeration")
+        sub = np.column_stack([sub[row], sub[row, -1:] + 1 + step])
+    batch, verts, valid = max(1, VERTEX_BATCH // len(sub)), [], []
+    for start in range(0, len(a), batch):
+        part_a, part_b = a[start:start + batch], b[start:start + batch]
+        sub_a, sub_b = part_a[:, sub], part_b[:, sub]
+        regular = np.abs(np.linalg.det(sub_a)) >= 1e-12
+        x = np.zeros(sub_b.shape)
+        x[regular] = np.linalg.solve(sub_a[regular], sub_b[regular][..., None])[..., 0]
+        slack = part_b[:, None] - np.matmul(x, np.swapaxes(part_a, 1, 2))
+        ok = regular & np.all(slack >= -VERTEX_TOL, axis=2)
+        first = np.argsort(~ok, axis=1, kind="stable")  # the vertices, in subset order
+        verts.append(np.take_along_axis(x, first[..., None], axis=1))
+        valid.append(np.take_along_axis(ok, first, axis=1))
+    width = max([int(v.sum(1).max()) for v in valid], default=0)
+    return (np.concatenate([v[:, :width] for v in verts] or [np.zeros((0, 0, a.shape[2]))]),
+            np.concatenate([v[:, :width] for v in valid] or [np.zeros((0, 0), dtype=bool)]))
+
+
+def polytope_volume(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Exact volumes (P,) of bounded polytopes {x : a x <= b} by Lasserre's
+    recursion (JOTA 39, 1983) about the vertex mean: vol_d = (1/d) sum_i
+    b_i / |a_it| vol_(d-1)(facet i less coordinate t = argmax |a_it|)."""
+    n_poly, n_rows, q = a.shape
+    batch = max(1, VERTEX_BATCH // math.comb(n_rows, q))
+    if n_poly > batch:
+        return np.concatenate([polytope_volume(a[i:i + batch], b[i:i + batch])
+                               for i in range(0, n_poly, batch)])
+    verts, valid = polytope_vertices(a, b)
+    on = valid[..., None] & (np.abs(b[:, None] - np.matmul(verts, np.swapaxes(a, 1, 2)))
+                             <= VERTEX_TOL)
+    centre = np.sum(verts * valid[..., None], axis=1) / np.maximum(valid.sum(1), 1)[:, None]
+    b = b - np.matmul(a, centre[..., None])[..., 0]
+    own, faces, weight = np.arange(n_poly), valid, np.ones(n_poly)
+    live, rows = np.ones((n_poly, n_rows), dtype=bool), np.arange(n_rows)
+    for d in range(q, 1, -1):  # facets holding a vertex, of every face
+        s, i = np.nonzero(live & np.any(faces[..., None] & on[own], axis=1))
+        pivot = a[s, i]
+        t = np.argmax(np.abs(pivot), axis=1)
+        alpha = pivot[np.arange(s.size), t]
+        ratio = np.take_along_axis(a[s], t[:, None, None], axis=2)[..., 0] / alpha[:, None]
+        cols = np.arange(d - 1) + (np.arange(d - 1) >= t[:, None])
+        a_s = np.take_along_axis(a[s] - ratio[..., None] * pivot[:, None], cols[:, None], axis=2)
+        b_s = b[s] - ratio * b[s, i][:, None]
+        # a row vanishing on the facet drops out if it holds there, empties
+        # the facet if it fails, or, on one hyperplane with row i facing
+        # the same way, leaves the facet to the lower row
+        zero = live[s] & (np.max(np.abs(a_s), axis=2) <= ZERO_TOL)
+        drop = (b_s < -ZERO_TOL) | ((np.abs(b_s) <= ZERO_TOL) & (ratio > 0) & (rows < i[:, None]))
+        keep = ~np.any(zero & drop, axis=1)
+        weight = (weight[s] * b[s, i] / (np.abs(alpha) * d))[keep]
+        faces, live = (faces[s] & on[own[s], :, i])[keep], (live[s] & ~zero)[keep]
+        own, a, b = own[s][keep], a_s[keep], b_s[keep]
+    lo, hi = _intervals(np.where(live, a[..., 0], 0.0), np.where(live, b, 0.0))
+    # astype: an empty bincount is of integer type
+    return np.bincount(own, weight * np.maximum(hi - lo, 0.0), n_poly).astype(float)
 
 
 # ----------------------------------------------------------------- slabs
 
-@dataclass(frozen=True)
+def _normal_dots(diff: np.ndarray, normals: np.ndarray) -> np.ndarray:
+    """(x - o) . N_a over the c axes of diff (..., c), normals (..., q, k),
+    summed left to right so that the raster and ``chart_distance`` round
+    alike."""
+    acc = np.zeros(diff.shape[:-1] + normals.shape[-1:])
+    for i in range(diff.shape[-1]):
+        acc += diff[..., i, None] * normals[..., i, :]
+    return acc
+
+
+@dataclass(frozen=True, init=False, eq=False)
 class SlabNeighborhood:
-    """The delta-neighborhood, inside the chart, of the set of l-planes
-    contained in a chart m-plane.
+    """The delta-neighborhoods of the sets of l-planes contained in a stack
+    of chart m-planes: a ``ChartMPlane`` or anything holding ``directions``
+    (M, q, r) and ``offsets`` (M, l+1, q), such as a ``PlaneFamily``.
+    Member i gives R_0 x ... x R_l, R_j the band of half-width delta (in
+    the n-m normal directions) around section j, clipped to [-1, 1]^q."""
 
-    In chart coordinates this is the product R_0 x ... x R_l, where R_j is
-    the band of half-width delta around the j-th section (delta in each of
-    the n-m normal directions, unconstrained along the m-l section
-    directions) clipped to the slice box [-1, 1]^(n-l).
-    """
-
-    core: ChartMPlane
     scale: float
+    offsets: np.ndarray
+    normals: np.ndarray
 
-    def __post_init__(self):
-        _check_scale(self.scale)
+    def __init__(self, planes, scale: float):
+        if isinstance(planes, ChartMPlane):
+            directions, offsets = planes.direction.basis[None], planes.offsets[None]
+        else:
+            directions, offsets = np.asarray(planes.directions, dtype=float), planes.offsets
+        object.__setattr__(self, "scale", _check_scale(scale))
+        object.__setattr__(self, "offsets", np.asarray(offsets, dtype=float))
+        object.__setattr__(self, "normals", linalg.orthonormal_completion(
+            directions)[:, :, directions.shape[2]:])
 
-    @property
-    def copies(self) -> int:
-        return self.core.l + 1
-
-    def _normal(self) -> np.ndarray:
-        return self.core.normal_frame()
-
-    def factor_deviation(self, j: int, points: np.ndarray) -> np.ndarray:
-        """Max-norm of the normal deviation of slice points from section j."""
+    def factor_deviation(self, j: int, points: np.ndarray, member: int = 0) -> np.ndarray:
+        """Max-norm normal deviation of slice points from section j of one
+        member, as one matrix product."""
         pts = np.atleast_2d(np.asarray(points, dtype=float))
-        nf = self._normal()
-        if nf.shape[1] == 0:
-            return np.zeros(pts.shape[0])
-        dev = np.abs((pts - self.core.offsets[j]) @ nf)
-        out = dev[:, 0].copy()
-        for a in range(1, dev.shape[1]):
-            np.maximum(out, dev[:, a], out=out)
-        return out
+        dev = np.abs((pts - self.offsets[member, j]) @ self.normals[member])
+        return np.max(dev, axis=1, initial=0.0)
 
-    def contains(self, point: ChartPoint | np.ndarray, slack: float = 0.0) -> bool:
+    def chart_distance(self, point: ChartPoint | np.ndarray) -> np.ndarray:
+        """Euclidean distance (M,) from a chart point to each slab product."""
         coords = point.coords if isinstance(point, ChartPoint) else \
-            np.asarray(point, dtype=float).reshape(self.copies, -1)
-        for j in range(self.copies):
-            if self.factor_deviation(j, coords[j][None, :])[0] > self.scale + slack:
-                return False
-        return True
+            np.asarray(point, dtype=float).reshape(self.offsets.shape[1:])
+        dots = _normal_dots(coords - self.offsets, self.normals[:, None])
+        return np.sqrt(np.sum(np.maximum(np.abs(dots) - self.scale, 0.0) ** 2, axis=(1, 2)))
 
-    def chart_distance(self, point: ChartPoint | np.ndarray) -> float:
-        """Euclidean distance from a stacked chart point to the slab product."""
-        coords = point.coords if isinstance(point, ChartPoint) else \
-            np.asarray(point, dtype=float).reshape(self.copies, -1)
-        nf = self._normal()
-        total = 0.0
-        for j in range(self.copies):
-            if nf.shape[1] == 0:
-                continue
-            dev = np.abs((coords[j] - self.core.offsets[j]) @ nf)
-            excess = np.maximum(dev - self.scale, 0.0)
-            total += float(excess @ excess)
-        return math.sqrt(total)
+    def contains(self, point: ChartPoint | np.ndarray, slack: float = 0.0) -> np.ndarray:
+        """Which members' neighborhoods come within chart distance ``slack``
+        of the point, (M,) booleans; at slack 0, exactly the raster's test."""
+        return self.chart_distance(point) <= slack
 
-    def _factor_constraints(self, j: int) -> tuple[np.ndarray, np.ndarray]:
-        """R_j as {x : a x <= b}: the slice box, then the band."""
-        q = self.core.slice_dim
-        nf = self._normal()
-        shift = nf.T @ self.core.offsets[j]
-        a = np.vstack([np.eye(q), -np.eye(q), nf.T, -nf.T])
-        b = np.concatenate([np.ones(q), np.ones(q), shift + self.scale,
-                            self.scale - shift])
+    def _constraints(self) -> tuple[np.ndarray, np.ndarray]:
+        """Every R_j as {x : a x <= b}, member-major: box rows, band rows."""
+        m, copies, q = self.offsets.shape
+        nt = np.repeat(np.swapaxes(self.normals, 1, 2), copies, axis=0)
+        shift = np.matmul(nt, self.offsets.reshape(m * copies, q, 1))[..., 0]
+        eye = np.broadcast_to(np.eye(q), (m * copies, q, q))
+        a = np.concatenate([eye, -eye, nt, -nt], axis=1)
+        b = np.concatenate([np.ones((m * copies, 2 * q)), shift + self.scale,
+                            self.scale - shift], axis=1)
         return a, b
 
-    def factor_measure(self, j: int) -> float:
-        """Exact volume of R_j (band around section j clipped to the box)."""
-        return polytope_volume(*self._factor_constraints(j))
-
-    def measure(self) -> float:
-        out = 1.0
-        for j in range(self.copies):
-            out *= self.factor_measure(j)
-        return out
-
-    def factor_cells(self, j: int, grid_delta: float | None = None) -> np.ndarray:
-        """Grid cells of the slice box whose centers lie in R_j."""
-        gd = _check_scale(self.scale if grid_delta is None else grid_delta)
-        q = self.core.slice_dim
-        nf = self._normal()
-        n_cells = cells_per_axis(gd)
-        if nf.shape[1] == 0:
-            # the band is the whole box
-            ranges = [np.arange(n_cells)] * q
-        else:
-            verts = polytope_vertices(*self._factor_constraints(j))
-            if verts.shape[0] == 0:
-                return np.zeros((0, q), dtype=np.int64)
-            lo = cell_indices(np.min(verts, axis=0)[None, :], gd)[0]
-            hi = cell_indices(np.max(verts, axis=0)[None, :], gd)[0]
-            ranges = [np.arange(lo[i], hi[i] + 1) for i in range(q)]
-        if math.prod(len(r) for r in ranges) > CELL_CAP:
-            raise ResourceCapError("slab rasterization exceeds the cell cap")
-        mesh = np.meshgrid(*ranges, indexing="ij")
-        idx = np.column_stack([m.ravel() for m in mesh])
-        centers = -1.0 + (idx + 0.5) * gd
-        keep = self.factor_deviation(j, centers) <= self.scale
-        return idx[keep]
+    def measure(self) -> np.ndarray:
+        """Exact measure (M,) of each member's neighborhood."""
+        volumes = polytope_volume(*self._constraints())
+        return np.prod(volumes.reshape(self.offsets.shape[:2]), axis=1)
 
     def cells(self, grid_delta: float | None = None) -> np.ndarray:
-        """Grid cells of the chart product whose centers lie in the slab."""
-        factor = [self.factor_cells(j, grid_delta) for j in range(self.copies)]
-        total = math.prod(f.shape[0] for f in factor)
-        if total > CELL_CAP:
-            raise ResourceCapError("slab product exceeds the cell cap")
-        if total == 0:
-            q = self.core.slice_dim
-            return np.zeros((0, q * self.copies), dtype=np.int64)
-        out = factor[0]
-        for f in factor[1:]:
-            left = np.repeat(out, f.shape[0], axis=0)
-            right = np.tile(f, (out.shape[0], 1))
-            out = np.hstack([left, right])
-        return out
+        """Grid cells of the chart whose centers lie in the neighborhoods,
+        member after member, each member's rows in lexicographic order."""
+        gd = _check_scale(self.scale if grid_delta is None else grid_delta)
+        m, copies, q = self.offsets.shape
+        verts, valid = polytope_vertices(*self._constraints())
+        # the cell box of each band's vertices (empty without vertices)
+        lo = cell_indices(np.min(np.where(valid[..., None], verts, 2.0), axis=1, initial=2.0), gd)
+        hi = cell_indices(np.max(np.where(valid[..., None], verts, -2.0), axis=1,
+                                 initial=-2.0), gd)
+        # the lines of centers over the first q-1 axes of each box
+        span = np.maximum(hi - lo + 1, 0)
+        grid = span[:, :-1] * (span[:, -1:] > 0)
+        lines = np.prod(grid, axis=1)
+        if lines.sum() > CELL_CAP:
+            raise ResourceCapError("slab rasterization exceeds the cell cap")
+        # whole members at a time, about RASTER_BATCH scan lines per batch
+        most = max(1, int(lines.reshape(m, copies).sum(1).max(initial=0)))
+        step = copies * max(1, RASTER_BATCH // most)
+        factor, band, candidates = [np.zeros((0, q), dtype=np.int64)], [np.zeros(0, int)], 0
+        for start in range(0, m * copies, step):
+            part = slice(start, start + step)
+            cells, owner, candidates = self._scan(gd, start, grid[part], lo[part], hi[part],
+                                                  candidates)
+            factor.append(cells)
+            band.append(owner)
+        factor = np.concatenate(factor)
+        if copies == 1:
+            return factor
+        # product over the slices: slice 0 varies slowest within a member
+        counts = np.bincount(np.concatenate(band), minlength=m * copies)
+        starts = (np.cumsum(counts) - counts).reshape(m, copies)
+        member, idx = _grids(counts.reshape(m, copies), "slab product")
+        return np.concatenate([factor[starts[member, j] + idx[:, j]] for j in range(copies)],
+                              axis=1)
 
-
-def slab_membership(point: ChartPoint, slab: SlabNeighborhood,
-                    slack: float = 0.0) -> bool:
-    return slab.contains(point, slack)
+    def _scan(self, gd: float, start: int, grid: np.ndarray, lo: np.ndarray, hi: np.ndarray,
+              candidates: int) -> tuple[np.ndarray, np.ndarray, int]:
+        """Kept cells (K, q), in raster order, of the bands start, start+1, ...
+        (in the order of :meth:`_constraints`) inside their cell boxes
+        lo..hi, scanned along ``grid`` lines each, with the band of each cell
+        and the family's running candidate count."""
+        q = lo.shape[1]
+        origins = self.offsets.reshape(-1, q)[start:start + len(lo)]
+        normals = self.normals[(start + np.arange(len(lo))) // self.offsets.shape[1]]
+        poly, line = _grids(grid, "slab rasterization")
+        line += lo[poly, :-1]
+        partial = _normal_dots(-1.0 + (line + 0.5) * gd - origins[poly, :-1], normals[poly])
+        # last axis: |partial + (t - o_last) N_last| <= delta, widened by a tolerance
+        n_last, o_last, bound = normals[poly, -1], origins[poly, -1], self.scale + VERTEX_TOL
+        t_lo, t_hi = _intervals(np.hstack([n_last, -n_last]),
+                                np.hstack([bound - partial, bound + partial]))
+        first = np.ceil(np.clip((o_last + t_lo + 1.0) / gd - 0.5, lo[poly, -1], hi[poly, -1] + 1))
+        stop = np.floor(np.clip((o_last + t_hi + 1.0) / gd - 0.5, lo[poly, -1] - 1, hi[poly, -1]))
+        count = np.maximum(stop - first + 1, 0).astype(np.int64)
+        candidates += int(count.sum())
+        if candidates > CELL_CAP:
+            raise ResourceCapError("slab rasterization exceeds the cell cap")
+        at, step = _grids(count[:, None], "slab rasterization")
+        last = first.astype(np.int64)[at] + step[:, 0]
+        dots = partial[at] + (-1.0 + (last + 0.5) * gd - o_last[at])[:, None] * n_last[at]
+        keep = np.max(np.abs(dots), axis=1, initial=0.0) <= self.scale
+        return np.column_stack([line[at], last])[keep], start + poly[at][keep], candidates
 
 
 def ball_measure(delta: float, l: int, n: int) -> float:

@@ -14,9 +14,9 @@ part is the chordal distance between directions).
 A family of M members is held as arrays, with q = n-l and r = m-l:
 ``directions`` (M, q, r) orthonormal section bases and ``offsets``
 (M, l+1, q) section offsets orthogonal to them.  Generation, union
-sampling, the feature embedding and the JSON form work on these arrays;
-``PlaneFamily.members`` gives ``ChartMPlane`` views of the rows for the
-per-member geometry (slabs, bushes, rescaling).
+sampling, the slab neighborhoods, the feature embedding and the JSON form
+work on these arrays; ``PlaneFamily.members`` gives ``ChartMPlane`` views
+of the rows for the rescaling.
 """
 
 from __future__ import annotations
@@ -122,7 +122,8 @@ class PlaneFamily:
     directions, and ``offsets`` (M, l+1, q), the section offsets, each row
     orthogonal to its direction and inside the chart box.  ``members`` is a
     tuple of ``ChartMPlane`` views of these rows, built on each access; a
-    view shares its family's offsets and is not projected again.
+    view shares its family's offsets and is not projected again.  Slab
+    geometry takes the arrays: ``SlabNeighborhood(family, delta)``.
     ``PlaneFamily(params, scale, members)`` stacks the given planes.
     """
 
@@ -182,12 +183,6 @@ class PlaneFamily:
                                np.concatenate([_flat_rows(proj), _flat_rows(self.offsets)], axis=1))
         return self._features
 
-    def slab(self, index: int, scale: float | None = None) -> SlabNeighborhood:
-        return SlabNeighborhood(self.member(index), self.scale if scale is None else scale)
-
-    def slabs(self, scale: float | None = None) -> list[SlabNeighborhood]:
-        return [self.slab(i, scale) for i in range(len(self))]
-
     def min_separation(self) -> float:
         from .discretize import min_pairwise_distance
         return float(min_pairwise_distance(self.feature_matrix()))
@@ -197,7 +192,7 @@ class PlaneFamily:
         return spacing_report(self.feature_matrix(), self.scale, e)
 
     def total_slab_measure(self) -> float:
-        return float(sum(s.measure() for s in self.slabs()))
+        return float(SlabNeighborhood(self, self.scale).measure().sum())
 
     def to_json(self) -> dict:
         """Each member row is its offsets, then its direction basis, flattened."""
@@ -442,16 +437,15 @@ def bush_directions(anchor: ChartPoint, family: PlaneFamily,
     """Members whose slab neighborhood meets the delta-ball of the anchor,
     viewed as net directions."""
     delta = family.scale
-    touching = [i for i in range(len(family))
-                if family.slab(i).chart_distance(anchor) <= delta]
-    if not touching:
+    touching = np.flatnonzero(SlabNeighborhood(family, delta).chart_distance(anchor) <= delta)
+    if not touching.size:
         return BushDirections(anchor, ())
     if net is None:
         r = family.params.m - family.params.l
         net = build_direction_net(r, family.params.n - family.params.l, delta)
     bases = np.stack([u.basis for u in net])
     buckets: dict[int, list[int]] = {}
-    for i in touching:
+    for i in touching.tolist():
         direction = np.broadcast_to(family.directions[i], bases.shape)
         buckets.setdefault(int(np.argmin(distances(direction, bases))), []).append(i)
     entries = tuple((net[key], tuple(idx)) for key, idx in sorted(buckets.items()))
@@ -671,10 +665,11 @@ DIM_PROJECTION_TOL = 1e-9
 
 
 def dim_projection(u: Subspace, w: Subspace, tol: float = DIM_PROJECTION_TOL) -> int:
-    """dim of the orthogonal projection of u into w (rank of the overlap)."""
+    """dim of the orthogonal projection of u into w: the count of principal
+    cosines above ``tol`` (absolute, so a rounding-size overlap counts 0)."""
     if u.dim == 0 or w.dim == 0:
         return 0
-    return linalg.rank_of(w.basis.T @ u.basis, tol)
+    return int(np.sum(linalg.singular_values(w.basis.T @ u.basis) > tol))
 
 
 @dataclass(frozen=True)
@@ -772,7 +767,7 @@ def _functional_values(candidates: list[Subspace], ws: tuple[Subspace, ...],
         for w in ws:
             if w.dim:
                 sigma = np.linalg.svd(w.basis.T @ stack, compute_uv=False)
-                totals[idx] += linalg.ranks(sigma, DIM_PROJECTION_TOL)
+                totals[idx] += np.sum(sigma > DIM_PROJECTION_TOL, axis=-1)
     dims = np.array([u.dim for u in candidates])
     return dims - (p / len(ws)) * totals
 
@@ -842,9 +837,7 @@ def overlap_counter(family: PlaneFamily, grid_delta: float | None = None,
     if cells_per_axis(delta) ** dim > cell_cap:
         raise ResourceCapError("chart grid exceeds the cell cap; coarsen delta")
     counter = GridCounter(delta, dim)
-    if len(family):
-        counter.add_cells(np.concatenate([family.slab(i).cells(delta)
-                                          for i in range(len(family))]))
+    counter.add_cells(SlabNeighborhood(family, family.scale).cells(delta))
     return counter
 
 

@@ -120,16 +120,17 @@ def rank_of(a, tol: float = RANK_TOL) -> int:
 
 
 def orthonormal_completion(q: np.ndarray, ambient: int | None = None) -> np.ndarray:
-    """Extend orthonormal columns ``q`` to a square orthogonal matrix.
+    """Extend orthonormal columns ``q`` (..., n, k) to square orthogonal
+    matrices (..., n, n).
 
-    The extra columns come from a QR factorization of ``[q | I]``; the first
-    columns of the result are ``q`` itself, exactly.
+    The extra columns come from a QR factorization of ``[q | I]``, one per
+    matrix of a stack; the first columns of the result are ``q`` itself,
+    exactly.
     """
-    n = q.shape[0] if ambient is None else ambient
-    if q.size == 0:
-        q = np.zeros((n, 0))
-    full, _ = np.linalg.qr(np.hstack([q, np.eye(n)]))
-    full[:, :q.shape[1]] = q
+    n = q.shape[-2] if ambient is None else ambient
+    eye = np.broadcast_to(np.eye(n), q.shape[:-2] + (n, n))
+    full, _ = np.linalg.qr(np.concatenate([q, eye], axis=-1))
+    full[..., :q.shape[-1]] = q
     return full
 
 

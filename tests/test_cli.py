@@ -2,6 +2,9 @@ import contextlib
 import copy
 import io
 import json
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -398,6 +401,44 @@ def test_union_point_cap_exit_3(tmp_path, capsys):
     assert json.loads(out) == {"error": "resource-cap",
                                "message": "union sample exceeds the point cap"}
     assert "Traceback" not in err
+
+
+def test_slab_raster_cap_exit_3(tmp_path, capsys, monkeypatch):
+    # 8 vertical slabs at 2^-4: about 24 scan lines of 32 candidate cells
+    # each, so a cap of 100 stops the raster at its candidate count
+    from grasskit import discretize as dz
+    monkeypatch.setattr(dz, "CELL_CAP", 100)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(base_config(experiment="kakeya-sweep",
+                                           deltas=[2.0 ** -4, 2.0 ** -5])))
+    code = cli.main(["run", "--config", str(path)])
+    out, err = capsys.readouterr()
+    assert code == 3
+    assert json.loads(out) == {"error": "resource-cap",
+                               "message": "slab rasterization exceeds the cell cap"}
+    assert "Traceback" not in err
+
+
+def test_kakeya_sweep_does_not_import_scipy(tmp_path):
+    # slab geometry is numpy only; run in a fresh interpreter so no other
+    # test's imports count
+    cfg = base_config(experiment="kakeya-sweep",
+                      params={"l": 0, "m": 1, "d": 2, "n": 3, "beta": 1.0},
+                      deltas=[2.0 ** -3, 2.0 ** -4], out=str(tmp_path / "report.json"))
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    script = ("import sys\n"
+              "from grasskit import cli\n"
+              f"code = cli.main(['run', '--config', {str(path)!r}])\n"
+              "assert code in (0, 1), code\n"
+              "assert 'scipy' not in sys.modules, 'scipy was imported'\n")
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    done = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert json.loads((tmp_path / "report.json").read_text())["records"]
 
 
 # --------------------------------------------------------- reports

@@ -1,3 +1,6 @@
+from fractions import Fraction
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,6 +10,7 @@ from grasskit import discretize as dz
 from grasskit.affine import ChartMPlane, ChartPoint
 from grasskit.errors import InvalidInputError, InvalidScaleError, ResourceCapError
 from grasskit.grassmann import Subspace
+from grasskit.kakeya import FamilyParams, generate_sharp_example
 from grasskit.sampling import random_chart_m_plane, rng_for
 
 
@@ -72,9 +76,9 @@ def test_slab_membership_core_and_displaced():
     delta = 1.0 / 16
     slab = dz.SlabNeighborhood(v, delta)
     on_core = ChartPoint((v.offsets[0] + 0.3 * v.direction.basis[:, 0]).reshape(1, 2))
-    assert dz.slab_membership(on_core, slab)
+    assert slab.contains(on_core)
     off = ChartPoint((v.offsets[0] + 2 * delta * v.normal_frame()[:, 0]).reshape(1, 2))
-    assert not dz.slab_membership(off, slab)
+    assert not slab.contains(off)
 
 
 def test_slab_membership_agrees_with_metric_distance():
@@ -126,27 +130,142 @@ def test_slab_measure_scaling():
     assert m2 == pytest.approx(2.0 * m1, rel=1e-6)
 
 
+def exact_polytope_volume(a, b):
+    """Reference: Lasserre's facet recursion in rationals, over the exact
+    values of the float constraints {x : a x <= b}."""
+    return _lasserre([[Fraction(float(x)) for x in row] for row in a],
+                     [Fraction(float(x)) for x in b])
+
+
+def _lasserre(a, b):
+    q = len(a[0])
+    if q == 1:
+        lo = max((bi / ai for (ai,), bi in zip(a, b) if ai < 0), default=None)
+        hi = min((bi / ai for (ai,), bi in zip(a, b) if ai > 0), default=None)
+        if any(ai == 0 and bi < 0 for (ai,), bi in zip(a, b)):
+            return Fraction(0)
+        return max(hi - lo, Fraction(0))
+    total = Fraction(0)
+    for i, (ai, bi) in enumerate(zip(a, b)):
+        t = max(range(q), key=lambda s: abs(ai[s]))
+        sub_a, sub_b = [], []
+        for j, (aj, bj) in enumerate(zip(a, b)):
+            if j == i:
+                continue
+            ratio = aj[t] / ai[t]
+            row = [aj[s] - ratio * ai[s] for s in range(q) if s != t]
+            rhs = bj - ratio * bi
+            if any(row):
+                sub_a.append(row)
+                sub_b.append(rhs)
+            elif rhs < 0 or (rhs == 0 and ratio > 0 and j < i):
+                break  # the facet is empty, or counted at row j
+        else:
+            total += bi / abs(ai[t]) * _lasserre(sub_a, sub_b) / q
+    return total
+
+
+def exact_slab_measure(directions, offsets, delta):
+    """Product over the slices of the exact volumes of box x band."""
+    q, r = directions.shape
+    normal = np.linalg.qr(np.hstack([directions, np.eye(q)]))[0][:, r:]
+    out = Fraction(1)
+    for o in offsets:
+        shift = normal.T @ o
+        a = np.vstack([np.eye(q), -np.eye(q), normal.T, -normal.T])
+        b = np.concatenate([np.ones(2 * q), shift + delta, delta - shift])
+        out *= exact_polytope_volume(a, b)
+    return out
+
+
+def _family_members(shape, k, step):
+    fam = generate_sharp_example(FamilyParams(*shape, 1.0), 2.0 ** -k)
+    return fam.directions[::step], fam.offsets[::step], fam.scale
+
+
+r2 = np.sqrt(0.5)
+EXACT_MEASURE_CASES = {
+    "0123": lambda: _family_members((0, 1, 2, 3), 4, 17),
+    "1123": lambda: _family_members((1, 1, 2, 3), 4, 41),
+    "0223": lambda: _family_members((0, 2, 2, 3), 4, 1),
+    # the band [0.5, 1] x [-1, 1]: its upper edge is the box face x = 1
+    "edge-on-face": lambda: (np.array([[[0.0], [1.0]]]), np.array([[[0.75, 0.0]]]), 0.25),
+    "edge-on-face-3d": lambda: (np.array([[[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]]),
+                                np.array([[[-0.75, 0.0, 0.0]]]), 0.25),
+    # the band x + y >= sqrt(2) meets the box only at the corner (1, 1)
+    "corner": lambda: (np.array([[[r2], [-r2]]]), np.array([[[1 + r2 / 4, 1 + r2 / 4]]]), 0.25),
+    "outside": lambda: (np.array([[[0.0], [1.0]]]), np.array([[[1.5, 0.0]]]), 0.25),
+    "full-box": lambda: (np.eye(2)[None], np.zeros((1, 1, 2)), 0.25),
+}
+
+
+@pytest.mark.parametrize("case", EXACT_MEASURE_CASES)
+def test_slab_measure_matches_exact_rational_volume(case):
+    # planes given as bare arrays, so the corner and outside bands can sit
+    # beyond the chart box
+    directions, offsets, delta = EXACT_MEASURE_CASES[case]()
+    got = dz.SlabNeighborhood(SimpleNamespace(directions=directions, offsets=offsets),
+                              delta).measure()
+    assert got.shape == (len(directions),)
+    for value, d, o in zip(got, directions, offsets):
+        exact = exact_slab_measure(d, o, delta)
+        if exact == 0:
+            assert value == 0.0
+        else:
+            assert abs(Fraction(float(value)) - exact) <= 1e-13 * exact
+
+
+@pytest.mark.parametrize("shape", [(0, 1, 2, 3), (1, 1, 2, 3), (0, 1, 1, 2)])
+def test_slab_batches_do_not_change_results(shape, monkeypatch):
+    # the batch sizes bound temporaries only: tiny batches, many loops
+    fam = generate_sharp_example(FamilyParams(*shape, 1.0), 2.0 ** -4)
+    slab = dz.SlabNeighborhood(fam, fam.scale)
+    cells, measure = slab.cells(), slab.measure()
+    monkeypatch.setattr(dz, "VERTEX_BATCH", 7)
+    monkeypatch.setattr(dz, "RASTER_BATCH", 5)
+    assert np.array_equal(slab.cells(), cells)
+    assert np.array_equal(slab.measure(), measure)
+    empty = dz.SlabNeighborhood(SimpleNamespace(directions=fam.directions[:0],
+                                                offsets=fam.offsets[:0]), fam.scale)
+    assert empty.cells().shape == (0, cells.shape[1]) and empty.measure().shape == (0,)
+
+
 def test_ball_measure_power_law():
     assert dz.ball_measure(0.5, 0, 2) == pytest.approx(np.pi * 0.25)
     ratio = dz.ball_measure(0.25, 1, 3) / dz.ball_measure(0.125, 1, 3)
     assert ratio == pytest.approx(2.0 ** 4)
 
 
-def test_slab_cells_match_membership():
-    delta = 1.0 / 16
-    slab = dz.SlabNeighborhood(tilted_line_plane(0.2, 0.1), delta)
+SLAB_SHAPES = {
+    "tilted": lambda: (tilted_line_plane(0.2, 0.1), 1.0 / 16),
+    # a sweep-planar member: a vertical line, normal ±(1, 0)
+    "axis-aligned": lambda: (generate_sharp_example(FamilyParams(0, 1, 1, 2, 1.0), 1.0 / 16)
+                             .member(5), 1.0 / 16),
+    "product-l1": lambda: (random_chart_m_plane(rng_for(8), 1, 2, 3, offset_scale=0.5), 0.25),
+    "tube-0123": lambda: (random_chart_m_plane(rng_for(9), 0, 1, 3, offset_scale=0.5), 0.125),
+    # a vertical line on a cell center: both band edges run through centers
+    "edge-on-centers": lambda: (vertical_line_plane(-1.0 + 4.5 / 8), 1.0 / 8),
+}
+
+
+@pytest.mark.parametrize("shape", SLAB_SHAPES)
+def test_slab_cells_match_membership(shape):
+    plane, delta = SLAB_SHAPES[shape]()
+    slab = dz.SlabNeighborhood(plane, delta)
     cells = slab.cells()
-    centers = -1.0 + (cells + 0.5) * delta
-    for c in centers[:50]:
-        assert slab.contains(c.reshape(1, 2))
-    # exhaustive oracle: every grid center in the slab appears
+    # rows are distinct and in lexicographic order
+    assert np.all(np.any(np.diff(cells, axis=0) != 0, axis=1))
+    assert np.array_equal(cells, cells[np.lexsort(cells.T[::-1])])
+    # exhaustive oracle: the grid centers of the chart that lie in the slab
+    dim = plane.offsets.size
     axis = np.arange(dz.cells_per_axis(delta))
-    mesh = np.meshgrid(axis, axis, indexing="ij")
+    mesh = np.meshgrid(*([axis] * dim), indexing="ij")
     all_cells = np.column_stack([m.ravel() for m in mesh])
     all_centers = -1.0 + (all_cells + 0.5) * delta
-    expected = {tuple(c) for c, x in zip(all_cells, all_centers)
-                if slab.contains(x.reshape(1, 2))}
-    assert {tuple(c) for c in cells} == expected
+    expected = {tuple(c) for c, x in zip(all_cells, all_centers) if slab.contains(x)}
+    assert expected and {tuple(c) for c in cells} == expected
+    if shape == "edge-on-centers":
+        assert sorted({c[0] for c in expected}) == [3, 4, 5]
 
 
 # ------------------------------------------------------------ box counts
