@@ -28,7 +28,7 @@ import sys
 import tempfile
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from . import __version__, kakeya, selftest
 from .discretize import box_count, box_dimension_fit
@@ -109,14 +109,21 @@ def _numbers(data: dict, key: str) -> list[float]:
 
 
 def _check_constants(constants: dict) -> None:
-    """Type-check the numeric constants; the values are echoed unchanged."""
-    for key in ("eps", "ratio_bound", "growth_bound", "slope_tol"):
-        _number(constants[key], f"constants.{key}")
-    if _number(constants["suite_scale"], "constants.suite_scale") <= 0:
+    """Check the numeric constants, which are echoed and used as given:
+    finite JSON numbers (not strings or booleans), ``tuples`` and ``K``
+    (unless null) integral ones."""
+    ints = ("tuples",) if constants["K"] is None else ("tuples", "K")
+    for key in ("eps", "ratio_bound", "growth_bound", "slope_tol", "suite_scale", *ints):
+        value = constants[key]
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise ConfigError(f"constants.{key} must be a number, got {value!r}")
+        if _number(value, f"constants.{key}", int if key in ints else float) != value:
+            raise ConfigError(f"constants.{key} must be an integer, got {value!r}")
+    if constants["suite_scale"] <= 0:
         raise ConfigError("constants.suite_scale must be > 0")
-    if _number(constants["tuples"], "constants.tuples", int) < 1:
+    if constants["tuples"] < 1:
         raise ConfigError("constants.tuples must be >= 1")
-    if constants["K"] is not None and _number(constants["K"], "constants.K", int) < 2:
+    if constants["K"] is not None and constants["K"] < 2:
         raise ConfigError("constants.K must be an integer >= 2")
 
 
@@ -230,10 +237,7 @@ def _sharp_unit(arg: tuple) -> dict:
 def _kakeya_unit(arg: tuple) -> dict:
     params_dict, delta, p_values, eps = arg
     family = kakeya.generate_sharp_example(FamilyParams.from_dict(params_dict), delta)
-    counter = kakeya.overlap_counter(family)
-    total = family.total_slab_measure()
-    return {"delta": delta,
-            "rows": [kakeya.kakeya_ratio(family, p, eps, counter, total) for p in p_values]}
+    return {"delta": delta, "rows": kakeya.kakeya_rows(family, p_values, eps)}
 
 
 def _bl_unit(arg: tuple) -> dict:
@@ -284,7 +288,7 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
         units = [(cfg.params.to_dict(), d, p_values, eps) for d in cfg.deltas]
         blocks = _run_units(_kakeya_unit, units, cfg.workers)
         blocks.sort(key=lambda b: -b["delta"])
-        records = [{"p": p, **row.to_dict()}
+        records = [{"p": p, **asdict(row)}
                    for b in blocks for p, row in zip(p_values, b["rows"])]
         reports = [kakeya.KakeyaReport(p, eps, tuple(b["rows"][i] for b in blocks),
                                        cfg.constants["ratio_bound"],
@@ -397,6 +401,9 @@ def main(argv=None) -> int:
         return 2
     try:
         report = run_experiment(cfg)
+    except InvalidInputError as exc:  # config values the run cannot evaluate
+        print(_error_record("config", str(exc)))
+        return 2
     except ResourceCapError as exc:
         print(_error_record("resource-cap", str(exc)))
         return 3

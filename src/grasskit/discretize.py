@@ -11,11 +11,12 @@ Conventions fixed here and used everywhere:
 * a slab neighborhood of a chart m-plane is the product over the l+1
   slices of the band of width delta around the section, clipped to the
   box.  ``SlabNeighborhood`` holds a stack of planes (one plane is a stack
-  of one) and answers for all at once, member by member: exact measures by
-  Lasserre's facet recursion; cells by scanning each band inside the cell
-  box of its vertices, along lines of centers over the first q-1 axes cut
-  to intervals of the last, then the deviation test on the centers.  A
-  member's rows are lexicographic, slice 0 most significant;
+  of one) and answers for all at once, member by member, from one vertex
+  enumeration of its bands: exact measures by Lasserre's facet recursion;
+  cells by scanning each band inside the cell box of its vertices, along
+  lines of centers over the first q-1 axes cut to intervals of the last,
+  then the deviation test on the centers.  A member's rows are
+  lexicographic, slice 0 most significant;
 * a grid cell is counted by one int64 key, the row-major mixed-radix
   number of its index tuple (axis 0 most significant), so sorted keys
   follow lexicographic tuple order; counts sort keys and compare
@@ -28,6 +29,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
+from itertools import combinations
 
 import numpy as np
 
@@ -213,14 +216,9 @@ def _distinct_rows(idx: np.ndarray) -> int:
     return 1 + int(np.count_nonzero(keys[1:] != keys[:-1]))
 
 
-def box_count(points_or_slabs, delta: float) -> int:
-    """Number of occupied grid cells for points or slab neighborhoods."""
-    if (not isinstance(points_or_slabs, np.ndarray)
-            and all(isinstance(s, SlabNeighborhood) for s in points_or_slabs)):
-        cells = [s.cells(delta) for s in points_or_slabs]
-        return _distinct_rows(np.concatenate(cells)) if cells else 0
-    pts = np.atleast_2d(np.asarray(points_or_slabs, dtype=float))
-    return _distinct_rows(cell_indices(pts, delta))
+def box_count(points: np.ndarray, delta: float) -> int:
+    """Number of grid cells holding at least one of the points."""
+    return _distinct_rows(cell_indices(points, delta))
 
 
 @dataclass(frozen=True)
@@ -348,13 +346,15 @@ def _intervals(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def polytope_vertices(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Vertices of polytopes {x : a x <= b}, a (P, R, q) and b (P, R): the
     regular, feasible solutions of the q-subsets of rows, solved for a
-    batch of polytopes at a time.  Returns them padded to the largest
-    count V, (P, V, q), with the mask (P, V) of those present."""
-    sub = np.arange(a.shape[1])[:, None]
-    for _ in range(a.shape[2] - 1):  # the increasing q-tuples, lexicographic
-        row, step = _grids(a.shape[1] - 1 - sub[:, -1:], "vertex enumeration")
-        sub = np.column_stack([sub[row], sub[row, -1:] + 1 + step])
-    batch, verts, valid = max(1, VERTEX_BATCH // len(sub)), [], []
+    batch of polytopes at a time.  A subset holding a row and its negation
+    (in every polytope) is singular and skipped.  Returns the vertices
+    padded to the largest count V, (P, V, q), with the mask (P, V) of those
+    present, each polytope's in subset order."""
+    sub = np.array(list(combinations(range(a.shape[1]), a.shape[2])))
+    rows = np.swapaxes(a, 0, 1).reshape(a.shape[1], -1)
+    opposite = np.array([[np.array_equal(u, -v) for v in rows] for u in rows])
+    sub = sub[~np.any(opposite[sub[:, :, None], sub[:, None]], axis=(1, 2))]
+    batch, verts, valid = max(1, VERTEX_BATCH // max(1, len(sub))), [], []
     for start in range(0, len(a), batch):
         part_a, part_b = a[start:start + batch], b[start:start + batch]
         sub_a, sub_b = part_a[:, sub], part_b[:, sub]
@@ -371,16 +371,21 @@ def polytope_vertices(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndar
             np.concatenate([v[:, :width] for v in valid] or [np.zeros((0, 0), dtype=bool)]))
 
 
-def polytope_volume(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Exact volumes (P,) of bounded polytopes {x : a x <= b} by Lasserre's
-    recursion (JOTA 39, 1983) about the vertex mean: vol_d = (1/d) sum_i
-    b_i / |a_it| vol_(d-1)(facet i less coordinate t = argmax |a_it|)."""
+def polytope_volume(a: np.ndarray, b: np.ndarray, verts: np.ndarray,
+                    valid: np.ndarray) -> np.ndarray:
+    """Exact volumes (P,) of bounded polytopes {x : a x <= b} with vertices
+    ``verts`` under mask ``valid`` (as :func:`polytope_vertices` returns
+    them), by :func:`_lasserre` a batch of polytopes at a time."""
+    batch = max(1, VERTEX_BATCH // math.comb(a.shape[1], a.shape[2]))
+    parts = [slice(i, i + batch) for i in range(0, len(a), batch)]
+    return np.concatenate([np.zeros(0)] + [_lasserre(a[p], b[p], verts[p], valid[p])
+                                           for p in parts])
+
+
+def _lasserre(a: np.ndarray, b: np.ndarray, verts: np.ndarray, valid: np.ndarray) -> np.ndarray:
+    """Lasserre's recursion (JOTA 39, 1983) about the vertex mean: vol_d =
+    (1/d) sum_i b_i / |a_it| vol_(d-1)(facet i less coordinate t = argmax |a_it|)."""
     n_poly, n_rows, q = a.shape
-    batch = max(1, VERTEX_BATCH // math.comb(n_rows, q))
-    if n_poly > batch:
-        return np.concatenate([polytope_volume(a[i:i + batch], b[i:i + batch])
-                               for i in range(0, n_poly, batch)])
-    verts, valid = polytope_vertices(a, b)
     on = valid[..., None] & (np.abs(b[:, None] - np.matmul(verts, np.swapaxes(a, 1, 2)))
                              <= VERTEX_TOL)
     centre = np.sum(verts * valid[..., None], axis=1) / np.maximum(valid.sum(1), 1)[:, None]
@@ -458,13 +463,16 @@ class SlabNeighborhood:
         dots = _normal_dots(coords - self.offsets, self.normals[:, None])
         return np.sqrt(np.sum(np.maximum(np.abs(dots) - self.scale, 0.0) ** 2, axis=(1, 2)))
 
-    def contains(self, point: ChartPoint | np.ndarray, slack: float = 0.0) -> np.ndarray:
-        """Which members' neighborhoods come within chart distance ``slack``
-        of the point, (M,) booleans; at slack 0, exactly the raster's test."""
-        return self.chart_distance(point) <= slack
+    def contains(self, point: ChartPoint | np.ndarray) -> np.ndarray:
+        """Which members' neighborhoods hold the point, (M,) booleans: the
+        raster's test."""
+        return self.chart_distance(point) <= 0.0
 
-    def _constraints(self) -> tuple[np.ndarray, np.ndarray]:
-        """Every R_j as {x : a x <= b}, member-major: box rows, band rows."""
+    @cached_property
+    def polytopes(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Every R_j as {x : a x <= b}, member-major (box rows, then band
+        rows), with its vertices and their mask: the stack's one call of
+        :func:`polytope_vertices`, made on first use."""
         m, copies, q = self.offsets.shape
         nt = np.repeat(np.swapaxes(self.normals, 1, 2), copies, axis=0)
         shift = np.matmul(nt, self.offsets.reshape(m * copies, q, 1))[..., 0]
@@ -472,23 +480,24 @@ class SlabNeighborhood:
         a = np.concatenate([eye, -eye, nt, -nt], axis=1)
         b = np.concatenate([np.ones((m * copies, 2 * q)), shift + self.scale,
                             self.scale - shift], axis=1)
-        return a, b
+        return (a, b, *polytope_vertices(a, b))
 
     def measure(self) -> np.ndarray:
         """Exact measure (M,) of each member's neighborhood."""
-        volumes = polytope_volume(*self._constraints())
+        volumes = polytope_volume(*self.polytopes)
         return np.prod(volumes.reshape(self.offsets.shape[:2]), axis=1)
 
-    def cells(self, grid_delta: float | None = None) -> np.ndarray:
-        """Grid cells of the chart whose centers lie in the neighborhoods,
-        member after member, each member's rows in lexicographic order."""
-        gd = _check_scale(self.scale if grid_delta is None else grid_delta)
+    def cells(self) -> np.ndarray:
+        """Grid cells of the chart at the slab scale whose centers lie in the
+        neighborhoods, member after member, each member's rows in
+        lexicographic order."""
         m, copies, q = self.offsets.shape
-        verts, valid = polytope_vertices(*self._constraints())
+        verts, valid = self.polytopes[2:]
         # the cell box of each band's vertices (empty without vertices)
-        lo = cell_indices(np.min(np.where(valid[..., None], verts, 2.0), axis=1, initial=2.0), gd)
+        lo = cell_indices(np.min(np.where(valid[..., None], verts, 2.0), axis=1, initial=2.0),
+                          self.scale)
         hi = cell_indices(np.max(np.where(valid[..., None], verts, -2.0), axis=1,
-                                 initial=-2.0), gd)
+                                 initial=-2.0), self.scale)
         # the lines of centers over the first q-1 axes of each box
         span = np.maximum(hi - lo + 1, 0)
         grid = span[:, :-1] * (span[:, -1:] > 0)
@@ -501,7 +510,7 @@ class SlabNeighborhood:
         factor, band, candidates = [np.zeros((0, q), dtype=np.int64)], [np.zeros(0, int)], 0
         for start in range(0, m * copies, step):
             part = slice(start, start + step)
-            cells, owner, candidates = self._scan(gd, start, grid[part], lo[part], hi[part],
+            cells, owner, candidates = self._scan(start, grid[part], lo[part], hi[part],
                                                   candidates)
             factor.append(cells)
             band.append(owner)
@@ -515,32 +524,33 @@ class SlabNeighborhood:
         return np.concatenate([factor[starts[member, j] + idx[:, j]] for j in range(copies)],
                               axis=1)
 
-    def _scan(self, gd: float, start: int, grid: np.ndarray, lo: np.ndarray, hi: np.ndarray,
+    def _scan(self, start: int, grid: np.ndarray, lo: np.ndarray, hi: np.ndarray,
               candidates: int) -> tuple[np.ndarray, np.ndarray, int]:
         """Kept cells (K, q), in raster order, of the bands start, start+1, ...
-        (in the order of :meth:`_constraints`) inside their cell boxes
+        (in the order of :attr:`polytopes`) inside their cell boxes
         lo..hi, scanned along ``grid`` lines each, with the band of each cell
         and the family's running candidate count."""
-        q = lo.shape[1]
+        q, delta = lo.shape[1], self.scale
         origins = self.offsets.reshape(-1, q)[start:start + len(lo)]
         normals = self.normals[(start + np.arange(len(lo))) // self.offsets.shape[1]]
         poly, line = _grids(grid, "slab rasterization")
         line += lo[poly, :-1]
-        partial = _normal_dots(-1.0 + (line + 0.5) * gd - origins[poly, :-1], normals[poly])
+        partial = _normal_dots(-1.0 + (line + 0.5) * delta - origins[poly, :-1], normals[poly])
         # last axis: |partial + (t - o_last) N_last| <= delta, widened by a tolerance
-        n_last, o_last, bound = normals[poly, -1], origins[poly, -1], self.scale + VERTEX_TOL
+        n_last, o_last, bound = normals[poly, -1], origins[poly, -1], delta + VERTEX_TOL
         t_lo, t_hi = _intervals(np.hstack([n_last, -n_last]),
                                 np.hstack([bound - partial, bound + partial]))
-        first = np.ceil(np.clip((o_last + t_lo + 1.0) / gd - 0.5, lo[poly, -1], hi[poly, -1] + 1))
-        stop = np.floor(np.clip((o_last + t_hi + 1.0) / gd - 0.5, lo[poly, -1] - 1, hi[poly, -1]))
+        box_lo, box_hi = lo[poly, -1], hi[poly, -1]
+        first = np.ceil(np.clip((o_last + t_lo + 1.0) / delta - 0.5, box_lo, box_hi + 1))
+        stop = np.floor(np.clip((o_last + t_hi + 1.0) / delta - 0.5, box_lo - 1, box_hi))
         count = np.maximum(stop - first + 1, 0).astype(np.int64)
         candidates += int(count.sum())
         if candidates > CELL_CAP:
             raise ResourceCapError("slab rasterization exceeds the cell cap")
         at, step = _grids(count[:, None], "slab rasterization")
         last = first.astype(np.int64)[at] + step[:, 0]
-        dots = partial[at] + (-1.0 + (last + 0.5) * gd - o_last[at])[:, None] * n_last[at]
-        keep = np.max(np.abs(dots), axis=1, initial=0.0) <= self.scale
+        dots = partial[at] + (-1.0 + (last + 0.5) * delta - o_last[at])[:, None] * n_last[at]
+        keep = np.max(np.abs(dots), axis=1, initial=0.0) <= delta
         return np.column_stack([line[at], last])[keep], start + poly[at][keep], candidates
 
 

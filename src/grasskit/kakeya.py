@@ -191,9 +191,6 @@ class PlaneFamily:
         e = self.params.spacing_exponent if exponent is None else exponent
         return spacing_report(self.feature_matrix(), self.scale, e)
 
-    def total_slab_measure(self) -> float:
-        return float(SlabNeighborhood(self, self.scale).measure().sum())
-
     def to_json(self) -> dict:
         """Each member row is its offsets, then its direction basis, flattened."""
         rows = np.concatenate([_flat_rows(self.offsets), _flat_rows(self.directions)], axis=1)
@@ -293,32 +290,17 @@ def _sharp_axes(params: FamilyParams, delta: float):
     n_j = d - l                    # middle slice coordinates (direction block)
     r = m - l                      # section dimension
     j_axes = list(range(n_i, n_i + n_j))
-
+    # beta > l+1: members inside the (d+1)-plane spanned by the first base
+    # axis, the direction block and the slice shifts
+    dir_axes = [0] + j_axes if params.beta > l + 1 else j_axes
+    base_cols, tilt_cols = dir_axes[:r], dir_axes[r:]
+    tilts = [("tilt", (a, b), -0.45, 0.45) for a in range(r) for b in range(len(tilt_cols))]
+    shifts = [("offset", (jj, ax), -0.85, 0.85) for jj in range(l + 1) for ax in tilt_cols]
     if params.beta > l + 1:
-        # members inside the (d+1)-plane spanned by the first base axis,
-        # the direction block and the slice shifts
-        dir_axes = [0] + j_axes
-        base_cols, tilt_cols = dir_axes[:r], dir_axes[r:]
-        offset_axes = tilt_cols
-        specs = []
-        for jj in range(l + 1):
-            for ax in offset_axes:
-                specs.append(("offset", (jj, ax), -0.85, 0.85))
-        for a in range(r):
-            for b in range(len(tilt_cols)):
-                specs.append(("tilt", (a, b), -0.45, 0.45))
+        specs = shifts + tilts
     else:
-        base_cols, tilt_cols = j_axes[:r], j_axes[r:]
-        specs = []
-        for a in range(r):
-            for b in range(len(tilt_cols)):
-                specs.append(("tilt", (a, b), -0.45, 0.45))
-        for jj in range(l + 1):
-            for ax in tilt_cols:
-                specs.append(("offset", (jj, ax), -0.85, 0.85))
-        for jj in range(l + 1):
-            for ax in range(n_i):
-                specs.append(("base", (jj, ax), -0.85, 0.85))
+        specs = tilts + shifts + [("base", (jj, ax), -0.85, 0.85)
+                                  for jj in range(l + 1) for ax in range(n_i)]
     return _graded_axes(specs, params.spacing_exponent, pitch), base_cols, tilt_cols
 
 
@@ -829,27 +811,22 @@ def verify_bl_bound(tup: TransverseTuple, params: FamilyParams, p: float,
 
 # ------------------------------------------------------- counting norms
 
-def overlap_counter(family: PlaneFamily, grid_delta: float | None = None,
-                    cell_cap: int = CELL_CAP) -> GridCounter:
-    """Per-cell multiplicity of the member slabs on the chart grid."""
-    delta = family.scale if grid_delta is None else grid_delta
-    dim = family.params.chart_dim
-    if cells_per_axis(delta) ** dim > cell_cap:
+def overlap_counter(slab: SlabNeighborhood) -> GridCounter:
+    """Per-cell multiplicity of a slab stack's members on the chart grid at
+    its scale."""
+    dim = slab.offsets.shape[1] * slab.offsets.shape[2]
+    if cells_per_axis(slab.scale) ** dim > CELL_CAP:
         raise ResourceCapError("chart grid exceeds the cell cap; coarsen delta")
-    counter = GridCounter(delta, dim)
-    counter.add_cells(SlabNeighborhood(family, family.scale).cells(delta))
+    counter = GridCounter(slab.scale, dim)
+    counter.add_cells(slab.cells())
     return counter
 
 
-def lp_counting_norm(family: PlaneFamily, p: float,
-                     grid_delta: float | None = None,
-                     counter: GridCounter | None = None) -> float:
+def lp_counting_norm(family: PlaneFamily, p: float) -> float:
     """Riemann-sum L^p norm of the slab overlap function on the chart grid:
-    (sum over cells of count^p * delta^N)^(1/p), counts from cell centers."""
-    if counter is None:
-        counter = overlap_counter(family, grid_delta)
-    n_dim = family.params.chart_dim
-    return float((counter.lp_power_sum(p) * counter.scale ** n_dim) ** (1.0 / p))
+    (sum over cells of count^p * delta^N)^(1/p), counts from cell centers;
+    the left side of :func:`kakeya_rows`."""
+    return kakeya_rows(family, [p], 0.0)[0].lhs
 
 
 @dataclass(frozen=True)
@@ -859,10 +836,6 @@ class KakeyaRow:
     lhs: float
     rhs: float
     ratio: float
-
-    def to_dict(self) -> dict:
-        return {"delta": self.delta, "members": self.members, "lhs": self.lhs,
-                "rhs": self.rhs, "ratio": self.ratio}
 
 
 @dataclass(frozen=True)
@@ -896,21 +869,29 @@ class KakeyaReport:
                 "max_growth": self.max_growth, "growth_ok": self.growth_ok}
 
 
-def kakeya_ratio(family: PlaneFamily, p: float, eps: float,
-                 counter: GridCounter | None = None,
-                 total: float | None = None) -> KakeyaRow:
-    """One row of the counting-inequality sweep at the family's scale.
-    Exponents sharing a family may pass its overlap counter and total slab
-    measure in."""
-    params = family.params
-    delta = family.scale
-    lhs = lp_counting_norm(family, p, counter=counter)
-    if total is None:
-        total = family.total_slab_measure()
-    exponent = (params.m - params.l) * (params.d - params.m) * (1.0 - 1.0 / p) + eps
-    rhs = delta ** (-exponent) * total ** (1.0 / p)
-    return KakeyaRow(delta, len(family), float(lhs), float(rhs),
-                     float(lhs / rhs) if rhs > 0 else math.inf)
+def kakeya_rows(family: PlaneFamily, p_values, eps: float) -> list[KakeyaRow]:
+    """The rows of the counting-inequality sweep at the family's scale, one
+    per exponent, from one slab stack: the L^p norms of its overlap counter
+    against delta^-(r(d-m)(1-1/p)+eps) times its total measure^(1/p).  For
+    a non-empty family both sides are positive, so a side that overflows
+    or rounds to 0 raises InvalidInputError."""
+    params, delta = family.params, family.scale
+    slab = SlabNeighborhood(family, delta)
+    counter = overlap_counter(slab)
+    total = float(slab.measure().sum())
+    rows = []
+    for p in p_values:
+        exponent = (params.m - params.l) * (params.d - params.m) * (1.0 - 1.0 / p) + eps
+        try:
+            lhs = (counter.lp_power_sum(p) * delta ** counter.dim) ** (1.0 / p)
+            rhs = delta ** (-exponent) * total ** (1.0 / p)
+        except OverflowError:
+            lhs = rhs = math.inf
+        if len(family) and not (0.0 < lhs < math.inf and 0.0 < rhs < math.inf):
+            raise InvalidInputError(f"the row at p={p:g}, eps={eps:g}, delta={delta:g} "
+                                    "leaves the double range")
+        rows.append(KakeyaRow(delta, len(family), lhs, rhs, lhs / rhs if rhs > 0 else math.inf))
+    return rows
 
 
 def verify_kakeya_inequality(families, p: float, eps: float,
@@ -927,7 +908,7 @@ def verify_kakeya_inequality(families, p: float, eps: float,
     scales = [f.scale for f in fams]
     if any(b >= a for a, b in zip(scales, scales[1:])):
         raise InvalidInputError("families must come at strictly decreasing scales")
-    rows = tuple(kakeya_ratio(f, p, eps) for f in fams)
+    rows = tuple(kakeya_rows(f, [p], eps)[0] for f in fams)
     return KakeyaReport(float(p), float(eps), rows, ratio_bound, growth_bound)
 
 

@@ -283,6 +283,58 @@ def test_suite_scale_not_positive_finite_exit_2(tmp_path, capsys, scale):
         assert err["error"] == "config" and "suite_scale" in err["message"]
 
 
+@pytest.mark.parametrize("cfg", [
+    {"experiment": "geometry-selftest", "constants": {"suite_scale": "0.1"}},
+    {"experiment": "geometry-selftest", "constants": {"suite_scale": True}},
+    base_config(experiment="kakeya-sweep", constants={"eps": "0.1"}),
+    base_config(experiment="kakeya-sweep", constants={"eps": False}),
+    base_config(experiment="kakeya-sweep", constants={"ratio_bound": "10"}),
+    base_config(experiment="kakeya-sweep", constants={"growth_bound": True}),
+    base_config(constants={"slope_tol": "0.5"}),
+    {**bl_audit_config(), "constants": {"tuples": 2.7}},
+    {**bl_audit_config(), "constants": {"tuples": True}},
+    {**bl_audit_config(), "constants": {"tuples": 1, "K": 128.5}},
+], ids=["suite_scale-str", "suite_scale-bool", "eps-str", "eps-bool", "ratio_bound-str",
+        "growth_bound-bool", "slope_tol-str", "tuples-float", "tuples-bool", "K-float"])
+def test_constants_of_the_wrong_type_exit_2(tmp_path, capsys, cfg):
+    # each used to pass validate; the strings then crashed run, 2.7 ran 2 tuples
+    for command in ("validate", "run"):
+        code, out = _main_exit(tmp_path, capsys, cfg, command)
+        assert code == 2
+        err = json.loads(out)
+        assert err["error"] == "config" and "constants." in err["message"]
+
+
+@pytest.mark.parametrize("params, extra", [
+    ((0, 1, 2, 3, 1.0), {"p_values": [0.001]}),      # OverflowError in the L^p norm
+    ((0, 1, 2, 3, 1.0), {"constants": {"eps": 1e300}}),  # and in delta^-exponent
+    ((0, 1, 1, 2, 0.0), {"p_values": [0.0005]}),     # both sides round to 0: ratio inf
+], ids=["p-0.001", "eps-1e300", "p-0.0005-underflow"])
+def test_kakeya_rows_out_of_double_range_exit_2(tmp_path, capsys, params, extra):
+    cfg = {"experiment": "kakeya-sweep", "params": dict(zip("lmdn", params), beta=params[4]),
+           "deltas": [0.25, 0.125], **extra}
+    assert _main_exit(tmp_path, capsys, cfg, "validate")[0] == 0
+    code, out = _main_exit(tmp_path, capsys, cfg)
+    assert code == 2
+    err = json.loads(out)
+    assert err["error"] == "config" and "leaves the double range" in err["message"]
+
+
+def test_kakeya_sweep_enumerates_each_family_once(tmp_path, capsys, monkeypatch):
+    from grasskit import discretize as dz
+    calls = []
+
+    def spy(a, b):
+        calls.append(len(a))
+        return enumerate_vertices(a, b)
+
+    enumerate_vertices = dz.polytope_vertices
+    monkeypatch.setattr(dz, "polytope_vertices", spy)
+    cfg = base_config(experiment="kakeya-sweep", p_values=[1.0, 1.2, 1.3])
+    assert _main_exit(tmp_path, capsys, cfg)[0] in (0, 1)
+    assert calls == [2 ** k for k in range(3, 6)]  # one per family, of its members
+
+
 @pytest.mark.parametrize("deltas", [[2.0, 1.0], [0.5, 5e-324 * 3]])
 def test_deltas_outside_unit_interval_or_not_dyadic_exit_2(tmp_path, capsys, deltas):
     code, out = _main_exit(tmp_path, capsys, base_config(deltas=deltas), "run")

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import combinations
 from types import SimpleNamespace
 
 import numpy as np
@@ -268,6 +269,55 @@ def test_slab_cells_match_membership(shape):
         assert sorted({c[0] for c in expected}) == [3, 4, 5]
 
 
+def unfiltered_polytope_vertices(a, b):
+    """polytope_vertices without the subset filter: every q-subset of rows,
+    in the order of itertools.combinations."""
+    sub = np.array(list(combinations(range(a.shape[1]), a.shape[2])))
+    sub_a, sub_b = a[:, sub], b[:, sub]
+    regular = np.abs(np.linalg.det(sub_a)) >= 1e-12
+    x = np.zeros(sub_b.shape)
+    x[regular] = np.linalg.solve(sub_a[regular], sub_b[regular][..., None])[..., 0]
+    slack = b[:, None] - np.matmul(x, np.swapaxes(a, 1, 2))
+    ok = regular & np.all(slack >= -dz.VERTEX_TOL, axis=2)
+    first = np.argsort(~ok, axis=1, kind="stable")
+    width = int(ok.sum(1).max(initial=0))
+    return (np.take_along_axis(x, first[..., None], axis=1)[:, :width],
+            np.take_along_axis(ok, first, axis=1)[:, :width])
+
+
+@pytest.mark.parametrize("shape", [(0, 1, 1, 2), (0, 1, 2, 3), (1, 1, 2, 3), (0, 2, 2, 3),
+                                   (0, 1, 3, 4)])
+def test_vertex_subset_filter_matches_unfiltered_enumeration(shape):
+    l, m, d, n = shape
+    rng = rng_for(31)
+    planes = [random_chart_m_plane(rng, l, m, n, offset_scale=0.5) for _ in range(6)]
+    stacks = [SimpleNamespace(directions=np.stack([v.direction.basis for v in planes]),
+                              offsets=np.stack([v.offsets for v in planes]))]
+    if d == m:  # an axis-aligned sharp family: band rows repeat box rows
+        stacks.append(generate_sharp_example(FamilyParams(*shape, 1.0), 2.0 ** -3))
+    for stack in stacks:
+        a, b, verts, valid = dz.SlabNeighborhood(stack, 0.125).polytopes
+        ref_verts, ref_valid = unfiltered_polytope_vertices(a, b)
+        assert valid.any(axis=1).all()
+        assert np.array_equal(valid, ref_valid) and verts.shape == ref_verts.shape
+        assert verts[valid].tobytes() == ref_verts[ref_valid].tobytes()
+
+
+def test_slab_enumerates_vertices_once(monkeypatch):
+    calls = []
+
+    def spy(a, b):
+        calls.append(a.shape)
+        return enumerate_vertices(a, b)
+
+    enumerate_vertices = dz.polytope_vertices
+    monkeypatch.setattr(dz, "polytope_vertices", spy)
+    fam = generate_sharp_example(FamilyParams(1, 1, 2, 3, 1.0), 2.0 ** -3)
+    slab = dz.SlabNeighborhood(fam, fam.scale)
+    slab.measure(), slab.cells(), slab.measure(), slab.cells()
+    assert calls == [(2 * len(fam), 8, 2)]
+
+
 # ------------------------------------------------------------ box counts
 
 def test_box_count_single_point():
@@ -382,10 +432,11 @@ def test_slab_box_count_matches_set_union(shape, k, seed, members):
     rng = rng_for(seed)
     slabs = [dz.SlabNeighborhood(random_chart_m_plane(rng, l, m, n), delta)
              for _ in range(members)]
-    union: set = set()
-    for s in slabs:
-        union.update(map(tuple, s.cells(delta)))
-    assert dz.box_count(slabs, delta) == len(union)
+    dim = (l + 1) * (n - l)
+    cells = np.concatenate([np.zeros((0, dim), dtype=np.int64)] + [s.cells() for s in slabs])
+    counter = dz.GridCounter(delta, dim)
+    counter.add_cells(cells)
+    assert counter.occupied == len(set(map(tuple, cells)))
 
 
 def dict_counter(batches):

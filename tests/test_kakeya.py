@@ -526,7 +526,7 @@ def test_lp_norm_single_slab():
     params = kk.FamilyParams(0, 1, 1, 2, 0.0)
     delta = 2.0 ** -5
     fam = vertical_family(params, delta, [0.1])
-    measure = fam.total_slab_measure()
+    measure = dz.SlabNeighborhood(fam, delta).measure().sum()
     for p in (1.0, 1.5, 2.0):
         val = kk.lp_counting_norm(fam, p)
         assert measure ** (1 / p) / 2 <= val <= measure ** (1 / p) * 2
@@ -537,7 +537,7 @@ def test_lp_norm_additive_at_p1():
     delta = 2.0 ** -5
     fam = vertical_family(params, delta, [-0.5, 0.5])
     val = kk.lp_counting_norm(fam, 1.0)
-    total = fam.total_slab_measure()
+    total = dz.SlabNeighborhood(fam, delta).measure().sum()
     rel = 4 * delta * 2
     assert abs(val - total) <= rel * total
 
@@ -658,14 +658,3 @@ def test_lp_norm_resource_cap():
     fam = kk.PlaneFamily(params, 2.0 ** -6, (v,))
     with pytest.raises(ResourceCapError):
         kk.lp_counting_norm(fam, 2.0)
-
-
-def test_box_count_accepts_slabs():
-    from grasskit.discretize import SlabNeighborhood
-    params = kk.FamilyParams(0, 1, 1, 2, 1.0)
-    delta = 2.0 ** -4
-    fam = vertical_family(params, delta, [-0.5, 0.5])
-    slabs = [SlabNeighborhood(v, delta) for v in fam.members]
-    from_slabs = dz.box_count(slabs, delta)
-    counter = kk.overlap_counter(fam)
-    assert from_slabs == counter.occupied
