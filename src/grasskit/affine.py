@@ -311,44 +311,18 @@ def incidence(point: ChartPoint, plane: ChartMPlane, tol: float = INCIDENCE_TOL)
     return True
 
 
-@dataclass(frozen=True)
-class TildePlane:
-    """Product embedding of a chart m-plane into R^N.
-
-    The plane is the product of the l+1 slice sections: its direction is
-    the block sum of l+1 copies of the section direction, its orthogonal
-    complement the block sum of the section normals.
-    """
-
-    plane: AffinePlane
-    copies: int
-    factor_dim: int
-
-    @property
-    def direction(self) -> Subspace:
-        return self.plane.direction
-
-    def parallel_to(self, other: "TildePlane", tol: float = 1e-9) -> bool:
-        return self.plane.parallel_to(other.plane, tol)
-
-    def contains_point(self, x, tol: float = 1e-9) -> bool:
-        return self.plane.contains_point(x, tol)
-
-
-def embed_tilde(plane: ChartMPlane) -> TildePlane:
+def embed_tilde(plane: ChartMPlane) -> AffinePlane:
+    """Product embedding of a chart m-plane into R^N: the product of its
+    l+1 slice sections, whose direction is the block sum of l+1 copies of
+    the section direction and whose orthogonal complement is the block sum
+    of the section normals."""
     q = plane.slice_dim
     copies = plane.l + 1
     r = plane.direction.dim
     big = np.zeros((q * copies, r * copies))
     for j in range(copies):
         big[j * q:(j + 1) * q, j * r:(j + 1) * r] = plane.direction.basis
-    direction = Subspace(big)
-    offset = plane.offsets.ravel().copy()
-    return TildePlane(AffinePlane(direction, offset), copies, q)
-
-
-def embed_tilde_point(point: ChartPoint) -> np.ndarray:
-    return point.stacked()
+    return AffinePlane(Subspace(big), plane.offsets.ravel().copy())
 
 
 @dataclass(frozen=True)
@@ -382,7 +356,7 @@ class Chart:
         if self.l == 0:
             return ChartPoint(plane.offset.reshape(1, nl))
         d_low = plane.direction.basis[nl:, :]
-        if linalg.svd(d_low).rank() < self.l:
+        if linalg.rank_of(d_low) < self.l:
             raise OutOfChartError("plane is not transverse to the reference slice")
         a_low = plane.offset[nl:]
         coords = np.zeros((self.l + 1, nl))

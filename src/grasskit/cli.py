@@ -38,6 +38,7 @@ from .sampling import rng_for
 
 EXPERIMENTS = ("geometry-selftest", "sharp-dimension", "kakeya-sweep", "bl-audit")
 MAX_TUPLES = 100_000  # bl-audit tuples per run; their work units are built up front
+MAX_AMBIENT = 64      # params.n; the sharp example lists its n - d base axes
 
 DEFAULT_CONSTANTS = {
     "eps": 0.1,
@@ -91,13 +92,18 @@ def _is_dyadic(x: float) -> bool:
 
 
 def _number(value, name: str, kind=float):
-    """``kind(value)``, or a ConfigError unless that is a finite number."""
+    """``kind(value)`` of a finite JSON number (not a string or boolean)
+    that is integral where ``kind`` is int; a ConfigError otherwise."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{name} must be a number, got {value!r}")
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ConfigError(f"{name} must be finite, got {value!r}")
     try:
         out = kind(value)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"{name} must be a number, got {value!r}") from exc
-    if isinstance(out, float) and not math.isfinite(out):
-        raise ConfigError(f"{name} must be finite, got {value!r}")
+    except OverflowError as exc:  # an int beyond the double range
+        raise ConfigError(f"{name} must be finite, got {value!r}") from exc
+    if kind is int and out != value:
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
     return out
 
 
@@ -109,16 +115,11 @@ def _numbers(data: dict, key: str) -> list[float]:
 
 
 def _check_constants(constants: dict) -> None:
-    """Check the numeric constants, which are echoed and used as given:
-    finite JSON numbers (not strings or booleans), ``tuples`` and ``K``
-    (unless null) integral ones."""
+    """Check the numeric constants, which are echoed and used as given, by
+    the rule of :func:`_number`; ``tuples`` and ``K`` (unless null) are ints."""
     ints = ("tuples",) if constants["K"] is None else ("tuples", "K")
     for key in ("eps", "ratio_bound", "growth_bound", "slope_tol", "suite_scale", *ints):
-        value = constants[key]
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ConfigError(f"constants.{key} must be a number, got {value!r}")
-        if _number(value, f"constants.{key}", int if key in ints else float) != value:
-            raise ConfigError(f"constants.{key} must be an integer, got {value!r}")
+        _number(constants[key], f"constants.{key}", int if key in ints else float)
     if constants["suite_scale"] <= 0:
         raise ConfigError("constants.suite_scale must be > 0")
     if constants["tuples"] < 1:
@@ -139,10 +140,11 @@ def parse_config(data: dict, overrides: dict | None = None) -> ExperimentConfig:
     if data.get("params") is not None:
         raw = data["params"]
         try:
-            params = FamilyParams.from_dict(raw)
+            params = FamilyParams(*(_number(raw[k], f"params.{k}", int) for k in "lmdn"),
+                                  _number(raw["beta"], "params.beta"))
         except (KeyError, TypeError) as exc:
             raise ConfigError(f"params is missing a field: {exc}") from exc
-        except (ValueError, OverflowError) as exc:
+        except InvalidInputError as exc:
             raise ConfigError(str(exc)) from exc
     if kind != "geometry-selftest" and params is None:
         raise ConfigError(f"experiment {kind} requires params")
@@ -172,6 +174,9 @@ def parse_config(data: dict, overrides: dict | None = None) -> ExperimentConfig:
     if kind == "kakeya-sweep" and any(p <= 0.0 for p in p_values):
         raise ConfigError("p_values must be positive")
     if kind == "bl-audit":
+        if params.l == params.m:
+            # the m-planes are the l-planes: no direction bush to classify
+            raise ConfigError("bl-audit requires l < m")
         if params.beta > params.l + 1:
             # the audited ceiling assumes beta <= l+1
             raise ConfigError("bl-audit requires beta <= l+1")
@@ -190,15 +195,22 @@ def parse_config(data: dict, overrides: dict | None = None) -> ExperimentConfig:
     seed = _number(overrides.get("seed", data.get("seed", 0)), "seed", int)
     if seed < 0:
         raise ConfigError("seed must be >= 0")
-    workers = _number(overrides.get("workers",
-                                    data.get("workers",
-                                             os.environ.get("GRASSKIT_WORKERS", 1))),
-                      "workers", int)
+    env = os.environ.get("GRASSKIT_WORKERS", "1")
+    try:
+        env = int(env)  # text: an integer string, or left for _number to reject
+    except ValueError:
+        pass
+    workers = _number(overrides.get("workers", data.get("workers", env)), "workers", int)
     if workers < 1:
         raise ConfigError("workers must be >= 1")
-    out = overrides.get("out", data.get("out"))
+    out, csv = overrides.get("out", data.get("out")), data.get("csv")
+    for key, path in (("out", out), ("csv", csv)):
+        if path is not None and not isinstance(path, str):
+            raise ConfigError(f"{key} must be a path string or null, got {path!r}")
+        if path and not os.path.isdir(os.path.dirname(os.path.abspath(path))):
+            raise ConfigError(f"{key} is in a directory that does not exist: {path}")
     return ExperimentConfig(kind, params, deltas, p_values, seed, constants,
-                            workers, out, data.get("csv"))
+                            workers, out, csv)
 
 
 def load_config(path: str, overrides: dict | None = None) -> ExperimentConfig:
@@ -263,6 +275,8 @@ def _run_units(fn, units: list, workers: int) -> list:
 # ------------------------------------------------------------ experiments
 
 def run_experiment(cfg: ExperimentConfig) -> dict:
+    if cfg.params is not None and cfg.params.n > MAX_AMBIENT:
+        raise ResourceCapError(f"params.n {cfg.params.n} is above the cap {MAX_AMBIENT}")
     started = time.perf_counter()
     timing = {}
     if cfg.experiment == "geometry-selftest":

@@ -247,11 +247,7 @@ def box_dimension_fit(deltas, counts) -> BoxFit:
 @dataclass(eq=False)
 class GridCounter:
     """Sparse per-cell multiplicity over the chart grid: sorted cell keys
-    and their counts.
-
-    Workers fill disjoint counters and merge once at the end; the merge is
-    order-independent because addition commutes.
-    """
+    and their counts."""
 
     scale: float
     dim: int
@@ -263,48 +259,25 @@ class GridCounter:
         if self.radix ** self.dim > KEY_MAX:
             raise ResourceCapError("grid too fine for int64 cell keys")
 
-    def add_cells(self, cells: np.ndarray, weight: int = 1) -> None:
+    def add_cells(self, cells: np.ndarray) -> None:
+        """Count each row once more; the held keys, repeated by their
+        counts, are sorted with the new ones."""
         idx = np.atleast_2d(np.asarray(cells, dtype=np.int64))
         if idx.size == 0:
             return
         if idx.shape[1] != self.dim or idx.min() < 0 or idx.max() >= self.radix:
             raise InvalidInputError("cells lie outside the counter's grid")
-        keys = np.sort(_cell_keys(idx, [0] * self.dim, [self.radix] * self.dim))
+        keys = _cell_keys(idx, [0] * self.dim, [self.radix] * self.dim)
+        keys = np.sort(np.concatenate([np.repeat(self.keys, self.counts), keys]))
         starts = _run_starts(keys)
-        self._absorb(keys[starts], np.diff(np.r_[starts, keys.size]) * weight)
-
-    def add_points(self, points: np.ndarray, weight: int = 1) -> None:
-        self.add_cells(cell_indices(points, self.scale), weight)
-
-    def _absorb(self, keys: np.ndarray, counts: np.ndarray) -> None:
-        """Add keys with their counts, summing the counts of equal keys."""
-        keys = np.concatenate([self.keys, keys])
-        order = np.argsort(keys)
-        keys = keys[order]
-        starts = _run_starts(keys)
-        counts = np.concatenate([self.counts, counts])[order]
-        self.keys, self.counts = keys[starts], np.add.reduceat(counts, starts)
+        self.keys, self.counts = keys[starts], np.diff(np.r_[starts, keys.size])
 
     @property
     def occupied(self) -> int:
         return int(self.keys.size)
 
-    def total(self) -> int:
-        return int(self.counts.sum())
-
     def lp_power_sum(self, p: float) -> float:
         return float(np.sum(self.counts.astype(float) ** p))
-
-    def merge(self, other: "GridCounter") -> None:
-        if other.scale != self.scale or other.dim != self.dim:
-            raise InvalidInputError("cannot merge counters of different grids")
-        self._absorb(other.keys, other.counts)
-
-    def to_csv(self, path) -> None:
-        cells = np.unravel_index(self.keys, (self.radix,) * self.dim)
-        np.savetxt(path, np.column_stack([*cells, self.counts]), fmt="%d",
-                   delimiter=",", comments="",
-                   header=",".join(f"i{a}" for a in range(self.dim)) + ",count")
 
 
 # ------------------------------------------------------------- polytopes
@@ -448,13 +421,6 @@ class SlabNeighborhood:
         object.__setattr__(self, "offsets", np.asarray(offsets, dtype=float))
         object.__setattr__(self, "normals", linalg.orthonormal_completion(
             directions)[:, :, directions.shape[2]:])
-
-    def factor_deviation(self, j: int, points: np.ndarray, member: int = 0) -> np.ndarray:
-        """Max-norm normal deviation of slice points from section j of one
-        member, as one matrix product."""
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        dev = np.abs((pts - self.offsets[member, j]) @ self.normals[member])
-        return np.max(dev, axis=1, initial=0.0)
 
     def chart_distance(self, point: ChartPoint | np.ndarray) -> np.ndarray:
         """Euclidean distance (M,) from a chart point to each slab product."""
@@ -624,8 +590,11 @@ def partition_spacing(points: np.ndarray, delta: float, exponent: float,
     bound with constant 1, by greedy peeling.
 
     Requires the input to satisfy the bound with constant ``m_bound``
-    (checked first).  Each round keeps, for the worst ball, the quota of
-    members closest to its center and defers the rest to later parts.
+    (checked first).  Each round keeps, for the worst ball that
+    :func:`spacing_report` finds, the quota of members closest to its
+    center and defers the rest to later parts.  Above 2,000 candidates
+    that scan runs in row chunks, so of two equal worst ratios in different
+    chunks it may keep another than one scan over all rows would.
     Returns index arrays into ``points``.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
@@ -643,27 +612,20 @@ def partition_spacing(points: np.ndarray, delta: float, exponent: float,
     order = np.lexsort(pts.T[::-1])
     pool = list(order)
     parts: list[np.ndarray] = []
-    radii = dyadic_radii(delta)
     while pool:
         if len(parts) >= max_parts:
             raise ResourceCapError("partition did not converge within the part cap")
         cand = list(pool)
         while True:
             sub = pts[cand]
-            d = np.sqrt(np.sum((sub[:, None, :] - sub[None, :, :]) ** 2, axis=-1))
-            worst_ratio, worst = 1.0 + 1e-9, None
-            for r in radii:
-                counts = np.sum(d <= r + 1e-12, axis=1)
-                bound = (r / delta) ** exponent
-                i = int(np.argmax(counts))
-                if counts[i] / bound > worst_ratio:
-                    worst_ratio, worst = counts[i] / bound, (i, r)
-            if worst is None:
+            worst = spacing_report(sub, delta, exponent)
+            if worst.ok:
                 break
-            i, r = worst
-            members = [k for k in range(len(cand)) if d[i, k] <= r + 1e-12]
+            r = worst.worst_radius
+            d = np.sqrt(np.sum((sub - sub[worst.worst_center]) ** 2, axis=-1))
+            members = [k for k in range(len(cand)) if d[k] <= r + 1e-12]
             quota = max(1, int(math.floor((r / delta) ** exponent + 1e-9)))
-            members.sort(key=lambda k: (d[i, k], cand[k]))
+            members.sort(key=lambda k: (d[k], cand[k]))
             drop = {cand[k] for k in members[quota:]}
             cand = [c for c in cand if c not in drop]
         parts.append(np.array(cand, dtype=np.int64))

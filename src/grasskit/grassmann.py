@@ -265,11 +265,6 @@ def geodesic(v: Subspace, w: Subspace) -> Geodesic:
                     linalg.frozen(perp[0]), bool(non_unique[0]))
 
 
-def vector_projection(x, pi: Subspace) -> np.ndarray:
-    """Standard orthogonal projection of a vector onto the plane ``pi``."""
-    return pi.project(np.asarray(x, dtype=float))
-
-
 @dataclass(frozen=True)
 class GrassmannProjection:
     """Nearest point of the sub-Grassmannian {subspaces inside target}.

@@ -30,7 +30,8 @@ import numpy as np
 from . import linalg
 from .affine import ChartMPlane, ChartPoint, chart_offsets, embed_tilde
 from .discretize import (CELL_CAP, SlabNeighborhood, GridCounter, build_direction_net,
-                         cells_per_axis, spacing_report, SpacingReport)
+                         cells_per_axis, min_pairwise_distance, spacing_report,
+                         SpacingReport)
 from .errors import (CertificateError, InvalidInputError, OutOfChartError,
                      ResourceCapError)
 from .grassmann import (Subspace, check_bases, distances, project_to_sub_grassmannian,
@@ -184,7 +185,6 @@ class PlaneFamily:
         return self._features
 
     def min_separation(self) -> float:
-        from .discretize import min_pairwise_distance
         return float(min_pairwise_distance(self.feature_matrix()))
 
     def spacing(self, exponent: float | None = None) -> SpacingReport:
@@ -761,8 +761,7 @@ def tuple_obstruction_subspaces(tup: TransverseTuple, params: FamilyParams) -> l
     out = []
     for center in tup.centers:
         plane = ChartMPlane(center, np.zeros((l + 1, params.n - params.l)))
-        tilde = embed_tilde(plane)
-        out.append(tilde.direction.complement())
+        out.append(embed_tilde(plane).direction.complement())
     return out
 
 

@@ -173,10 +173,6 @@ class OrthonormalizeResult:
     rank: int
     dropped: tuple[int, ...]
 
-    @property
-    def deficient(self) -> bool:
-        return len(self.dropped) > 0
-
 
 def orthonormalize(vectors, tol: float = RANK_TOL) -> OrthonormalizeResult:
     """``orthonormalize_stack`` of one (ambient, k) matrix, or of a sequence of

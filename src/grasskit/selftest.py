@@ -13,8 +13,8 @@ from dataclasses import dataclass, asdict
 
 import numpy as np
 
-from .affine import (Chart, affine_distance, embed_tilde, embed_tilde_point,
-                     incidence, rho_distance, ChartMPlane)
+from .affine import (Chart, affine_distance, embed_tilde, incidence, rho_distance,
+                     ChartMPlane)
 from .errors import ResourceCapError
 from .grassmann import (distances, geodesic_frames, geodesic_points,
                         orthonormal_draws, project_stack)
@@ -153,7 +153,7 @@ def embedding_suite(seed: int, samples: int = 1000, l: int = 1, m: int = 2,
         else:
             p = random_chart_point(g, l, n, scale=0.9)
         chart_side = incidence(p, v, tol)
-        tilde_side = embed_tilde(v).plane.point_distance(embed_tilde_point(p)) <= tol
+        tilde_side = embed_tilde(v).point_distance(p.stacked()) <= tol
         incident += chart_side
         bad_inc += chart_side != tilde_side
         v2 = (ChartMPlane(v.direction, random_chart_m_plane(g, l, m, n).offsets)

@@ -236,10 +236,9 @@ def test_embed_tilde_l0_identity():
     g = rng_for(41)
     v = random_chart_m_plane(g, 0, 1, 2)
     t = af.embed_tilde(v)
-    assert t.copies == 1
     assert t.direction.same(v.direction, 1e-12)
     p = random_point_on(g, v)
-    assert t.contains_point(af.embed_tilde_point(p), 1e-10)
+    assert t.contains_point(p.stacked(), 1e-10)
 
 
 def test_embed_tilde_parallelism():
@@ -262,11 +261,11 @@ def test_embed_tilde_incidence_per_factor_oracle():
         v = random_chart_m_plane(g, 1, 2, 4)
         p = random_point_on(g, v)
         t = af.embed_tilde(v)
-        assert t.plane.point_distance(af.embed_tilde_point(p)) <= 1e-10
+        assert t.point_distance(p.stacked()) <= 1e-10
         per_factor = sum(
             v.section(j).point_distance(p.coords[j]) ** 2 for j in range(v.l + 1)
         )
-        assert t.plane.point_distance(af.embed_tilde_point(p)) ** 2 == pytest.approx(
+        assert t.point_distance(p.stacked()) ** 2 == pytest.approx(
             per_factor, abs=1e-12)
 
 

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 import pytest
@@ -186,6 +187,11 @@ def test_workers_env_var_default(tmp_path, monkeypatch):
     assert cfg.workers == 2
     cfg = cli.parse_config(base_config(), {"workers": 5})
     assert cfg.workers == 5
+    # the environment is text, read as an integer string
+    monkeypatch.setenv("GRASSKIT_WORKERS", "1.9")
+    with pytest.raises(cli.ConfigError, match="workers"):
+        cli.parse_config(base_config())
+    assert cli.parse_config(base_config(workers=1)).workers == 1
 
 
 # ----------------------------------------------------------- contract
@@ -219,6 +225,58 @@ def test_bad_entries_exit_2(tmp_path, capsys, field, value):
         code, out = _main_exit(tmp_path, capsys, cfg, command)
         assert code == 2
         assert json.loads(out)["error"] == "config"
+
+
+@pytest.mark.parametrize("path, value", [
+    ("params.l", 0.7),           # ran at l = 0
+    ("params.beta", "1"),
+    ("params.m", True),
+    ("seed", 2.7),               # ran seed 2
+    ("seed", "3"),
+    ("workers", 1.9),            # ran 1 worker
+    ("p_values", [True]),
+    ("deltas", [True, 0.5]),     # ran at delta = 1
+])
+def test_coerced_numbers_exit_2(tmp_path, capsys, path, value):
+    cfg = base_config(experiment="kakeya-sweep")
+    *outer, key = path.split(".")
+    (cfg[outer[0]] if outer else cfg)[key] = value
+    for command in ("validate", "run"):
+        code, out = _main_exit(tmp_path, capsys, cfg, command)
+        assert code == 2
+        err = json.loads(out)
+        assert err["error"] == "config" and path in err["message"]
+
+
+@pytest.mark.parametrize("field, value", [
+    ("out", 5),                          # TypeError after the run
+    ("csv", 5),                          # open(5) took it as a file descriptor
+    ("out", "missing-dir/report.json"),  # FileNotFoundError after the run
+    ("csv", "missing-dir/records.csv"),
+])
+def test_bad_output_paths_exit_2_before_the_run(tmp_path, capsys, monkeypatch, field, value):
+    def no_run(cfg):
+        raise AssertionError("the run started")
+
+    monkeypatch.setattr(cli, "run_experiment", no_run)
+    monkeypatch.chdir(tmp_path)
+    cfg = base_config(**{"out": str(tmp_path / "report.json"), field: value})
+    for command in ("validate", "run"):
+        code, out = _main_exit(tmp_path, capsys, cfg, command)
+        assert code == 2
+        err = json.loads(out)
+        assert err["error"] == "config" and err["message"].startswith(field)
+    assert os.listdir(tmp_path) == ["cfg.json"]
+
+
+def test_bl_audit_l_equal_m_exit_2(tmp_path, capsys):
+    # used to end in an IndexError traceback inside broad_narrow_classify
+    cfg = {"experiment": "bl-audit", "params": {"l": 1, "m": 1, "d": 2, "n": 3, "beta": 1.0},
+           "constants": {"tuples": 2}}
+    for command in ("validate", "run"):
+        code, out = _main_exit(tmp_path, capsys, cfg, command)
+        assert code == 2
+        assert json.loads(out) == {"error": "config", "message": "bl-audit requires l < m"}
 
 
 def test_bl_audit_beta_above_l_plus_one_exit_2(tmp_path, capsys):
@@ -417,6 +475,19 @@ def test_oversized_runs_hit_the_cap_before_allocating(tmp_path, capsys, cfg):
     assert code == 3
     err = json.loads(out)
     assert err["error"] == "resource-cap" and "cap" in err["message"]
+
+
+@pytest.mark.parametrize("n", [cli.MAX_AMBIENT + 1, 10 ** 30])
+def test_ambient_dimension_cap_exit_3(tmp_path, capsys, n):
+    # n = 10**30 ran for minutes listing the sharp example's base axes
+    cfg = base_config(params={"l": 0, "m": 1, "d": 1, "n": n, "beta": 1.0})
+    assert _main_exit(tmp_path, capsys, cfg, "validate")[0] == 0
+    started = time.perf_counter()
+    code, out = _main_exit(tmp_path, capsys, cfg)
+    assert time.perf_counter() - started < 1.0
+    assert code == 3
+    assert json.loads(out) == {"error": "resource-cap", "message":
+                               f"params.n {n} is above the cap {cli.MAX_AMBIENT}"}
 
 
 FOUR_KERNELS = bl_audit_config(params={"l": 0, "m": 1, "d": 3, "n": 4, "beta": 1.0},

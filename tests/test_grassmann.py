@@ -207,12 +207,12 @@ def test_projection_minimality_and_containment():
 def test_vector_projection_fixed_point():
     pi = gr.Subspace(np.eye(3)[:, :2])
     x = np.array([0.3, -0.8, 0.0])
-    assert np.allclose(gr.vector_projection(x, pi), x)
+    assert np.allclose(pi.project(x), x)
 
 
 def test_vector_projection_coordinate_plane():
     pi = gr.Subspace(np.eye(3)[:, :2])
-    assert np.allclose(gr.vector_projection([1.0, 2.0, 3.0], pi), [1.0, 2.0, 0.0])
+    assert np.allclose(pi.project(np.array([1.0, 2.0, 3.0])), [1.0, 2.0, 0.0])
 
 
 def test_vector_projection_pythagoras():
@@ -220,9 +220,9 @@ def test_vector_projection_pythagoras():
     for _ in range(20):
         pi = gr.random_subspace(g, 5, 3)
         x = g.standard_normal(5)
-        p = gr.vector_projection(x, pi)
+        p = pi.project(x)
         assert np.allclose(x @ x, p @ p + (x - p) @ (x - p))
-        assert np.allclose(gr.vector_projection(p, pi), p)
+        assert np.allclose(pi.project(p), p)
 
 
 # ------------------------------------------------------- stacked kernels

@@ -124,7 +124,7 @@ def test_rank_of_matches_numpy_on_rank_deficient_batch():
 
 def test_orthonormalize_axis_rescale():
     res = linalg.orthonormalize([(2.0, 0.0), (0.0, 5.0)])
-    assert not res.deficient
+    assert not res.dropped
     assert np.allclose(np.abs(res.matrix), np.eye(2))
 
 
@@ -137,7 +137,7 @@ def test_orthonormalize_symmetric_pair():
 
 def test_orthonormalize_near_dependence_reports_rank():
     res = linalg.orthonormalize([(1.0, 0.0), (1.0, 1e-13)])
-    assert res.deficient
+    assert res.dropped
     assert res.rank == 1
     assert res.dropped == (1,)
 
