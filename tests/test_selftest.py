@@ -86,3 +86,55 @@ def test_degenerate_draws_are_redrawn_not_used(monkeypatch, suite, cols):
     assert made[0].calls >= 2
     assert res.passed
     assert all(np.isfinite(v) for v in res.to_dict().values() if not isinstance(v, bool))
+
+
+def _hexed(record: dict) -> dict:
+    return {k: v.hex() if isinstance(v, float) else v
+            for k, v in record.items() if k != "runtime"}
+
+
+# every record field but the runtime, floats as hex: the PINS sizes, with the
+# embedding suite at suite_scale 0.5 (seed 0) and at acceptance size (seed 1)
+FIELD_PINS = [
+    ("geodesic", (0, 500), {
+        "samples": 500, "max_symmetry_error": "0x1.8000000000000p-51",
+        "min_triangle_slack": "0x1.ea022407e3880p-7",
+        "max_scaling_error": "0x1.8000000000000p-51",
+        "max_containment_residual": "0x0.0p+0", "passed": True}),
+    ("projection", (0, 250, 100), {
+        "samples": 250, "contenders": 100, "max_containment_residual": "0x1.8000000000000p-52",
+        "min_minimality_slack": "0x1.a2aaa00000000p-28", "passed": True}),
+    ("embedding", (0, 500), {
+        "samples": 500, "incidence_disagreements": 0, "parallelism_disagreements": 0,
+        "incident_pairs": 250, "passed": True}),
+    ("chart", (0, 250), {
+        "samples": 250, "max_point_roundtrip": "0x1.8000000000000p-52",
+        "max_projective_roundtrip": "0x1.d64d51e0db1c6p-54",
+        "ratio_low": "0x1.4bb671bcb37e6p-1", "ratio_high": "0x1.647f549ee20aep+0",
+        "ratio_prefix_low": "0x1.4bb671bcb37e6p-1",
+        "ratio_prefix_high": "0x1.647f549ee20aep+0", "passed": True}),
+    ("geodesic", (1, 1000), {
+        "samples": 1000, "max_symmetry_error": "0x1.8000000000000p-51",
+        "min_triangle_slack": "0x1.a4805d3a33620p-5",
+        "max_scaling_error": "0x1.0000000000000p-51",
+        "max_containment_residual": "0x0.0p+0", "passed": True}),
+    ("projection", (1, 500, 200), {
+        "samples": 500, "contenders": 200, "max_containment_residual": "0x1.8000000000000p-52",
+        "min_minimality_slack": "0x1.67f2000000000p-37", "passed": True}),
+    ("embedding", (1, 1000), {
+        "samples": 1000, "incidence_disagreements": 0, "parallelism_disagreements": 0,
+        "incident_pairs": 500, "passed": True}),
+    ("chart", (1, 500), {
+        "samples": 500, "max_point_roundtrip": "0x1.0000000000000p-51",
+        "max_projective_roundtrip": "0x1.90f5773e410e4p-54",
+        "ratio_low": "0x1.488dd7736f7a3p-1", "ratio_high": "0x1.681b0ca2021b2p+0",
+        "ratio_prefix_low": "0x1.488dd7736f7a3p-1",
+        "ratio_prefix_high": "0x1.681b0ca2021b2p+0", "passed": True}),
+]
+
+
+@pytest.mark.parametrize("suite, args, fields", FIELD_PINS,
+                         ids=[f"{s}-{a[0]}-{a[1]}" for s, a, _ in FIELD_PINS])
+def test_every_suite_field_is_pinned(suite, args, fields):
+    res = getattr(selftest, f"{suite}_suite")(*args)
+    assert _hexed(res.to_dict()) == fields
