@@ -25,11 +25,39 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .errors import InvalidInputError, OutOfChartError
+from .errors import CertificateError, InvalidInputError, OutOfChartError
 from .grassmann import Subspace, distance as grassmann_distance
 
 CHART_TOL = 1e-9
 INCIDENCE_TOL = 1e-9
+
+
+def affine_offsets(bases: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    """Offsets (N, n) of N affine planes made orthogonal to their directions,
+    whose orthonormal bases are ``bases`` (N, n, k)."""
+    if offsets.ndim != 2 or offsets.shape != bases.shape[:2]:
+        raise InvalidInputError("offset/direction ambient mismatch")
+    if not np.all(np.isfinite(offsets)):
+        raise InvalidInputError("offset has non-finite entries")
+    return offsets - _project(bases, offsets)
+
+
+def _project(bases: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Orthogonal projections (N, n) of the rows of ``x`` onto the spans of
+    ``bases`` (N, n, k); one matrix-vector product per row, as for 1-d x."""
+    return (bases @ (np.swapaxes(bases, 1, 2) @ x[:, :, None]))[:, :, 0]
+
+
+def _norms(x: np.ndarray) -> np.ndarray:
+    """Euclidean norms of the rows of ``x``, each the dot a lone vector takes."""
+    x = np.ascontiguousarray(x)
+    return np.sqrt(np.vecdot(x, x))
+
+
+def point_distances(bases: np.ndarray, offsets: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """Distances (N,) from the points (N, n) to N affine planes given by
+    their direction bases (N, n, k) and orthogonal offsets (N, n)."""
+    return _norms(points - _project(bases, points) - offsets)
 
 
 @dataclass(frozen=True)
@@ -41,12 +69,18 @@ class AffinePlane:
 
     def __post_init__(self):
         x = np.asarray(self.offset, dtype=float).ravel()
-        if len(x) != self.direction.ambient_dim:
-            raise InvalidInputError("offset/direction ambient mismatch")
-        if not np.all(np.isfinite(x)):
-            raise InvalidInputError("offset has non-finite entries")
-        x = x - self.direction.project(x)
+        x = affine_offsets(self.direction.basis[None], x[None])[0]
         object.__setattr__(self, "offset", linalg.frozen(x))
+
+    @classmethod
+    def view(cls, basis: np.ndarray, offset: np.ndarray) -> "AffinePlane":
+        """The plane over one row of arrays whose offset already passed
+        :func:`affine_offsets`; the offset is kept as given, not projected
+        again."""
+        plane = object.__new__(cls)
+        object.__setattr__(plane, "direction", Subspace(basis))
+        object.__setattr__(plane, "offset", linalg.frozen(offset))
+        return plane
 
     @classmethod
     def through_points(cls, points) -> "AffinePlane":
@@ -70,9 +104,8 @@ class AffinePlane:
         return self.direction.dim
 
     def point_distance(self, x) -> float:
-        x = np.asarray(x, dtype=float)
-        r = x - self.direction.project(x) - self.offset
-        return float(np.linalg.norm(r))
+        x = np.asarray(x, dtype=float).reshape(1, -1)
+        return float(point_distances(self.direction.basis[None], self.offset[None], x)[0])
 
     def contains_point(self, x, tol: float = 1e-9) -> bool:
         return self.point_distance(x) <= tol
@@ -85,92 +118,144 @@ class AffinePlane:
                 and float(np.linalg.norm(self.offset - other.offset)) <= tol)
 
 
+def to_projective_stack(bases: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    """Lifts of N k-planes of R^n (direction bases (N, n, k), orthogonal
+    offsets (N, n)): the bases (N, n+1, k+1) of the (k+1)-subspaces of
+    R^(n+1) that meet the slice R^n x {1} exactly in the planes."""
+    count, n, k = bases.shape
+    cols = np.zeros((count, n + 1, k + 1))
+    cols[:, :n, :k] = bases
+    cols[:, :n, k] = offsets
+    cols[:, n, k] = 1.0
+    lifted, keep = linalg.orthonormalize_stack(cols)
+    if not keep.all():
+        # the direction columns fall below the rank floor of an offset
+        # column some 1e10 times longer
+        raise CertificateError("projective lift lost rank")
+    return lifted
+
+
+def from_projective_stack(lifted: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Inverse of :func:`to_projective_stack` on its image: the direction
+    bases (N, n, k) and orthogonal offsets (N, n) of the planes whose lifts
+    have the bases ``lifted`` (N, n+1, k+1)."""
+    n = lifted.shape[1] - 1
+    last = lifted[:, n, :]
+    if np.any(_norms(last) <= 1e-12):
+        raise InvalidInputError("subspace is parallel to the affine slice")
+    # direction: kernel of the last coordinate, from LAPACK's right singular
+    # vectors past the first (linalg.svd's sign rule touches only the first);
+    # anchor: last coordinate 1
+    ker = np.swapaxes(np.linalg.svd(last[:, None, :])[2], 1, 2)[:, :, 1:]
+    # the kernel columns of an orthonormal basis have last coordinate 0 and
+    # stay orthonormal in R^n, so none is dropped
+    bases = linalg.orthonormalize_stack((lifted @ ker)[:, :n, :])[0]
+    t = last / np.vecdot(last, last)[:, None]
+    anchors = (lifted @ t[:, :, None])[:, :n, 0]
+    return bases, affine_offsets(bases, anchors)
+
+
 def to_projective(plane: AffinePlane) -> Subspace:
     """Lift an l-plane of R^n to the (l+1)-subspace of R^(n+1) that meets
     the slice R^n x {1} exactly in the plane."""
-    n = plane.ambient_dim
-    cols = np.zeros((n + 1, plane.dim + 1))
-    cols[:n, :plane.dim] = plane.direction.basis
-    cols[:n, plane.dim] = plane.offset
-    cols[n, plane.dim] = 1.0
-    return Subspace.from_vectors(cols)
+    return Subspace(to_projective_stack(plane.direction.basis[None], plane.offset[None])[0])
 
 
 def from_projective(sub: Subspace) -> AffinePlane:
     """Inverse of :func:`to_projective` on its image."""
-    n = sub.ambient_dim - 1
-    b = sub.basis
-    last = b[n, :]
-    if float(np.linalg.norm(last)) <= 1e-12:
-        raise InvalidInputError("subspace is parallel to the affine slice")
-    # direction: kernel of the last coordinate; anchor: last coordinate 1
-    ker = linalg.nullspace(last.reshape(1, -1))
-    direction = Subspace.from_vectors((b @ ker)[:n, :]) if ker.shape[1] else Subspace.zero(n)
-    t = last / float(last @ last)
-    anchor = (b @ t)[:n]
-    return AffinePlane(direction, anchor)
+    bases, offsets = from_projective_stack(sub.basis[None])
+    return AffinePlane.view(bases[0], offsets[0])
 
 
 def affine_distance(l1: AffinePlane, l2: AffinePlane) -> float:
-    """Distance induced by the Grassmannian metric on the projective lifts."""
+    """Distance induced by the Grassmannian metric on the projective lifts
+    (on stacks: ``grassmann.distances`` of two ``to_projective_stack``)."""
     return grassmann_distance(to_projective(l1), to_projective(l2))
 
 
-def _max_norm_on_sphere(m: np.ndarray, c: np.ndarray, r: float) -> float:
-    """max ||m u + c|| over ||u|| = r (the max over the ball, by convexity).
+def _max_norm_on_sphere(m: np.ndarray, c: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """max ||m u + c|| over ||u|| = r (the max over the ball, by convexity)
+    for each row of the stacks m (N, q, k), c (N, q) and r (N,).
 
     Solved through the eigen-decomposition of m^T m and the secular
-    equation for the Lagrange multiplier.
+    equation for the Lagrange multiplier, bisected on all rows at once.  A
+    row stops at its own fixed point, where every later step would repeat
+    the last one, so it takes the steps it would take alone.
     """
-    if m.shape[1] == 0 or r <= 0.0:
-        return float(np.linalg.norm(c))
-    dec = linalg.svd(m)
-    k = m.shape[1]
-    lam = np.zeros(k)
-    lam[:len(dec.singular_values)] = dec.singular_values ** 2
-    q = dec.right  # eigenvectors of m^T m
-    b = q.T @ (m.T @ c)
-    lam_max = float(lam[0])
+    out = _norms(c)
+    rows = np.flatnonzero(r > 0.0) if m.shape[2] else np.zeros(0, dtype=int)
+    if not len(rows):
+        return out
+    m, c, r = m[rows], c[rows], r[rows]
+    k = m.shape[2]
+    _, sigma, vt = np.linalg.svd(m)
+    lam = np.zeros((len(rows), k))
+    lam[:, :sigma.shape[1]] = sigma ** 2
+    # the columns of vt^T are the eigenvectors of m^T m
+    b = (vt @ (np.swapaxes(m, 1, 2) @ c[:, :, None]))[:, :, 0]
+    lam_max, rr, nb = lam[:, 0], r * r, _norms(b)
 
-    def value(y):
-        u = q @ y
-        return float(np.linalg.norm(m @ u + c))
+    def norm_at(at, y):
+        """||m u + c|| at u = q y on the rows ``at``."""
+        q = np.swapaxes(vt[at], 1, 2)
+        return _norms((m[at] @ (q @ y[:, :, None]))[:, :, 0] + c[at])
 
-    if float(np.linalg.norm(b)) <= 1e-14:
-        y = np.zeros(k)
-        y[0] = r
-        return value(y)
+    def secular(at, t):
+        """sum (b_i / (t - lam_i))^2 on the rows ``at``: r^2 at the multiplier."""
+        return np.sum((b[at] / (t[:, None] - lam[at])) ** 2, axis=1)
 
-    def phi(t):
-        return float(np.sum((b / (t - lam)) ** 2))
-
-    hi = lam_max + float(np.linalg.norm(b)) / r
-    lo = lam_max
+    best = np.zeros(len(rows))
+    tiny = nb <= 1e-14
+    y = np.zeros((np.count_nonzero(tiny), k))
+    y[:, 0] = r[tiny]
+    best[tiny] = norm_at(tiny, y)
     # hard case: multiplier pinned at the top eigenvalue
-    if abs(b[0]) < 1e-14 and phi(lam_max + 1e-300 if lam_max == 0 else lam_max * (1 + 1e-15) + 1e-300) < r * r:
-        shift = max(lam_max * 1e-12, 1e-300)
-        y = b / (lam_max + shift - lam)
-        y[0] = 0.0
-        rem = r * r - float(y @ y)
-        y[0] = np.sqrt(max(rem, 0.0))
-        return value(y)
+    hard = ~tiny & (np.abs(b[:, 0]) < 1e-14)
+    near = np.where(lam_max == 0, lam_max + 1e-300, lam_max * (1 + 1e-15) + 1e-300)
+    hard[hard] = secular(hard, near[hard]) < rr[hard]
+    shift = np.maximum(lam_max[hard] * 1e-12, 1e-300)
+    y = b[hard] / ((lam_max[hard] + shift)[:, None] - lam[hard])
+    y[:, 0] = 0.0
+    y[:, 0] = np.sqrt(np.maximum(rr[hard] - np.vecdot(y, y), 0.0))
+    best[hard] = norm_at(hard, y)
+    at = ~tiny & ~hard
+    bottom = lo = lam_max[at]
+    hi = lo + nb[at] / r[at]
+    above = np.nextafter(bottom, np.inf)
     for _ in range(300):
         mid = 0.5 * (lo + hi)
-        if mid <= lam_max:
-            mid = np.nextafter(lam_max, np.inf)
-        step = (mid, hi) if phi(mid) > r * r else (lo, mid)
-        if step == (lo, hi):
-            # a fixed point: every later step would repeat this one
+        mid = np.where(mid <= bottom, above, mid)
+        up = secular(at, mid) > rr[at]
+        step = np.where(up, mid, lo), np.where(up, hi, mid)
+        if np.array_equal(step[0], lo) and np.array_equal(step[1], hi):
             break
         lo, hi = step
-    y = b / (hi - lam)
+    y = b[at] / (hi[:, None] - lam[at])
+    val = norm_at(at, y * (r[at] / np.maximum(_norms(y), 1e-300))[:, None])
     # guard against numerical corner cases with axis candidates
-    best = value(y * (r / max(np.linalg.norm(y), 1e-300)))
     for i in range(k):
-        e = np.zeros(k)
-        e[i] = r
-        best = max(best, value(e), value(-e))
-    return best
+        e = np.zeros((len(hi), k))
+        e[:, i] = r[at]
+        val = np.maximum(val, np.maximum(norm_at(at, e), norm_at(at, -e)))
+    best[at] = val
+    out[rows] = best
+    return out
+
+
+def rho_distances(b1: np.ndarray, o1: np.ndarray, b2: np.ndarray,
+                  o2: np.ndarray) -> np.ndarray:
+    """:func:`rho_distance` (N,) for the pairs of two stacks of planes
+    (bases (N, n, k), offsets (N, n))."""
+    for o in (o1, o2):
+        if np.any(_norms(o) > 0.5 + 1e-12):
+            raise OutOfChartError("offset outside the ball of radius 1/2")
+    if b1.shape[1] != b2.shape[1]:
+        raise InvalidInputError("ambient dimension mismatch")
+    comp = np.eye(b1.shape[1]) - b2 @ np.swapaxes(b2, 1, 2)
+    m = comp @ b1
+    c = (comp @ o1[:, :, None])[:, :, 0] - o2
+    r = np.sqrt(np.maximum(0.0, 1.0 - np.vecdot(o1, o1)))
+    return _max_norm_on_sphere(m, c, r)
 
 
 def rho_distance(l1: AffinePlane, l2: AffinePlane) -> float:
@@ -180,17 +265,8 @@ def rho_distance(l1: AffinePlane, l2: AffinePlane) -> float:
     function is the norm of an affine map, so the maximum over the disc
     (l1 ∩ unit ball) sits on its boundary sphere.
     """
-    for pl in (l1, l2):
-        if float(np.linalg.norm(pl.offset)) > 0.5 + 1e-12:
-            raise OutOfChartError("offset outside the ball of radius 1/2")
-    if l1.ambient_dim != l2.ambient_dim:
-        raise InvalidInputError("ambient dimension mismatch")
-    p2 = l2.direction.projector()
-    eye = np.eye(l1.ambient_dim)
-    m = (eye - p2) @ l1.direction.basis
-    c = (eye - p2) @ l1.offset - l2.offset
-    r = float(np.sqrt(max(0.0, 1.0 - float(l1.offset @ l1.offset))))
-    return _max_norm_on_sphere(m, c, r)
+    return float(rho_distances(l1.direction.basis[None], l1.offset[None],
+                               l2.direction.basis[None], l2.offset[None])[0])
 
 
 # ---------------------------------------------------------------------------
@@ -207,6 +283,13 @@ def slice_anchor(l: int, n: int, j: int) -> np.ndarray:
     return v
 
 
+def check_chart_box(coords: np.ndarray) -> None:
+    """OutOfChartError when an entry of the chart coordinates ``coords``
+    (of one point or a stack) leaves [-1, 1]."""
+    if np.max(np.abs(coords), initial=0.0) > 1.0 + CHART_TOL:
+        raise OutOfChartError("chart coordinate outside [-1, 1]")
+
+
 @dataclass(frozen=True)
 class ChartPoint:
     """Chart coordinates of an l-plane: slice points x_0..x_l, each in
@@ -216,8 +299,7 @@ class ChartPoint:
 
     def __post_init__(self):
         c = linalg.as_matrix(self.coords)
-        if np.max(np.abs(c)) > 1.0 + CHART_TOL:
-            raise OutOfChartError("chart coordinate outside [-1, 1]")
+        check_chart_box(c)
         object.__setattr__(self, "coords", linalg.frozen(c))
 
     @property
@@ -300,15 +382,38 @@ class ChartMPlane:
         return self.direction.same(other.direction, tol)
 
 
+def incidences(bases: np.ndarray, offsets: np.ndarray, coords: np.ndarray,
+                tol: float = INCIDENCE_TOL) -> np.ndarray:
+    """:func:`incidence` (N,) of N chart points (coords (N, l+1, q)) and N
+    chart m-planes (bases (N, q, r), offsets (N, l+1, q)): every slice point
+    lies on its section, the affine plane of the shared direction through
+    that slice's offset."""
+    if coords.shape != offsets.shape:
+        raise InvalidInputError("chart shape mismatch")
+    count, sections, q = offsets.shape
+    each = np.repeat(bases, sections, axis=0)
+    d = point_distances(each, affine_offsets(each, offsets.reshape(-1, q)),
+                        coords.reshape(-1, q))
+    return np.all(d.reshape(count, sections) <= tol, axis=1)
+
+
 def incidence(point: ChartPoint, plane: ChartMPlane, tol: float = INCIDENCE_TOL) -> bool:
     """True when every slice coordinate of the l-plane lies on the
     corresponding section of the m-plane (within ``tol``)."""
-    if point.slice_dim != plane.slice_dim or point.l != plane.l:
-        raise InvalidInputError("chart shape mismatch")
-    for j in range(point.l + 1):
-        if plane.section(j).point_distance(point.coords[j]) > tol:
-            return False
-    return True
+    return bool(incidences(plane.direction.basis[None], plane.offsets[None],
+                           point.coords[None], tol)[0])
+
+
+def embed_tilde_stack(bases: np.ndarray, offsets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Product embeddings of N chart m-planes (bases (N, q, r), offsets
+    (N, l+1, q)): the block-diagonal direction bases (N, q(l+1), r(l+1)) and
+    the orthogonal offsets (N, q(l+1))."""
+    count, copies, q = offsets.shape
+    r = bases.shape[2]
+    big = np.zeros((count, q * copies, r * copies))
+    for j in range(copies):
+        big[:, j * q:(j + 1) * q, j * r:(j + 1) * r] = bases
+    return big, affine_offsets(big, offsets.reshape(count, -1))
 
 
 def embed_tilde(plane: ChartMPlane) -> AffinePlane:
@@ -316,13 +421,8 @@ def embed_tilde(plane: ChartMPlane) -> AffinePlane:
     l+1 slice sections, whose direction is the block sum of l+1 copies of
     the section direction and whose orthogonal complement is the block sum
     of the section normals."""
-    q = plane.slice_dim
-    copies = plane.l + 1
-    r = plane.direction.dim
-    big = np.zeros((q * copies, r * copies))
-    for j in range(copies):
-        big[j * q:(j + 1) * q, j * r:(j + 1) * r] = plane.direction.basis
-    return AffinePlane(Subspace(big), plane.offsets.ravel().copy())
+    big, offsets = embed_tilde_stack(plane.direction.basis[None], plane.offsets[None])
+    return AffinePlane.view(big[0], offsets[0])
 
 
 @dataclass(frozen=True)
@@ -348,34 +448,49 @@ class Chart:
             t[j, j - 1] = 1.0
         return t
 
-    def point_of(self, plane: AffinePlane) -> ChartPoint:
-        """Chart coordinates of a transverse l-plane of R^n."""
-        if plane.ambient_dim != self.n or plane.dim != self.l:
+    def points_of(self, bases: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+        """Chart coordinates (N, l+1, n-l) of N transverse l-planes of R^n
+        with direction bases (N, n, l) and orthogonal offsets (N, n)."""
+        if bases.shape[1:] != (self.n, self.l) or offsets.shape != bases.shape[:2]:
             raise InvalidInputError("plane does not match the chart shape")
         nl = self.slice_dim
         if self.l == 0:
-            return ChartPoint(plane.offset.reshape(1, nl))
-        d_low = plane.direction.basis[nl:, :]
-        if linalg.rank_of(d_low) < self.l:
-            raise OutOfChartError("plane is not transverse to the reference slice")
-        a_low = plane.offset[nl:]
-        coords = np.zeros((self.l + 1, nl))
-        for j, tgt in enumerate(self._slice_targets()):
-            t = np.linalg.solve(d_low, tgt - a_low)
-            coords[j] = (plane.offset + plane.direction.basis @ t)[:nl]
-        return ChartPoint(coords)
+            coords = offsets.reshape(-1, 1, nl)
+        else:
+            d_low = bases[:, nl:, :]
+            if np.any(linalg.ranks(np.linalg.svd(d_low, compute_uv=False)) < self.l):
+                raise OutOfChartError("plane is not transverse to the reference slice")
+            a_low = offsets[:, nl:]
+            coords = np.zeros((len(bases), self.l + 1, nl))
+            # one right-hand side per solve, the LAPACK call a lone plane takes
+            for j, tgt in enumerate(self._slice_targets()):
+                t = np.linalg.solve(d_low, (tgt - a_low)[:, :, None])
+                coords[:, j] = (offsets + (bases @ t)[:, :, 0])[:, :nl]
+        check_chart_box(coords)
+        return coords
+
+    def point_of(self, plane: AffinePlane) -> ChartPoint:
+        """Chart coordinates of a transverse l-plane of R^n."""
+        return ChartPoint(self.points_of(plane.direction.basis[None], plane.offset[None])[0])
+
+    def planes_of(self, coords: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Direction bases (N, n, l) and orthogonal offsets (N, n) of the
+        l-planes of R^n through the slice points of N chart coordinates
+        (N, l+1, n-l)."""
+        if coords.shape[1:] != (self.l + 1, self.slice_dim):
+            raise InvalidInputError("chart point does not match the chart shape")
+        pts = np.zeros(coords.shape[:2] + (self.n,))
+        pts[:, :, :self.slice_dim] = coords
+        pts += [slice_anchor(self.l, self.n, j) for j in range(self.l + 1)]
+        # the differences carry e_1..e_l in their last l coordinates, so
+        # none is dropped
+        bases = linalg.orthonormalize_stack(np.swapaxes(pts[:, 1:] - pts[:, :1], 1, 2))[0]
+        return bases, affine_offsets(bases, pts[:, 0])
 
     def plane_of(self, point: ChartPoint) -> AffinePlane:
         """The l-plane of R^n through the chart slice points."""
-        if point.slice_dim != self.slice_dim or point.l != self.l:
-            raise InvalidInputError("chart point does not match the chart shape")
-        pts = []
-        for j in range(self.l + 1):
-            p = np.zeros(self.n)
-            p[:self.slice_dim] = point.coords[j]
-            p += slice_anchor(self.l, self.n, j)
-            pts.append(p)
-        return AffinePlane.through_points(pts)
+        bases, offsets = self.planes_of(point.coords[None])
+        return AffinePlane.view(bases[0], offsets[0])
 
     def m_plane_of(self, plane: AffinePlane) -> ChartMPlane:
         """Chart form of a transverse m-plane (l <= m <= n-1) of R^n."""

@@ -139,6 +139,8 @@ def parse_config(data: dict, overrides: dict | None = None) -> ExperimentConfig:
     params = None
     if data.get("params") is not None:
         raw = data["params"]
+        if not isinstance(raw, dict):
+            raise ConfigError("params must be a JSON object")
         try:
             params = FamilyParams(*(_number(raw[k], f"params.{k}", int) for k in "lmdn"),
                                   _number(raw["beta"], "params.beta"))
@@ -209,6 +211,8 @@ def parse_config(data: dict, overrides: dict | None = None) -> ExperimentConfig:
             raise ConfigError(f"{key} must be a path string or null, got {path!r}")
         if path and not os.path.isdir(os.path.dirname(os.path.abspath(path))):
             raise ConfigError(f"{key} is in a directory that does not exist: {path}")
+        if path and os.path.isdir(path):
+            raise ConfigError(f"{key} names a directory, not a file: {path}")
     return ExperimentConfig(kind, params, deltas, p_values, seed, constants,
                             workers, out, csv)
 
@@ -421,10 +425,10 @@ def main(argv=None) -> int:
     except ResourceCapError as exc:
         print(_error_record("resource-cap", str(exc)))
         return 3
+    if cfg.csv:
+        write_csv(report, cfg.csv)
     if cfg.out:
         write_report(report, cfg.out)
-        if cfg.csv:
-            write_csv(report, cfg.csv)
         print(json.dumps({"out": cfg.out, "passed": report["passed"]}))
     else:
         print(json.dumps(report, indent=2, sort_keys=True))

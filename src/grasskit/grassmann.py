@@ -104,11 +104,7 @@ class Subspace:
         return linalg.containment_residual(self.basis, other.basis) <= tol
 
     def same(self, other: "Subspace", tol: float = EQUALITY_TOL) -> bool:
-        if self.ambient_dim != other.ambient_dim or self.dim != other.dim:
-            return False
-        if self.dim == 0:
-            return True
-        return bool(np.max(principal_angles(self, other).angles) <= tol)
+        return bool(same_stack(self.basis[None], other.basis[None], tol)[0])
 
     def intersect(self, other: "Subspace", tol: float = linalg.RANK_TOL) -> "Subspace":
         """Largest subspace contained in both operands."""
@@ -187,6 +183,14 @@ def aligned_angles(v: np.ndarray, w: np.ndarray, equal_dims: bool = True):
     return (np.take_along_axis(angles, order, 1),
             np.take_along_axis(left, order[:, None, :], 2),
             np.take_along_axis(right, order[:, None, :], 2))
+
+
+def same_stack(v: np.ndarray, w: np.ndarray, tol: float = EQUALITY_TOL) -> np.ndarray:
+    """Equality (N,) of the pairs of two stacks of bases: all principal
+    angles at most ``tol``; stacks of different shapes are never equal."""
+    if np.shape(v) != np.shape(w):
+        return np.zeros(len(v), dtype=bool)
+    return np.max(aligned_angles(v, w)[0], axis=1, initial=0.0) <= tol
 
 
 def distances(v: np.ndarray, w: np.ndarray) -> np.ndarray:

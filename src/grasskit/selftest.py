@@ -13,13 +13,14 @@ from dataclasses import dataclass, asdict
 
 import numpy as np
 
-from .affine import (Chart, affine_distance, embed_tilde, incidence, rho_distance,
-                     ChartMPlane)
+from .affine import (Chart, affine_offsets, chart_offsets, check_chart_box,
+                     embed_tilde_stack, from_projective_stack, incidences,
+                     point_distances, rho_distances, to_projective_stack)
 from .errors import ResourceCapError
 from .grassmann import (distances, geodesic_frames, geodesic_points,
-                        orthonormal_draws, project_stack)
-from .sampling import (random_affine_plane, random_chart_m_plane,
-                       random_chart_point, random_point_on, rng_for)
+                        orthonormal_draws, project_stack, same_stack)
+from .sampling import (affine_plane_arrays, chart_m_plane_arrays, chart_point_arrays,
+                       point_on_arrays, rng_for)
 
 
 class _Result:
@@ -139,29 +140,39 @@ class EmbeddingSuiteResult(_Result):
                 and self.parallelism_disagreements == 0)
 
 
+def embedding_draws(g, samples: int, l: int, m: int, n: int):
+    """The embedding suite's draws, sample by sample in stream order: a
+    chart m-plane v, a point (on v for even samples, a free chart point in
+    [-0.9, 0.9] for odd ones) and a second chart m-plane.  Returns the
+    stacks of v's bases and offsets, the points, and the second planes'
+    bases and offsets."""
+    draws = []
+    for k in range(samples):
+        basis, offsets = chart_m_plane_arrays(g, l, m, n)
+        point = (point_on_arrays(g, basis, offsets) if k % 2 == 0
+                 else chart_point_arrays(g, l, n, scale=0.9))
+        draws.append((basis, offsets, point, *chart_m_plane_arrays(g, l, m, n)))
+    return [np.array(x) for x in zip(*draws)]
+
+
 def embedding_suite(seed: int, samples: int = 1000, l: int = 1, m: int = 2,
                     n: int = 4) -> EmbeddingSuiteResult:
     """Incidence and parallelism agree exactly with the product embedding."""
     start = time.perf_counter()
-    g = rng_for(seed, 3)
-    bad_inc = bad_par = incident = 0
     tol = 1e-9
-    for k in range(samples):
-        v = random_chart_m_plane(g, l, m, n)
-        if k % 2 == 0:
-            p = random_point_on(g, v)
-        else:
-            p = random_chart_point(g, l, n, scale=0.9)
-        chart_side = incidence(p, v, tol)
-        tilde_side = embed_tilde(v).point_distance(p.stacked()) <= tol
-        incident += chart_side
-        bad_inc += chart_side != tilde_side
-        v2 = (ChartMPlane(v.direction, random_chart_m_plane(g, l, m, n).offsets)
-              if k % 2 else random_chart_m_plane(g, l, m, n))
-        par_chart = v.parallel_to(v2, tol)
-        par_tilde = embed_tilde(v).parallel_to(embed_tilde(v2), tol)
-        bad_par += par_chart != par_tilde
-    return EmbeddingSuiteResult(samples, bad_inc, bad_par, incident,
+    v, offsets, points, w, w_offsets = embedding_draws(rng_for(seed, 3), samples, l, m, n)
+    check_chart_box(points)
+    # odd samples pair v with the second draw's offsets on v's own direction
+    odd = np.arange(samples) % 2 == 1
+    w[odd] = v[odd]
+    w_offsets[odd] = chart_offsets(v[odd], w_offsets[odd])
+    chart_side = incidences(v, offsets, points, tol)
+    big, big_offsets = embed_tilde_stack(v, offsets)
+    tilde_side = point_distances(big, big_offsets, points.reshape(samples, -1)) <= tol
+    par_chart = same_stack(v, w, tol)
+    par_tilde = same_stack(big, embed_tilde_stack(w, w_offsets)[0], tol)
+    return EmbeddingSuiteResult(samples, int(np.sum(chart_side != tilde_side)),
+                                int(np.sum(par_chart != par_tilde)), int(np.sum(chart_side)),
                                 time.perf_counter() - start)
 
 
@@ -187,31 +198,39 @@ class ChartSuiteResult(_Result):
                 and self.ratio_prefix_high <= self.ratio_high)
 
 
+def chart_draws(g, samples: int):
+    """The chart suite's draws, sample by sample in stream order: a chart
+    point of (1, 3) in [-0.9, 0.9], then two lines of R^3 with offsets in
+    [-0.25, 0.25]^3.  Returns the points and each line stack's bases and
+    drawn offsets."""
+    draws = [(chart_point_arrays(g, 1, 3, scale=0.9),
+              *affine_plane_arrays(g, 3, 1, offset_scale=0.25),
+              *affine_plane_arrays(g, 3, 1, offset_scale=0.25))
+             for _ in range(samples)]
+    return [np.array(x) for x in zip(*draws)]
+
+
 def chart_suite(seed: int, samples: int = 500) -> ChartSuiteResult:
     """Chart and projective round trips plus the two-metric comparability
     ratios (recorded over a prefix and the full sample; the prefix bounds
     must nest inside the full ones)."""
-    from .affine import from_projective, to_projective
     start = time.perf_counter()
-    g = rng_for(seed, 4)
+    points, b1, o1, b2, o2 = chart_draws(rng_for(seed, 4), samples)
+    check_chart_box(points)
     chart = Chart(1, 3)
-    rt_point = rt_proj = 0.0
-    ratios = []
-    for _ in range(samples):
-        cp = random_chart_point(g, 1, 3, scale=0.9)
-        back = chart.point_of(chart.plane_of(cp))
-        rt_point = max(rt_point, float(np.max(np.abs(back.coords - cp.coords))))
-        pl = random_affine_plane(g, 3, 1, offset_scale=0.25)
-        back_pl = from_projective(to_projective(pl))
-        rt_proj = max(rt_proj, float(np.linalg.norm(back_pl.offset - pl.offset)))
-        other = random_affine_plane(g, 3, 1, offset_scale=0.25)
-        d = affine_distance(pl, other)
-        if d > 1e-6:
-            ratios.append(rho_distance(pl, other) / d)
+    back = chart.points_of(*chart.planes_of(points))
+    rt_point = np.max(np.abs(back - points), initial=0.0)
+    o1, o2 = affine_offsets(b1, o1), affine_offsets(b2, o2)
+    lifted = to_projective_stack(b1, o1)
+    diff = from_projective_stack(lifted)[1] - o1
+    rt_proj = np.max(np.sqrt(np.vecdot(diff, diff)), initial=0.0)
+    d = distances(lifted, to_projective_stack(b2, o2))
+    keep = d > 1e-6
+    ratios = rho_distances(b1[keep], o1[keep], b2[keep], o2[keep]) / d[keep]
     half = ratios[:len(ratios) // 2]
-    return ChartSuiteResult(samples, rt_point, rt_proj,
-                            float(min(ratios)), float(max(ratios)),
-                            float(min(half)), float(max(half)),
+    return ChartSuiteResult(samples, float(rt_point), float(rt_proj),
+                            float(np.min(ratios)), float(np.max(ratios)),
+                            float(np.min(half)), float(np.max(half)),
                             time.perf_counter() - start)
 
 

@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
-from grasskit import affine as af
-from grasskit.errors import OutOfChartError
+from grasskit import affine as af, linalg
+from grasskit.errors import CertificateError, OutOfChartError
 from grasskit.grassmann import Subspace
-from grasskit.sampling import (random_chart_m_plane, random_chart_point,
-                               random_point_on, rng_for)
+from grasskit.sampling import (random_affine_plane, random_chart_m_plane,
+                               random_chart_point, random_point_on, rng_for)
 
 
 def line_through(p, q):
@@ -36,6 +36,14 @@ def test_projective_round_trip():
         pl = random_affine_plane(g, 4, dim)
         back = af.from_projective(af.to_projective(pl))
         assert back.same(pl, 1e-10)
+
+
+def test_to_projective_refuses_a_lift_that_loses_rank():
+    # the direction column falls below the rank floor of the offset column;
+    # the lift used to come back one dimension short
+    far = af.AffinePlane(Subspace.spanned_by_axes(3, [0]), np.array([0.0, 1e11, 0.0]))
+    with pytest.raises(CertificateError):
+        af.to_projective(far)
 
 
 # -------------------------------------------------------- affine distance
@@ -279,3 +287,64 @@ def test_embed_tilde_orthogonal_complement_structure():
     big_normal[q:, normal.shape[1]:] = normal
     comp = t.direction.complement()
     assert comp.same(Subspace(big_normal), 1e-10)
+
+
+# ------------------------------------------------------- stacked kernels
+
+def _arrays(planes):
+    return (np.array([p.direction.basis for p in planes]),
+            np.array([p.offset for p in planes]))
+
+
+def _hard_case_pair():
+    """l1 = the plane z = 0.3 and l2 a line with c orthogonal to the top
+    eigenvector of m^T m (b[0] = 0) and the secular function below r^2
+    there: the multiplier is pinned at the top eigenvalue."""
+    a, s = 0.6, 0.05
+    u = np.array([[0.0], [np.sin(a)], [np.cos(a)]])
+    l1 = af.AffinePlane(Subspace.spanned_by_axes(3, [0, 1]), np.array([0.0, 0.0, 0.3]))
+    l2 = af.AffinePlane(Subspace(u), s * np.array([0.0, np.cos(a), -np.sin(a)]))
+    return l1, l2
+
+
+def test_hard_case_pair_takes_the_hard_branch():
+    l1, l2 = _hard_case_pair()
+    comp = np.eye(3) - l2.direction.projector()
+    m, c = comp @ l1.direction.basis, comp @ l1.offset - l2.offset
+    dec = linalg.svd(m)
+    lam = dec.singular_values ** 2
+    b = dec.right.T @ (m.T @ c)
+    r2 = 1.0 - float(l1.offset @ l1.offset)
+    assert abs(b[0]) < 1e-14 and lam[0] > lam[1]
+    assert np.sum((b / (lam[0] * (1 + 1e-15) - lam)) ** 2) < r2
+    # the disc's boundary circle, sampled densely, stays below rho
+    t = np.linspace(0.0, 2 * np.pi, 4001)
+    circle = l1.offset + np.sqrt(r2) * np.column_stack([np.cos(t), np.sin(t), 0 * t])
+    worst = max(l2.point_distance(x) for x in circle)
+    assert worst <= af.rho_distance(l1, l2) <= worst + 1e-6
+
+
+def _rho_cases():
+    g = rng_for(71)
+    for n in (3, 4):
+        for k1 in (0, 1, 2):
+            for k2 in range(n):
+                l1 = [random_affine_plane(g, n, k1, offset_scale=0.25) for _ in range(12)]
+                l2 = [random_affine_plane(g, n, k2, offset_scale=0.25) for _ in range(12)]
+                yield f"R{n}-{k1}-{k2}", l1, l2
+    # the hard case, |b| <= 1e-14 (both through the origin, c = 0) and a
+    # generic row in one stack
+    hard = _hard_case_pair()
+    origin = (af.AffinePlane(Subspace.spanned_by_axes(3, [0, 1]), np.zeros(3)),
+              af.AffinePlane(Subspace.spanned_by_axes(3, [2]), np.zeros(3)))
+    generic = (random_affine_plane(g, 3, 2, offset_scale=0.25),
+               random_affine_plane(g, 3, 1, offset_scale=0.25))
+    yield "special", *zip(hard, origin, generic)
+
+
+@pytest.mark.parametrize("l1, l2", [case[1:] for case in _rho_cases()],
+                         ids=[case[0] for case in _rho_cases()])
+def test_rho_stack_equals_its_stack_of_one_views(l1, l2):
+    stacked = af.rho_distances(*_arrays(l1), *_arrays(l2))
+    single = [af.rho_distance(a, b) for a, b in zip(l1, l2)]
+    assert [float(x).hex() for x in stacked] == [x.hex() for x in single]

@@ -153,6 +153,15 @@ def test_csv_export(tmp_path):
     assert len(lines) == 4
 
 
+def test_csv_is_written_without_out(tmp_path, capsys):
+    csv_path = tmp_path / "records.csv"
+    code, out = _main_exit(tmp_path, capsys, base_config(csv=str(csv_path)))
+    assert code == 0
+    assert json.loads(out)["config"]["csv"] == str(csv_path)
+    lines = csv_path.read_text().strip().splitlines()
+    assert lines[0] == "box_count,delta,members" and len(lines) == 4
+
+
 def test_seed_override_changes_bl_audit(tmp_path):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(bl_audit_config(seed=1)))
@@ -227,6 +236,15 @@ def test_bad_entries_exit_2(tmp_path, capsys, field, value):
         assert json.loads(out)["error"] == "config"
 
 
+@pytest.mark.parametrize("params", [[1, 2], "lmdn", 3])
+def test_params_not_an_object_exit_2(tmp_path, capsys, params):
+    cfg = base_config(params=params)
+    for command in ("validate", "run"):
+        code, out = _main_exit(tmp_path, capsys, cfg, command)
+        assert code == 2
+        assert json.loads(out) == {"error": "config", "message": "params must be a JSON object"}
+
+
 @pytest.mark.parametrize("path, value", [
     ("params.l", 0.7),           # ran at l = 0
     ("params.beta", "1"),
@@ -253,6 +271,8 @@ def test_coerced_numbers_exit_2(tmp_path, capsys, path, value):
     ("csv", 5),                          # open(5) took it as a file descriptor
     ("out", "missing-dir/report.json"),  # FileNotFoundError after the run
     ("csv", "missing-dir/records.csv"),
+    ("out", "."),                        # IsADirectoryError in os.replace after the run
+    ("csv", "."),
 ])
 def test_bad_output_paths_exit_2_before_the_run(tmp_path, capsys, monkeypatch, field, value):
     def no_run(cfg):

@@ -5,7 +5,9 @@ import numpy as np
 import pytest
 
 from grasskit import selftest
-from grasskit.sampling import rng_for
+from grasskit.affine import AffinePlane, ChartMPlane, ChartPoint, affine_offsets
+from grasskit.grassmann import random_subspace
+from grasskit.sampling import chart_m_plane_arrays, point_on_arrays, rng_for
 
 
 def test_geodesic_block_is_the_sequence_of_per_sample_draws():
@@ -138,3 +140,110 @@ FIELD_PINS = [
 def test_every_suite_field_is_pinned(suite, args, fields):
     res = getattr(selftest, f"{suite}_suite")(*args)
     assert _hexed(res.to_dict()) == fields
+
+
+# The object-based draw sequence the embedding and chart suites used to run,
+# sample by sample: the reference the array draws must replay.
+
+def reference_chart_m_plane(g, l, m, n, offset_scale=0.6, tries=None):
+    while True:
+        if tries is not None:
+            tries.append(1)
+        w = random_subspace(g, n - l, m - l)
+        raw = g.uniform(-offset_scale, offset_scale, size=(l + 1, n - l))
+        o = raw - (w.project(raw.T)).T
+        if np.max(np.abs(o)) <= 1.0:
+            return ChartMPlane(w, o)
+
+
+def reference_point_on(g, plane, spread=0.5, tries=None):
+    while True:
+        if tries is not None:
+            tries.append(1)
+        coords = np.zeros((plane.l + 1, plane.slice_dim))
+        for j in range(plane.l + 1):
+            t = g.uniform(-spread, spread, size=plane.direction.dim)
+            coords[j] = plane.offsets[j] + plane.direction.basis @ t
+        if np.max(np.abs(coords)) <= 1.0:
+            return ChartPoint(coords)
+
+
+def reference_embedding_loop(g, samples, l=1, m=2, n=4):
+    out = []
+    for k in range(samples):
+        v = reference_chart_m_plane(g, l, m, n)
+        p = (reference_point_on(g, v) if k % 2 == 0
+             else ChartPoint(g.uniform(-0.9, 0.9, size=(l + 1, n - l))))
+        out.append((v, p, reference_chart_m_plane(g, l, m, n)))
+    return out
+
+
+def reference_chart_loop(g, samples):
+    return [(ChartPoint(g.uniform(-0.9, 0.9, size=(2, 2))),
+             AffinePlane(random_subspace(g, 3, 1), g.uniform(-0.25, 0.25, size=3)),
+             AffinePlane(random_subspace(g, 3, 1), g.uniform(-0.25, 0.25, size=3)))
+            for _ in range(samples)]
+
+
+class _ZeroFirst:
+    """A generator whose first Gaussian draw is all zeros, a rank-deficient
+    basis that must be redrawn; everything else comes from the real stream."""
+
+    def __init__(self, g):
+        self.g, self.calls = g, 0
+
+    def standard_normal(self, size):
+        out = self.g.standard_normal(size)
+        if self.calls == 0:
+            out[...] = 0.0
+        self.calls += 1
+        return out
+
+    def uniform(self, *args, **kwargs):
+        return self.g.uniform(*args, **kwargs)
+
+
+def _state(g):
+    return str(getattr(g, "g", g).bit_generator.state)
+
+
+@pytest.mark.parametrize("wrap", [lambda g: g, _ZeroFirst], ids=["stream", "deficient"])
+@pytest.mark.parametrize("seed", [0, 7])
+def test_embedding_draws_replay_the_object_sequence(seed, wrap):
+    g, ref_g = wrap(rng_for(seed, 3)), wrap(rng_for(seed, 3))
+    v, offsets, points, w, w_offsets = selftest.embedding_draws(g, 60, 1, 2, 4)
+    ref = reference_embedding_loop(ref_g, 60)
+    assert _state(g) == _state(ref_g)
+    assert np.array_equal(v, [a.direction.basis for a, _, _ in ref])
+    assert np.array_equal(offsets, [a.offsets for a, _, _ in ref])
+    assert np.array_equal(points, [p.coords for _, p, _ in ref])
+    assert np.array_equal(w, [b.direction.basis for _, _, b in ref])
+    assert np.array_equal(w_offsets, [b.offsets for _, _, b in ref])
+
+
+@pytest.mark.parametrize("wrap", [lambda g: g, _ZeroFirst], ids=["stream", "deficient"])
+@pytest.mark.parametrize("seed", [0, 7])
+def test_chart_draws_replay_the_object_sequence(seed, wrap):
+    g, ref_g = wrap(rng_for(seed, 4)), wrap(rng_for(seed, 4))
+    points, b1, o1, b2, o2 = selftest.chart_draws(g, 60)
+    ref = reference_chart_loop(ref_g, 60)
+    assert _state(g) == _state(ref_g)
+    assert np.array_equal(points, [p.coords for p, _, _ in ref])
+    for bases, offsets, i in ((b1, o1, 1), (b2, o2, 2)):
+        assert np.array_equal(bases, [r[i].direction.basis for r in ref])
+        assert np.array_equal(affine_offsets(bases, offsets), [r[i].offset for r in ref])
+
+
+def test_draw_helpers_replay_rejections():
+    # offsets near the box edge: both rejection loops run more than once
+    g, ref_g = rng_for(11), rng_for(11)
+    plane_tries, point_tries = [], []
+    for _ in range(40):
+        basis, offsets = chart_m_plane_arrays(g, 1, 2, 4, offset_scale=0.95)
+        coords = point_on_arrays(g, basis, offsets, spread=0.9)
+        v = reference_chart_m_plane(ref_g, 1, 2, 4, offset_scale=0.95, tries=plane_tries)
+        p = reference_point_on(ref_g, v, spread=0.9, tries=point_tries)
+        assert np.array_equal(basis, v.direction.basis) and np.array_equal(offsets, v.offsets)
+        assert np.array_equal(coords, p.coords)
+    assert _state(g) == _state(ref_g)
+    assert len(plane_tries) > 40 and len(point_tries) > 40
