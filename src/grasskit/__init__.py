@@ -10,12 +10,12 @@ Modules:
                    onto a sub-Grassmannian over (N, q, k) stacks of bases;
 * ``affine``     - affine planes, the local chart, incidence, the product
                    embedding, the two comparable metrics;
-* ``discretize`` - separated nets, slab neighborhoods, grid counting,
-                   box-dimension fits, the spacing condition and partition;
+* ``discretize`` - Grassmannian direction nets, slab neighborhoods, grid
+                   counting, box-dimension fits, the spacing condition and
+                   partition;
 * ``kakeya``     - sharp-example families, broad-narrow classification,
                    transversality certificates, the subspace-dimension
-                   counting functional, the counting-inequality verifier,
-                   anisotropic chart rescaling;
+                   counting functional, the counting-inequality verifier;
 * ``cli``        - config-driven deterministic experiment runner.
 """
 

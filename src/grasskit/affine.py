@@ -492,31 +492,6 @@ class Chart:
         bases, offsets = self.planes_of(point.coords[None])
         return AffinePlane.view(bases[0], offsets[0])
 
-    def m_plane_of(self, plane: AffinePlane) -> ChartMPlane:
-        """Chart form of a transverse m-plane (l <= m <= n-1) of R^n."""
-        if plane.ambient_dim != self.n:
-            raise InvalidInputError("ambient dimension mismatch")
-        m = plane.dim
-        if not self.l <= m < self.n:
-            raise InvalidInputError("plane dimension outside [l, n-1]")
-        nl = self.slice_dim
-        d = plane.direction.basis
-        if self.l == 0:
-            return ChartMPlane(Subspace(d[:nl, :]), plane.offset.reshape(1, nl))
-        d_low = d[nl:, :]
-        if linalg.rank_of(d_low) < self.l:
-            raise OutOfChartError("plane is not transverse to the reference slice")
-        ker = linalg.nullspace(d_low)
-        w = Subspace.from_vectors((d @ ker)[:nl, :]) if ker.shape[1] else Subspace.zero(nl)
-        a_low = plane.offset[nl:]
-        # least-squares particular solution per slice
-        gram = d_low @ d_low.T
-        offsets = np.zeros((self.l + 1, nl))
-        for j, tgt in enumerate(self._slice_targets()):
-            t = d_low.T @ np.linalg.solve(gram, tgt - a_low)
-            offsets[j] = (plane.offset + d @ t)[:nl]
-        return ChartMPlane(w, offsets)
-
     def affine_of(self, plane: ChartMPlane) -> AffinePlane:
         """The m-plane of R^n represented by a chart m-plane."""
         if plane.slice_dim != self.slice_dim or plane.l != self.l:

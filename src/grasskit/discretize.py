@@ -1,6 +1,6 @@
-"""Resolution-scale machinery: separated nets, slab neighborhoods of chart
-m-planes, grid counting, box-dimension fits, the ball-counting spacing
-condition, and the spacing partition.
+"""Resolution-scale machinery: direction nets of the Grassmannian, slab
+neighborhoods of chart m-planes, grid counting, box-dimension fits, the
+ball-counting spacing condition, and the spacing partition.
 
 Conventions fixed here and used everywhere:
 
@@ -39,7 +39,6 @@ from .affine import ChartMPlane, ChartPoint
 from .errors import InvalidInputError, InvalidScaleError, ResourceCapError
 from .grassmann import Subspace, distances, random_subspaces
 
-CANDIDATE_CAP = 4_000_000
 CELL_CAP = 16_000_000
 KEY_MAX = np.iinfo(np.int64).max
 
@@ -48,30 +47,6 @@ def _check_scale(delta: float) -> float:
     if not (0.0 < delta <= 1.0):
         raise InvalidScaleError(f"scale must be in (0, 1], got {delta}")
     return float(delta)
-
-
-# ----------------------------------------------------------------- nets
-
-@dataclass(frozen=True)
-class DeltaNet:
-    """A finite separated point set at a given scale.
-
-    ``maximal`` marks nets built to also be covering at the same scale
-    (up to the candidate-grid resolution).
-    """
-
-    scale: float
-    points: np.ndarray
-    maximal: bool = False
-
-    def __post_init__(self):
-        object.__setattr__(self, "points", linalg.frozen(linalg.as_matrix(self.points)))
-
-    def __len__(self) -> int:
-        return self.points.shape[0]
-
-    def min_separation(self) -> float:
-        return float(min_pairwise_distance(self.points))
 
 
 def min_pairwise_distance(points: np.ndarray) -> float:
@@ -89,6 +64,8 @@ def min_pairwise_distance(points: np.ndarray) -> float:
     return best
 
 
+# ----------------------------------------------------------------- nets
+
 def _farthest_point_indices(dist_to, delta: float) -> list[int]:
     """Farthest-point insertion from candidate 0, where ``dist_to(i)`` is
     the distance array from candidate i: separation >= delta, covering (of
@@ -101,31 +78,6 @@ def _farthest_point_indices(dist_to, delta: float) -> list[int]:
             return chosen
         chosen.append(nxt)
         dist = np.minimum(dist, dist_to(nxt))
-
-
-def _farthest_point_net(candidates: np.ndarray, delta: float) -> np.ndarray:
-    """Starts from the lexicographically first candidate, so the result is
-    deterministic."""
-    cands = candidates[np.lexsort(candidates.T[::-1])]
-    return cands[_farthest_point_indices(
-        lambda i: np.linalg.norm(cands - cands[i], axis=1), delta)]
-
-
-def build_net(dim: int, delta: float, half_width: float = 1.0) -> DeltaNet:
-    """Maximal delta-separated subset of [-half_width, half_width]^dim.
-
-    Farthest-point insertion over a fine candidate grid (pitch delta/8),
-    which is deterministic and maximal up to the grid resolution.
-    """
-    delta = _check_scale(delta)
-    pitch = delta / 8.0
-    per_axis = int(math.floor(2.0 * half_width / pitch)) + 1
-    if per_axis ** dim > CANDIDATE_CAP:
-        raise ResourceCapError("candidate grid too fine for build_net")
-    axis = np.linspace(-half_width, half_width, per_axis)
-    grids = np.meshgrid(*([axis] * dim), indexing="ij")
-    candidates = np.column_stack([g.ravel() for g in grids])
-    return DeltaNet(delta, _farthest_point_net(candidates, delta), maximal=True)
 
 
 def build_direction_net(sub_dim: int, ambient: int, delta: float) -> list[Subspace]:
@@ -520,14 +472,6 @@ class SlabNeighborhood:
         return np.column_stack([line[at], last])[keep], start + poly[at][keep], candidates
 
 
-def ball_measure(delta: float, l: int, n: int) -> float:
-    """Volume of a delta-ball in the chart (dimension (n-l)(l+1))."""
-    delta = _check_scale(delta)
-    dim = (n - l) * (l + 1)
-    unit = np.pi ** (dim / 2.0) / math.gamma(dim / 2.0 + 1.0)
-    return float(unit * delta ** dim)
-
-
 # --------------------------------------------------------------- spacing
 
 def dyadic_radii(delta: float) -> np.ndarray:
@@ -552,15 +496,17 @@ class SpacingReport:
     worst_count: int
 
 
-def spacing_report(points: np.ndarray, delta: float, exponent: float,
-                   cap: int = 30_000) -> SpacingReport:
+SPACING_CAP = 30_000  # members of one spacing check
+
+
+def spacing_report(points: np.ndarray, delta: float, exponent: float) -> SpacingReport:
     """Check #(points ∩ B_r(x)) <= (r/delta)^exponent for all members x and
     dyadic radii.  Balls are closed and member-centered."""
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     m = pts.shape[0]
     if m == 0:
         return SpacingReport(True, 0.0, -1, delta, 0)
-    if m > cap:
+    if m > SPACING_CAP:
         raise ResourceCapError(f"spacing check on {m} members exceeds the cap")
     if exponent < 0:
         raise InvalidInputError("exponent must be non-negative")
@@ -585,7 +531,7 @@ def check_spacing(points: np.ndarray, delta: float, exponent: float) -> bool:
 
 
 def partition_spacing(points: np.ndarray, delta: float, exponent: float,
-                      m_bound: float, max_parts: int | None = None) -> list[np.ndarray]:
+                      m_bound: float) -> list[np.ndarray]:
     """Partition a finite set into parts that each satisfy the ball-counting
     bound with constant 1, by greedy peeling.
 
@@ -595,7 +541,8 @@ def partition_spacing(points: np.ndarray, delta: float, exponent: float,
     center and defers the rest to later parts.  Above 2,000 candidates
     that scan runs in row chunks, so of two equal worst ratios in different
     chunks it may keep another than one scan over all rows would.
-    Returns index arrays into ``points``.
+    Returns index arrays into ``points``; ResourceCapError beyond
+    max(16, 64 M^2) parts.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     m = pts.shape[0]
@@ -607,8 +554,7 @@ def partition_spacing(points: np.ndarray, delta: float, exponent: float,
             f"precondition violated: ball at member {pre.worst_center} radius "
             f"{pre.worst_radius} holds {pre.worst_count} members "
             f"(ratio {pre.worst_ratio:.3f} > M={m_bound})")
-    if max_parts is None:
-        max_parts = max(16, int(64 * m_bound ** 2))
+    max_parts = max(16, int(64 * m_bound ** 2))
     order = np.lexsort(pts.T[::-1])
     pool = list(order)
     parts: list[np.ndarray] = []

@@ -1,7 +1,6 @@
 """Plane-family experiments: sharp-example generation, the broad-narrow
 classifier with transversality certificates, the subspace-dimension
-counting functional, the counting-inequality verifier, and the anisotropic
-chart rescaling.
+counting functional and the counting-inequality verifier.
 
 Families are finite separated subsets of the chart of m-planes.  Their
 metric is the Euclidean metric on the feature embedding
@@ -14,14 +13,12 @@ part is the chordal distance between directions).
 A family of M members is held as arrays, with q = n-l and r = m-l:
 ``directions`` (M, q, r) orthonormal section bases and ``offsets``
 (M, l+1, q) section offsets orthogonal to them.  Generation, union
-sampling, the slab neighborhoods, the feature embedding and the JSON form
-work on these arrays; ``PlaneFamily.members`` gives ``ChartMPlane`` views
-of the rows for the rescaling.
+sampling, the slab neighborhoods and the feature embedding work on these
+arrays; ``PlaneFamily.members`` gives ``ChartMPlane`` views of the rows.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -32,8 +29,7 @@ from .affine import ChartMPlane, ChartPoint, chart_offsets, embed_tilde
 from .discretize import (CELL_CAP, SlabNeighborhood, GridCounter, build_direction_net,
                          cells_per_axis, min_pairwise_distance, spacing_report,
                          SpacingReport)
-from .errors import (CertificateError, InvalidInputError, OutOfChartError,
-                     ResourceCapError)
+from .errors import CertificateError, InvalidInputError, ResourceCapError
 from .grassmann import (Subspace, check_bases, distances, project_to_sub_grassmannian,
                         random_subspaces)
 
@@ -125,7 +121,7 @@ class PlaneFamily:
     tuple of ``ChartMPlane`` views of these rows, built on each access; a
     view shares its family's offsets and is not projected again.  Slab
     geometry takes the arrays: ``SlabNeighborhood(family, delta)``.
-    ``PlaneFamily(params, scale, members)`` stacks the given planes.
+    :meth:`from_arrays` is the one constructor.
     """
 
     params: FamilyParams
@@ -133,16 +129,6 @@ class PlaneFamily:
     directions: np.ndarray
     offsets: np.ndarray
     _features: np.ndarray | None = field(default=None, repr=False)
-
-    def __init__(self, params: FamilyParams, scale: float, members):
-        q, r = params.n - params.l, params.m - params.l
-        members = tuple(members)
-        if any(v.direction.basis.shape != (q, r) or v.offsets.shape != (params.l + 1, q)
-               for v in members):
-            raise InvalidInputError("member shapes do not match the family parameters")
-        self._assign(params, scale,
-                     np.reshape([v.direction.basis for v in members], (len(members), q, r)),
-                     np.reshape([v.offsets for v in members], (len(members), params.l + 1, q)))
 
     @classmethod
     def from_arrays(cls, params: FamilyParams, scale: float, directions: np.ndarray,
@@ -155,15 +141,12 @@ class PlaneFamily:
         if directions.shape[1:] != (q, r) or np.shape(offsets)[1:] != (params.l + 1, q):
             raise InvalidInputError("member shapes do not match the family parameters")
         family = object.__new__(cls)
-        family._assign(params, scale, check_bases(directions),
-                       chart_offsets(directions, np.asarray(offsets, dtype=float)))
+        object.__setattr__(family, "params", params)
+        object.__setattr__(family, "scale", scale)
+        object.__setattr__(family, "directions", linalg.frozen(check_bases(directions)))
+        object.__setattr__(family, "offsets", linalg.frozen(
+            chart_offsets(directions, np.asarray(offsets, dtype=float))))
         return family
-
-    def _assign(self, params, scale, directions, offsets) -> None:
-        object.__setattr__(self, "params", params)
-        object.__setattr__(self, "scale", scale)
-        object.__setattr__(self, "directions", linalg.frozen(directions))
-        object.__setattr__(self, "offsets", linalg.frozen(offsets))
 
     def __len__(self) -> int:
         return self.directions.shape[0]
@@ -187,38 +170,8 @@ class PlaneFamily:
     def min_separation(self) -> float:
         return float(min_pairwise_distance(self.feature_matrix()))
 
-    def spacing(self, exponent: float | None = None) -> SpacingReport:
-        e = self.params.spacing_exponent if exponent is None else exponent
-        return spacing_report(self.feature_matrix(), self.scale, e)
-
-    def to_json(self) -> dict:
-        """Each member row is its offsets, then its direction basis, flattened."""
-        rows = np.concatenate([_flat_rows(self.offsets), _flat_rows(self.directions)], axis=1)
-        return {
-            "schema_version": 1,
-            "params": self.params.to_dict(),
-            "scale": self.scale,
-            "members": rows.tolist(),
-        }
-
-    @classmethod
-    def from_json(cls, data: dict) -> "PlaneFamily":
-        params = FamilyParams.from_dict(data["params"])
-        q, r = params.n - params.l, params.m - params.l
-        n_off = (params.l + 1) * q
-        rows = np.asarray(data["members"], dtype=float).reshape(-1, n_off + q * r)
-        m = len(rows)
-        return cls.from_arrays(params, float(data["scale"]), rows[:, n_off:].reshape(m, q, r),
-                               rows[:, :n_off].reshape(m, params.l + 1, q))
-
-    def save(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_json(), fh)
-
-    @classmethod
-    def load(cls, path) -> "PlaneFamily":
-        with open(path) as fh:
-            return cls.from_json(json.load(fh))
+    def spacing(self) -> SpacingReport:
+        return spacing_report(self.feature_matrix(), self.scale, self.params.spacing_exponent)
 
 
 # ------------------------------------------------- sharp example generator
@@ -341,19 +294,18 @@ def generate_sharp_example(params: FamilyParams, delta: float) -> PlaneFamily:
 UNION_CHUNK_ROWS = 1 << 18
 
 
-def union_sample_points(family: PlaneFamily, pitch: float | None = None,
-                        cap: int = 6_000_000) -> np.ndarray:
+def union_sample_points(family: PlaneFamily, cap: int = 6_000_000) -> np.ndarray:
     """Point sample of the union of the member plane-sets in the chart.
 
-    Each member contributes the product over slices of a pitch-spaced
-    sample of its section inside the box; sampling at half the box-count
-    scale keeps cell counts exact up to boundary slivers.  Section j of a
+    Each member contributes the product over slices of a sample of its
+    section inside the box at pitch half the family's scale, which keeps
+    box counts at that scale exact up to boundary slivers.  Section j of a
     member is sampled on the tick lattice offset_j + D t, t in ticks^r,
     evaluated for a chunk of members at once; rows come member by member,
     slice 0 varying slowest.  ResourceCapError when the total exceeds
     ``cap``.
     """
-    pitch = family.scale / 2.0 if pitch is None else pitch
+    pitch = family.scale / 2.0
     _, copies, q = family.offsets.shape
     r = family.directions.shape[2]
     half = math.sqrt(q)
@@ -414,17 +366,16 @@ class BushDirections:
         return sum(self.counts)
 
 
-def bush_directions(anchor: ChartPoint, family: PlaneFamily,
-                    net: list[Subspace] | None = None) -> BushDirections:
+def bush_directions(anchor: ChartPoint, family: PlaneFamily) -> BushDirections:
     """Members whose slab neighborhood meets the delta-ball of the anchor,
-    viewed as net directions."""
+    viewed as directions of :func:`build_direction_net` at the family's
+    scale."""
     delta = family.scale
     touching = np.flatnonzero(SlabNeighborhood(family, delta).chart_distance(anchor) <= delta)
     if not touching.size:
         return BushDirections(anchor, ())
-    if net is None:
-        r = family.params.m - family.params.l
-        net = build_direction_net(r, family.params.n - family.params.l, delta)
+    net = build_direction_net(family.params.m - family.params.l,
+                              family.params.n - family.params.l, delta)
     bases = np.stack([u.basis for u in net])
     buckets: dict[int, list[int]] = {}
     for i in touching.tolist():
@@ -444,7 +395,6 @@ class ClassifierConstants:
     c1: float
     c_tilde: float
     c_prime: float
-    separation_factor: float = 100.0
 
     @classmethod
     def for_params(cls, params: FamilyParams, K: int | None = None) -> "ClassifierConstants":
@@ -556,13 +506,12 @@ def _select_balls(bush: BushDirections, constants: ClassifierConstants, n: int):
     best_class = max(classes, key=lambda k: (sum(len(ms) for _, ms in classes[k]), k))
     chosen = []
     for c, ms in sorted(classes[best_class], key=lambda e: -len(e[1])):
-        if all(dist[c, c2] > constants.separation_factor * radius for c2, _ in chosen):
+        if all(dist[c, c2] > 100.0 * radius for c2, _ in chosen):
             chosen.append((c, ms))
     return [(bush.entries[c][0], ms) for c, ms in chosen]
 
 
 def broad_narrow_classify(bush: BushDirections, params: FamilyParams,
-                          constants: ClassifierConstants | None = None,
                           K: int | None = None) -> Narrow | Broad:
     """Classify a direction bush.
 
@@ -575,8 +524,7 @@ def broad_narrow_classify(bush: BushDirections, params: FamilyParams,
     """
     if not bush.entries:
         raise InvalidInputError("empty bush")
-    if constants is None:
-        constants = ClassifierConstants.for_params(params, K)
+    constants = ClassifierConstants.for_params(params, K)
     q = params.n - params.l
     selected = _select_balls(bush, constants, params.n)
     threshold = constants.step_threshold(params)
@@ -624,12 +572,12 @@ def broad_narrow_classify(bush: BushDirections, params: FamilyParams,
 
 
 def random_transverse_tuple(params: FamilyParams, rng: np.random.Generator,
-                            K: int | None = None,
-                            n_directions: int | None = None) -> TransverseTuple:
-    """Certified tuple from classifying a random direction bush."""
+                            K: int | None = None) -> TransverseTuple:
+    """Certified tuple from classifying a random bush of 4(d-l+2)
+    directions."""
     r = params.m - params.l
     q = params.n - params.l
-    count = n_directions or 4 * (params.d - params.l + 2)
+    count = 4 * (params.d - params.l + 2)
     anchor = ChartPoint(np.zeros((params.l + 1, q)))
     for _ in range(64):
         entries = tuple((Subspace(b), (i,))
@@ -909,61 +857,3 @@ def verify_kakeya_inequality(families, p: float, eps: float,
         raise InvalidInputError("families must come at strictly decreasing scales")
     rows = tuple(kakeya_rows(f, [p], eps)[0] for f in fams)
     return KakeyaReport(float(p), float(eps), rows, ratio_bound, growth_bound)
-
-
-# -------------------------------------------------------------- rescaling
-
-@dataclass(frozen=True)
-class SlabRescaling:
-    """Anisotropic dilation about a core m-plane, slice by slice.
-
-    Normal deviations from the core sections scale by K while positions
-    along the sections are fixed, so the K^-1-neighborhood of the core
-    maps onto a unit-size slab and every delta-slab inside it becomes a
-    (delta K)-slab.  K = 1 is the identity.
-    """
-
-    core: ChartMPlane
-    K: float
-
-    def point_coords(self, coords: np.ndarray) -> np.ndarray:
-        nf = self.core.normal_frame()
-        out = np.array(coords, dtype=float)
-        for j in range(self.core.l + 1):
-            dev = nf.T @ (out[j] - self.core.offsets[j])
-            out[j] = out[j] + (self.K - 1.0) * (nf @ dev)
-        return out
-
-    def chart_point(self, point: ChartPoint) -> ChartPoint:
-        return ChartPoint(self.point_coords(point.coords))
-
-    def m_plane(self, plane: ChartMPlane) -> ChartMPlane:
-        nf = self.core.normal_frame()
-        t = np.eye(self.core.slice_dim) + (self.K - 1.0) * (nf @ nf.T)
-        if plane.direction.dim:
-            direction = Subspace.from_vectors(t @ plane.direction.basis)
-        else:
-            direction = plane.direction
-        offsets = self.point_coords(plane.offsets)
-        return ChartMPlane(direction, offsets)
-
-    def inverse(self) -> "SlabRescaling":
-        return SlabRescaling(self.core, 1.0 / self.K)
-
-
-def rescale_slab(core: ChartMPlane, K: float) -> SlabRescaling:
-    if K <= 0:
-        raise InvalidInputError("dilation factor must be positive")
-    return SlabRescaling(core, float(K))
-
-
-def rescale_family(family: PlaneFamily, core: ChartMPlane, K: float) -> PlaneFamily:
-    """Image family at scale delta*K (members leaving the chart are dropped)."""
-    mapping = rescale_slab(core, K)
-    members = []
-    for v in family.members:
-        try:
-            members.append(mapping.m_plane(v))
-        except OutOfChartError:
-            continue
-    return PlaneFamily(family.params, family.scale * K, tuple(members))

@@ -174,16 +174,6 @@ def test_chart_round_trip():
             assert np.max(np.abs(back.coords - cp.coords)) <= 1e-10
 
 
-def test_chart_m_plane_round_trip():
-    for (l, m, n) in [(0, 1, 2), (1, 2, 3), (1, 2, 4), (1, 1, 3)]:
-        chart = af.Chart(l, n)
-        for trial in range(30):
-            v = random_chart_m_plane(rng_for(36, l, m, n, trial), l, m, n)
-            back = chart.m_plane_of(chart.affine_of(v))
-            assert back.direction.same(v.direction, 1e-9)
-            assert np.max(np.abs(back.offsets - v.offsets)) <= 1e-9
-
-
 def test_chart_m_plane_dimension_count():
     # a chart m-plane has (m-l)(n-m) + (l+1)(n-m) free parameters
     l, m, n = 1, 2, 4
@@ -236,6 +226,28 @@ def test_incidence_matches_containment_oracle():
         hits += inside
         misses += not inside
     assert hits > 10 and misses > 10
+
+
+@pytest.mark.parametrize("l, m, n", [(0, 1, 2), (1, 2, 3), (1, 2, 4), (1, 1, 3)])
+def test_incidences_meet_the_tolerance_as_incidence_does(l, m, n):
+    # points moved off one section along its normal frame by half and by
+    # twice the tolerance fall inside and outside it, on the stack and on
+    # its single-plane views alike
+    g = rng_for(43, l, m, n)
+    planes, points, expected = [], [], []
+    for trial in range(20):
+        v = random_chart_m_plane(g, l, m, n)
+        coords = random_point_on(g, v, spread=0.3).coords.copy()
+        step = v.normal_frame() @ g.standard_normal(n - m)
+        factor = (0.5, 2.0)[trial % 2]
+        coords[trial % (l + 1)] += factor * af.INCIDENCE_TOL * step / np.linalg.norm(step)
+        planes.append(v)
+        points.append(af.ChartPoint(coords))
+        expected.append(factor < 1.0)
+    stacked = af.incidences(np.stack([v.direction.basis for v in planes]),
+                            np.stack([v.offsets for v in planes]),
+                            np.stack([p.coords for p in points]))
+    assert stacked.tolist() == [af.incidence(p, v) for p, v in zip(points, planes)] == expected
 
 
 # -------------------------------------------------------------- embedding

@@ -28,39 +28,11 @@ def tilted_line_plane(angle, shift):
 
 # ------------------------------------------------------------------ nets
 
-def test_net_coarse_cardinality():
-    net = dz.build_net(1, 1.0)
-    assert 1 <= len(net) <= 3
-
-
-def test_net_packing_covering_bounds():
-    # oracle: separation delta forces <= (2/delta+1)^2 points, covering at
-    # delta forces >= area/(pi delta^2) >= (1/delta)^2 points
-    delta = 2.0 ** -4
-    net = dz.build_net(2, delta)
-    assert 16 ** 2 <= len(net) <= 33 ** 2
-
-
-def test_net_min_separation():
-    delta = 2.0 ** -3
-    net = dz.build_net(2, delta)
-    assert net.min_separation() >= delta - 1e-12
-
-
-def test_net_probabilistic_maximality():
-    delta = 2.0 ** -3
-    net = dz.build_net(2, delta)
-    g = rng_for(51)
-    probes = g.uniform(-1.0, 1.0, size=(10_000, 2))
-    d = np.sqrt(((probes[:, None, :] - net.points[None, :, :]) ** 2).sum(-1)).min(1)
-    assert float(d.max()) <= delta * 1.05
-
-
 def test_net_invalid_scale():
     with pytest.raises(InvalidScaleError):
-        dz.build_net(1, 0.0)
+        dz.build_direction_net(1, 2, 0.0)
     with pytest.raises(InvalidScaleError):
-        dz.build_net(1, 1.5)
+        dz.build_direction_net(1, 2, 1.5)
 
 
 def test_direction_net_circle():
@@ -229,12 +201,6 @@ def test_slab_batches_do_not_change_results(shape, monkeypatch):
     empty = dz.SlabNeighborhood(SimpleNamespace(directions=fam.directions[:0],
                                                 offsets=fam.offsets[:0]), fam.scale)
     assert empty.cells().shape == (0, cells.shape[1]) and empty.measure().shape == (0,)
-
-
-def test_ball_measure_power_law():
-    assert dz.ball_measure(0.5, 0, 2) == pytest.approx(np.pi * 0.25)
-    ratio = dz.ball_measure(0.25, 1, 3) / dz.ball_measure(0.125, 1, 3)
-    assert ratio == pytest.approx(2.0 ** 4)
 
 
 SLAB_SHAPES = {

@@ -4,11 +4,11 @@ from hypothesis import given, settings, strategies as st
 
 from grasskit import discretize as dz
 from grasskit import kakeya as kk
-from grasskit.affine import ChartMPlane, ChartPoint, incidence
+from grasskit.affine import ChartMPlane, ChartPoint
 from grasskit.errors import (CertificateError, InvalidInputError, OutOfChartError,
                              ResourceCapError)
 from grasskit.grassmann import Subspace
-from grasskit.sampling import rng_for, random_chart_m_plane, random_point_on
+from grasskit.sampling import rng_for, random_chart_m_plane
 
 
 # -------------------------------------------------------- admissible p
@@ -85,20 +85,11 @@ def test_sharp_example_union_slope_flat_case():
     assert abs(fit.slope - 2.0) <= 0.15
 
 
-def test_family_json_round_trip(tmp_path):
-    fam = kk.generate_sharp_example(kk.FamilyParams(1, 1, 2, 3, 1.0), 2.0 ** -3)
-    path = tmp_path / "family.json"
-    fam.save(path)
-    back = kk.PlaneFamily.load(path)
-    assert back.params == fam.params
-    assert len(back) == len(fam)
-    assert np.allclose(back.feature_matrix(), fam.feature_matrix())
-
-
 # ------------------------------------- array-backed families: references
 
 def reference_sharp_example(params, delta):
-    """The per-member loop that generate_sharp_example replaced."""
+    """The per-member loop that generate_sharp_example replaced: its
+    ``ChartMPlane`` members."""
     axes, base_cols, tilt_cols = kk._sharp_axes(params, delta)
     l, r, slice_dim = params.l, params.m - params.l, params.n - params.l
     sizes = [len(a.points) for a in axes]
@@ -121,15 +112,15 @@ def reference_sharp_example(params, delta):
                 cols[ax, a] = tilt[a, b]
         direction = Subspace.from_vectors(cols) if r else Subspace.zero(slice_dim)
         members.append(ChartMPlane(direction, offsets))
-    return kk.PlaneFamily(params, delta, tuple(members))
+    return members
 
 
-def reference_union_sample_points(family, pitch=None, cap=6_000_000):
+def reference_union_sample_points(members, delta, cap=6_000_000):
     """The per-member loop that union_sample_points replaced."""
-    pitch = family.scale / 2.0 if pitch is None else pitch
+    pitch = delta / 2.0
     out = []
     total = 0
-    for v in family.members:
+    for v in members:
         per_slice = []
         for j in range(v.l + 1):
             if v.direction.dim == 0:
@@ -151,12 +142,12 @@ def reference_union_sample_points(family, pitch=None, cap=6_000_000):
         if total > cap:
             raise ResourceCapError("union sample exceeds the point cap")
         out.append(rows)
-    return np.vstack(out) if out else np.zeros((0, family.params.chart_dim))
+    return np.vstack(out)
 
 
-def reference_feature_matrix(family):
+def reference_feature_matrix(members):
     return np.array([np.concatenate([v.direction.projector().ravel() / np.sqrt(2.0),
-                                     v.offsets.ravel()]) for v in family.members])
+                                     v.offsets.ravel()]) for v in members])
 
 
 ARRAY_FAMILY_CASES = [
@@ -179,44 +170,47 @@ def test_array_family_matches_per_member_loops(params, exponents, chunk_rows, mo
         params_k, delta = kk.FamilyParams(*params), 2.0 ** -k
         fam = kk.generate_sharp_example(params_k, delta)
         ref = reference_sharp_example(params_k, delta)
-        assert fam.to_json() == ref.to_json()
+        # the members stacked as they are, with no second projection
+        assert np.array_equal(fam.directions, np.stack([v.direction.basis for v in ref]))
+        assert np.array_equal(fam.offsets, np.stack([v.offsets for v in ref]))
         assert np.array_equal(fam.feature_matrix(), reference_feature_matrix(ref))
         pts = kk.union_sample_points(fam)
-        assert np.array_equal(pts, reference_union_sample_points(ref))
+        assert np.array_equal(pts, reference_union_sample_points(ref, delta))
 
 
 def test_family_members_are_views_of_the_arrays():
     fam = kk.generate_sharp_example(kk.FamilyParams(1, 2, 3, 4, 0.5), 2.0 ** -3)
-    back = kk.PlaneFamily(fam.params, fam.scale, fam.members)
-    assert np.array_equal(back.directions, fam.directions)
-    assert np.array_equal(back.offsets, fam.offsets)
     for i, v in enumerate(fam.members):
+        assert np.shares_memory(v.offsets, fam.offsets)
         assert np.array_equal(v.offsets, fam.offsets[i])
         assert np.array_equal(v.direction.basis, fam.directions[i])
     assert not fam.offsets.flags.writeable and not fam.directions.flags.writeable
 
 
 def test_family_rejects_members_of_another_shape():
-    plane = ChartMPlane(Subspace.spanned_by_axes(2, [1]), np.zeros((1, 2)))
+    # (1, 1, 2, 3) members have point sections: directions (M, 2, 0), offsets (M, 2, 2)
+    params = kk.FamilyParams(1, 1, 2, 3, 1.0)
+    line = Subspace.spanned_by_axes(2, [1]).basis[None]
     with pytest.raises(InvalidInputError):
-        kk.PlaneFamily(kk.FamilyParams(1, 1, 2, 3, 1.0), 0.25, (plane,))
+        kk.PlaneFamily.from_arrays(params, 0.25, line, np.zeros((1, 2, 2)))
+    with pytest.raises(InvalidInputError):
+        kk.PlaneFamily.from_arrays(params, 0.25, np.zeros((1, 2, 0)), np.zeros((1, 1, 2)))
 
 
 def test_family_json_rejects_a_member_outside_the_chart():
     fam = kk.generate_sharp_example(kk.FamilyParams(0, 1, 1, 2, 1.0), 2.0 ** -3)
-    data = fam.to_json()
-    data["members"][-1][0] = 1.5 + abs(data["members"][-1][0])
+    offsets = fam.offsets.copy()
+    offsets[-1, 0, 0] = 1.5 + abs(offsets[-1, 0, 0])
     with pytest.raises(OutOfChartError):
-        kk.PlaneFamily.from_json(data)
+        kk.PlaneFamily.from_arrays(fam.params, fam.scale, fam.directions, offsets)
 
 
 def test_empty_family_round_trip():
     params = kk.FamilyParams(1, 1, 2, 3, 1.0)
-    fam = kk.PlaneFamily(params, 0.25, ())
-    back = kk.PlaneFamily.from_json(fam.to_json())
-    assert len(back) == 0 and back.directions.shape == (0, 2, 0)
-    assert back.feature_matrix().shape == (0, 4 + 4)
-    assert kk.union_sample_points(back).shape == (0, 4)
+    fam = kk.PlaneFamily.from_arrays(params, 0.25, np.zeros((0, 2, 0)), np.zeros((0, 2, 2)))
+    assert len(fam) == 0 and fam.directions.shape == (0, 2, 0)
+    assert fam.feature_matrix().shape == (0, 4 + 4)
+    assert kk.union_sample_points(fam).shape == (0, 4)
 
 
 def test_sharp_planar_work_is_pinned():
@@ -516,10 +510,11 @@ def test_verify_bl_bound_never_fails_up_to_pmax():
 # ---------------------------------------------------------- L^p counting
 
 def vertical_family(params, delta, positions):
-    members = tuple(
-        ChartMPlane(Subspace.spanned_by_axes(2, [1]), np.array([[x, 0.0]]))
-        for x in positions)
-    return kk.PlaneFamily(params, delta, members)
+    """Vertical lines x = const of the planar chart."""
+    offsets = np.zeros((len(positions), 1, 2))
+    offsets[:, 0, 0] = positions
+    directions = np.broadcast_to(Subspace.spanned_by_axes(2, [1]).basis, (len(positions), 2, 1))
+    return kk.PlaneFamily.from_arrays(params, delta, directions, offsets)
 
 
 def test_lp_norm_single_slab():
@@ -567,66 +562,6 @@ def test_kakeya_p1_ratio_below_one():
     assert all(r.ratio <= 1.0 + 1e-9 for r in rep.rows)
 
 
-# -------------------------------------------------------------- rescaling
-
-def test_rescale_identity():
-    core = random_chart_m_plane(rng_for(71), 1, 2, 3)
-    resc = kk.rescale_slab(core, 1.0)
-    coords = rng_for(72).uniform(-1, 1, size=(2, 2))
-    assert np.allclose(resc.point_coords(coords), coords)
-
-
-def test_rescale_dilates_normal_widths_exactly():
-    # l=0: points at normal distance t from the core map to distance K t
-    g = rng_for(73)
-    core = random_chart_m_plane(g, 0, 1, 2, offset_scale=0.1)
-    resc = kk.rescale_slab(core, 4.0)
-    nf = core.normal_frame()
-    for t in (0.01, 0.05, 0.1):
-        x = core.offsets[0] + t * nf[:, 0]
-        y = resc.point_coords(x[None, :])[0]
-        dev = abs(float(nf[:, 0] @ (y - core.offsets[0])))
-        assert dev == pytest.approx(4.0 * t, abs=1e-12)
-
-
-def test_rescale_preserves_incidence():
-    g = rng_for(74)
-    core = random_chart_m_plane(g, 1, 2, 4, offset_scale=0.15)
-    resc = kk.rescale_slab(core, 2.0)
-    for _ in range(20):
-        v = random_chart_m_plane(g, 1, 2, 4, offset_scale=0.1)
-        p = random_point_on(g, v, spread=0.15)
-        try:
-            v2, p2 = resc.m_plane(v), resc.chart_point(p)
-        except Exception:
-            continue
-        assert incidence(p, v, 1e-9) and incidence(p2, v2, 1e-7)
-
-
-def test_rescale_inverse_round_trip():
-    g = rng_for(75)
-    core = random_chart_m_plane(g, 1, 1, 3, offset_scale=0.2)
-    resc = kk.rescale_slab(core, 8.0)
-    coords = g.uniform(-0.5, 0.5, size=(2, 2))
-    back = resc.inverse().point_coords(resc.point_coords(coords))
-    assert np.allclose(back, coords, atol=1e-12)
-
-
-def test_rescale_family_spacing_at_new_scale():
-    # a rescaled compliant family re-passes the spacing check at delta*K
-    params = kk.FamilyParams(0, 1, 1, 2, 1.0)
-    delta, K = 2.0 ** -7, 4.0
-    fam = kk.generate_sharp_example(params, delta)
-    core = fam.members[len(fam) // 2]
-    near = [v for v in fam.members
-            if abs(v.offsets[0][0] - core.offsets[0][0]) <= 1.0 / (2 * K)]
-    sub = kk.PlaneFamily(params, delta, tuple(near))
-    out = kk.rescale_family(sub, core, K)
-    assert out.scale == pytest.approx(delta * K)
-    rep = out.spacing()
-    assert rep.worst_ratio <= 4.0
-
-
 def test_verify_bl_bound_rejects_large_beta():
     params = kk.FamilyParams(0, 1, 1, 2, 1.0)
     tup = kk.random_transverse_tuple(params, rng_for(76))
@@ -655,6 +590,6 @@ def test_lp_norm_resource_cap():
     from grasskit.errors import ResourceCapError
     params = kk.FamilyParams(1, 2, 2, 4, 1.0)
     v = random_chart_m_plane(rng_for(78), 1, 2, 4)
-    fam = kk.PlaneFamily(params, 2.0 ** -6, (v,))
+    fam = kk.PlaneFamily.from_arrays(params, 2.0 ** -6, v.direction.basis[None], v.offsets[None])
     with pytest.raises(ResourceCapError):
         kk.lp_counting_norm(fam, 2.0)
