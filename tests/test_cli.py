@@ -88,6 +88,26 @@ def test_run_sharp_dimension_report(tmp_path):
     assert len(report["records"]) == 3
 
 
+SHARP_RECORD_PINS = [
+    # (params, [(k, members, box_count)]) for the shapes sharp-planar leaves out
+    ((1, 2, 3, 4, 0.5), [(2, 4, 256), (3, 64, 18898)]),         # copies = 2
+    ((0, 2, 2, 3, 1.0), [(3, 4, 1024), (4, 8, 8192), (5, 16, 65536)]),  # r = 2
+    ((1, 1, 2, 3, 1.0), [(3, 64, 64), (4, 512, 512), (5, 4096, 4096)]),  # r = 0
+    ((0, 1, 3, 4, 1.0), [(2, 8, 62), (3, 256, 3396)]),          # chart dim 4
+]
+
+
+@pytest.mark.parametrize("params, pins", SHARP_RECORD_PINS,
+                         ids=["copies-2", "r-2", "r-0", "chart-dim-4"])
+def test_sharp_dimension_records_are_pinned(params, pins):
+    keys = ("l", "m", "d", "n", "beta")
+    cfg = cli.parse_config(base_config(params=dict(zip(keys, params)),
+                                       deltas=[2.0 ** -k for k, _, _ in pins]))
+    records = cli.run_experiment(cfg)["records"]
+    assert records == [{"delta": 2.0 ** -k, "members": members, "box_count": count}
+                       for k, members, count in pins]
+
+
 def test_run_is_deterministic_modulo_timing(tmp_path):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(base_config()))
