@@ -18,11 +18,13 @@ Conventions fixed here and used everywhere:
   then the deviation test on the centers.  A member's rows are
   lexicographic, slice 0 most significant;
 * a grid cell is counted by one int64 key, the row-major mixed-radix
-  number of its index tuple (axis 0 most significant), so sorted keys
-  follow lexicographic tuple order; counts sort keys and compare
-  neighbours.  ``GridCounter`` uses radix ``cells_per_axis(scale)``;
-  ``box_count`` packs ``idx - idx.min(0)`` with radix ``span + 1`` and
-  counts rows by lexsort when even that overflows int64.
+  number of its index tuple with radix ``cells_per_axis(scale)`` (axis 0
+  most significant), so sorted keys follow lexicographic tuple order.
+  ``GridCounter`` sorts keys and compares neighbours.  ``box_count`` keys
+  the same way and marks the keys on a bool occupancy mask when the key
+  range is below 8 keys per point (the mask is then no larger than the
+  keys), else sorts them; when the range overflows int64 it counts the
+  index rows by lexsort.
 """
 
 from __future__ import annotations
@@ -41,6 +43,8 @@ from .grassmann import Subspace, distances, random_subspaces
 
 CELL_CAP = 16_000_000
 KEY_MAX = np.iinfo(np.int64).max
+# points keyed per batch by box_count; bounds its temporaries only
+KEY_BATCH = 1 << 16
 
 
 def _check_scale(delta: float) -> float:
@@ -134,14 +138,13 @@ def cell_indices(points: np.ndarray, delta: float) -> np.ndarray:
     return np.clip(idx, 0, cells_per_axis(delta) - 1, out=idx)
 
 
-def _cell_keys(idx: np.ndarray, lo, radix) -> np.ndarray:
-    """Mixed-radix int64 key of each row of ``idx - lo`` (axis 0 most
-    significant); the caller keeps the product of ``radix`` within int64."""
-    keys = idx[:, 0] - lo[0]
+def _cell_keys(idx: np.ndarray, radix: int) -> np.ndarray:
+    """Mixed-radix int64 key of each row of ``idx`` (axis 0 most
+    significant); the caller keeps ``radix ** dim`` within int64."""
+    keys = idx[:, 0].copy()
     for a in range(1, idx.shape[1]):
-        keys *= radix[a]
+        keys *= radix
         keys += idx[:, a]
-        keys -= lo[a]
     return keys
 
 
@@ -155,22 +158,27 @@ def _lexsort_distinct_rows(idx: np.ndarray) -> int:
     return 1 + int(np.count_nonzero(np.any(rows[1:] != rows[:-1], axis=1)))
 
 
-def _distinct_rows(idx: np.ndarray) -> int:
-    if idx.shape[0] == 0:
-        return 0
-    cols = [idx[:, a] for a in range(idx.shape[1])]
-    lo = [int(c.min()) for c in cols]
-    radix = [int(c.max()) - low + 1 for c, low in zip(cols, lo)]
-    if math.prod(radix) > KEY_MAX:
-        return _lexsort_distinct_rows(idx)
-    keys = _cell_keys(idx, lo, radix)
-    keys.sort()
-    return 1 + int(np.count_nonzero(keys[1:] != keys[:-1]))
-
-
 def box_count(points: np.ndarray, delta: float) -> int:
     """Number of grid cells holding at least one of the points."""
-    return _distinct_rows(cell_indices(points, delta))
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    n, dim = pts.shape
+    radix = cells_per_axis(_check_scale(delta))
+    span = radix ** dim
+    if n == 0:
+        return 0
+    if span > KEY_MAX:
+        return _lexsort_distinct_rows(cell_indices(pts, delta))
+    # a batch of points at a time, so no (n, dim) index matrix is held
+    keys = np.empty(n, dtype=np.int64)
+    for start in range(0, n, KEY_BATCH):
+        keys[start:start + KEY_BATCH] = _cell_keys(
+            cell_indices(pts[start:start + KEY_BATCH], delta), radix)
+    if span < 8 * n:  # the mask takes no more memory than the keys
+        seen = np.zeros(span, dtype=bool)
+        seen[keys] = True
+        return int(np.count_nonzero(seen))
+    keys.sort()
+    return 1 + int(np.count_nonzero(keys[1:] != keys[:-1]))
 
 
 @dataclass(frozen=True)
@@ -219,7 +227,7 @@ class GridCounter:
             return
         if idx.shape[1] != self.dim or idx.min() < 0 or idx.max() >= self.radix:
             raise InvalidInputError("cells lie outside the counter's grid")
-        keys = _cell_keys(idx, [0] * self.dim, [self.radix] * self.dim)
+        keys = _cell_keys(idx, self.radix)
         keys = np.sort(np.concatenate([np.repeat(self.keys, self.counts), keys]))
         starts = _run_starts(keys)
         self.keys, self.counts = keys[starts], np.diff(np.r_[starts, keys.size])

@@ -301,47 +301,64 @@ def union_sample_points(family: PlaneFamily, cap: int = 6_000_000) -> np.ndarray
     section inside the box at pitch half the family's scale, which keeps
     box counts at that scale exact up to boundary slivers.  Section j of a
     member is sampled on the tick lattice offset_j + D t, t in ticks^r,
-    evaluated for a chunk of members at once; rows come member by member,
-    slice 0 varying slowest.  ResourceCapError when the total exceeds
-    ``cap``.
+    evaluated for a chunk of members at once in a workspace allocated once
+    per call; rows come member by member, slice 0 varying slowest.  Each
+    chunk's kept rows are counted from its mask, and ResourceCapError is
+    raised before they are gathered when the total would exceed ``cap``.
     """
     pitch = family.scale / 2.0
-    _, copies, q = family.offsets.shape
+    members, copies, q = family.offsets.shape
     r = family.directions.shape[2]
     half = math.sqrt(q)
     ticks = np.arange(-half, half + pitch / 2.0, pitch)
     mesh = np.meshgrid(*([ticks] * r), indexing="ij")
     coeff = np.column_stack([g.ravel() for g in mesh]) if r else np.zeros((1, 0))
-    step = max(1, UNION_CHUNK_ROWS // len(coeff) ** copies)
-    out = []
+    t = len(coeff)
+    step = max(1, min(members, UNION_CHUNK_ROWS // t ** copies))
+    bound = 1.0 if r else np.inf  # a point section is taken as it is
+    span = np.empty((step, t, q))
+    pts = np.empty((copies, step, t, q))
+    absval = np.empty((step, t))
+    below = np.empty((step, t), dtype=bool)
+    inside = np.empty((step, t), dtype=bool)
+    keep = np.empty((step,) + (t,) * copies, dtype=bool)
+    out = np.empty((min(members * t ** copies, cap), copies * q))
     total = 0
-    for start in range(0, len(family), step):
-        offsets = family.offsets[start:start + step]
-        span = coeff @ np.swapaxes(family.directions[start:start + step], 1, 2)
-        pts, keep = [], None
+    for start in range(0, members, step):
+        c = min(step, members - start)
+        np.matmul(coeff, np.swapaxes(family.directions[start:start + c], 1, 2), out=span[:c])
+        keep[:c] = True
         for j in range(copies):
-            if r:
-                p = offsets[:, j, None, :] + span
-                inside = np.abs(p[..., 0]) <= 1.0
-                for a in range(1, q):
-                    inside &= np.abs(p[..., a]) <= 1.0
-            else:  # a point section is taken as it is
-                p = offsets[:, j, None, :]
-                inside = np.ones(p.shape[:2], dtype=bool)
-            pts.append(p)
+            # column by column: a broadcast over the short last axis is
+            # far slower than the same work on its strided columns
+            inside[:c] = True
+            for a in range(q):
+                col = np.add(family.offsets[start:start + c, j, a, None], span[:c, :, a],
+                             out=pts[j, :c, :, a])
+                np.less_equal(np.abs(col, out=absval[:c]), bound, out=below[:c])
+                inside[:c] &= below[:c]
             # keep[c, t_0, ..., t_j]: member c keeps the tick tuple
-            keep = inside if keep is None else \
-                keep[..., None] & inside.reshape(len(p), *([1] * j), -1)
-        # flat row indices and np.take: far faster than a boolean or a
-        # two-array index over the (member, tick) axes
-        idx = np.unravel_index(np.flatnonzero(keep), keep.shape)
-        rows = np.concatenate([np.take(p.reshape(-1, q), idx[0] * p.shape[1] + idx[j + 1], axis=0)
-                               for j, p in enumerate(pts)], axis=1)
-        total += rows.shape[0]
-        if total > cap:
+            keep[:c] &= inside[:c].reshape((c,) + (1,) * j + (t,) + (1,) * (copies - 1 - j))
+        kept = np.flatnonzero(keep[:c])
+        n = len(kept)
+        if total + n > cap:
             raise ResourceCapError("union sample exceeds the point cap")
-        out.append(rows)
-    return np.concatenate(out) if out else np.zeros((0, family.params.chart_dim))
+        # the row of pts, seen as (copies * step * t, q), of each kept slice
+        # point: kept = (member, t_0, ..., t_last) in mixed radix, so after
+        # peeling t_last, ..., t_1 it is member * t + t_0, slice 0's row
+        rows = np.empty((n, copies), dtype=np.int64)
+        for j in range(copies - 1, 0, -1):
+            kept, rows[:, j] = np.divmod(kept, t)
+        rows[:, 0] = kept
+        if copies > 1:
+            rows[:, 1:] += (kept - kept % t)[:, None] + step * t * np.arange(1, copies)
+        # flat row indices and np.take straight into the output (mode "clip"
+        # skips take's buffered copy; the rows are in range): far faster
+        # than a boolean or a many-array index over the (member, tick) axes
+        np.take(pts.reshape(-1, q), rows, axis=0, mode="clip",
+                out=out[total:total + n].reshape(n, copies, q))
+        total += n
+    return out[:total]
 
 
 # ------------------------------------------------------------------ bush

@@ -337,6 +337,24 @@ def test_box_count_matches_tuple_set(data, dim, k):
     assert dz.box_count(pts, delta) == tuple_set_count(pts, delta)
 
 
+@pytest.mark.parametrize("key_batch", [dz.KEY_BATCH, 4096])
+def test_box_count_mask_and_sort_branches_match_tuple_set(key_batch, monkeypatch):
+    # 20,000 points: a key range below 8 keys per point is counted on an
+    # occupancy mask, a wider one by sorting the keys; both are reached,
+    # and the key batches bound temporaries only
+    monkeypatch.setattr(dz, "KEY_BATCH", key_batch)
+    branches = set()
+    for dim in (1, 2, 3):
+        pts = rng_for(7, dim).uniform(-1.3, 1.3, size=(20000, dim))  # some outside
+        pts[:500] = pts[500:1000]  # duplicates
+        pts[1000:1002] = [[-1.0] * dim, [1.0] * dim]
+        for k in (0, 2, 4, 6, 8):
+            delta = 2.0 ** -k
+            branches.add(dz.cells_per_axis(delta) ** dim < 8 * len(pts))
+            assert dz.box_count(pts, delta) == tuple_set_count(pts, delta)
+    assert branches == {True, False}
+
+
 @pytest.mark.parametrize("dim", [1, 2, 3, 6])
 def test_column_wise_kernels_match_the_array_expressions(dim):
     # cell_indices works column by column; the whole-array expression it

@@ -227,11 +227,17 @@ def test_sharp_planar_work_is_pinned():
 
 def test_union_point_cap_is_exact(monkeypatch):
     monkeypatch.setattr(kk, "UNION_CHUNK_ROWS", 1000)
-    fam = kk.generate_sharp_example(kk.FamilyParams(0, 1, 1, 2, 1.0), 2.0 ** -5)
-    total = len(kk.union_sample_points(fam))
-    with pytest.raises(ResourceCapError):
-        kk.union_sample_points(fam, cap=total - 1)
-    assert len(kk.union_sample_points(fam, cap=total)) == total
+    for params, k in [((0, 1, 1, 2, 1.0), 5),
+                      ((1, 2, 3, 4, 0.5), 3),    # copies = 2
+                      ((1, 1, 2, 3, 1.0), 4)]:   # r = 0
+        fam = kk.generate_sharp_example(kk.FamilyParams(*params), 2.0 ** -k)
+        pts = kk.union_sample_points(fam)
+        total = len(pts)
+        with pytest.raises(ResourceCapError):
+            kk.union_sample_points(fam, cap=total - 1)
+        again = kk.union_sample_points(fam, cap=total)
+        # each call fills its own output: no buffer outlives a call
+        assert np.array_equal(again, pts) and not np.shares_memory(again, pts)
 
 
 # ----------------------------------------------------------------- bush
