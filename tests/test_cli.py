@@ -359,6 +359,49 @@ def test_bl_audit_reports_min_slack(tmp_path):
     assert slack >= -1e-9
 
 
+NOTE = ("lower bound only: 0 violations means no counterexample was found, "
+        "not a proof")
+
+BL_RECORD_PINS = [
+    # (params, seed, p_values or None, tuple volumes, threshold,
+    #  [(p, lower, rhs)] shared by every tuple); floats as hex
+    ((1, 2, 2, 4, 1.0), 5, None,
+     ["0x1.ff42e003b746cp-1", "0x1.fdf247795e26bp-1", "0x1.fffa87136ec12p-1"],
+     "0x1.f400000000000p-15",
+     [("0x1.0000000000000p+0", "0x1.0000000000000p+1", "0x1.0000000000000p+1"),
+      ("0x1.3333333333333p+0", "0x1.999999999999ap+0", "0x1.ccccccccccccdp+0")]),
+    ((0, 2, 3, 4, 1.0), 7, None,  # r = 2
+     ["0x1.d2f8d7de1c1dfp-1", "0x1.f5b14b6339066p-1", "0x1.f107d5b85697ap-1"],
+     "0x1.86a0000000000p-4",
+     [("0x1.0000000000000p+0", "0x1.0000000000000p+1", "0x1.0000000000000p+1"),
+      ("0x1.1745d1745d175p+0", "0x1.d1745d1745d16p+0", "0x1.d1745d1745d16p+0")]),
+    ((0, 1, 3, 4, 1.0), 11, [1.0, 1.03125, 1.0625],  # J = 4, 16-member lattices
+     ["0x1.ed3da306a02afp-1", "0x1.c90e83932b100p-1"],
+     "0x1.86a0000000000p-4",
+     [("0x1.0000000000000p+0", "0x1.0000000000000p+0", "0x1.0000000000000p+0"),
+      ("0x1.0800000000000p+0", "0x1.d000000000000p-1", "0x1.d000000000000p-1"),
+      ("0x1.1000000000000p+0", "0x1.a000000000000p-1", "0x1.a000000000000p-1")]),
+]
+
+
+@pytest.mark.parametrize("params, seed, p_values, volumes, threshold, rows",
+                         BL_RECORD_PINS, ids=["defaults", "r-2", "J-4-three-p"])
+def test_bl_audit_records_are_pinned(params, seed, p_values, volumes, threshold, rows):
+    cfg = {"experiment": "bl-audit", "seed": seed,
+           "params": dict(zip(("l", "m", "d", "n", "beta"), params)),
+           "constants": {"tuples": len(volumes)}}
+    if p_values is not None:
+        cfg["p_values"] = p_values
+    report = cli.run_experiment(cli.parse_config(cfg))
+    h = float.fromhex
+    assert report["records"] == [
+        {"tuple": t, "p": h(p), "lower": h(lower), "rhs": h(rhs), "ok": True,
+         "volume": h(volume), "threshold": h(threshold)}
+        for t, volume in enumerate(volumes) for p, lower, rhs in rows]
+    assert report["summary"] == {"tuples": len(volumes), "p_values": [h(p) for p, _, _ in rows],
+                                 "violations": 0, "min_slack": 0.0, "note": NOTE}
+
+
 def test_bl_audit_K_below_feasible_exit_2(tmp_path, capsys):
     # K=2 used to pass validate, then the tuple draw gave up with a traceback
     cfg = {"experiment": "bl-audit",
