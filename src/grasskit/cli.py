@@ -260,12 +260,10 @@ def _bl_unit(arg: tuple) -> dict:
     params_dict, index, seed, p_values, K = arg
     params = FamilyParams.from_dict(params_dict)
     tup = kakeya.random_transverse_tuple(params, rng_for(seed, 90, index), K=K)
-    rows = []
-    for p in p_values:
-        rep = kakeya.verify_bl_bound(tup, params, p)
-        rows.append({"tuple": index, "p": p, "lower": rep.instance.best_value,
-                     "rhs": rep.rhs, "ok": rep.ok, "volume": tup.volume,
-                     "threshold": tup.threshold})
+    reports = kakeya.verify_bl_bounds(tup, params, p_values)
+    rows = [{"tuple": index, "p": p, "lower": rep.instance.best_value,
+             "rhs": rep.rhs, "ok": rep.ok, "volume": tup.volume,
+             "threshold": tup.threshold} for p, rep in zip(p_values, reports)]
     return {"tuple": index, "rows": rows}
 
 

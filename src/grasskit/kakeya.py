@@ -549,22 +549,27 @@ def broad_narrow_classify(bush: BushDirections, params: FamilyParams,
     first = selected[0][0]
     vectors = [first.basis[:, i] for i in range(first.dim)]
     balls = [first]
+    bases = np.stack([center.basis for center, _ in selected])
     target = params.d - params.l + 1
     while len(vectors) < target:
         if vectors:
             span = linalg.orthonormalize(np.column_stack(vectors)).matrix
         else:
             span = np.zeros((q, 0))
-        best = (-1.0, None, None)
-        for center, _ in selected:
-            resid = center.basis - span @ (span.T @ center.basis)
-            dec = linalg.svd(resid)
-            sigma = float(dec.singular_values[0]) if len(dec.singular_values) else 0.0
-            if sigma > best[0]:
-                vec = center.basis @ dec.right[:, 0]
-                best = (sigma, vec / np.linalg.norm(vec), center)
-        sigma, vec, ball = best
-        if sigma < threshold:
+        # one LAPACK call over the stack of residuals gives each ball the
+        # singular values linalg.svd would; where the top two round equal,
+        # linalg.svd's canonical order may put the other one first, which
+        # matters only to a ball whose rounded top reaches the rounded maximum
+        resid = bases - span @ (span.T @ bases)
+        sigma = np.linalg.svd(resid)[1]
+        top = sigma[:, 0].copy()
+        if sigma.shape[1] > 1:
+            rounded = np.round(sigma[:, :2], 12)
+            tied = (rounded[:, 0] == rounded[:, 1]) & (rounded[:, 0] == rounded[:, 0].max())
+            for i in np.flatnonzero(tied):
+                top[i] = linalg.svd(resid[i]).singular_values[0]
+        win = int(np.argmax(top))  # the first maximum, as a loop with > keeps
+        if top[win] < threshold:
             witness_dim = params.d - params.l
             padded = linalg.orthonormal_completion(span, q)[:, :witness_dim]
             witness = Subspace(padded)
@@ -574,7 +579,9 @@ def broad_narrow_classify(bush: BushDirections, params: FamilyParams,
                 <= constants.c1 / constants.K
             )
             return Narrow(witness, near / len(selected), tuple(selected))
-        vectors.append(vec)
+        ball = selected[win][0]
+        vec = ball.basis @ linalg.svd(resid[win]).right[:, 0]
+        vectors.append(vec / np.linalg.norm(vec))
         balls.append(ball)
 
     volume = linalg.gram_volume(np.column_stack(vectors))
@@ -680,28 +687,41 @@ def kernel_lattice(subspaces) -> list[Subspace]:
 
 
 def bl_constant_lower(subspaces, p: float) -> BlInstance:
+    """:func:`bl_constant_lowers` at one exponent."""
+    return bl_constant_lowers(subspaces, [p])[0]
+
+
+def bl_constant_lowers(subspaces, p_values) -> list[BlInstance]:
     """The dimension-counting functional at the maximum over the +/∩ lattice
-    of the kernels (:func:`kernel_lattice`), a lower bound of its supremum."""
+    of the kernels (:func:`kernel_lattice`), a lower bound of its supremum,
+    at each exponent of ``p_values``.  The lattice and its projection ranks
+    do not depend on p, so they are built once for every exponent."""
     ws = tuple(subspaces)
     if not ws:
         raise InvalidInputError("need at least one subspace")
     jj = len(ws)
-    if not 1.0 <= p <= jj + 1e-12:
-        raise InvalidInputError(f"exponent {p} outside [1, J={jj}]")
+    for p in p_values:
+        if not 1.0 <= p <= jj + 1e-12:
+            raise InvalidInputError(f"exponent {p} outside [1, J={jj}]")
     candidates = kernel_lattice(ws)
-    values = _functional_values(candidates, ws, p)
-    # first candidate of the top value cluster (values sit on a lattice of
-    # spacing far above 1e-12, so this is the first maximizer)
-    best = int(np.flatnonzero(values >= values.max() - 1e-12)[0])
-    return BlInstance(ws, float(p), float(values[best]), candidates[best],
-                      len(candidates))
+    values_at = _functional(candidates, ws)
+    out = []
+    for p in p_values:
+        values = values_at(p)
+        # first candidate of the top value cluster (values sit on a lattice of
+        # spacing far above 1e-12, so this is the first maximizer)
+        best = int(np.flatnonzero(values >= values.max() - 1e-12)[0])
+        out.append(BlInstance(ws, float(p), float(values[best]), candidates[best],
+                              len(candidates)))
+    return out
 
 
-def _functional_values(candidates: list[Subspace], ws: tuple[Subspace, ...],
-                       p: float) -> np.ndarray:
-    """dim U - (p/J) sum_j dim proj_{W_j} U for every candidate U, with the
-    projection ranks of all same-dimension candidates read off one batched
-    singular-value call per W_j (the rule of :func:`dim_projection`)."""
+def _functional(candidates: list[Subspace], ws: tuple[Subspace, ...]):
+    """p -> dim U - (p/J) sum_j dim proj_{W_j} U for every candidate U.
+
+    The projection ranks, the p-free part, are read once: those of all
+    same-dimension candidates off one batched singular-value call per W_j
+    (the rule of :func:`dim_projection`)."""
     # grouped with a dict: np.unique would import numpy.ma, about 1 MB of
     # resident memory on an otherwise small process
     groups: dict[int, list[int]] = {}
@@ -716,7 +736,13 @@ def _functional_values(candidates: list[Subspace], ws: tuple[Subspace, ...],
                 sigma = np.linalg.svd(w.basis.T @ stack, compute_uv=False)
                 totals[idx] += np.sum(sigma > DIM_PROJECTION_TOL, axis=-1)
     dims = np.array([u.dim for u in candidates])
-    return dims - (p / len(ws)) * totals
+    return lambda p: dims - (p / len(ws)) * totals
+
+
+def _functional_values(candidates: list[Subspace], ws: tuple[Subspace, ...],
+                       p: float) -> np.ndarray:
+    """:func:`_functional` at one exponent."""
+    return _functional(candidates, ws)(p)
 
 
 def tuple_obstruction_subspaces(tup: TransverseTuple, params: FamilyParams) -> list[Subspace]:
@@ -740,15 +766,25 @@ class BlBoundReport:
 
 def verify_bl_bound(tup: TransverseTuple, params: FamilyParams, p: float,
                     rng: np.random.Generator | None = None) -> BlBoundReport:
-    """Check the certified lower bound against the closed-form ceiling
+    """:func:`verify_bl_bounds` at one exponent."""
+    return verify_bl_bounds(tup, params, [p], rng)[0]
+
+
+def verify_bl_bounds(tup: TransverseTuple, params: FamilyParams, p_values,
+                     rng: np.random.Generator | None = None) -> list[BlBoundReport]:
+    """Check the certified lower bound at each exponent of ``p_values``
+    against the closed-form ceiling
 
         (l+1)(d-l) + beta - ((l+1)(d-m) + beta) p.
 
     A violation would falsify the transversality certificate or the case
-    analysis behind the ceiling, so it is reported as a hard failure.
+    analysis behind the ceiling, so it is reported as a hard failure.  The
+    W_j, their kernel lattice and its projection ranks are built once for
+    every exponent.
 
-    With ``rng``, random subspaces of every proper dimension are scored too,
-    and one that beats the lattice maximum raises CertificateError.
+    With ``rng``, random subspaces of every proper dimension are drawn once
+    and scored at each exponent too, and one that beats the lattice maximum
+    raises CertificateError.
     """
     if not tup.certified():
         raise InvalidInputError("tuple is not certified transverse")
@@ -757,20 +793,26 @@ def verify_bl_bound(tup: TransverseTuple, params: FamilyParams, p: float,
         # beta <= l+1; larger beta is reduced before reaching it
         raise InvalidInputError("bound requires beta <= l+1")
     p_max = admissible_p_max(params.l, params.m, params.d, params.beta)
-    if p > p_max + 1e-9:
-        raise InvalidInputError(f"exponent {p} above the admissible maximum {p_max}")
+    for p in p_values:
+        if p > p_max + 1e-9:
+            raise InvalidInputError(f"exponent {p} above the admissible maximum {p_max}")
     ws = tuple_obstruction_subspaces(tup, params)
-    inst = bl_constant_lower(ws, p)
+    instances = bl_constant_lowers(ws, p_values)
     if rng is not None:
         ambient = ws[0].ambient_dim
         draws = [Subspace(b) for r in range(1, ambient)
                  for b in random_subspaces(rng, CROSS_CHECK_DRAWS, ambient, r)]
-        if draws and _functional_values(draws, ws, p).max() > inst.best_value + 1e-12:
+        values_at = _functional(draws, ws)
+        if draws and any(values_at(p).max() > inst.best_value + 1e-12
+                         for p, inst in zip(p_values, instances)):
             raise CertificateError("a random subspace beats the kernel-lattice maximum")
     l, m, d, beta = params.l, params.m, params.d, params.beta
-    rhs = (l + 1) * (d - l) + beta - ((l + 1) * (d - m) + beta) * p
-    return BlBoundReport(inst, float(rhs), inst.best_value <= rhs + 1e-9,
-                         float(rhs - inst.best_value))
+    reports = []
+    for p, inst in zip(p_values, instances):
+        rhs = (l + 1) * (d - l) + beta - ((l + 1) * (d - m) + beta) * p
+        reports.append(BlBoundReport(inst, float(rhs), inst.best_value <= rhs + 1e-9,
+                                     float(rhs - inst.best_value)))
+    return reports
 
 
 # ------------------------------------------------------- counting norms

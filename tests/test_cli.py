@@ -402,6 +402,23 @@ def test_bl_audit_records_are_pinned(params, seed, p_values, volumes, threshold,
                                  "violations": 0, "min_slack": 0.0, "note": NOTE}
 
 
+def test_bl_audit_builds_each_tuple_functional_once(monkeypatch):
+    # the W_j and their kernel lattice serve every exponent of a tuple
+    from grasskit import kakeya as kk
+    calls = {"kernel_lattice": 0, "tuple_obstruction_subspaces": 0}
+    for name in calls:
+        def counted(*args, _original=getattr(kk, name), _name=name):
+            calls[_name] += 1
+            return _original(*args)
+        monkeypatch.setattr(kk, name, counted)
+    cfg = {"experiment": "bl-audit", "seed": 3, "workers": 1,
+           "params": {"l": 1, "m": 2, "d": 2, "n": 4, "beta": 1.0},
+           "p_values": [1.0, 1.1, 1.2], "constants": {"tuples": 2}}
+    report = cli.run_experiment(cli.parse_config(cfg))
+    assert len(report["records"]) == 6 and report["passed"]
+    assert calls == {"kernel_lattice": 2, "tuple_obstruction_subspaces": 2}
+
+
 def test_bl_audit_K_below_feasible_exit_2(tmp_path, capsys):
     # K=2 used to pass validate, then the tuple draw gave up with a traceback
     cfg = {"experiment": "bl-audit",

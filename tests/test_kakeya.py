@@ -4,6 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from grasskit import discretize as dz
 from grasskit import kakeya as kk
+from grasskit import linalg
 from grasskit.affine import ChartMPlane, ChartPoint
 from grasskit.errors import (CertificateError, InvalidInputError, OutOfChartError,
                              ResourceCapError)
@@ -161,7 +162,9 @@ ARRAY_FAMILY_CASES = [
 ]
 
 
-@pytest.mark.parametrize("chunk_rows", [kk.UNION_CHUNK_ROWS, 1000])
+# the default chunk gets a name, not its value, so retuning it keeps the ids
+@pytest.mark.parametrize("chunk_rows", [kk.UNION_CHUNK_ROWS, 1000],
+                         ids=["default-chunk", "1000"])
 @pytest.mark.parametrize("params, exponents", ARRAY_FAMILY_CASES)
 def test_array_family_matches_per_member_loops(params, exponents, chunk_rows, monkeypatch):
     # a small chunk splits the members over many chunks
@@ -313,6 +316,76 @@ def test_broad_certificate_avoids_random_planes():
         pi = random_subspace(rng_for(63, trial), 3, 2)
         dists = [project_to_sub_grassmannian(c, pi).distance for c in tup.centers]
         assert max(dists) > probe
+
+
+def reference_greedy(bush, params):
+    """The greedy certificate construction one ball at a time, with one
+    canonical ``linalg.svd`` per ball per step: the vectors of a Broad
+    outcome, or the span at which it got stuck."""
+    constants = kk.ClassifierConstants.for_params(params)
+    selected = kk._select_balls(bush, constants, params.n)
+    threshold = constants.step_threshold(params)
+    first = selected[0][0]
+    vectors = [first.basis[:, i] for i in range(first.dim)]
+    while len(vectors) < params.d - params.l + 1:
+        span = linalg.orthonormalize(np.column_stack(vectors)).matrix
+        best = (-1.0, None)
+        for center, _ in selected:
+            resid = center.basis - span @ (span.T @ center.basis)
+            dec = linalg.svd(resid)
+            if dec.singular_values[0] > best[0]:
+                vec = center.basis @ dec.right[:, 0]
+                best = (float(dec.singular_values[0]), vec / np.linalg.norm(vec))
+        if best[0] < threshold:
+            return "narrow", span
+        vectors.append(best[1])
+    return "broad", np.column_stack(vectors)
+
+
+def isoclinic_bush(g):
+    """(0,2,3,4) bush whose two later balls leave residuals with two equal
+    rounded singular values, equal across the balls too: both are rotated
+    by one angle off the first ball, along different pairings, in a random
+    frame."""
+    frame = np.linalg.qr(g.standard_normal((4, 4)))[0]
+    angle = g.uniform(0.3, 1.2)
+    c, s = np.cos(angle), np.sin(angle)
+    bases = [np.eye(4)[:, :2], np.array([[c, 0], [0, c], [s, 0], [0, s]]),
+             np.array([[c, 0], [0, c], [0, -s], [s, 0]])]
+    entries = tuple((Subspace(linalg.orthonormalize(frame @ b).matrix), (i,))
+                    for i, b in enumerate(bases))
+    return kk.BushDirections(ChartPoint(np.zeros((1, 4))), entries)
+
+
+def test_classifier_step_matches_the_per_ball_loop():
+    # the stacked step keeps each ball's canonical top singular value where
+    # the top two tie, so it picks the ball (and vector) the loop picks
+    from grasskit.sampling import random_subspaces
+    bushes = []
+    for shape in [(0, 1, 2, 3), (1, 2, 2, 4), (0, 2, 3, 4), (0, 1, 3, 4)]:
+        params = kk.FamilyParams(*shape, 1.0)
+        q, r = shape[3] - shape[0], shape[1] - shape[0]
+        for trial in range(15):
+            g = rng_for(71, *shape, trial)
+            count = int(g.integers(2, 4 * (shape[2] - shape[0] + 2) + 1))
+            entries = tuple((Subspace(b), (i,))
+                            for i, b in enumerate(random_subspaces(g, count, q, r)))
+            bushes.append((kk.BushDirections(ChartPoint(np.zeros((shape[0] + 1, q))),
+                                             entries), params))
+    params = kk.FamilyParams(0, 2, 3, 4, 1.0)
+    bushes += [(isoclinic_bush(rng_for(72, trial)), params) for trial in range(60)]
+    kinds = set()
+    for bush, params in bushes:
+        kind, frame = reference_greedy(bush, params)
+        res = kk.broad_narrow_classify(bush, params)
+        kinds.add(res.kind)
+        assert res.kind == kind
+        if kind == "broad":
+            assert np.array_equal(res.tuple.vectors, frame)
+        else:
+            width = frame.shape[1]
+            assert np.array_equal(res.witness.basis[:, :width], frame)
+    assert kinds == {"narrow", "broad"}
 
 
 def test_tuple_generation_all_parameter_sets():
@@ -485,6 +558,45 @@ def test_verify_bl_bound_cross_check_catches_a_short_lattice(monkeypatch):
         kk.verify_bl_bound(tup, params, 1.0, rng_for(68))
     # without an rng there is no cross-check
     assert kk.verify_bl_bound(tup, params, 1.0).instance.best_value == 0.0
+
+
+def _report_fields(rep):
+    inst = rep.instance
+    return (inst.p, inst.best_value, inst.best_candidate.basis.tobytes(),
+            inst.n_candidates, [w.basis.tobytes() for w in inst.subspaces],
+            rep.rhs, rep.ok, rep.slack)
+
+
+@pytest.mark.parametrize("shape", [(1, 2, 2, 4), (0, 2, 3, 4), (0, 1, 3, 4)])
+def test_verify_bl_bounds_equals_the_single_exponent_view(shape):
+    params = kk.FamilyParams(*shape, 1.0)
+    p_max = kk.admissible_p_max(shape[0], shape[1], shape[2], 1.0)
+    p_values = [1.0, (1.0 + p_max) / 2.0, p_max]
+    for trial in range(3):
+        tup = kk.random_transverse_tuple(params, rng_for(73, *shape, trial))
+        for seed in (None, 74):
+            def rng():
+                return None if seed is None else rng_for(seed, trial)
+            reports = kk.verify_bl_bounds(tup, params, p_values, rng())
+            assert [_report_fields(rep) for rep in reports] == [
+                _report_fields(kk.verify_bl_bound(tup, params, p, rng())) for p in p_values]
+    ws = kk.tuple_obstruction_subspaces(tup, params)
+    assert [_report_fields(kk.BlBoundReport(inst, 0.0, True, 0.0))
+            for inst in kk.bl_constant_lowers(ws, p_values)] == [
+        _report_fields(kk.BlBoundReport(kk.bl_constant_lower(ws, p), 0.0, True, 0.0))
+        for p in p_values]
+
+
+def test_verify_bl_bounds_cross_checks_every_exponent(monkeypatch):
+    params = kk.FamilyParams(1, 2, 2, 4, 1.0)
+    tup = kk.random_transverse_tuple(params, rng_for(67))
+    # a stand-in lattice {0, a line inside K_1}, of maximum max(0, 1 - p/2):
+    # the random draws (best 5 - 4p) beat it at p = 1 but not at p = 1.2
+    monkeypatch.setattr(kk, "kernel_lattice", lambda ws: [
+        Subspace.zero(ws[0].ambient_dim), Subspace(ws[0].complement().basis[:, :1])])
+    assert kk.verify_bl_bounds(tup, params, [1.2], rng_for(68))[0].ok
+    with pytest.raises(CertificateError):
+        kk.verify_bl_bounds(tup, params, [1.2, 1.0], rng_for(68))
 
 
 def test_bl_invalid_exponent():
