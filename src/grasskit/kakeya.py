@@ -739,12 +739,6 @@ def _functional(candidates: list[Subspace], ws: tuple[Subspace, ...]):
     return lambda p: dims - (p / len(ws)) * totals
 
 
-def _functional_values(candidates: list[Subspace], ws: tuple[Subspace, ...],
-                       p: float) -> np.ndarray:
-    """:func:`_functional` at one exponent."""
-    return _functional(candidates, ws)(p)
-
-
 def tuple_obstruction_subspaces(tup: TransverseTuple, params: FamilyParams) -> list[Subspace]:
     """The W_j of the counting functional: orthogonal complements (in the
     product space R^N) of the embedded tuple directions."""
