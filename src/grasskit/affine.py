@@ -315,6 +315,13 @@ class ChartPoint:
         return self.coords.ravel().copy()
 
 
+def off_directions(directions: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """The rows (N, a, q) minus their projections onto the spans of the
+    orthonormal bases ``directions`` (N, q, r)."""
+    dt = np.swapaxes(directions, 1, 2)
+    return rows - np.swapaxes(directions @ (dt @ np.swapaxes(rows, 1, 2)), 1, 2)
+
+
 def chart_offsets(directions: np.ndarray, offsets: np.ndarray) -> np.ndarray:
     """Section offsets of N chart m-planes, made orthogonal to their section
     directions.
@@ -327,8 +334,7 @@ def chart_offsets(directions: np.ndarray, offsets: np.ndarray) -> np.ndarray:
         raise InvalidInputError("offsets/direction ambient mismatch")
     if not np.all(np.isfinite(offsets)):
         raise InvalidInputError("offsets have non-finite entries")
-    dt = np.swapaxes(directions, 1, 2)
-    o = offsets - np.swapaxes(directions @ (dt @ np.swapaxes(offsets, 1, 2)), 1, 2)
+    o = off_directions(directions, offsets)
     if o.size and np.max(np.abs(o)) > 1.0 + CHART_TOL:
         raise OutOfChartError("section offset outside the chart box")
     return o

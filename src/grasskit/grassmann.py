@@ -162,14 +162,25 @@ def aligned_angles(v: np.ndarray, w: np.ndarray, equal_dims: bool = True):
     stacks (N, q, k each), where k = min(dim v, dim w).  The overlap matrix
     of a pair has singular values cos(theta_i); its singular vectors rotate
     each basis into aligned position.  One stacked SVD serves all N pairs.
+
+    Pairs of lines skip the SVD: their 1x1 overlap a has the singular
+    vectors u = sign(a) (the sign bit of a zero included) and vt = 1, which
+    are the bits LAPACK returns, so the angle is the angle between two
+    vectors (Bjorck and Golub, Math. Comp. 27, 1973).
     """
     v, w = _check_pair(v, w, equal_dims)
     k = min(v.shape[2], w.shape[2])
     if k == 0:
         return np.zeros((len(v), 0)), v[:, :, :0], w[:, :, :0]
-    u, _, vt = np.linalg.svd(np.swapaxes(v, 1, 2) @ w, full_matrices=False)
-    left = v @ u[:, :, :k]
-    right = w @ np.swapaxes(vt, 1, 2)[:, :, :k]
+    overlap = np.swapaxes(v, 1, 2) @ w
+    if overlap.shape[1:] == (1, 1):
+        # the bits of v @ u and w @ vt^T: a product by +-1 is exact, and a
+        # matmul sum starts from +0.0, so a zero entry comes out +0.0
+        left, right = v * np.copysign(1.0, overlap) + 0.0, w + 0.0
+    else:
+        u, _, vt = np.linalg.svd(overlap, full_matrices=False)
+        left = v @ u[:, :, :k]
+        right = w @ np.swapaxes(vt, 1, 2)[:, :, :k]
     # atan2 of the aligned pair keeps full precision near 0 where arccos of
     # the (clipped) singular value would lose half the digits
     lt, rt = np.swapaxes(left, 1, 2), np.swapaxes(right, 1, 2)

@@ -291,7 +291,7 @@ def generate_sharp_example(params: FamilyParams, delta: float) -> PlaneFamily:
 
 # candidate rows (tick-lattice points of the slice products) evaluated per
 # chunk of members by union_sample_points; bounds its temporaries
-UNION_CHUNK_ROWS = 1 << 18
+UNION_CHUNK_ROWS = 1 << 15
 
 
 def union_sample_points(family: PlaneFamily, cap: int = 6_000_000) -> np.ndarray:

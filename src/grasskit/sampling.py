@@ -3,18 +3,37 @@
 All randomness flows through an explicitly keyed counter-based generator
 (Philox) so that any run is reproducible from its integer seed.
 
-Each construction draws one sample as arrays (the ``*_arrays`` helpers),
-so a batched caller can loop over the draws alone and evaluate on stacks;
-the object constructors are views of one draw and take the same stream.
+Each construction is split in two.  Its draw (the ``*_draw`` helpers)
+makes only the generator calls of one sample and its redraw decisions, and
+returns the raw draws; its derivation (``chart_m_planes``, ``points_on``)
+turns a stack of raw draws into bases, offsets and points.  A batched
+caller loops over the draws alone and derives once on stacks; the
+``*_arrays`` helpers and the object constructors are the same draw and
+derivation on a stack of one, so every form takes the same stream and
+gives the same bits.
+
+Most redraw decisions are settled by a bound on the raw draws, with a
+margin far above rounding; only a draw the bound cannot settle is derived
+on a stack of one and checked exactly.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-from . import linalg
-from .affine import AffinePlane, ChartMPlane, ChartPoint
-from .grassmann import Subspace, random_subspaces
+from . import grassmann, linalg
+from .affine import AffinePlane, ChartMPlane, ChartPoint, chart_offsets, off_directions
+
+# a bound within this of 1 settles a chart-box decision without the exact check
+BOX_MARGIN = 1e-9
+# a Gaussian line draw with an entry above this has full rank
+LINE_FLOOR = 1e-100
+
+
+# re-exported: the stacked subspace draws; ``gaussian_draw`` makes one
+random_subspaces = grassmann.random_subspaces
 
 
 def rng_for(*key: int) -> np.random.Generator:
@@ -22,23 +41,55 @@ def rng_for(*key: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(list(key))))
 
 
+def _norms(rows: np.ndarray) -> list[float]:
+    return [math.hypot(*row) for row in rows.tolist()]
+
+
+def gaussian_draw(rng: np.random.Generator, ambient: int, dim: int) -> np.ndarray:
+    """One Gaussian (ambient, dim) draw of a subspace basis, redrawn while
+    rank-deficient, as ``random_subspaces(rng, 1, ambient, dim)`` draws it."""
+    while True:
+        x = rng.standard_normal((1, ambient, dim))
+        if ((dim == 1 and max(map(abs, x.ravel().tolist())) > LINE_FLOOR)
+                or linalg.orthonormalize_stack(x)[1].all()):
+            return x[0]
+
+
+def chart_m_planes(x: np.ndarray, raw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Section bases (N, q, r) and offsets (N, l+1, q) of the chart m-planes
+    drawn as Gaussian direction draws ``x`` (N, q, r) and raw offsets
+    ``raw`` (N, l+1, q): the raw offsets projected off the direction, then
+    once more by :func:`affine.chart_offsets`, as :class:`ChartMPlane`
+    does (a rounding-size move)."""
+    bases = linalg.orthonormalize_stack(x)[0]
+    return bases, chart_offsets(bases, off_directions(bases, raw))
+
+
+def chart_m_plane_draw(rng: np.random.Generator, l: int, m: int, n: int,
+                       offset_scale: float = 0.6) -> tuple[np.ndarray, np.ndarray]:
+    """The raw draws (x, raw) of one chart m-plane whose sections meet the
+    chart box; a draw whose projected offsets leave the box is redrawn.
+
+    A projection does not lengthen a row, so raw rows shorter than 1 keep
+    the projected offsets in the box."""
+    while True:
+        x = gaussian_draw(rng, n - l, m - l)
+        raw = rng.uniform(-offset_scale, offset_scale, size=(l + 1, n - l))
+        if max(_norms(raw)) <= 1.0 - BOX_MARGIN:
+            return x, raw
+        bases = linalg.orthonormalize_stack(x[None])[0]
+        if np.max(np.abs(off_directions(bases, raw[None]))) <= 1.0:
+            return x, raw
+
+
 def chart_m_plane_arrays(rng: np.random.Generator, l: int, m: int, n: int,
                          offset_scale: float = 0.6) -> tuple[np.ndarray, np.ndarray]:
     """One random chart m-plane with sections meeting the chart box: its
     section direction basis (n-l, m-l) and offsets (l+1, n-l), as
-    :class:`ChartMPlane` holds them.  A draw whose projected offsets leave
-    the box is redrawn."""
-    def off_direction(rows):
-        return rows - (basis @ (basis.T @ rows.T)).T
-
-    while True:
-        basis = random_subspaces(rng, 1, n - l, m - l)[0]
-        o = off_direction(rng.uniform(-offset_scale, offset_scale, size=(l + 1, n - l)))
-        if np.max(np.abs(o)) <= 1.0:
-            # projected once more, as ChartMPlane does: the bits of
-            # chart_offsets on a stack of one, whose box check a second
-            # projection (a rounding-size move) cannot fail
-            return basis, off_direction(o)
+    :class:`ChartMPlane` holds them."""
+    x, raw = chart_m_plane_draw(rng, l, m, n, offset_scale)
+    basis, offsets = chart_m_planes(x[None], raw[None])
+    return basis[0], offsets[0]
 
 
 def random_chart_m_plane(rng: np.random.Generator, l: int, m: int, n: int,
@@ -48,18 +99,53 @@ def random_chart_m_plane(rng: np.random.Generator, l: int, m: int, n: int,
     return ChartMPlane.view(basis, linalg.frozen(offsets))
 
 
+def points_on(bases: np.ndarray, offsets: np.ndarray, steps: np.ndarray) -> np.ndarray:
+    """Chart coordinates (N, l+1, q) of the points offsets[j] + basis @
+    steps[j] on the chart m-planes with section bases ``bases`` (N, q, r)
+    and offsets ``offsets`` (N, l+1, q); ``steps`` is (N, l+1, r)."""
+    return offsets + np.swapaxes(bases @ np.swapaxes(steps, 1, 2), 1, 2)
+
+
+def _steps_draw(rng, norms, reach: float, r: int, spread: float, exact) -> np.ndarray:
+    """Steps (l+1, r) of one point on a chart m-plane, a row per section,
+    redrawn while the point leaves the chart box.  Entry i of row j is at
+    most norms[j] + reach * |steps[j]| when ``norms`` bound the offset rows'
+    lengths and ``reach`` the basis rows' lengths; a point whose bound
+    misses the box edge is checked by ``exact(steps)``."""
+    while True:
+        steps = np.array([rng.uniform(-spread, spread, size=r) for _ in norms])
+        if (max(a + reach * math.hypot(*t) for a, t in zip(norms, steps.tolist()))
+                <= 1.0 - BOX_MARGIN or exact(steps)):
+            return steps
+
+
+def _inside(bases, offsets, steps) -> bool:
+    return bool(np.max(np.abs(points_on(bases, offsets, steps[None]))) <= 1.0)
+
+
+def point_on_draw(rng: np.random.Generator, x: np.ndarray, raw: np.ndarray,
+                  spread: float = 0.5) -> np.ndarray:
+    """Steps (l+1, r) of a point on the chart m-plane drawn as (x, raw) by
+    :func:`chart_m_plane_draw`, before the plane is derived.  The raw rows
+    bound the offset rows; a line's basis rows are its entries over its
+    length, and no basis row is longer than 1."""
+    r = x.shape[1]
+    reach = 1.0
+    if r == 1:
+        xs = x.ravel().tolist()
+        reach = max(map(abs, xs)) / math.hypot(*xs)
+    return _steps_draw(rng, _norms(raw), reach, r, spread,
+                       lambda steps: _inside(*chart_m_planes(x[None], raw[None]), steps))
+
+
 def point_on_arrays(rng: np.random.Generator, basis: np.ndarray, offsets: np.ndarray,
                     spread: float = 0.5) -> np.ndarray:
     """Chart coordinates (l+1, n-l) of a point incident to the chart m-plane
     with section basis ``basis`` and offsets ``offsets`` (exactly, up to
     rounding); a point outside the chart box is redrawn."""
-    while True:
-        coords = np.zeros(offsets.shape)
-        for j in range(len(offsets)):
-            t = rng.uniform(-spread, spread, size=basis.shape[1])
-            coords[j] = offsets[j] + basis @ t
-        if np.max(np.abs(coords)) <= 1.0:
-            return coords
+    steps = _steps_draw(rng, _norms(offsets), max(_norms(basis)), basis.shape[1], spread,
+                        lambda steps: _inside(basis[None], offsets[None], steps))
+    return points_on(basis[None], offsets[None], steps[None])[0]
 
 
 def random_point_on(rng: np.random.Generator, plane: ChartMPlane,
@@ -79,16 +165,24 @@ def random_chart_point(rng: np.random.Generator, l: int, n: int,
     return ChartPoint(chart_point_arrays(rng, l, n, scale))
 
 
+def affine_plane_draw(rng: np.random.Generator, ambient: int, dim: int,
+                      offset_scale: float = 0.4) -> tuple[np.ndarray, np.ndarray]:
+    """The raw draws of one random affine plane: a Gaussian direction draw
+    (ambient, dim) and its offset (ambient,) as drawn, before
+    :func:`affine.affine_offsets` makes it orthogonal to the direction."""
+    return (gaussian_draw(rng, ambient, dim),
+            rng.uniform(-offset_scale, offset_scale, size=ambient))
+
+
 def affine_plane_arrays(rng: np.random.Generator, ambient: int, dim: int,
                         offset_scale: float = 0.4) -> tuple[np.ndarray, np.ndarray]:
     """One random affine plane: its direction basis (ambient, dim) and its
-    offset (ambient,) as drawn, before :func:`affine.affine_offsets` makes
-    it orthogonal to the direction."""
-    return (random_subspaces(rng, 1, ambient, dim)[0],
-            rng.uniform(-offset_scale, offset_scale, size=ambient))
+    offset (ambient,) as drawn."""
+    x, offset = affine_plane_draw(rng, ambient, dim, offset_scale)
+    return linalg.orthonormalize_stack(x[None])[0][0], offset
 
 
 def random_affine_plane(rng: np.random.Generator, ambient: int, dim: int,
                         offset_scale: float = 0.4) -> AffinePlane:
     basis, offset = affine_plane_arrays(rng, ambient, dim, offset_scale)
-    return AffinePlane(Subspace(basis), offset)
+    return AffinePlane(grassmann.Subspace(basis), offset)

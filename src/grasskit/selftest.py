@@ -19,8 +19,9 @@ from .affine import (Chart, affine_offsets, chart_offsets, check_chart_box,
 from .errors import ResourceCapError
 from .grassmann import (distances, geodesic_frames, geodesic_points,
                         orthonormal_draws, project_stack, same_stack)
-from .sampling import (affine_plane_arrays, chart_m_plane_arrays, chart_point_arrays,
-                       point_on_arrays, rng_for)
+from .linalg import orthonormalize_stack
+from .sampling import (affine_plane_draw, chart_m_plane_draw, chart_m_planes,
+                       chart_point_arrays, point_on_draw, points_on, rng_for)
 
 
 class _Result:
@@ -143,16 +144,23 @@ class EmbeddingSuiteResult(_Result):
 def embedding_draws(g, samples: int, l: int, m: int, n: int):
     """The embedding suite's draws, sample by sample in stream order: a
     chart m-plane v, a point (on v for even samples, a free chart point in
-    [-0.9, 0.9] for odd ones) and a second chart m-plane.  Returns the
-    stacks of v's bases and offsets, the points, and the second planes'
-    bases and offsets."""
-    draws = []
+    [-0.9, 0.9] for odd ones) and a second chart m-plane.  The loop makes
+    only the generator calls and redraw decisions; the planes and points
+    are derived once on stacks.  Returns the stacks of v's bases and
+    offsets, the points, and the second planes' bases and offsets."""
+    first, steps, free, second = [], [], [], []
     for k in range(samples):
-        basis, offsets = chart_m_plane_arrays(g, l, m, n)
-        point = (point_on_arrays(g, basis, offsets) if k % 2 == 0
-                 else chart_point_arrays(g, l, n, scale=0.9))
-        draws.append((basis, offsets, point, *chart_m_plane_arrays(g, l, m, n)))
-    return [np.array(x) for x in zip(*draws)]
+        first.append(chart_m_plane_draw(g, l, m, n))
+        if k % 2 == 0:
+            steps.append(point_on_draw(g, *first[-1]))
+        else:
+            free.append(chart_point_arrays(g, l, n, scale=0.9))
+        second.append(chart_m_plane_draw(g, l, m, n))
+    v, offsets = chart_m_planes(*(np.array(x) for x in zip(*first)))
+    points = np.empty_like(offsets)
+    points[0::2] = points_on(v[0::2], offsets[0::2], np.array(steps))
+    points[1::2] = np.reshape(free, (-1, l + 1, n - l))
+    return [v, offsets, points, *chart_m_planes(*(np.array(x) for x in zip(*second)))]
 
 
 def embedding_suite(seed: int, samples: int = 1000, l: int = 1, m: int = 2,
@@ -201,13 +209,15 @@ class ChartSuiteResult(_Result):
 def chart_draws(g, samples: int):
     """The chart suite's draws, sample by sample in stream order: a chart
     point of (1, 3) in [-0.9, 0.9], then two lines of R^3 with offsets in
-    [-0.25, 0.25]^3.  Returns the points and each line stack's bases and
-    drawn offsets."""
+    [-0.25, 0.25]^3.  The loop makes only the generator calls and redraw
+    decisions; the line bases are derived once on stacks.  Returns the
+    points and each line stack's bases and drawn offsets."""
     draws = [(chart_point_arrays(g, 1, 3, scale=0.9),
-              *affine_plane_arrays(g, 3, 1, offset_scale=0.25),
-              *affine_plane_arrays(g, 3, 1, offset_scale=0.25))
+              *affine_plane_draw(g, 3, 1, offset_scale=0.25),
+              *affine_plane_draw(g, 3, 1, offset_scale=0.25))
              for _ in range(samples)]
-    return [np.array(x) for x in zip(*draws)]
+    points, x1, o1, x2, o2 = (np.array(x) for x in zip(*draws))
+    return (points, orthonormalize_stack(x1)[0], o1, orthonormalize_stack(x2)[0], o2)
 
 
 def chart_suite(seed: int, samples: int = 500) -> ChartSuiteResult:
@@ -234,7 +244,9 @@ def chart_suite(seed: int, samples: int = 500) -> ChartSuiteResult:
                             time.perf_counter() - start)
 
 
-# per-suite cap: Gaussians a batched suite draws up front, or per-sample samples
+# per-suite cap on the draws a suite holds up front: the geodesic and
+# projection suites' Gaussian blocks, and the embedding and chart suites'
+# raw draws, counted in samples; the projection block sets the trip point
 SUITE_WORK_CAP = 1_000_000
 
 

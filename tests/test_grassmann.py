@@ -332,3 +332,64 @@ def test_project_stack_pads_only_the_degenerate_pairs():
     assert np.allclose(np.swapaxes(bases, 1, 2) @ bases, np.eye(1))
     assert np.allclose(bases[:, 2, :], 0.0)
     assert np.allclose(np.abs(bases[1, :, 0]), [1.0, 0.0, 0.0])
+
+
+# ------------------------------------------------------ line pairs
+
+def lapack_aligned_angles(v, w, equal_dims=True):
+    """The stacked-SVD path of ``aligned_angles`` for every shape, 1x1
+    overlaps included: the reference its closed form for lines must match."""
+    v, w = gr._check_pair(v, w, equal_dims)
+    k = min(v.shape[2], w.shape[2])
+    u, _, vt = np.linalg.svd(np.swapaxes(v, 1, 2) @ w, full_matrices=False)
+    left = v @ u[:, :, :k]
+    right = w @ np.swapaxes(vt, 1, 2)[:, :, :k]
+    lt, rt = np.swapaxes(left, 1, 2), np.swapaxes(right, 1, 2)
+    c = np.clip(np.vecdot(lt, rt), -1.0, 1.0)
+    gap = np.ascontiguousarray(rt - c[:, :, None] * lt)
+    angles = np.minimum(np.arctan2(np.sqrt(np.vecdot(gap, gap)), c), np.pi / 2.0)
+    return angles, left, right
+
+
+def line_pairs(q):
+    """Stacks of unit line pairs in R^q: random pairs, identical and negated
+    ones, exactly orthogonal ones whose overlap products are all +0.0 or all
+    -0.0, and pairs with overlaps from 1e-300 to 1, some with signed zero
+    entries."""
+    g = rng_for(90, q)
+    x, y = g.standard_normal((2, 60, q, 1))
+    x /= np.linalg.norm(x, axis=1, keepdims=True)
+    y /= np.linalg.norm(y, axis=1, keepdims=True)
+    v, w = [x, x, x], [y, x, -x]
+    if q > 1:
+        e = np.eye(q)[:, :, None]
+        # every product of the second pair is -0.0: 1 * -0.0, -0.0 * 1, 0.0 * -0.0
+        v_neg, w_neg = e[0].copy(), np.where(e[1] == 0, -0.0, e[1])
+        v_neg[1] = -0.0
+        v += [np.stack([e[0], v_neg, -e[0] + 0.0])]
+        w += [np.stack([e[1], w_neg, e[q - 1]])]
+        for c in 10.0 ** -np.arange(0, 301, 20.0):
+            s = np.sqrt(1.0 - c * c)
+            v += [np.stack([e[0], -e[0], np.where(e[0] == 0, -0.0, e[0])])]
+            w += [np.stack([c * e[0] + s * e[1], c * e[0] - s * e[q - 1], c * e[0] + s * e[1]])]
+    return np.concatenate(v), np.concatenate(w)
+
+
+def _bits(*arrays):
+    return [np.asarray(a).tobytes() for a in arrays]
+
+
+def test_lapack_1x1_singular_vectors_are_the_signs():
+    a = np.array([0.0, -0.0, 5e-324, -5e-324, 1e-300, -1e-300, 0.5, -1.0, 1.0])
+    u, _, vt = np.linalg.svd(a[:, None, None], full_matrices=False)
+    assert _bits(u, vt) == _bits(np.copysign(1.0, a)[:, None, None], np.ones((len(a), 1, 1)))
+
+
+@pytest.mark.parametrize("q", range(1, 7))
+def test_line_pairs_match_the_lapack_path_bit_for_bit(q, monkeypatch):
+    v, w = line_pairs(q)
+    assert _bits(*gr.aligned_angles(v, w)) == _bits(*lapack_aligned_angles(v, w))
+    closed = [gr.distances(v, w), gr.same_stack(v, w), *gr.geodesic_frames(v, w)]
+    monkeypatch.setattr(gr, "aligned_angles", lapack_aligned_angles)
+    lapack = [gr.distances(v, w), gr.same_stack(v, w), *gr.geodesic_frames(v, w)]
+    assert _bits(*closed) == _bits(*lapack)

@@ -4,9 +4,10 @@ per-sample draws, and their results at fixed seeds and sizes are pinned."""
 import numpy as np
 import pytest
 
-from grasskit import selftest
+from grasskit import sampling, selftest
 from grasskit.affine import AffinePlane, ChartMPlane, ChartPoint, affine_offsets
-from grasskit.grassmann import random_subspace
+from grasskit.grassmann import random_subspace, random_subspaces
+from grasskit.linalg import orthonormalize_stack
 from grasskit.sampling import chart_m_plane_arrays, point_on_arrays, rng_for
 
 
@@ -247,3 +248,87 @@ def test_draw_helpers_replay_rejections():
         assert np.array_equal(coords, p.coords)
     assert _state(g) == _state(ref_g)
     assert len(plane_tries) > 40 and len(point_tries) > 40
+
+
+class _Forced:
+    """The real stream, except that the uniform calls numbered in ``forced``
+    (counting every uniform call from 0) return the given values; every call
+    is logged as (kind, size)."""
+
+    def __init__(self, g, forced):
+        self.g, self.forced, self.log = g, forced, []
+
+    def standard_normal(self, size):
+        self.log.append(("normal", size))
+        return self.g.standard_normal(size)
+
+    def uniform(self, low, high, size):
+        out = self.g.uniform(low, high, size=size)
+        index = sum(kind == "uniform" for kind, _ in self.log)
+        self.log.append(("uniform", size))
+        if index in self.forced:
+            out[...] = self.forced[index]
+        return out
+
+
+# At seed 0 nothing is redrawn in the first 24 samples, so uniform call 35 is
+# the first plane's raw offsets of sample 10 (even), and 36 and 37 are the
+# steps of its point, one per section.
+FORCED_REDRAWS = {
+    # raw rows of lengths 8.7 whose Gram matrix has top eigenvalue 100: off
+    # any line one projected row keeps length >= 5, an entry >= 5/sqrt(3)
+    "plane-leaves-box": ({35: [[5.0, 5.0, 5.0], [5.0, -5.0, 5.0]]}, ("normal", (1, 3, 1))),
+    # a step of 5 along a unit line moves some entry by >= 5/sqrt(3)
+    "point-leaves-box": ({36: [5.0]}, ("uniform", 1)),
+    # a raw row of length 1.018 that the bound cannot settle, whose projection
+    # off any line has entries <= 0.72 (1 + sqrt(2)) / 2 = 0.87: kept
+    "exact-check-keeps": ({35: [[0.72, 0.72, 0.0], [0.0, 0.0, 0.0]]}, ("uniform", 1)),
+}
+
+
+@pytest.mark.parametrize("case", FORCED_REDRAWS)
+def test_embedding_draws_replay_forced_redraws(case):
+    forced, after = FORCED_REDRAWS[case]
+    g, ref_g = _Forced(rng_for(0, 3), forced), _Forced(rng_for(0, 3), forced)
+    v, offsets, points, w, w_offsets = selftest.embedding_draws(g, 24, 1, 2, 4)
+    ref = reference_embedding_loop(ref_g, 24)
+    assert g.log == ref_g.log and _state(g) == _state(ref_g)
+    # the decision went the forced way: the call after the forced one is the
+    # plane's redraw, the point's redraw (after its second step) or the point
+    uniform = [i for i, (kind, _) in enumerate(g.log) if kind == "uniform"]
+    hit = uniform[min(forced)]
+    assert g.log[hit + (2 if case == "point-leaves-box" else 1)] == after
+    if case == "exact-check-keeps":
+        assert np.hypot(0.72, 0.72) > 1.0 - sampling.BOX_MARGIN
+        assert np.array_equal(ref[10][0].offsets, offsets[10])
+    assert np.array_equal(v, [a.direction.basis for a, _, _ in ref])
+    assert np.array_equal(offsets, [a.offsets for a, _, _ in ref])
+    assert np.array_equal(points, [p.coords for _, p, _ in ref])
+    assert np.array_equal(w, [b.direction.basis for _, _, b in ref])
+    assert np.array_equal(w_offsets, [b.offsets for _, _, b in ref])
+
+
+class _Scaled:
+    """A generator whose first Gaussian draw is scaled by ``factor``."""
+
+    def __init__(self, g, factor):
+        self.g, self.factor, self.calls = g, factor, 0
+
+    def standard_normal(self, size):
+        out = self.g.standard_normal(size) * (self.factor if self.calls == 0 else 1.0)
+        self.calls += 1
+        return out
+
+
+# a zero draw is redrawn; a line draw of entries near 1e-120, below the
+# bound's floor, is kept by the exact rank check, as random_subspaces keeps it
+@pytest.mark.parametrize("factor", [0.0, 1e-120, 1.0])
+@pytest.mark.parametrize("dim", [0, 1, 2])
+def test_gaussian_draw_replays_random_subspaces(dim, factor):
+    g, ref_g = _Scaled(rng_for(12, dim), factor), _Scaled(rng_for(12, dim), factor)
+    for _ in range(3):
+        x = sampling.gaussian_draw(g, 3, dim)
+        basis = orthonormalize_stack(x[None])[0][0]
+        assert np.array_equal(basis, random_subspaces(ref_g, 1, 3, dim)[0])
+    assert g.calls == ref_g.calls == 3 + (factor == 0.0 and dim > 0)
+    assert _state(g) == _state(ref_g)
