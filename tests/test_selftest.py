@@ -300,7 +300,6 @@ def test_embedding_draws_replay_forced_redraws(case):
     assert g.log[hit + (2 if case == "point-leaves-box" else 1)] == after
     if case == "exact-check-keeps":
         assert np.hypot(0.72, 0.72) > 1.0 - sampling.BOX_MARGIN
-        assert np.array_equal(ref[10][0].offsets, offsets[10])
     assert np.array_equal(v, [a.direction.basis for a, _, _ in ref])
     assert np.array_equal(offsets, [a.offsets for a, _, _ in ref])
     assert np.array_equal(points, [p.coords for _, p, _ in ref])
