@@ -16,6 +16,9 @@ Modules:
 * ``kakeya``     - sharp-example families, broad-narrow classification,
                    transversality certificates, the subspace-dimension
                    counting functional, the counting-inequality verifier;
+* ``sampling``   - seeded random constructions: one-sample draws and
+                   their derivation on stacks;
+* ``selftest``   - the seeded geometry invariant suites;
 * ``cli``        - config-driven deterministic experiment runner.
 """
 

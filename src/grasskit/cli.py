@@ -242,8 +242,7 @@ def _p_list(cfg: ExperimentConfig) -> list[float]:
 # ------------------------------------------------------------- work units
 
 def _sharp_unit(arg: tuple) -> dict:
-    params_dict, delta = arg
-    params = FamilyParams.from_dict(params_dict)
+    params, delta = arg
     family = kakeya.generate_sharp_example(params, delta)
     points = kakeya.union_sample_points(family)
     count = box_count(points, delta)
@@ -251,14 +250,13 @@ def _sharp_unit(arg: tuple) -> dict:
 
 
 def _kakeya_unit(arg: tuple) -> dict:
-    params_dict, delta, p_values, eps = arg
-    family = kakeya.generate_sharp_example(FamilyParams.from_dict(params_dict), delta)
+    params, delta, p_values, eps = arg
+    family = kakeya.generate_sharp_example(params, delta)
     return {"delta": delta, "rows": kakeya.kakeya_rows(family, p_values, eps)}
 
 
 def _bl_unit(arg: tuple) -> dict:
-    params_dict, index, seed, p_values, K = arg
-    params = FamilyParams.from_dict(params_dict)
+    params, index, seed, p_values, K = arg
     tup = kakeya.random_transverse_tuple(params, rng_for(seed, 90, index), K=K)
     reports = kakeya.verify_bl_bounds(tup, params, p_values)
     rows = [{"tuple": index, "p": p, "lower": rep.instance.best_value,
@@ -288,7 +286,7 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
         passed = all(res["passed"] for res in suites.values())
         summary = {"suites_passed": passed}
     elif cfg.experiment == "sharp-dimension":
-        units = [(cfg.params.to_dict(), d) for d in cfg.deltas]
+        units = [(cfg.params, d) for d in cfg.deltas]
         records = _run_units(_sharp_unit, units, cfg.workers)
         records.sort(key=lambda r: -r["delta"])
         fit = box_dimension_fit([r["delta"] for r in records],
@@ -301,7 +299,7 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
     elif cfg.experiment == "kakeya-sweep":
         p_values = _p_list(cfg)
         eps = cfg.constants["eps"]
-        units = [(cfg.params.to_dict(), d, p_values, eps) for d in cfg.deltas]
+        units = [(cfg.params, d, p_values, eps) for d in cfg.deltas]
         blocks = _run_units(_kakeya_unit, units, cfg.workers)
         blocks.sort(key=lambda b: -b["delta"])
         records = [{"p": p, **asdict(row)}
@@ -318,7 +316,7 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
         n_tuples = int(cfg.constants["tuples"])
         if n_tuples > MAX_TUPLES:
             raise ResourceCapError(f"constants.tuples {n_tuples} is above the cap {MAX_TUPLES}")
-        units = [(cfg.params.to_dict(), i, cfg.seed, p_values,
+        units = [(cfg.params, i, cfg.seed, p_values,
                   cfg.constants["K"]) for i in range(n_tuples)]
         blocks = _run_units(_bl_unit, units, cfg.workers)
         blocks.sort(key=lambda b: b["tuple"])

@@ -57,11 +57,6 @@ class FamilyParams:
         return (self.m + 1) * (self.d - self.m) + self.beta
 
     @property
-    def chart_dim(self) -> int:
-        """N = (n-l)(l+1), the dimension of the chart of l-planes."""
-        return (self.n - self.l) * (self.l + 1)
-
-    @property
     def embedded_plane_dim(self) -> int:
         """k = (m-l)(l+1), the dimension of an embedded product plane."""
         return (self.m - self.l) * (self.l + 1)
@@ -72,11 +67,6 @@ class FamilyParams:
 
     def to_dict(self) -> dict:
         return {"l": self.l, "m": self.m, "d": self.d, "n": self.n, "beta": self.beta}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "FamilyParams":
-        return cls(int(data["l"]), int(data["m"]), int(data["d"]),
-                   int(data["n"]), float(data["beta"]))
 
 
 def admissible_p_max(l: int, m: int, d: int, beta: float,

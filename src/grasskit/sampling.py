@@ -5,12 +5,12 @@ All randomness flows through an explicitly keyed counter-based generator
 
 Each construction is split in two.  Its draw (the ``*_draw`` helpers)
 makes only the generator calls of one sample and its redraw decisions, and
-returns the raw draws; its derivation (``chart_m_planes``, ``points_on``)
-turns a stack of raw draws into bases, offsets and points.  A batched
-caller loops over the draws alone and derives once on stacks; the
-``*_arrays`` helpers and the object constructors are the same draw and
-derivation on a stack of one, so every form takes the same stream and
-gives the same bits.
+returns the raw draws; its derivation (``chart_m_planes``, ``points_on``,
+``linalg.orthonormalize_stack``) turns a stack of raw draws into bases,
+offsets and points.  A batched caller loops over the draws alone and
+derives once on stacks; the object constructors are the same draw and
+derivation on a stack of one, so both forms take the same stream and give
+the same bits.
 
 Most redraw decisions are settled by a bound on the raw draws, with a
 margin far above rounding; only a draw the bound cannot settle is derived
@@ -32,10 +32,6 @@ BOX_MARGIN = 1e-9
 LINE_FLOOR = 1e-100
 
 
-# re-exported: the stacked subspace draws; ``gaussian_draw`` makes one
-random_subspaces = grassmann.random_subspaces
-
-
 def rng_for(*key: int) -> np.random.Generator:
     """Philox generator keyed by a tuple of integers."""
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(list(key))))
@@ -47,7 +43,8 @@ def _norms(rows: np.ndarray) -> list[float]:
 
 def gaussian_draw(rng: np.random.Generator, ambient: int, dim: int) -> np.ndarray:
     """One Gaussian (ambient, dim) draw of a subspace basis, redrawn while
-    rank-deficient, as ``random_subspaces(rng, 1, ambient, dim)`` draws it."""
+    rank-deficient, as ``grassmann.random_subspaces(rng, 1, ambient, dim)``
+    draws it."""
     while True:
         x = rng.standard_normal((1, ambient, dim))
         if ((dim == 1 and max(map(abs, x.ravel().tolist())) > LINE_FLOOR)
@@ -82,21 +79,12 @@ def chart_m_plane_draw(rng: np.random.Generator, l: int, m: int, n: int,
             return x, raw
 
 
-def chart_m_plane_arrays(rng: np.random.Generator, l: int, m: int, n: int,
-                         offset_scale: float = 0.6) -> tuple[np.ndarray, np.ndarray]:
-    """One random chart m-plane with sections meeting the chart box: its
-    section direction basis (n-l, m-l) and offsets (l+1, n-l), as
-    :class:`ChartMPlane` holds them."""
-    x, raw = chart_m_plane_draw(rng, l, m, n, offset_scale)
-    basis, offsets = chart_m_planes(x[None], raw[None])
-    return basis[0], offsets[0]
-
-
 def random_chart_m_plane(rng: np.random.Generator, l: int, m: int, n: int,
                          offset_scale: float = 0.6) -> ChartMPlane:
     """Random chart m-plane with sections meeting the chart box."""
-    basis, offsets = chart_m_plane_arrays(rng, l, m, n, offset_scale)
-    return ChartMPlane.view(basis, linalg.frozen(offsets))
+    x, raw = chart_m_plane_draw(rng, l, m, n, offset_scale)
+    bases, offsets = chart_m_planes(x[None], raw[None])
+    return ChartMPlane.view(bases[0], linalg.frozen(offsets[0]))
 
 
 def points_on(bases: np.ndarray, offsets: np.ndarray, steps: np.ndarray) -> np.ndarray:
@@ -138,31 +126,25 @@ def point_on_draw(rng: np.random.Generator, x: np.ndarray, raw: np.ndarray,
                        lambda steps: _inside(*chart_m_planes(x[None], raw[None]), steps))
 
 
-def point_on_arrays(rng: np.random.Generator, basis: np.ndarray, offsets: np.ndarray,
-                    spread: float = 0.5) -> np.ndarray:
-    """Chart coordinates (l+1, n-l) of a point incident to the chart m-plane
-    with section basis ``basis`` and offsets ``offsets`` (exactly, up to
-    rounding); a point outside the chart box is redrawn."""
-    steps = _steps_draw(rng, _norms(offsets), max(_norms(basis)), basis.shape[1], spread,
-                        lambda steps: _inside(basis[None], offsets[None], steps))
-    return points_on(basis[None], offsets[None], steps[None])[0]
-
-
 def random_point_on(rng: np.random.Generator, plane: ChartMPlane,
                     spread: float = 0.5) -> ChartPoint:
-    """Chart point incident to ``plane`` (exactly, up to rounding)."""
-    return ChartPoint(point_on_arrays(rng, plane.direction.basis, plane.offsets, spread))
+    """Chart point incident to ``plane`` (exactly, up to rounding); a point
+    outside the chart box is redrawn."""
+    basis, offsets = plane.direction.basis, plane.offsets
+    steps = _steps_draw(rng, _norms(offsets), max(_norms(basis)), basis.shape[1], spread,
+                        lambda steps: _inside(basis[None], offsets[None], steps))
+    return ChartPoint(points_on(basis[None], offsets[None], steps[None])[0])
 
 
-def chart_point_arrays(rng: np.random.Generator, l: int, n: int,
-                       scale: float = 1.0) -> np.ndarray:
+def chart_point_draw(rng: np.random.Generator, l: int, n: int,
+                     scale: float = 1.0) -> np.ndarray:
     """Chart coordinates (l+1, n-l), uniform in [-scale, scale]."""
     return rng.uniform(-scale, scale, size=(l + 1, n - l))
 
 
 def random_chart_point(rng: np.random.Generator, l: int, n: int,
                        scale: float = 1.0) -> ChartPoint:
-    return ChartPoint(chart_point_arrays(rng, l, n, scale))
+    return ChartPoint(chart_point_draw(rng, l, n, scale))
 
 
 def affine_plane_draw(rng: np.random.Generator, ambient: int, dim: int,
@@ -174,15 +156,7 @@ def affine_plane_draw(rng: np.random.Generator, ambient: int, dim: int,
             rng.uniform(-offset_scale, offset_scale, size=ambient))
 
 
-def affine_plane_arrays(rng: np.random.Generator, ambient: int, dim: int,
-                        offset_scale: float = 0.4) -> tuple[np.ndarray, np.ndarray]:
-    """One random affine plane: its direction basis (ambient, dim) and its
-    offset (ambient,) as drawn."""
-    x, offset = affine_plane_draw(rng, ambient, dim, offset_scale)
-    return linalg.orthonormalize_stack(x[None])[0][0], offset
-
-
 def random_affine_plane(rng: np.random.Generator, ambient: int, dim: int,
                         offset_scale: float = 0.4) -> AffinePlane:
-    basis, offset = affine_plane_arrays(rng, ambient, dim, offset_scale)
-    return AffinePlane(grassmann.Subspace(basis), offset)
+    x, offset = affine_plane_draw(rng, ambient, dim, offset_scale)
+    return AffinePlane(grassmann.Subspace(linalg.orthonormalize_stack(x[None])[0][0]), offset)

@@ -16,12 +16,12 @@ import numpy as np
 from .affine import (Chart, affine_offsets, chart_offsets, check_chart_box,
                      embed_tilde_stack, from_projective_stack, incidences,
                      point_distances, rho_distances, to_projective_stack)
-from .errors import ResourceCapError
+from .errors import InvalidInputError, ResourceCapError
 from .grassmann import (distances, geodesic_frames, geodesic_points,
                         orthonormal_draws, project_stack, same_stack)
 from .linalg import orthonormalize_stack
 from .sampling import (affine_plane_draw, chart_m_plane_draw, chart_m_planes,
-                       chart_point_arrays, point_on_draw, points_on, rng_for)
+                       chart_point_draw, point_on_draw, points_on, rng_for)
 
 
 class _Result:
@@ -102,6 +102,8 @@ def projection_suite(seed: int, samples: int = 500,
     """Nearest-point projection of lines onto the line-family of a random
     2-plane in R^3: ambient-projection containment plus minimality against
     random competitors."""
+    if contenders < 1:
+        raise InvalidInputError(f"projection suite needs contenders >= 1, got {contenders}")
     start = time.perf_counter()
     g = rng_for(seed, 2)
     # per sample: v (3x1), pi (3x2), then the contenders' coordinates in pi
@@ -154,7 +156,7 @@ def embedding_draws(g, samples: int, l: int, m: int, n: int):
         if k % 2 == 0:
             steps.append(point_on_draw(g, *first[-1]))
         else:
-            free.append(chart_point_arrays(g, l, n, scale=0.9))
+            free.append(chart_point_draw(g, l, n, scale=0.9))
         second.append(chart_m_plane_draw(g, l, m, n))
     v, offsets = chart_m_planes(*(np.array(x) for x in zip(*first)))
     points = np.empty_like(offsets)
@@ -166,6 +168,8 @@ def embedding_draws(g, samples: int, l: int, m: int, n: int):
 def embedding_suite(seed: int, samples: int = 1000, l: int = 1, m: int = 2,
                     n: int = 4) -> EmbeddingSuiteResult:
     """Incidence and parallelism agree exactly with the product embedding."""
+    if samples < 1:
+        raise InvalidInputError(f"embedding suite needs samples >= 1, got {samples}")
     start = time.perf_counter()
     tol = 1e-9
     v, offsets, points, w, w_offsets = embedding_draws(rng_for(seed, 3), samples, l, m, n)
@@ -212,7 +216,7 @@ def chart_draws(g, samples: int):
     [-0.25, 0.25]^3.  The loop makes only the generator calls and redraw
     decisions; the line bases are derived once on stacks.  Returns the
     points and each line stack's bases and drawn offsets."""
-    draws = [(chart_point_arrays(g, 1, 3, scale=0.9),
+    draws = [(chart_point_draw(g, 1, 3, scale=0.9),
               *affine_plane_draw(g, 3, 1, offset_scale=0.25),
               *affine_plane_draw(g, 3, 1, offset_scale=0.25))
              for _ in range(samples)]
@@ -224,6 +228,8 @@ def chart_suite(seed: int, samples: int = 500) -> ChartSuiteResult:
     """Chart and projective round trips plus the two-metric comparability
     ratios (recorded over a prefix and the full sample; the prefix bounds
     must nest inside the full ones)."""
+    if samples < 2:
+        raise InvalidInputError(f"chart suite needs samples >= 2, got {samples}")
     start = time.perf_counter()
     points, b1, o1, b2, o2 = chart_draws(rng_for(seed, 4), samples)
     check_chart_box(points)

@@ -360,7 +360,7 @@ def isoclinic_bush(g):
 def test_classifier_step_matches_the_per_ball_loop():
     # the stacked step keeps each ball's canonical top singular value where
     # the top two tie, so it picks the ball (and vector) the loop picks
-    from grasskit.sampling import random_subspaces
+    from grasskit.grassmann import random_subspaces
     bushes = []
     for shape in [(0, 1, 2, 3), (1, 2, 2, 4), (0, 2, 3, 4), (0, 1, 3, 4)]:
         params = kk.FamilyParams(*shape, 1.0)

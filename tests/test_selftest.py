@@ -6,9 +6,10 @@ import pytest
 
 from grasskit import sampling, selftest
 from grasskit.affine import AffinePlane, ChartMPlane, ChartPoint, affine_offsets
+from grasskit.errors import InvalidInputError
 from grasskit.grassmann import random_subspace, random_subspaces
 from grasskit.linalg import orthonormalize_stack
-from grasskit.sampling import chart_m_plane_arrays, point_on_arrays, rng_for
+from grasskit.sampling import random_chart_m_plane, random_point_on, rng_for
 
 
 def test_geodesic_block_is_the_sequence_of_per_sample_draws():
@@ -89,6 +90,17 @@ def test_degenerate_draws_are_redrawn_not_used(monkeypatch, suite, cols):
     assert made[0].calls >= 2
     assert res.passed
     assert all(np.isfinite(v) for v in res.to_dict().values() if not isinstance(v, bool))
+
+
+@pytest.mark.parametrize("call", [
+    lambda: selftest.chart_suite(0, 0),
+    lambda: selftest.chart_suite(0, 1),
+    lambda: selftest.embedding_suite(0, 0),
+    lambda: selftest.projection_suite(0, 5, contenders=0),
+], ids=["chart-0", "chart-1", "embedding-0", "projection-no-contenders"])
+def test_suites_reject_sizes_they_cannot_measure(call):
+    with pytest.raises(InvalidInputError):
+        call()
 
 
 def _hexed(record: dict) -> dict:
@@ -240,12 +252,13 @@ def test_draw_helpers_replay_rejections():
     g, ref_g = rng_for(11), rng_for(11)
     plane_tries, point_tries = [], []
     for _ in range(40):
-        basis, offsets = chart_m_plane_arrays(g, 1, 2, 4, offset_scale=0.95)
-        coords = point_on_arrays(g, basis, offsets, spread=0.9)
+        plane = random_chart_m_plane(g, 1, 2, 4, offset_scale=0.95)
+        point = random_point_on(g, plane, spread=0.9)
         v = reference_chart_m_plane(ref_g, 1, 2, 4, offset_scale=0.95, tries=plane_tries)
         p = reference_point_on(ref_g, v, spread=0.9, tries=point_tries)
-        assert np.array_equal(basis, v.direction.basis) and np.array_equal(offsets, v.offsets)
-        assert np.array_equal(coords, p.coords)
+        assert (np.array_equal(plane.direction.basis, v.direction.basis)
+                and np.array_equal(plane.offsets, v.offsets))
+        assert np.array_equal(point.coords, p.coords)
     assert _state(g) == _state(ref_g)
     assert len(plane_tries) > 40 and len(point_tries) > 40
 
