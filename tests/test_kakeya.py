@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -398,6 +400,76 @@ def test_tuple_generation_all_parameter_sets():
         # certificate volume is the gram volume of the witness vectors
         from grasskit.linalg import gram_volume
         assert tup.volume == pytest.approx(gram_volume(tup.vectors), abs=1e-12)
+
+
+def _digest(a) -> str:
+    return hashlib.sha256(np.ascontiguousarray(a, dtype=float).tobytes()).hexdigest()[:16]
+
+
+# (shape, seed): sha256 prefixes of the witness vectors and of the stacked W_j
+# bases, and the certificate volume as hex, with beta = 1 and rng_for(82, *shape, seed)
+TUPLE_PINS = {
+    ((0, 1, 1, 2), 0): ("a76b1f59747578c3", "0x1.febfcb5e6fdbap-1", "70d5aa70a9225894"),
+    ((0, 1, 1, 2), 1): ("85ec2ba1282b5f2b", "0x1.fbba0674a3194p-1", "4d16cda83ec42467"),
+    ((0, 1, 1, 2), 2): ("3be5d4fdc9e1a119", "0x1.fd496549a1045p-1", "a0cf5b5091952cbd"),
+    ((0, 1, 2, 3), 0): ("d8e5afa1ca9ec71b", "0x1.d83b2c15d4931p-1", "c7009b54e1127378"),
+    ((0, 1, 2, 3), 1): ("b232a8a86512fab3", "0x1.8086fdb72c454p-1", "2da4e5c471ca4ded"),
+    ((0, 1, 2, 3), 2): ("fcb54178c4f0b109", "0x1.d268b62850e6bp-1", "2766582731e0c544"),
+    ((1, 2, 2, 4), 0): ("46bc70b2ad89e251", "0x1.fa227eb24f0a0p-1", "0ac7ea9290f23b54"),
+    ((1, 2, 2, 4), 1): ("30ae3a64123216c6", "0x1.fbfdb4e4bbc59p-1", "ccf77352f1b85025"),
+    ((1, 2, 2, 4), 2): ("aadddc8c3a414762", "0x1.ea01d3c2c0d8ap-1", "8d02b18038821e4c"),
+    ((0, 2, 3, 4), 0): ("6f803e0a23fc04f4", "0x1.f647a532dfde2p-1", "88df346054b0f66d"),
+    ((0, 2, 3, 4), 1): ("d8cce7facc1225a8", "0x1.fd88408579d69p-1", "ac6a81c61264df82"),
+    ((0, 2, 3, 4), 2): ("d85c2028dc81e1f7", "0x1.fbc6c8562ff89p-1", "5b2412493728d30c"),
+    ((0, 1, 3, 4), 0): ("0438403ad740b8a6", "0x1.cce149ab90e61p-1", "88b286032a08358b"),
+    ((0, 1, 3, 4), 1): ("53bec0aea43edda1", "0x1.ed9a3dd9e03d7p-1", "6be4e89de4786693"),
+    ((0, 1, 3, 4), 2): ("65347a6b990a50a6", "0x1.8ca53d687aa72p-1", "505b7ba4bfb55083"),
+    ((1, 2, 3, 5), 0): ("17a99c424912c899", "0x1.e7d9a0e663fcap-1", "c62518dd430b14d0"),
+    ((1, 2, 3, 5), 1): ("e198b0c407531096", "0x1.fac85c17aca9bp-1", "75816256c875935c"),
+    ((1, 2, 3, 5), 2): ("c9aea9181017690e", "0x1.f0fa945bf268fp-1", "d8063462e91fddf6"),
+}
+
+
+@pytest.mark.parametrize("shape, seed", list(TUPLE_PINS))
+def test_transverse_tuple_and_its_obstructions_are_pinned(shape, seed):
+    params = kk.FamilyParams(*shape, 1.0)
+    tup = kk.random_transverse_tuple(params, rng_for(82, *shape, seed))
+    ws = kk.tuple_obstruction_subspaces(tup, params)
+    assert (_digest(tup.vectors), tup.volume.hex(),
+            _digest(np.stack([w.basis for w in ws]))) == TUPLE_PINS[shape, seed]
+
+
+# (shape, k): per anchor, the bush counts, the sha256 prefix of the Narrow
+# witness basis and the covered fraction as hex, on the beta = 1 sharp family
+# at 2^-k; anchor a jitters a member's offsets drawn from rng_for(83, *shape, k)
+BUSH_PINS = {
+    ((0, 1, 2, 3), 3): [
+        ([1, 1], "c1e731ce1638fb8a"), ([1, 1], "c1e731ce1638fb8a"),
+        ([1, 1], "c1e731ce1638fb8a"), ([1, 2], "e8c05b24e3dbb075"),
+        ([2, 1], "591317f31d9cfe87"), ([1, 1], "c1e731ce1638fb8a"),
+        ([1, 1], "c1e731ce1638fb8a"), ([1, 1], "c1e731ce1638fb8a")],
+    ((0, 1, 2, 3), 4): [
+        ([1, 1, 1, 2], "00f694dcd416bce7"), ([1, 1, 1, 1], "19978294951ac570"),
+        ([1, 1, 1, 1], "19978294951ac570"), ([1, 1, 2, 1], "19978294951ac570"),
+        ([1, 1, 1, 1], "19978294951ac570"), ([1, 1, 1, 1], "19978294951ac570"),
+        ([1, 1, 1, 1], "19978294951ac570"), ([1, 1, 1, 1], "19978294951ac570")],
+    ((0, 1, 1, 2), 4): [([1], "91e1e6a6da6e370c")] * 8,
+}
+
+
+@pytest.mark.parametrize("shape, k", list(BUSH_PINS))
+def test_sharp_family_bushes_classify_as_pinned(shape, k):
+    params = kk.FamilyParams(*shape, 1.0)
+    delta = 2.0 ** -k
+    fam = kk.generate_sharp_example(params, delta)
+    g = rng_for(83, *shape, k)
+    for counts, witness in BUSH_PINS[shape, k]:
+        i = int(g.integers(len(fam)))
+        coords = np.clip(fam.offsets[i] + g.uniform(-delta, delta, fam.offsets[i].shape), -1, 1)
+        bush = kk.bush_directions(ChartPoint(coords), fam)
+        res = kk.broad_narrow_classify(bush, params)
+        assert (res.kind, bush.counts, _digest(res.witness.basis),
+                res.covered_fraction.hex()) == ("narrow", counts, witness, "0x1.0000000000000p+0")
 
 
 # -------------------------------------------------------- dim projection
