@@ -304,7 +304,7 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
         blocks.sort(key=lambda b: -b["delta"])
         records = [{"p": p, **asdict(row)}
                    for b in blocks for p, row in zip(p_values, b["rows"])]
-        reports = [kakeya.KakeyaReport(p, eps, tuple(b["rows"][i] for b in blocks),
+        reports = [kakeya.KakeyaReport(p, tuple(b["rows"][i] for b in blocks),
                                        cfg.constants["ratio_bound"],
                                        cfg.constants["growth_bound"])
                    for i, p in enumerate(p_values)]

@@ -39,7 +39,7 @@ import numpy as np
 from . import linalg
 from .affine import ChartMPlane, ChartPoint
 from .errors import InvalidInputError, InvalidScaleError, ResourceCapError
-from .grassmann import Subspace, distances, random_subspaces
+from .grassmann import distances, random_subspaces
 
 CELL_CAP = 16_000_000
 KEY_MAX = np.iinfo(np.int64).max
@@ -84,8 +84,9 @@ def _farthest_point_indices(dist_to, delta: float) -> list[int]:
         dist = np.minimum(dist, dist_to(nxt))
 
 
-def build_direction_net(sub_dim: int, ambient: int, delta: float) -> list[Subspace]:
-    """Separated net of the Grassmannian of sub_dim-subspaces of R^ambient.
+def build_direction_net(sub_dim: int, ambient: int, delta: float) -> np.ndarray:
+    """Separated net of the Grassmannian of sub_dim-subspaces of R^ambient,
+    as a stack (K, ambient, sub_dim) of orthonormal bases.
 
     Lines in the plane get an exact angle grid; other shapes use
     farthest-point insertion over a deterministic pseudo-random candidate
@@ -93,12 +94,13 @@ def build_direction_net(sub_dim: int, ambient: int, delta: float) -> list[Subspa
     """
     delta = _check_scale(delta)
     if sub_dim == 0 or sub_dim == ambient:
-        return [Subspace.zero(ambient) if sub_dim == 0 else Subspace.full(ambient)]
+        return np.eye(ambient)[None, :, :sub_dim]
     if sub_dim == 1 and ambient == 2:
         # pitch pi/floor(pi/delta) >= delta keeps the separation exact
         count = max(1, int(math.floor(np.pi / delta)))
-        return [Subspace.from_vectors([[math.cos(a), math.sin(a)]])
-                for a in np.arange(count) * (np.pi / count)]
+        angles = (np.arange(count) * (np.pi / count)).tolist()
+        return linalg.orthonormalize_stack(
+            np.array([[[math.cos(a)], [math.sin(a)]] for a in angles]))[0]
     dim_g = sub_dim * (ambient - sub_dim)
     rng = np.random.Generator(np.random.Philox(
         np.random.SeedSequence([0xD17EC7, sub_dim, ambient, int(round(1.0 / delta))])))
@@ -108,12 +110,12 @@ def build_direction_net(sub_dim: int, ambient: int, delta: float) -> list[Subspa
         cands = g / np.linalg.norm(g, axis=1, keepdims=True)
         keep = _farthest_point_indices(
             lambda i: np.arccos(np.clip(np.abs(cands @ cands[i]), 0.0, 1.0)), delta)
-        return [Subspace(cands[i].reshape(-1, 1)) for i in keep]
+        return cands[keep, :, None]
     cands = random_subspaces(rng, min(int(10 * (2.0 / delta) ** dim_g), 4_000),
                              ambient, sub_dim)
     keep = _farthest_point_indices(
         lambda i: distances(np.broadcast_to(cands[i], cands.shape), cands), delta)
-    return [Subspace(cands[i]) for i in keep]
+    return cands[keep]
 
 
 # ----------------------------------------------------------------- cells

@@ -25,13 +25,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import linalg
-from .affine import ChartMPlane, ChartPoint, chart_offsets, embed_tilde
+from .affine import ChartMPlane, ChartPoint, chart_offsets, embed_tilde_stack
 from .discretize import (CELL_CAP, SlabNeighborhood, GridCounter, build_direction_net,
                          cells_per_axis, min_pairwise_distance, spacing_report,
                          SpacingReport)
 from .errors import CertificateError, InvalidInputError, ResourceCapError
-from .grassmann import (Subspace, check_bases, distances, project_to_sub_grassmannian,
-                        random_subspaces)
+from .grassmann import Subspace, check_bases, distances, project_stack, random_subspaces
 
 
 # ---------------------------------------------------------------- params
@@ -355,19 +354,21 @@ def union_sample_points(family: PlaneFamily, cap: int = 6_000_000) -> np.ndarray
 
 @dataclass(frozen=True)
 class BushDirections:
-    """Directions of the family members whose slabs touch the ball around
-    an anchor chart point, snapped to a separated direction net."""
+    """Directions of the family members whose slabs touch the ball around an
+    anchor chart point, snapped to a separated direction net: the read-only
+    net bases (B, q, r) that some member snaps to, and per basis its members."""
 
-    anchor: ChartPoint
-    entries: tuple[tuple[Subspace, tuple[int, ...]], ...]
+    bases: np.ndarray
+    members: tuple[tuple[int, ...], ...]
 
-    @property
-    def directions(self) -> list[Subspace]:
-        return [e[0] for e in self.entries]
+    def __post_init__(self):
+        if len(check_bases(self.bases)) != len(self.members):
+            raise InvalidInputError("need one member tuple per direction")
+        object.__setattr__(self, "bases", linalg.frozen(self.bases))
 
     @property
     def counts(self) -> list[int]:
-        return [len(e[1]) for e in self.entries]
+        return [len(m) for m in self.members]
 
     def total(self) -> int:
         return sum(self.counts)
@@ -378,18 +379,17 @@ def bush_directions(anchor: ChartPoint, family: PlaneFamily) -> BushDirections:
     viewed as directions of :func:`build_direction_net` at the family's
     scale."""
     delta = family.scale
+    q, r = family.directions.shape[1:]
     touching = np.flatnonzero(SlabNeighborhood(family, delta).chart_distance(anchor) <= delta)
     if not touching.size:
-        return BushDirections(anchor, ())
-    net = build_direction_net(family.params.m - family.params.l,
-                              family.params.n - family.params.l, delta)
-    bases = np.stack([u.basis for u in net])
+        return BushDirections(np.zeros((0, q, r)), ())
+    net = build_direction_net(r, q, delta)
     buckets: dict[int, list[int]] = {}
     for i in touching.tolist():
-        direction = np.broadcast_to(family.directions[i], bases.shape)
-        buckets.setdefault(int(np.argmin(distances(direction, bases))), []).append(i)
-    entries = tuple((net[key], tuple(idx)) for key, idx in sorted(buckets.items()))
-    return BushDirections(anchor, entries)
+        direction = np.broadcast_to(family.directions[i], net.shape)
+        buckets.setdefault(int(np.argmin(distances(direction, net))), []).append(i)
+    keys = sorted(buckets)
+    return BushDirections(net[keys], tuple(tuple(buckets[k]) for k in keys))
 
 
 # ------------------------------------------------------ broad-narrow step
@@ -444,7 +444,7 @@ class TransverseTuple:
     spanned parallelepiped of the witness vectors is too large for any
     (d-l)-plane to approximately contain all the balls."""
 
-    centers: tuple[Subspace, ...]
+    centers: np.ndarray  # (J, q, r) ball centers, read-only
     radius: float
     vectors: np.ndarray
     volume: float
@@ -462,7 +462,6 @@ class Narrow:
 
     witness: Subspace
     covered_fraction: float
-    selected: tuple
 
     kind = "narrow"
 
@@ -470,7 +469,6 @@ class Narrow:
 @dataclass(frozen=True)
 class Broad:
     tuple: TransverseTuple
-    selected: tuple
 
     kind = "broad"
 
@@ -481,6 +479,7 @@ def _select_balls(bush: BushDirections, constants: ClassifierConstants, n: int):
     Balls are centered on bush directions (greedy cover at radius K^-n),
     filtered at the significance fraction K^(-n^4), grouped in dyadic count
     classes (the largest class wins), then thinned to 100 K^-n separation.
+    Returns (index into ``bush.bases``, member indices) per chosen ball.
     """
     radius = constants.ball_radius(n)
     total = bush.total()
@@ -488,8 +487,8 @@ def _select_balls(bush: BushDirections, constants: ClassifierConstants, n: int):
         significance = total * math.exp(-(float(n) ** 4) * math.log(constants.K))
     except OverflowError:
         significance = 0.0
-    order = sorted(range(len(bush.entries)), key=lambda i: (-bush.counts[i], i))
-    dirs = np.stack([u.basis for u in bush.directions])
+    order = sorted(range(len(bush.members)), key=lambda i: (-len(bush.members[i]), i))
+    dirs = bush.bases
     dist = distances(np.repeat(dirs, len(dirs), axis=0),  # dist[i, j]: from i to j
                      np.tile(dirs, (len(dirs), 1, 1))).reshape(len(dirs), -1)
     centers: list[tuple[int, list[int]]] = []
@@ -497,13 +496,13 @@ def _select_balls(bush: BushDirections, constants: ClassifierConstants, n: int):
     for i in order:
         if i in assigned:
             continue
-        members = list(bush.entries[i][1])
+        members = list(bush.members[i])
         assigned.add(i)
         for j in order:
             if j in assigned:
                 continue
             if dist[i, j] <= radius:
-                members.extend(bush.entries[j][1])
+                members.extend(bush.members[j])
                 assigned.add(j)
         centers.append((i, members))
     centers = [(c, ms) for c, ms in centers if len(ms) >= significance]
@@ -515,7 +514,7 @@ def _select_balls(bush: BushDirections, constants: ClassifierConstants, n: int):
     for c, ms in sorted(classes[best_class], key=lambda e: -len(e[1])):
         if all(dist[c, c2] > 100.0 * radius for c2, _ in chosen):
             chosen.append((c, ms))
-    return [(bush.entries[c][0], ms) for c, ms in chosen]
+    return chosen
 
 
 def broad_narrow_classify(bush: BushDirections, params: FamilyParams,
@@ -529,17 +528,15 @@ def broad_narrow_classify(bush: BushDirections, params: FamilyParams,
     means every ball direction hugs the current span, whose extension to a
     (d-l)-plane is a Narrow witness covering all selected balls.
     """
-    if not bush.entries:
+    if not bush.members:
         raise InvalidInputError("empty bush")
     constants = ClassifierConstants.for_params(params, K)
     q = params.n - params.l
-    selected = _select_balls(bush, constants, params.n)
+    bases = bush.bases[[c for c, _ in _select_balls(bush, constants, params.n)]]
     threshold = constants.step_threshold(params)
 
-    first = selected[0][0]
-    vectors = [first.basis[:, i] for i in range(first.dim)]
-    balls = [first]
-    bases = np.stack([center.basis for center, _ in selected])
+    vectors = list(bases[0].T)
+    balls = [0]
     target = params.d - params.l + 1
     while len(vectors) < target:
         if vectors:
@@ -560,43 +557,33 @@ def broad_narrow_classify(bush: BushDirections, params: FamilyParams,
                 top[i] = linalg.svd(resid[i]).singular_values[0]
         win = int(np.argmax(top))  # the first maximum, as a loop with > keeps
         if top[win] < threshold:
-            witness_dim = params.d - params.l
-            padded = linalg.orthonormal_completion(span, q)[:, :witness_dim]
-            witness = Subspace(padded)
-            near = sum(
-                1 for center, _ in selected
-                if project_to_sub_grassmannian(center, witness).distance
-                <= constants.c1 / constants.K
-            )
-            return Narrow(witness, near / len(selected), tuple(selected))
-        ball = selected[win][0]
-        vec = ball.basis @ linalg.svd(resid[win]).right[:, 0]
+            padded = linalg.orthonormal_completion(span, q)[:, :params.d - params.l]
+            dist = project_stack(bases, np.broadcast_to(padded, (len(bases),) + padded.shape))[1]
+            return Narrow(Subspace(padded), float(np.mean(dist <= constants.c1 / constants.K)))
+        vec = bases[win] @ linalg.svd(resid[win]).right[:, 0]
         vectors.append(vec / np.linalg.norm(vec))
-        balls.append(ball)
+        balls.append(win)
 
     volume = linalg.gram_volume(np.column_stack(vectors))
     vol_target = constants.c_prime * constants.K ** (-params.n)
-    tup = TransverseTuple(tuple(balls), constants.ball_radius(params.n),
+    tup = TransverseTuple(linalg.frozen(bases[balls]), constants.ball_radius(params.n),
                           linalg.frozen(np.column_stack(vectors)), volume,
                           vol_target, constants.K)
     if not tup.certified():
         # the per-step threshold guarantees this cannot happen
         raise CertificateError("greedy certificate below the volume target")
-    return Broad(tup, tuple(selected))
+    return Broad(tup)
 
 
 def random_transverse_tuple(params: FamilyParams, rng: np.random.Generator,
                             K: int | None = None) -> TransverseTuple:
     """Certified tuple from classifying a random bush of 4(d-l+2)
     directions."""
-    r = params.m - params.l
-    q = params.n - params.l
+    q, r = params.n - params.l, params.m - params.l
     count = 4 * (params.d - params.l + 2)
-    anchor = ChartPoint(np.zeros((params.l + 1, q)))
+    members = tuple((i,) for i in range(count))
     for _ in range(64):
-        entries = tuple((Subspace(b), (i,))
-                        for i, b in enumerate(random_subspaces(rng, count, q, r)))
-        bush = BushDirections(anchor, entries)
+        bush = BushDirections(random_subspaces(rng, count, q, r), members)
         result = broad_narrow_classify(bush, params, K=K)
         if isinstance(result, Broad):
             return result.tuple
@@ -608,12 +595,10 @@ def random_transverse_tuple(params: FamilyParams, rng: np.random.Generator,
 DIM_PROJECTION_TOL = 1e-9
 
 
-def dim_projection(u: Subspace, w: Subspace, tol: float = DIM_PROJECTION_TOL) -> int:
-    """dim of the orthogonal projection of u into w: the count of principal
-    cosines above ``tol`` (absolute, so a rounding-size overlap counts 0)."""
-    if u.dim == 0 or w.dim == 0:
-        return 0
-    return int(np.sum(linalg.singular_values(w.basis.T @ u.basis) > tol))
+def dim_projection(u: Subspace, w: Subspace) -> int:
+    """dim of the orthogonal projection of u into w: :func:`_projection_ranks`
+    of the pair."""
+    return int(_projection_ranks([u], (w,))[0])
 
 
 @dataclass(frozen=True)
@@ -629,9 +614,7 @@ class BlInstance:
     n_candidates: int
 
     def value_of(self, u: Subspace) -> float:
-        j = len(self.subspaces)
-        total = sum(dim_projection(u, w) for w in self.subspaces)
-        return u.dim - (self.p / j) * total
+        return float(_functional([u], self.subspaces)(self.p)[0])
 
 
 # Three generators span a modular lattice of at most 28 members (Dedekind),
@@ -707,11 +690,16 @@ def bl_constant_lowers(subspaces, p_values) -> list[BlInstance]:
 
 
 def _functional(candidates: list[Subspace], ws: tuple[Subspace, ...]):
-    """p -> dim U - (p/J) sum_j dim proj_{W_j} U for every candidate U.
+    """p -> dim U - (p/J) sum_j dim proj_{W_j} U for every candidate U; the
+    projection ranks, the p-free part, are counted once."""
+    dims, totals = np.array([u.dim for u in candidates]), _projection_ranks(candidates, ws)
+    return lambda p: dims - (p / len(ws)) * totals
 
-    The projection ranks, the p-free part, are read once: those of all
-    same-dimension candidates off one batched singular-value call per W_j
-    (the rule of :func:`dim_projection`)."""
+
+def _projection_ranks(candidates: list[Subspace], ws: tuple[Subspace, ...]) -> np.ndarray:
+    """sum_j dim proj_{W_j} U for every candidate U: principal cosines above
+    ``DIM_PROJECTION_TOL`` (absolute, so rounding-size overlaps count 0), for
+    all same-dimension candidates off one batched singular-value call per W_j."""
     # grouped with a dict: np.unique would import numpy.ma, about 1 MB of
     # resident memory on an otherwise small process
     groups: dict[int, list[int]] = {}
@@ -725,19 +713,15 @@ def _functional(candidates: list[Subspace], ws: tuple[Subspace, ...]):
             if w.dim:
                 sigma = np.linalg.svd(w.basis.T @ stack, compute_uv=False)
                 totals[idx] += np.sum(sigma > DIM_PROJECTION_TOL, axis=-1)
-    dims = np.array([u.dim for u in candidates])
-    return lambda p: dims - (p / len(ws)) * totals
+    return totals
 
 
 def tuple_obstruction_subspaces(tup: TransverseTuple, params: FamilyParams) -> list[Subspace]:
     """The W_j of the counting functional: orthogonal complements (in the
     product space R^N) of the embedded tuple directions."""
-    l = params.l
-    out = []
-    for center in tup.centers:
-        plane = ChartMPlane(center, np.zeros((l + 1, params.n - params.l)))
-        out.append(embed_tilde(plane).direction.complement())
-    return out
+    centers = tup.centers
+    big = embed_tilde_stack(centers, np.zeros((len(centers), params.l + 1, centers.shape[1])))[0]
+    return [Subspace(b) for b in linalg.orthonormal_completion(big)[:, :, big.shape[2]:]]
 
 
 @dataclass(frozen=True)
@@ -831,7 +815,6 @@ class KakeyaRow:
 @dataclass(frozen=True)
 class KakeyaReport:
     p: float
-    eps: float
     rows: tuple[KakeyaRow, ...]
     ratio_bound: float
     growth_bound: float
@@ -899,4 +882,4 @@ def verify_kakeya_inequality(families, p: float, eps: float,
     if any(b >= a for a, b in zip(scales, scales[1:])):
         raise InvalidInputError("families must come at strictly decreasing scales")
     rows = tuple(kakeya_rows(f, [p], eps)[0] for f in fams)
-    return KakeyaReport(float(p), float(eps), rows, ratio_bound, growth_bound)
+    return KakeyaReport(float(p), rows, ratio_bound, growth_bound)

@@ -65,6 +65,8 @@ def _blocks(g, block: np.ndarray, shapes) -> list[np.ndarray]:
 def geodesic_suite(seed: int, samples: int = 1000) -> GeodesicSuiteResult:
     """Distance symmetry, triangle inequality, constant-speed geodesics in
     G(2,4), and total geodesy inside a fixed 3-plane."""
+    if samples < 1:
+        raise InvalidInputError(f"geodesic suite needs samples >= 1, got {samples}")
     start = time.perf_counter()
     g = rng_for(seed, 1)
     block = g.standard_normal((samples, GEODESIC_WIDTH))
@@ -102,8 +104,8 @@ def projection_suite(seed: int, samples: int = 500,
     """Nearest-point projection of lines onto the line-family of a random
     2-plane in R^3: ambient-projection containment plus minimality against
     random competitors."""
-    if contenders < 1:
-        raise InvalidInputError(f"projection suite needs contenders >= 1, got {contenders}")
+    if samples < 1 or contenders < 1:
+        raise InvalidInputError(f"projection suite needs sizes >= 1, got {samples}, {contenders}")
     start = time.perf_counter()
     g = rng_for(seed, 2)
     # per sample: v (3x1), pi (3x2), then the contenders' coordinates in pi

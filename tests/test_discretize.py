@@ -38,7 +38,7 @@ def test_net_invalid_scale():
 def test_direction_net_circle():
     net = dz.build_direction_net(1, 2, 2.0 ** -3)
     assert len(net) == int(np.floor(np.pi / 2.0 ** -3))
-    d01 = np.arccos(abs(float(net[0].basis[:, 0] @ net[1].basis[:, 0])))
+    d01 = np.arccos(abs(float(net[0][:, 0] @ net[1][:, 0])))
     assert d01 >= 2.0 ** -3 - 1e-9
 
 

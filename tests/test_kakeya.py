@@ -262,7 +262,7 @@ def test_bush_single_member_direction():
     bush = kk.bush_directions(anchor, fam)
     assert bush.total() == 1
     d = np.arccos(np.clip(abs(float(
-        bush.directions[0].basis[:, 0] @ member.direction.basis[:, 0])), 0, 1))
+        bush.bases[0][:, 0] @ member.direction.basis[:, 0])), 0, 1))
     assert d <= fam.scale
 
 
@@ -270,11 +270,20 @@ def test_bush_directions_separated_brute_force():
     fam = kk.generate_sharp_example(kk.FamilyParams(0, 1, 1, 2, 1.0), 2.0 ** -4)
     anchor = ChartPoint(np.zeros((1, 2)))
     bush = kk.bush_directions(anchor, fam)
-    dirs = bush.directions
+    dirs = [Subspace(b) for b in bush.bases]
     for i in range(len(dirs)):
         for j in range(i + 1, len(dirs)):
             from grasskit.grassmann import distance
             assert distance(dirs[i], dirs[j]) >= fam.scale - 1e-9
+
+
+@pytest.mark.parametrize("bases, members", [
+    (np.ones((2, 2, 1)), ((0,), (1,))),        # columns that are not unit vectors
+    (np.eye(2)[None, :, :1], ((0,), (1,))),     # more member tuples than bases
+], ids=["not-orthonormal", "count-mismatch"])
+def test_bush_rejects_bases_it_cannot_hold(bases, members):
+    with pytest.raises(InvalidInputError):
+        kk.BushDirections(bases, members)
 
 
 # ---------------------------------------------------------- broad/narrow
@@ -283,11 +292,11 @@ def test_classify_planar_bush_is_narrow():
     params = kk.FamilyParams(0, 1, 2, 3, 1.0)
     inside = Subspace(np.eye(3)[:, :2])
     g = rng_for(61)
-    entries = []
+    bases = []
     for i in range(10):
         v = inside.basis @ g.standard_normal((2, 1))
-        entries.append((Subspace(v / np.linalg.norm(v)), (i,)))
-    bush = kk.BushDirections(ChartPoint(np.zeros((1, 3))), tuple(entries))
+        bases.append(v / np.linalg.norm(v))
+    bush = kk.BushDirections(np.stack(bases), tuple((i,) for i in range(10)))
     res = kk.broad_narrow_classify(bush, params)
     assert res.kind == "narrow"
     assert res.covered_fraction >= 0.5
@@ -298,8 +307,7 @@ def test_classify_planar_bush_is_narrow():
 def test_classify_spread_bush_is_broad():
     # an orthonormal-frame spread exceeding d-l dimensions
     params = kk.FamilyParams(0, 1, 1, 2, 1.0)
-    entries = tuple((Subspace(np.eye(2)[:, [i]]), (i,)) for i in range(2))
-    bush = kk.BushDirections(ChartPoint(np.zeros((1, 2))), entries)
+    bush = kk.BushDirections(np.stack([np.eye(2)[:, [i]] for i in range(2)]), ((0,), (1,)))
     res = kk.broad_narrow_classify(bush, params)
     assert res.kind == "broad"
     # oracle: the frame's parallelepiped has volume exactly 1
@@ -316,7 +324,7 @@ def test_broad_certificate_avoids_random_planes():
     probe = 100.0 * tup.K ** (-(params.n - params.l)) + tup.radius
     for trial in range(100):
         pi = random_subspace(rng_for(63, trial), 3, 2)
-        dists = [project_to_sub_grassmannian(c, pi).distance for c in tup.centers]
+        dists = [project_to_sub_grassmannian(Subspace(c), pi).distance for c in tup.centers]
         assert max(dists) > probe
 
 
@@ -325,7 +333,8 @@ def reference_greedy(bush, params):
     canonical ``linalg.svd`` per ball per step: the vectors of a Broad
     outcome, or the span at which it got stuck."""
     constants = kk.ClassifierConstants.for_params(params)
-    selected = kk._select_balls(bush, constants, params.n)
+    selected = [(Subspace(bush.bases[c]), ms) for c, ms in
+                kk._select_balls(bush, constants, params.n)]
     threshold = constants.step_threshold(params)
     first = selected[0][0]
     vectors = [first.basis[:, i] for i in range(first.dim)]
@@ -354,9 +363,8 @@ def isoclinic_bush(g):
     c, s = np.cos(angle), np.sin(angle)
     bases = [np.eye(4)[:, :2], np.array([[c, 0], [0, c], [s, 0], [0, s]]),
              np.array([[c, 0], [0, c], [0, -s], [s, 0]])]
-    entries = tuple((Subspace(linalg.orthonormalize(frame @ b).matrix), (i,))
-                    for i, b in enumerate(bases))
-    return kk.BushDirections(ChartPoint(np.zeros((1, 4))), entries)
+    return kk.BushDirections(np.stack([linalg.orthonormalize(frame @ b).matrix for b in bases]),
+                             ((0,), (1,), (2,)))
 
 
 def test_classifier_step_matches_the_per_ball_loop():
@@ -370,10 +378,8 @@ def test_classifier_step_matches_the_per_ball_loop():
         for trial in range(15):
             g = rng_for(71, *shape, trial)
             count = int(g.integers(2, 4 * (shape[2] - shape[0] + 2) + 1))
-            entries = tuple((Subspace(b), (i,))
-                            for i, b in enumerate(random_subspaces(g, count, q, r)))
-            bushes.append((kk.BushDirections(ChartPoint(np.zeros((shape[0] + 1, q))),
-                                             entries), params))
+            bushes.append((kk.BushDirections(random_subspaces(g, count, q, r),
+                                             tuple((i,) for i in range(count))), params))
     params = kk.FamilyParams(0, 2, 3, 4, 1.0)
     bushes += [(isoclinic_bush(rng_for(72, trial)), params) for trial in range(60)]
     kinds = set()

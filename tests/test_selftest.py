@@ -97,7 +97,10 @@ def test_degenerate_draws_are_redrawn_not_used(monkeypatch, suite, cols):
     lambda: selftest.chart_suite(0, 1),
     lambda: selftest.embedding_suite(0, 0),
     lambda: selftest.projection_suite(0, 5, contenders=0),
-], ids=["chart-0", "chart-1", "embedding-0", "projection-no-contenders"])
+    lambda: selftest.geodesic_suite(0, 0),
+    lambda: selftest.projection_suite(0, 0),
+], ids=["chart-0", "chart-1", "embedding-0", "projection-no-contenders", "geodesic-0",
+        "projection-0"])
 def test_suites_reject_sizes_they_cannot_measure(call):
     with pytest.raises(InvalidInputError):
         call()
