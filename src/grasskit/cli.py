@@ -31,7 +31,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 
 from . import __version__, kakeya, selftest
-from .discretize import box_count, box_dimension_fit
+from .discretize import box_dimension_fit
 from .errors import InvalidInputError, ResourceCapError
 from .kakeya import FamilyParams, admissible_p_max
 from .sampling import rng_for
@@ -244,9 +244,8 @@ def _p_list(cfg: ExperimentConfig) -> list[float]:
 def _sharp_unit(arg: tuple) -> dict:
     params, delta = arg
     family = kakeya.generate_sharp_example(params, delta)
-    points = kakeya.union_sample_points(family)
-    count = box_count(points, delta)
-    return {"delta": delta, "members": len(family), "box_count": count}
+    return {"delta": delta, "members": len(family),
+            "box_count": kakeya.union_box_count(family)}
 
 
 def _kakeya_unit(arg: tuple) -> dict:

@@ -20,18 +20,19 @@ Conventions fixed here and used everywhere:
 * a grid cell is counted by one int64 key, the row-major mixed-radix
   number of its index tuple with radix ``cells_per_axis(scale)`` (axis 0
   most significant), so sorted keys follow lexicographic tuple order.
-  ``GridCounter`` sorts keys and compares neighbours.  ``box_count`` keys
-  the same way and marks the keys on a bool occupancy mask when the key
-  range is below 8 keys per point (the mask is then no larger than the
-  keys), else sorts them; when the range overflows int64 it counts the
-  index rows by lexsort.
+  ``GridCounter`` sorts keys and compares neighbours.  ``CellSet`` keys
+  points the same way, block by block, and holds their distinct cells on
+  a bool occupancy mask when the key range is below 8 keys per candidate
+  row (the mask is then no larger than the keys), else as sorted distinct
+  keys; when the range overflows int64 it holds the distinct index rows,
+  found by lexsort.  ``box_count`` is a ``CellSet`` of one block.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import combinations
 
 import numpy as np
@@ -43,7 +44,7 @@ from .grassmann import distances, random_subspaces
 
 CELL_CAP = 16_000_000
 KEY_MAX = np.iinfo(np.int64).max
-# points keyed per batch by box_count; bounds its temporaries only
+# points keyed per batch by CellSet.add; bounds its temporaries only
 KEY_BATCH = 1 << 16
 
 
@@ -84,23 +85,26 @@ def _farthest_point_indices(dist_to, delta: float) -> list[int]:
         dist = np.minimum(dist, dist_to(nxt))
 
 
+@lru_cache(maxsize=64)
 def build_direction_net(sub_dim: int, ambient: int, delta: float) -> np.ndarray:
     """Separated net of the Grassmannian of sub_dim-subspaces of R^ambient,
-    as a stack (K, ambient, sub_dim) of orthonormal bases.
+    as a read-only stack (K, ambient, sub_dim) of orthonormal bases.
 
     Lines in the plane get an exact angle grid; other shapes use
     farthest-point insertion over a deterministic pseudo-random candidate
     cloud, so they are separated and covering only up to sampling density.
+    The net depends on the arguments alone (the cloud is seeded from
+    them), so each net is built once and the same array is returned again.
     """
     delta = _check_scale(delta)
     if sub_dim == 0 or sub_dim == ambient:
-        return np.eye(ambient)[None, :, :sub_dim]
+        return linalg.frozen(np.eye(ambient)[None, :, :sub_dim])
     if sub_dim == 1 and ambient == 2:
         # pitch pi/floor(pi/delta) >= delta keeps the separation exact
         count = max(1, int(math.floor(np.pi / delta)))
         angles = (np.arange(count) * (np.pi / count)).tolist()
-        return linalg.orthonormalize_stack(
-            np.array([[[math.cos(a)], [math.sin(a)]] for a in angles]))[0]
+        return linalg.frozen(linalg.orthonormalize_stack(
+            np.array([[[math.cos(a)], [math.sin(a)]] for a in angles]))[0])
     dim_g = sub_dim * (ambient - sub_dim)
     rng = np.random.Generator(np.random.Philox(
         np.random.SeedSequence([0xD17EC7, sub_dim, ambient, int(round(1.0 / delta))])))
@@ -110,12 +114,12 @@ def build_direction_net(sub_dim: int, ambient: int, delta: float) -> np.ndarray:
         cands = g / np.linalg.norm(g, axis=1, keepdims=True)
         keep = _farthest_point_indices(
             lambda i: np.arccos(np.clip(np.abs(cands @ cands[i]), 0.0, 1.0)), delta)
-        return cands[keep, :, None]
+        return linalg.frozen(cands[keep, :, None])
     cands = random_subspaces(rng, min(int(10 * (2.0 / delta) ** dim_g), 4_000),
                              ambient, sub_dim)
     keep = _farthest_point_indices(
         lambda i: distances(np.broadcast_to(cands[i], cands.shape), cands), delta)
-    return cands[keep]
+    return linalg.frozen(cands[keep])
 
 
 # ----------------------------------------------------------------- cells
@@ -155,32 +159,93 @@ def _run_starts(sorted_keys: np.ndarray) -> np.ndarray:
     return np.flatnonzero(np.diff(sorted_keys, prepend=sorted_keys[:1] - 1))
 
 
-def _lexsort_distinct_rows(idx: np.ndarray) -> int:
+def _lexsort_distinct_rows(idx: np.ndarray) -> np.ndarray:
+    """The distinct rows of ``idx``, in lexicographic order."""
     rows = idx[np.lexsort(idx.T[::-1])]
-    return 1 + int(np.count_nonzero(np.any(rows[1:] != rows[:-1], axis=1)))
+    first = np.ones(len(rows), dtype=bool)
+    first[1:] = np.any(rows[1:] != rows[:-1], axis=1)
+    return rows[first]
+
+
+class CellSet:
+    """The distinct grid cells at one scale of points added block by block:
+    the one boxing path, of which :func:`box_count` is the one-block case.
+
+    ``rows`` is the number of candidate rows the caller may add and picks
+    how the cells are held, once: a bool occupancy mask over the key range
+    when that range is below 8 keys per row (the mask is then no larger
+    than the keys), else the sorted distinct int64 keys, or, when the range
+    overflows int64, the distinct index rows in lexicographic order.  The
+    sorted forms merge the blocks added since the last merge once they hold
+    as many rows as the merged cells, so each row is sorted a logarithmic
+    number of times and memory follows the occupied cells, not the rows.
+    """
+
+    def __init__(self, dim: int, delta: float, rows: int):
+        self.delta = _check_scale(delta)
+        self.radix = cells_per_axis(self.delta)
+        span = self.radix ** dim
+        self.mask = np.zeros(span, dtype=bool) if span < 8 * rows else None
+        self.held = np.zeros((0, dim) if span > KEY_MAX else 0, dtype=np.int64)
+        self.pending: list[np.ndarray] = []
+
+    def _keys(self, pts: np.ndarray) -> np.ndarray:
+        """Key of each point's cell, column by column from the points, as
+        :func:`cell_indices` and :func:`_cell_keys` would give it, with no
+        (n, dim) index matrix."""
+        keys = np.zeros(len(pts), dtype=np.int64)
+        col = np.empty(len(pts))
+        cell = np.empty(len(pts), dtype=np.int64)
+        for a in range(pts.shape[1]):
+            np.add(pts[:, a], 1.0, out=col)
+            col /= self.delta
+            cell[:] = np.floor(col, out=col)
+            np.clip(cell, 0, self.radix - 1, out=cell)
+            keys *= self.radix
+            keys += cell
+        return keys
+
+    def add(self, points: np.ndarray) -> None:
+        """Add the cells of the points (n, dim)."""
+        pts = np.atleast_2d(np.asarray(points, dtype=float))
+        if self.held.ndim == 2:
+            self.pending.append(cell_indices(pts, self.delta))
+        else:
+            keys = np.empty(len(pts), dtype=np.int64)
+            # a batch of points at a time bounds the temporaries of the keys
+            for start in range(0, len(pts), KEY_BATCH):
+                keys[start:start + KEY_BATCH] = self._keys(pts[start:start + KEY_BATCH])
+            if self.mask is not None:
+                self.mask[keys] = True
+                return
+            self.pending.append(keys)
+        if sum(map(len, self.pending)) >= len(self.held):
+            self._merge()
+
+    def _merge(self) -> None:
+        cells = np.concatenate([self.held] + self.pending)
+        self.pending = []
+        if cells.ndim == 2:
+            self.held = _lexsort_distinct_rows(cells)
+            return
+        # a sort, not np.unique, whose hashing of int64 keys is far slower
+        cells.sort()
+        self.held = cells[_run_starts(cells)]
+
+    def count(self) -> int:
+        if self.mask is not None:
+            return int(np.count_nonzero(self.mask))
+        if self.pending:
+            self._merge()
+        return len(self.held)
 
 
 def box_count(points: np.ndarray, delta: float) -> int:
     """Number of grid cells holding at least one of the points."""
     pts = np.atleast_2d(np.asarray(points, dtype=float))
-    n, dim = pts.shape
-    radix = cells_per_axis(_check_scale(delta))
-    span = radix ** dim
-    if n == 0:
-        return 0
-    if span > KEY_MAX:
-        return _lexsort_distinct_rows(cell_indices(pts, delta))
-    # a batch of points at a time, so no (n, dim) index matrix is held
-    keys = np.empty(n, dtype=np.int64)
-    for start in range(0, n, KEY_BATCH):
-        keys[start:start + KEY_BATCH] = _cell_keys(
-            cell_indices(pts[start:start + KEY_BATCH], delta), radix)
-    if span < 8 * n:  # the mask takes no more memory than the keys
-        seen = np.zeros(span, dtype=bool)
-        seen[keys] = True
-        return int(np.count_nonzero(seen))
-    keys.sort()
-    return 1 + int(np.count_nonzero(keys[1:] != keys[:-1]))
+    cells = CellSet(pts.shape[1], delta, len(pts))
+    cells.add(pts)
+    return cells.count()
 
 
 @dataclass(frozen=True)

@@ -26,7 +26,7 @@ import numpy as np
 
 from . import linalg
 from .affine import ChartMPlane, ChartPoint, chart_offsets, embed_tilde_stack
-from .discretize import (CELL_CAP, SlabNeighborhood, GridCounter, build_direction_net,
+from .discretize import (CELL_CAP, CellSet, SlabNeighborhood, GridCounter, build_direction_net,
                          cells_per_axis, min_pairwise_distance, spacing_report,
                          SpacingReport)
 from .errors import CertificateError, InvalidInputError, ResourceCapError
@@ -110,7 +110,8 @@ class PlaneFamily:
     tuple of ``ChartMPlane`` views of these rows, built on each access; a
     view shares its family's offsets and is not projected again.  Slab
     geometry takes the arrays: ``SlabNeighborhood(family, delta)``.
-    :meth:`from_arrays` is the one constructor.
+    :meth:`from_arrays` is the one constructor; :meth:`block` views a run
+    of members.
     """
 
     params: FamilyParams
@@ -129,13 +130,24 @@ class PlaneFamily:
         directions = np.asarray(directions, dtype=float)
         if directions.shape[1:] != (q, r) or np.shape(offsets)[1:] != (params.l + 1, q):
             raise InvalidInputError("member shapes do not match the family parameters")
+        return cls._over(params, scale, linalg.frozen(check_bases(directions)),
+                         linalg.frozen(chart_offsets(directions, np.asarray(offsets, dtype=float))))
+
+    @classmethod
+    def _over(cls, params: FamilyParams, scale: float, directions: np.ndarray,
+              offsets: np.ndarray) -> "PlaneFamily":
         family = object.__new__(cls)
         object.__setattr__(family, "params", params)
         object.__setattr__(family, "scale", scale)
-        object.__setattr__(family, "directions", linalg.frozen(check_bases(directions)))
-        object.__setattr__(family, "offsets", linalg.frozen(
-            chart_offsets(directions, np.asarray(offsets, dtype=float))))
+        object.__setattr__(family, "directions", directions)
+        object.__setattr__(family, "offsets", offsets)
         return family
+
+    def block(self, start: int, stop: int) -> "PlaneFamily":
+        """Members start..stop-1 as a family over read-only views of this
+        family's arrays: nothing is copied or projected again."""
+        return self._over(self.params, self.scale, self.directions[start:stop],
+                          self.offsets[start:stop])
 
     def __len__(self) -> int:
         return self.directions.shape[0]
@@ -281,9 +293,21 @@ def generate_sharp_example(params: FamilyParams, delta: float) -> PlaneFamily:
 # candidate rows (tick-lattice points of the slice products) evaluated per
 # chunk of members by union_sample_points; bounds its temporaries
 UNION_CHUNK_ROWS = 1 << 15
+UNION_POINT_CAP = 6_000_000
 
 
-def union_sample_points(family: PlaneFamily, cap: int = 6_000_000) -> np.ndarray:
+def _union_ticks(family: PlaneFamily) -> np.ndarray:
+    """Coefficients (t, r) of the tick lattice that samples each section of
+    the family's members, at pitch half its scale."""
+    pitch = family.scale / 2.0
+    q, r = family.directions.shape[1:]
+    half = math.sqrt(q)
+    ticks = np.arange(-half, half + pitch / 2.0, pitch)
+    mesh = np.meshgrid(*([ticks] * r), indexing="ij")
+    return np.column_stack([g.ravel() for g in mesh]) if r else np.zeros((1, 0))
+
+
+def union_sample_points(family: PlaneFamily, cap: int = UNION_POINT_CAP) -> np.ndarray:
     """Point sample of the union of the member plane-sets in the chart.
 
     Each member contributes the product over slices of a sample of its
@@ -294,14 +318,12 @@ def union_sample_points(family: PlaneFamily, cap: int = 6_000_000) -> np.ndarray
     per call; rows come member by member, slice 0 varying slowest.  Each
     chunk's kept rows are counted from its mask, and ResourceCapError is
     raised before they are gathered when the total would exceed ``cap``.
+    The CLI does not hold this output for a whole family: it boxes it a
+    block of members at a time through :func:`union_box_count`.
     """
-    pitch = family.scale / 2.0
     members, copies, q = family.offsets.shape
     r = family.directions.shape[2]
-    half = math.sqrt(q)
-    ticks = np.arange(-half, half + pitch / 2.0, pitch)
-    mesh = np.meshgrid(*([ticks] * r), indexing="ij")
-    coeff = np.column_stack([g.ravel() for g in mesh]) if r else np.zeros((1, 0))
+    coeff = _union_ticks(family)
     t = len(coeff)
     step = max(1, min(members, UNION_CHUNK_ROWS // t ** copies))
     bound = 1.0 if r else np.inf  # a point section is taken as it is
@@ -348,6 +370,25 @@ def union_sample_points(family: PlaneFamily, cap: int = 6_000_000) -> np.ndarray
                 out=out[total:total + n].reshape(n, copies, q))
         total += n
     return out[:total]
+
+
+def union_box_count(family: PlaneFamily, cap: int = UNION_POINT_CAP) -> int:
+    """``box_count(union_sample_points(family, cap), family.scale)``, taken a
+    block of members at a time: each block's sample, drawn with the cap
+    left over by the blocks before it, is added to one ``CellSet``, so
+    memory follows the occupied cells and one block's points rather than
+    the whole sample."""
+    members, copies, q = family.offsets.shape
+    per_member = len(_union_ticks(family)) ** copies
+    cells = CellSet(copies * q, family.scale, min(members * per_member, cap))
+    # about four chunks of union_sample_points per block
+    step = max(1, 4 * UNION_CHUNK_ROWS // per_member)
+    total = 0
+    for start in range(0, members, step):
+        points = union_sample_points(family.block(start, start + step), cap - total)
+        total += len(points)
+        cells.add(points)
+    return cells.count()
 
 
 # ------------------------------------------------------------------ bush

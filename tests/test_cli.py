@@ -108,6 +108,29 @@ def test_sharp_dimension_records_are_pinned(params, pins):
                        for k, members, count in pins]
 
 
+def test_sharp_planar_traced_work_is_pinned(monkeypatch):
+    # the benchmark's traced sharp-planar run rebinds a wrapper of
+    # kakeya.union_sample_points wherever a grasskit module holds it, and
+    # fails unless the wrapped calls return 2,796,032 rows in all: the
+    # union must still be drawn through that name
+    from grasskit import kakeya
+    original, rows = kakeya.union_sample_points, []
+
+    def counted(*args, **kwargs):
+        out = original(*args, **kwargs)
+        rows.append(len(out))
+        return out
+
+    for module in (kakeya, cli):
+        for key, value in list(vars(module).items()):
+            if value is original:
+                monkeypatch.setattr(module, key, counted)
+    config = Path(__file__).resolve().parents[1] / "perfbench" / "configs" / "sharp-planar.json"
+    report = cli.run_experiment(cli.load_config(str(config)))
+    assert sum(rows) == 2_796_032
+    assert [r["box_count"] for r in report["records"]] == [4 ** k for k in range(4, 11)]
+
+
 def test_run_is_deterministic_modulo_timing(tmp_path):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(base_config()))

@@ -192,6 +192,15 @@ def test_family_members_are_views_of_the_arrays():
     assert not fam.offsets.flags.writeable and not fam.directions.flags.writeable
 
 
+def test_family_block_views_the_arrays():
+    fam = kk.generate_sharp_example(kk.FamilyParams(1, 2, 3, 4, 0.5), 2.0 ** -3)
+    part = fam.block(3, 7)
+    assert len(part) == 4 and (part.params, part.scale) == (fam.params, fam.scale)
+    for mine, whole in [(part.directions, fam.directions), (part.offsets, fam.offsets)]:
+        assert np.shares_memory(mine, whole) and not mine.flags.writeable
+        assert np.array_equal(mine, whole[3:7])
+
+
 def test_family_rejects_members_of_another_shape():
     # (1, 1, 2, 3) members have point sections: directions (M, 2, 0), offsets (M, 2, 2)
     params = kk.FamilyParams(1, 1, 2, 3, 1.0)
@@ -245,6 +254,81 @@ def test_union_point_cap_is_exact(monkeypatch):
         assert np.array_equal(again, pts) and not np.shares_memory(again, pts)
 
 
+def cell_set_paths(monkeypatch):
+    """Record how each CellSet that kakeya makes holds its cells."""
+    paths = []
+
+    class Recording(dz.CellSet):
+        def __init__(self, *args):
+            super().__init__(*args)
+            paths.append("mask" if self.mask is not None else
+                         "rows" if self.held.ndim == 2 else "keys")
+
+    monkeypatch.setattr(kk, "CellSet", Recording)
+    return paths
+
+
+def r0_family_beyond_int64_keys():
+    # (1,1,2,5): point sections in 4 dimensions, so 8-dimensional union
+    # points; 256 cells per axis at 2^-7 give a key range of 2^64
+    params = kk.FamilyParams(1, 1, 2, 5, 1.0)
+    offsets = rng_for(84).uniform(-1.0, 1.0, size=(60, 2, 4))
+    offsets[30:40] = offsets[:10]  # shared cells
+    return kk.PlaneFamily.from_arrays(params, 2.0 ** -7, np.zeros((60, 4, 0)), offsets)
+
+
+@pytest.mark.parametrize("chunk_rows", [kk.UNION_CHUNK_ROWS, 4],
+                         ids=["default-chunk", "4"])
+def test_union_box_count_boxes_the_whole_sample(chunk_rows, monkeypatch):
+    # a block of four chunks: at 4 rows per chunk the families span many
+    # blocks, and the sorted forms merge many times
+    monkeypatch.setattr(kk, "UNION_CHUNK_ROWS", chunk_rows)
+    paths = cell_set_paths(monkeypatch)
+    families = [kk.generate_sharp_example(kk.FamilyParams(*params), 2.0 ** -k)
+                for params, exponents in ARRAY_FAMILY_CASES for k in exponents]
+    families.append(r0_family_beyond_int64_keys())
+    for fam in families:
+        want = dz.box_count(kk.union_sample_points(fam), fam.scale)
+        assert kk.union_box_count(fam) == want
+    assert len(paths) == len(families) and set(paths) == {"mask", "keys", "rows"}
+    assert paths[-1] == "rows"
+
+
+def test_union_box_count_of_the_empty_family():
+    params = kk.FamilyParams(1, 1, 2, 3, 1.0)
+    fam = kk.PlaneFamily.from_arrays(params, 0.25, np.zeros((0, 2, 0)), np.zeros((0, 2, 2)))
+    assert kk.union_box_count(fam) == 0
+
+
+def test_union_box_count_keeps_the_whole_union_cap(monkeypatch):
+    monkeypatch.setattr(kk, "UNION_CHUNK_ROWS", 1000)
+    for params, k in [((0, 1, 1, 2, 1.0), 5),
+                      ((1, 2, 3, 4, 0.5), 3),    # copies = 2
+                      ((1, 1, 2, 3, 1.0), 4)]:   # r = 0
+        fam = kk.generate_sharp_example(kk.FamilyParams(*params), 2.0 ** -k)
+        pts = kk.union_sample_points(fam)
+        total = len(pts)
+        with pytest.raises(ResourceCapError, match="^union sample exceeds the point cap$"):
+            kk.union_box_count(fam, cap=total - 1)
+        assert kk.union_box_count(fam, cap=total) == dz.box_count(pts, fam.scale)
+
+
+def test_union_box_count_memory_follows_the_cells():
+    # the held sample at 2^-10 (2.1M points in a buffer sized for 3M
+    # candidate rows, then their keys) peaked at 68 MB; the cell set is a
+    # 4 MB mask and one block of points
+    import tracemalloc
+    fam = kk.generate_sharp_example(kk.FamilyParams(0, 1, 1, 2, 1.0), 2.0 ** -10)
+    tracemalloc.start()
+    try:
+        count = kk.union_box_count(fam)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert count == 4 ** 10
+    assert peak < 16e6
+
+
 # ----------------------------------------------------------------- bush
 
 def test_bush_empty_off_all_slabs():
@@ -275,6 +359,23 @@ def test_bush_directions_separated_brute_force():
         for j in range(i + 1, len(dirs)):
             from grasskit.grassmann import distance
             assert distance(dirs[i], dirs[j]) >= fam.scale - 1e-9
+
+
+def test_bushes_share_one_direction_net(monkeypatch):
+    # (0,1,2,3) at 2^-3: the net of lines in R^3 comes from farthest-point
+    # insertion over a candidate cloud; anchors at six members
+    fam = kk.generate_sharp_example(kk.FamilyParams(0, 1, 2, 3, 1.0), 2.0 ** -3)
+    anchors = [ChartPoint(fam.offsets[i].copy()) for i in range(0, len(fam), len(fam) // 6)]
+    dz.build_direction_net.cache_clear()
+    cached = [kk.bush_directions(a, fam) for a in anchors]
+    assert dz.build_direction_net.cache_info().misses == 1
+    net = dz.build_direction_net(1, 3, fam.scale)
+    assert dz.build_direction_net(1, 3, fam.scale) is net and not net.flags.writeable
+    monkeypatch.setattr(kk, "build_direction_net", dz.build_direction_net.__wrapped__)
+    for anchor, bush in zip(anchors, cached):
+        fresh = kk.bush_directions(anchor, fam)
+        assert np.array_equal(fresh.bases, bush.bases) and fresh.members == bush.members
+    assert any(bush.total() > 1 for bush in cached)
 
 
 @pytest.mark.parametrize("bases, members", [
