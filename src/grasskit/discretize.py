@@ -20,12 +20,13 @@ Conventions fixed here and used everywhere:
 * a grid cell is counted by one int64 key, the row-major mixed-radix
   number of its index tuple with radix ``cells_per_axis(scale)`` (axis 0
   most significant), so sorted keys follow lexicographic tuple order.
-  ``GridCounter`` sorts keys and compares neighbours.  ``CellSet`` keys
-  points the same way, block by block, and holds their distinct cells on
-  a bool occupancy mask when the key range is below 8 keys per candidate
-  row (the mask is then no larger than the keys), else as sorted distinct
-  keys; when the range overflows int64 it holds the distinct index rows,
-  found by lexsort.  ``box_count`` is a ``CellSet`` of one block.
+  ``GridCounter`` sorts keys and compares neighbours.  ``box_count`` keys
+  the same way and marks the keys on a bool occupancy mask when the key
+  range is below 8 keys per point (the mask is then no larger than the
+  keys), else sorts them; when the range overflows int64 it counts the
+  index rows by lexsort.  A caller may pass its own mask, sized for all
+  the points it will box, and box them a block at a time onto it, each
+  call counting the cells that the calls before it left unmarked.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ from .grassmann import distances, random_subspaces
 
 CELL_CAP = 16_000_000
 KEY_MAX = np.iinfo(np.int64).max
-# points keyed per batch by CellSet.add; bounds its temporaries only
+# points keyed per batch by box_count; bounds its temporaries only
 KEY_BATCH = 1 << 16
 
 
@@ -159,93 +160,48 @@ def _run_starts(sorted_keys: np.ndarray) -> np.ndarray:
     return np.flatnonzero(np.diff(sorted_keys, prepend=sorted_keys[:1] - 1))
 
 
-def _lexsort_distinct_rows(idx: np.ndarray) -> np.ndarray:
-    """The distinct rows of ``idx``, in lexicographic order."""
+def _lexsort_distinct_rows(idx: np.ndarray) -> int:
     rows = idx[np.lexsort(idx.T[::-1])]
-    first = np.ones(len(rows), dtype=bool)
-    first[1:] = np.any(rows[1:] != rows[:-1], axis=1)
-    return rows[first]
+    return 1 + int(np.count_nonzero(np.any(rows[1:] != rows[:-1], axis=1)))
 
 
-class CellSet:
-    """The distinct grid cells at one scale of points added block by block:
-    the one boxing path, of which :func:`box_count` is the one-block case.
-
-    ``rows`` is the number of candidate rows the caller may add and picks
-    how the cells are held, once: a bool occupancy mask over the key range
-    when that range is below 8 keys per row (the mask is then no larger
-    than the keys), else the sorted distinct int64 keys, or, when the range
-    overflows int64, the distinct index rows in lexicographic order.  The
-    sorted forms merge the blocks added since the last merge once they hold
-    as many rows as the merged cells, so each row is sorted a logarithmic
-    number of times and memory follows the occupied cells, not the rows.
-    """
-
-    def __init__(self, dim: int, delta: float, rows: int):
-        self.delta = _check_scale(delta)
-        self.radix = cells_per_axis(self.delta)
-        span = self.radix ** dim
-        self.mask = np.zeros(span, dtype=bool) if span < 8 * rows else None
-        self.held = np.zeros((0, dim) if span > KEY_MAX else 0, dtype=np.int64)
-        self.pending: list[np.ndarray] = []
-
-    def _keys(self, pts: np.ndarray) -> np.ndarray:
-        """Key of each point's cell, column by column from the points, as
-        :func:`cell_indices` and :func:`_cell_keys` would give it, with no
-        (n, dim) index matrix."""
-        keys = np.zeros(len(pts), dtype=np.int64)
-        col = np.empty(len(pts))
-        cell = np.empty(len(pts), dtype=np.int64)
-        for a in range(pts.shape[1]):
-            np.add(pts[:, a], 1.0, out=col)
-            col /= self.delta
-            cell[:] = np.floor(col, out=col)
-            np.clip(cell, 0, self.radix - 1, out=cell)
-            keys *= self.radix
-            keys += cell
-        return keys
-
-    def add(self, points: np.ndarray) -> None:
-        """Add the cells of the points (n, dim)."""
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        if self.held.ndim == 2:
-            self.pending.append(cell_indices(pts, self.delta))
-        else:
-            keys = np.empty(len(pts), dtype=np.int64)
-            # a batch of points at a time bounds the temporaries of the keys
-            for start in range(0, len(pts), KEY_BATCH):
-                keys[start:start + KEY_BATCH] = self._keys(pts[start:start + KEY_BATCH])
-            if self.mask is not None:
-                self.mask[keys] = True
-                return
-            self.pending.append(keys)
-        if sum(map(len, self.pending)) >= len(self.held):
-            self._merge()
-
-    def _merge(self) -> None:
-        cells = np.concatenate([self.held] + self.pending)
-        self.pending = []
-        if cells.ndim == 2:
-            self.held = _lexsort_distinct_rows(cells)
-            return
-        # a sort, not np.unique, whose hashing of int64 keys is far slower
-        cells.sort()
-        self.held = cells[_run_starts(cells)]
-
-    def count(self) -> int:
-        if self.mask is not None:
-            return int(np.count_nonzero(self.mask))
-        if self.pending:
-            self._merge()
-        return len(self.held)
+def occupancy_mask(dim: int, delta: float, rows: int) -> np.ndarray | None:
+    """A cleared bool mask over the cell keys of points in R^dim at
+    ``delta``, or None when that key range is 8 keys per row or more, so
+    the mask of ``rows`` points is never larger than their keys."""
+    span = cells_per_axis(_check_scale(delta)) ** dim
+    return np.zeros(span, dtype=bool) if span < 8 * rows else None
 
 
-def box_count(points: np.ndarray, delta: float) -> int:
-    """Number of grid cells holding at least one of the points."""
+def box_count(points: np.ndarray, delta: float, seen: np.ndarray | None = None) -> int:
+    """Number of grid cells holding at least one of the points.
+
+    Given ``seen``, an :func:`occupancy_mask` at ``delta``, only the cells
+    not yet marked on it are counted, and the points' cells are marked, so
+    a point set can be boxed a block at a time onto one mask."""
     pts = np.atleast_2d(np.asarray(points, dtype=float))
-    cells = CellSet(pts.shape[1], delta, len(pts))
-    cells.add(pts)
-    return cells.count()
+    n, dim = pts.shape
+    radix = cells_per_axis(_check_scale(delta))
+    if n == 0:
+        return 0
+    if seen is None:
+        if radix ** dim > KEY_MAX:
+            return _lexsort_distinct_rows(cell_indices(pts, delta))
+        seen = occupancy_mask(dim, delta, n)
+    # a batch of points at a time, so no (n, dim) index matrix is held
+    keys = np.empty(n, dtype=np.int64)
+    for start in range(0, n, KEY_BATCH):
+        keys[start:start + KEY_BATCH] = _cell_keys(
+            cell_indices(pts[start:start + KEY_BATCH], delta), radix)
+    if seen is not None:
+        # the new cells are counted over the keys' range only: a block of
+        # nearby members touches a small part of a shared mask
+        lo, hi = int(keys.min()), int(keys.max()) + 1
+        before = np.count_nonzero(seen[lo:hi])
+        seen[keys] = True
+        return int(np.count_nonzero(seen[lo:hi]) - before)
+    keys.sort()
+    return 1 + int(np.count_nonzero(keys[1:] != keys[:-1]))
 
 
 @dataclass(frozen=True)

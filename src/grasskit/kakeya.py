@@ -26,9 +26,9 @@ import numpy as np
 
 from . import linalg
 from .affine import ChartMPlane, ChartPoint, chart_offsets, embed_tilde_stack
-from .discretize import (CELL_CAP, CellSet, SlabNeighborhood, GridCounter, build_direction_net,
-                         cells_per_axis, min_pairwise_distance, spacing_report,
-                         SpacingReport)
+from .discretize import (CELL_CAP, SlabNeighborhood, GridCounter, box_count,
+                         build_direction_net, cells_per_axis, min_pairwise_distance,
+                         occupancy_mask, spacing_report, SpacingReport)
 from .errors import CertificateError, InvalidInputError, ResourceCapError
 from .grassmann import Subspace, check_bases, distances, project_stack, random_subspaces
 
@@ -318,8 +318,9 @@ def union_sample_points(family: PlaneFamily, cap: int = UNION_POINT_CAP) -> np.n
     per call; rows come member by member, slice 0 varying slowest.  Each
     chunk's kept rows are counted from its mask, and ResourceCapError is
     raised before they are gathered when the total would exceed ``cap``.
-    The CLI does not hold this output for a whole family: it boxes it a
-    block of members at a time through :func:`union_box_count`.
+    The CLI boxes this output through :func:`union_box_count`, which, when
+    the count fits an occupancy mask, draws and boxes it a block of members
+    at a time instead of holding it for the whole family.
     """
     members, copies, q = family.offsets.shape
     r = family.directions.shape[2]
@@ -372,23 +373,26 @@ def union_sample_points(family: PlaneFamily, cap: int = UNION_POINT_CAP) -> np.n
     return out[:total]
 
 
-def union_box_count(family: PlaneFamily, cap: int = UNION_POINT_CAP) -> int:
-    """``box_count(union_sample_points(family, cap), family.scale)``, taken a
-    block of members at a time: each block's sample, drawn with the cap
-    left over by the blocks before it, is added to one ``CellSet``, so
-    memory follows the occupied cells and one block's points rather than
-    the whole sample."""
+def union_box_count(family: PlaneFamily) -> int:
+    """``box_count(union_sample_points(family), family.scale)``.  When an
+    occupancy mask holds the count, the union is sampled and boxed onto it
+    a block of members at a time, each block under the point cap the
+    blocks before it left, so memory follows the mask and one block's
+    points rather than the whole sample."""
     members, copies, q = family.offsets.shape
     per_member = len(_union_ticks(family)) ** copies
-    cells = CellSet(copies * q, family.scale, min(members * per_member, cap))
+    cap = UNION_POINT_CAP
+    seen = occupancy_mask(copies * q, family.scale, min(members * per_member, cap))
+    if seen is None:
+        return box_count(union_sample_points(family, cap), family.scale)
     # about four chunks of union_sample_points per block
     step = max(1, 4 * UNION_CHUNK_ROWS // per_member)
-    total = 0
+    total = count = 0
     for start in range(0, members, step):
         points = union_sample_points(family.block(start, start + step), cap - total)
         total += len(points)
-        cells.add(points)
-    return cells.count()
+        count += box_count(points, family.scale, seen)
+    return count
 
 
 # ------------------------------------------------------------------ bush

@@ -355,6 +355,21 @@ def test_box_count_mask_and_sort_branches_match_tuple_set(key_batch, monkeypatch
     assert branches == {True, False}
 
 
+def test_box_count_onto_one_mask_counts_each_cell_once():
+    # blocks boxed onto one occupancy mask count only the cells that the
+    # blocks before them left unmarked
+    pts = rng_for(8).uniform(-1.3, 1.3, size=(6000, 2))
+    pts[3000:3500] = pts[:500]  # cells shared across blocks
+    delta = 2.0 ** -5
+    seen = dz.occupancy_mask(2, delta, len(pts))
+    counts = [dz.box_count(block, delta, seen) for block in np.array_split(pts, 7)]
+    assert sum(counts) == dz.box_count(pts, delta) == tuple_set_count(pts, delta)
+    assert dz.box_count(pts[:100], delta, seen) == dz.box_count(np.zeros((0, 2)), delta, seen) == 0
+    # the mask is made only while it is smaller than the keys of the rows
+    assert dz.occupancy_mask(2, delta, 513).shape == (4096,)
+    assert dz.occupancy_mask(2, delta, 512) is None
+
+
 @pytest.mark.parametrize("dim", [1, 2, 3, 6])
 def test_column_wise_kernels_match_the_array_expressions(dim):
     # cell_indices works column by column; the whole-array expression it

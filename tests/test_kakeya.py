@@ -252,19 +252,27 @@ def test_union_point_cap_is_exact(monkeypatch):
         again = kk.union_sample_points(fam, cap=total)
         # each call fills its own output: no buffer outlives a call
         assert np.array_equal(again, pts) and not np.shares_memory(again, pts)
+        # the streamed box count keeps the cap of the whole union
+        monkeypatch.setattr(kk, "UNION_POINT_CAP", total - 1)
+        with pytest.raises(ResourceCapError, match="^union sample exceeds the point cap$"):
+            kk.union_box_count(fam)
+        monkeypatch.setattr(kk, "UNION_POINT_CAP", total)
+        assert kk.union_box_count(fam) == dz.box_count(pts, fam.scale)
 
 
-def cell_set_paths(monkeypatch):
-    """Record how each CellSet that kakeya makes holds its cells."""
+def box_count_paths(monkeypatch):
+    """Record how union_box_count boxes each family: block by block onto
+    an occupancy mask, or the whole sample by sorted keys or, when the key
+    range overflows int64, by lexsorted index rows."""
     paths = []
 
-    class Recording(dz.CellSet):
-        def __init__(self, *args):
-            super().__init__(*args)
-            paths.append("mask" if self.mask is not None else
-                         "rows" if self.held.ndim == 2 else "keys")
+    def recording(dim, delta, rows):
+        seen = dz.occupancy_mask(dim, delta, rows)
+        paths.append("mask" if seen is not None else
+                     "rows" if dz.cells_per_axis(delta) ** dim > dz.KEY_MAX else "keys")
+        return seen
 
-    monkeypatch.setattr(kk, "CellSet", Recording)
+    monkeypatch.setattr(kk, "occupancy_mask", recording)
     return paths
 
 
@@ -280,10 +288,10 @@ def r0_family_beyond_int64_keys():
 @pytest.mark.parametrize("chunk_rows", [kk.UNION_CHUNK_ROWS, 4],
                          ids=["default-chunk", "4"])
 def test_union_box_count_boxes_the_whole_sample(chunk_rows, monkeypatch):
-    # a block of four chunks: at 4 rows per chunk the families span many
-    # blocks, and the sorted forms merge many times
+    # a block of four chunks: at 4 rows per chunk the masked families
+    # span many blocks
     monkeypatch.setattr(kk, "UNION_CHUNK_ROWS", chunk_rows)
-    paths = cell_set_paths(monkeypatch)
+    paths = box_count_paths(monkeypatch)
     families = [kk.generate_sharp_example(kk.FamilyParams(*params), 2.0 ** -k)
                 for params, exponents in ARRAY_FAMILY_CASES for k in exponents]
     families.append(r0_family_beyond_int64_keys())
@@ -300,23 +308,10 @@ def test_union_box_count_of_the_empty_family():
     assert kk.union_box_count(fam) == 0
 
 
-def test_union_box_count_keeps_the_whole_union_cap(monkeypatch):
-    monkeypatch.setattr(kk, "UNION_CHUNK_ROWS", 1000)
-    for params, k in [((0, 1, 1, 2, 1.0), 5),
-                      ((1, 2, 3, 4, 0.5), 3),    # copies = 2
-                      ((1, 1, 2, 3, 1.0), 4)]:   # r = 0
-        fam = kk.generate_sharp_example(kk.FamilyParams(*params), 2.0 ** -k)
-        pts = kk.union_sample_points(fam)
-        total = len(pts)
-        with pytest.raises(ResourceCapError, match="^union sample exceeds the point cap$"):
-            kk.union_box_count(fam, cap=total - 1)
-        assert kk.union_box_count(fam, cap=total) == dz.box_count(pts, fam.scale)
-
-
 def test_union_box_count_memory_follows_the_cells():
     # the held sample at 2^-10 (2.1M points in a buffer sized for 3M
-    # candidate rows, then their keys) peaked at 68 MB; the cell set is a
-    # 4 MB mask and one block of points
+    # candidate rows, then their keys) peaked at 68 MB; the streamed count
+    # holds a 4 MB mask and one block of points
     import tracemalloc
     fam = kk.generate_sharp_example(kk.FamilyParams(0, 1, 1, 2, 1.0), 2.0 ** -10)
     tracemalloc.start()
