@@ -27,7 +27,6 @@ import os
 import sys
 import tempfile
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 
 from . import __version__, kakeya, selftest
@@ -37,7 +36,8 @@ from .kakeya import FamilyParams, admissible_p_max
 from .sampling import rng_for
 
 EXPERIMENTS = ("geometry-selftest", "sharp-dimension", "kakeya-sweep", "bl-audit")
-MAX_TUPLES = 100_000  # bl-audit tuples per run; their work units are built up front
+MAX_TUPLES = 100_000  # bl-audit tuples per run, drawn and verified a block at a time
+BL_BLOCK_TUPLES = 32  # most bl-audit tuples one work unit verifies as one stack
 MAX_AMBIENT = 64      # params.n; the sharp example lists its n - d base axes
 
 DEFAULT_CONSTANTS = {
@@ -255,18 +255,35 @@ def _kakeya_unit(arg: tuple) -> dict:
 
 
 def _bl_unit(arg: tuple) -> dict:
-    params, index, seed, p_values, K = arg
-    tup = kakeya.random_transverse_tuple(params, rng_for(seed, 90, index), K=K)
-    reports = kakeya.verify_bl_bounds(tup, params, p_values)
-    rows = [{"tuple": index, "p": p, "lower": rep.instance.best_value,
+    """Tuples start..stop-1, each drawn from its own generator and verified
+    together as one stack."""
+    params, (start, stop), seed, p_values, K = arg
+    tuples = [kakeya.random_transverse_tuple(params, rng_for(seed, 90, i), K=K)
+              for i in range(start, stop)]
+    rows = [{"tuple": i, "p": p, "lower": rep.instance.best_value,
              "rhs": rep.rhs, "ok": rep.ok, "volume": tup.volume,
-             "threshold": tup.threshold} for p, rep in zip(p_values, reports)]
-    return {"tuple": index, "rows": rows}
+             "threshold": tup.threshold}
+            for i, tup, reports in zip(range(start, stop), tuples,
+                                       kakeya.verify_bl_stack(tuples, params, p_values))
+            for p, rep in zip(p_values, reports)]
+    return {"tuple": start, "rows": rows}
+
+
+def _bl_blocks(n_tuples: int, workers: int) -> list[tuple[int, int]]:
+    """Contiguous tuple ranges (start, stop): one per worker (fewer when
+    the tuples are fewer), or more where a block would exceed
+    ``BL_BLOCK_TUPLES`` tuples; all of one size but the last, which may be
+    shorter."""
+    units = max(workers, -(-n_tuples // BL_BLOCK_TUPLES))
+    size = -(-n_tuples // units)
+    return [(i, min(i + size, n_tuples)) for i in range(0, n_tuples, size)]
 
 
 def _run_units(fn, units: list, workers: int) -> list:
     if workers <= 1 or len(units) <= 1:
         return [fn(u) for u in units]
+    # imported here: a single-worker run never starts the pool
+    from concurrent.futures import ProcessPoolExecutor
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, units))
 
@@ -315,8 +332,8 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
         n_tuples = int(cfg.constants["tuples"])
         if n_tuples > MAX_TUPLES:
             raise ResourceCapError(f"constants.tuples {n_tuples} is above the cap {MAX_TUPLES}")
-        units = [(cfg.params, i, cfg.seed, p_values,
-                  cfg.constants["K"]) for i in range(n_tuples)]
+        units = [(cfg.params, block, cfg.seed, p_values, cfg.constants["K"])
+                 for block in _bl_blocks(n_tuples, cfg.workers)]
         blocks = _run_units(_bl_unit, units, cfg.workers)
         blocks.sort(key=lambda b: b["tuple"])
         records = [row for b in blocks for row in b["rows"]]

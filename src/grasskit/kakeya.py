@@ -643,7 +643,7 @@ DIM_PROJECTION_TOL = 1e-9
 def dim_projection(u: Subspace, w: Subspace) -> int:
     """dim of the orthogonal projection of u into w: :func:`_projection_ranks`
     of the pair."""
-    return int(_projection_ranks([u], (w,))[0])
+    return int(_projection_ranks([[u.basis]], [w.basis[None]])[0][0])
 
 
 @dataclass(frozen=True)
@@ -666,42 +666,122 @@ class BlInstance:
 # 30 with 0 and R^N, so only J >= 4 kernels can reach the cap.
 LATTICE_CAP = 256
 LATTICE_TOL = 1e-9  # projector entries closer than this are equal
-CROSS_CHECK_DRAWS = 12  # random subspaces per proper dimension in verify_bl_bound
+CROSS_CHECK_DRAWS = 12  # random subspaces per proper dimension in verify_bl_stack
 
 
-def kernel_lattice(subspaces) -> list[Subspace]:
+def _kept(basis: np.ndarray, keep: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Per matrix of an ``orthonormalize_stack`` result: its kept columns
+    and its projector (dropped columns are zero and add nothing to it)."""
+    proj = basis @ np.swapaxes(basis, 1, 2)
+    return [(b[:, k], p) for b, k, p in zip(basis, keep, proj)]
+
+
+def _sums_and_meets(pairs: list[tuple[np.ndarray, np.ndarray]]):
+    """Bases and projectors of span(u) + span(w) and span(u) ∩ span(w) for
+    every pair of bases (u, w): one stacked Gram-Schmidt of [u | w] per
+    width, and one stacked SVD of [u | -w] per pair shape, whose null
+    vectors (x, y) give u x = w y, a vector in both spans."""
+    sums, meets = [None] * len(pairs), [None] * len(pairs)
+    widths: dict[int, list[int]] = {}
+    shapes: dict[tuple[int, int], list[int]] = {}
+    for i, (u, w) in enumerate(pairs):
+        widths.setdefault(u.shape[1] + w.shape[1], []).append(i)
+        shapes.setdefault((u.shape[1], w.shape[1]), []).append(i)
+    for idx in widths.values():
+        both = np.stack([np.concatenate(pairs[i], axis=1) for i in idx])
+        for i, out in zip(idx, _kept(*linalg.orthonormalize_stack(both))):
+            sums[i] = out
+    for (a, b), idx in shapes.items():
+        u = np.stack([pairs[i][0] for i in idx])
+        _, sigma, vt = np.linalg.svd(np.concatenate(
+            [u, -np.stack([pairs[i][1] for i in idx])], axis=2))
+        rank = linalg.ranks(sigma)
+        low = int(rank.min())
+        # the u-part of the null vectors, rows low.. of vt; a pair of higher
+        # rank zeroes its leading columns, which Gram-Schmidt then drops
+        null = np.swapaxes(vt[:, low:, :a], 1, 2)
+        null = np.where(np.arange(a + b - low) < (rank - low)[:, None, None], 0.0, null)
+        for i, out in zip(idx, _kept(*linalg.orthonormalize_stack(u @ null))):
+            meets[i] = out
+    return sums, meets
+
+
+def kernel_lattices(ws: list[np.ndarray]) -> list[list[np.ndarray]]:
     """The closure of {0, R^N, K_1..K_J} (K_j = W_j-perp) under sum and
-    intersection, in order of discovery: a worklist pairs each new member
-    with every earlier one, skipping comparable pairs (P_a P_b = P_a or P_b),
-    and members are told apart by their projectors P.  Raises
+    intersection for each of T tuples, with ``ws`` the J stacks (T, N, w_j)
+    of their W_j bases: per tuple, its members' orthonormal bases (N, dim)
+    in order of discovery.  The K_j come from one completion per W
+    dimension.
+
+    A worklist pairs each member b with every earlier member a, skipping
+    comparable pairs (P_a P_b = P_a or P_b), and adds the sum, then the
+    intersection, a ascending; members are told apart by their projectors
+    P.  The walk runs in step over the tuples: step b tests every tuple
+    that has a member b at once, and builds all their pairs' sums and
+    intersections in one :func:`_sums_and_meets`.  Raises
     ResourceCapError beyond ``LATTICE_CAP`` members."""
-    ambient = subspaces[0].ambient_dim
-    members: list[Subspace] = []
-    projectors = np.empty((LATTICE_CAP, ambient, ambient))
+    count, ambient = ws[0].shape[:2]
+    kernels: list[np.ndarray | None] = [None] * len(ws)
+    by_dim: dict[int, list[int]] = {}
+    for j, w in enumerate(ws):
+        by_dim.setdefault(w.shape[2], []).append(j)
+    for dim, js in by_dim.items():
+        full = linalg.orthonormal_completion(np.concatenate([ws[j] for j in js]), ambient)
+        for i, j in enumerate(js):
+            kernels[j] = full[i * count:(i + 1) * count, :, dim:]
+    lattices: list[list[np.ndarray]] = [[] for _ in range(count)]
+    # grown with the largest lattice so far, not allocated for LATTICE_CAP
+    projectors = np.empty((count, 2 + len(ws), ambient, ambient))
 
     def same(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         return np.all(np.abs(a - b) <= LATTICE_TOL, axis=(-2, -1))
 
-    def add(u: Subspace) -> None:
-        proj = u.projector()
-        if same(projectors[:len(members)], proj).any():
+    def add(t: int, basis: np.ndarray, proj: np.ndarray) -> None:
+        nonlocal projectors
+        n = len(lattices[t])
+        if same(projectors[t, :n], proj).any():
             return
-        if len(members) == LATTICE_CAP:
-            raise ResourceCapError(f"kernel lattice of {len(subspaces)} subspaces "
+        if n == LATTICE_CAP:
+            raise ResourceCapError(f"kernel lattice of {len(ws)} subspaces "
                                    f"exceeds {LATTICE_CAP} members")
-        projectors[len(members)] = proj
-        members.append(u)
+        if n == projectors.shape[1]:
+            more = np.empty((count, min(n, LATTICE_CAP - n)) + projectors.shape[2:])
+            projectors = np.concatenate([projectors, more], axis=1)
+        projectors[t, n] = proj
+        lattices[t].append(basis)
 
-    for u in [Subspace.zero(ambient), Subspace.full(ambient),
-              *(w.complement() for w in subspaces)]:
-        add(u)
-    for b, ub in enumerate(members):  # the walk takes in members added on the way
-        prods = projectors[:b] @ projectors[b]
-        comparable = same(prods, projectors[:b]) | same(prods, projectors[b])
-        for a in np.flatnonzero(~comparable):
-            add(members[a].sum(ub))
-            add(members[a].intersect(ub))
-    return members
+    start = [(np.zeros((ambient, 0)), np.zeros((ambient, ambient))),
+             (np.eye(ambient), np.eye(ambient))]
+    kernel_projectors = [k @ np.swapaxes(k, 1, 2) for k in kernels]
+    for t in range(count):
+        for basis, proj in start + [(k[t], p[t]) for k, p in zip(kernels, kernel_projectors)]:
+            add(t, basis, proj)
+    b = 0
+    while True:
+        active = [t for t, lattice in enumerate(lattices) if len(lattice) > b]
+        if not active:
+            return lattices
+        earlier, pb = projectors[active, :b], projectors[active, b, None]
+        prods = earlier @ pb
+        comparable = same(prods, earlier) | same(prods, pb)
+        pairs = [(t, a) for t, row in zip(active, comparable.tolist())
+                 for a, c in enumerate(row) if not c]
+        sums, meets = _sums_and_meets([(lattices[t][a], lattices[t][b]) for t, a in pairs])
+        for (t, _), s, m in zip(pairs, sums, meets):
+            add(t, *s)
+            add(t, *m)
+        b += 1
+
+
+def kernel_lattice(subspaces) -> list[Subspace]:
+    """:func:`kernel_lattices` of one tuple of subspaces."""
+    return [Subspace(b) for b in kernel_lattices([w.basis[None] for w in subspaces])[0]]
+
+
+def _stacks(subspace_tuples: list[tuple[Subspace, ...]]) -> list[np.ndarray]:
+    """The J stacks (T, N, w_j) of the j-th subspaces of T tuples."""
+    return [np.stack([ws[j].basis for ws in subspace_tuples])
+            for j in range(len(subspace_tuples[0]))]
 
 
 def bl_constant_lower(subspaces, p: float) -> BlInstance:
@@ -710,63 +790,98 @@ def bl_constant_lower(subspaces, p: float) -> BlInstance:
 
 
 def bl_constant_lowers(subspaces, p_values) -> list[BlInstance]:
+    """:func:`bl_constant_lower_stack` of one tuple of subspaces."""
+    return bl_constant_lower_stack([subspaces], p_values)[0]
+
+
+def bl_constant_lower_stack(subspace_tuples, p_values) -> list[list[BlInstance]]:
     """The dimension-counting functional at the maximum over the +/∩ lattice
-    of the kernels (:func:`kernel_lattice`), a lower bound of its supremum,
-    at each exponent of ``p_values``.  The lattice and its projection ranks
-    do not depend on p, so they are built once for every exponent."""
-    ws = tuple(subspaces)
-    if not ws:
+    of the kernels (:func:`kernel_lattices`), a lower bound of its
+    supremum, at each exponent of ``p_values``, for T tuples of J
+    subspaces whose j-th members share a dimension.  The lattices and their
+    projection ranks do not depend on p, so they are built once, for all
+    tuples together, and serve every exponent."""
+    wss = [tuple(ws) for ws in subspace_tuples]
+    jj = len(wss[0])
+    if not jj:
         raise InvalidInputError("need at least one subspace")
-    jj = len(ws)
     for p in p_values:
         if not 1.0 <= p <= jj + 1e-12:
             raise InvalidInputError(f"exponent {p} outside [1, J={jj}]")
-    candidates = kernel_lattice(ws)
-    values_at = _functional(candidates, ws)
+    stacks = _stacks(wss)
+    lattices = kernel_lattices(stacks)
     out = []
-    for p in p_values:
-        values = values_at(p)
-        # first candidate of the top value cluster (values sit on a lattice of
-        # spacing far above 1e-12, so this is the first maximizer)
-        best = int(np.flatnonzero(values >= values.max() - 1e-12)[0])
-        out.append(BlInstance(ws, float(p), float(values[best]), candidates[best],
-                              len(candidates)))
+    for ws, lattice, values_at in zip(wss, lattices, _functionals(lattices, stacks)):
+        instances = []
+        for p in p_values:
+            values = values_at(p)
+            # first candidate of the top value cluster (values sit on a lattice
+            # of spacing far above 1e-12, so this is the first maximizer)
+            best = int(np.flatnonzero(values >= values.max() - 1e-12)[0])
+            instances.append(BlInstance(ws, float(p), float(values[best]),
+                                        Subspace(lattice[best]), len(lattice)))
+        out.append(instances)
     return out
 
 
 def _functional(candidates: list[Subspace], ws: tuple[Subspace, ...]):
-    """p -> dim U - (p/J) sum_j dim proj_{W_j} U for every candidate U; the
-    projection ranks, the p-free part, are counted once."""
-    dims, totals = np.array([u.dim for u in candidates]), _projection_ranks(candidates, ws)
-    return lambda p: dims - (p / len(ws)) * totals
+    """:func:`_functionals` of one tuple."""
+    return _functionals([[u.basis for u in candidates]], [w.basis[None] for w in ws])[0]
 
 
-def _projection_ranks(candidates: list[Subspace], ws: tuple[Subspace, ...]) -> np.ndarray:
-    """sum_j dim proj_{W_j} U for every candidate U: principal cosines above
-    ``DIM_PROJECTION_TOL`` (absolute, so rounding-size overlaps count 0), for
-    all same-dimension candidates off one batched singular-value call per W_j."""
-    # grouped with a dict: np.unique would import numpy.ma, about 1 MB of
+def _functionals(lattices: list[list[np.ndarray]], ws: list[np.ndarray]) -> list:
+    """Per tuple, p -> dim U - (p/J) sum_j dim proj_{W_j} U for every basis
+    U of its list; the projection ranks, the p-free part, are counted once."""
+    def at(dims: np.ndarray, totals: np.ndarray):
+        return lambda p: dims - (p / len(ws)) * totals
+
+    return [at(np.array([u.shape[1] for u in lattice]), totals)
+            for lattice, totals in zip(lattices, _projection_ranks(lattices, ws))]
+
+
+def _projection_ranks(lattices: list[list[np.ndarray]], ws: list[np.ndarray]) -> list[np.ndarray]:
+    """sum_j dim proj_{W_j} U for every basis U of each tuple's list, with
+    ``ws`` the J stacks (T, N, w_j) of the W_j: principal cosines above
+    ``DIM_PROJECTION_TOL`` (absolute, so rounding-size overlaps count 0),
+    off one batched singular-value call per (dim U, dim W) group across
+    tuples."""
+    # grouped with dicts: np.unique would import numpy.ma, about 1 MB of
     # resident memory on an otherwise small process
-    groups: dict[int, list[int]] = {}
-    for i, u in enumerate(candidates):
-        if u.dim:
-            groups.setdefault(u.dim, []).append(i)
-    totals = np.zeros(len(candidates), dtype=int)
-    for idx in groups.values():
-        stack = np.stack([candidates[i].basis for i in idx])
-        for w in ws:
-            if w.dim:
-                sigma = np.linalg.svd(w.basis.T @ stack, compute_uv=False)
-                totals[idx] += np.sum(sigma > DIM_PROJECTION_TOL, axis=-1)
-    return totals
+    members: dict[int, list[tuple[int, int]]] = {}
+    for t, lattice in enumerate(lattices):
+        for i, u in enumerate(lattice):
+            if u.shape[1]:
+                members.setdefault(u.shape[1], []).append((t, i))
+    by_dim: dict[int, list[np.ndarray]] = {}
+    for w in ws:
+        if w.shape[2]:
+            by_dim.setdefault(w.shape[2], []).append(w)
+    transposed = [np.swapaxes(np.stack(group), -1, -2) for group in by_dim.values()]
+    offsets = np.cumsum([0] + [len(lattice) for lattice in lattices])
+    totals = np.zeros(offsets[-1], dtype=int)
+    for idx in members.values():
+        owner = [t for t, _ in idx]
+        stack = np.stack([lattices[t][i] for t, i in idx])
+        for wt in transposed:
+            sigma = np.linalg.svd(wt[:, owner] @ stack, compute_uv=False)
+            totals[[offsets[t] + i for t, i in idx]] += \
+                np.sum(sigma > DIM_PROJECTION_TOL, axis=(0, 2))
+    return np.split(totals, offsets[1:-1])
 
 
 def tuple_obstruction_subspaces(tup: TransverseTuple, params: FamilyParams) -> list[Subspace]:
-    """The W_j of the counting functional: orthogonal complements (in the
-    product space R^N) of the embedded tuple directions."""
-    centers = tup.centers
+    """:func:`tuple_obstruction_stack` of one tuple, as subspaces."""
+    return [Subspace(b) for b in tuple_obstruction_stack([tup], params)[0]]
+
+
+def tuple_obstruction_stack(tuples, params: FamilyParams) -> np.ndarray:
+    """The W_j of the counting functional for T tuples, (T, J, N, N-k):
+    orthogonal complements (in the product space R^N) of the embedded tuple
+    directions, from one embedding and one completion of all the centers."""
+    centers = np.concatenate([tup.centers for tup in tuples])
     big = embed_tilde_stack(centers, np.zeros((len(centers), params.l + 1, centers.shape[1])))[0]
-    return [Subspace(b) for b in linalg.orthonormal_completion(big)[:, :, big.shape[2]:]]
+    ws = linalg.orthonormal_completion(big)[:, :, big.shape[2]:]
+    return ws.reshape((len(tuples), -1) + ws.shape[1:])
 
 
 @dataclass(frozen=True)
@@ -785,21 +900,29 @@ def verify_bl_bound(tup: TransverseTuple, params: FamilyParams, p: float,
 
 def verify_bl_bounds(tup: TransverseTuple, params: FamilyParams, p_values,
                      rng: np.random.Generator | None = None) -> list[BlBoundReport]:
-    """Check the certified lower bound at each exponent of ``p_values``
-    against the closed-form ceiling
+    """:func:`verify_bl_stack` of one tuple."""
+    return verify_bl_stack([tup], params, p_values, None if rng is None else [rng])[0]
+
+
+def verify_bl_stack(tuples, params: FamilyParams, p_values,
+                    rngs=None) -> list[list[BlBoundReport]]:
+    """Check the certified lower bound of each tuple at each exponent of
+    ``p_values`` against the closed-form ceiling
 
         (l+1)(d-l) + beta - ((l+1)(d-m) + beta) p.
 
     A violation would falsify the transversality certificate or the case
     analysis behind the ceiling, so it is reported as a hard failure.  The
-    W_j, their kernel lattice and its projection ranks are built once for
+    tuples are verified as one stack: their W_j come from one
+    :func:`tuple_obstruction_stack`, and their kernel lattices and
+    projection ranks from one :func:`bl_constant_lower_stack`, which serves
     every exponent.
 
-    With ``rng``, random subspaces of every proper dimension are drawn once
-    and scored at each exponent too, and one that beats the lattice maximum
-    raises CertificateError.
+    With ``rngs``, one generator per tuple, random subspaces of every
+    proper dimension are drawn once per tuple and scored at each exponent
+    too, and one that beats its lattice maximum raises CertificateError.
     """
-    if not tup.certified():
+    if not all(tup.certified() for tup in tuples):
         raise InvalidInputError("tuple is not certified transverse")
     if params.beta > params.l + 1:
         # the counting inequality (and hence this ceiling) assumes
@@ -809,23 +932,22 @@ def verify_bl_bounds(tup: TransverseTuple, params: FamilyParams, p_values,
     for p in p_values:
         if p > p_max + 1e-9:
             raise InvalidInputError(f"exponent {p} above the admissible maximum {p_max}")
-    ws = tuple_obstruction_subspaces(tup, params)
-    instances = bl_constant_lowers(ws, p_values)
-    if rng is not None:
-        ambient = ws[0].ambient_dim
-        draws = [Subspace(b) for r in range(1, ambient)
-                 for b in random_subspaces(rng, CROSS_CHECK_DRAWS, ambient, r)]
-        values_at = _functional(draws, ws)
-        if draws and any(values_at(p).max() > inst.best_value + 1e-12
-                         for p, inst in zip(p_values, instances)):
-            raise CertificateError("a random subspace beats the kernel-lattice maximum")
+    wss = [tuple(Subspace(b) for b in ws) for ws in tuple_obstruction_stack(tuples, params)]
+    instances = bl_constant_lower_stack(wss, p_values)
+    ambient = wss[0][0].ambient_dim
+    if rngs is not None and ambient > 1:
+        draws = [[b for r in range(1, ambient)
+                  for b in random_subspaces(rng, CROSS_CHECK_DRAWS, ambient, r)]
+                 for rng in rngs]
+        for values_at, insts in zip(_functionals(draws, _stacks(wss)), instances):
+            if any(values_at(p).max() > inst.best_value + 1e-12
+                   for p, inst in zip(p_values, insts)):
+                raise CertificateError("a random subspace beats the kernel-lattice maximum")
     l, m, d, beta = params.l, params.m, params.d, params.beta
-    reports = []
-    for p, inst in zip(p_values, instances):
-        rhs = (l + 1) * (d - l) + beta - ((l + 1) * (d - m) + beta) * p
-        reports.append(BlBoundReport(inst, float(rhs), inst.best_value <= rhs + 1e-9,
-                                     float(rhs - inst.best_value)))
-    return reports
+    rhs = [(l + 1) * (d - l) + beta - ((l + 1) * (d - m) + beta) * p for p in p_values]
+    return [[BlBoundReport(inst, float(r), inst.best_value <= r + 1e-9,
+                           float(r - inst.best_value)) for r, inst in zip(rhs, insts)]
+            for insts in instances]
 
 
 # ------------------------------------------------------- counting norms

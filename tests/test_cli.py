@@ -164,6 +164,46 @@ def test_worker_count_does_not_change_output(tmp_path, cfg):
     assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
 
 
+def test_bl_audit_blocks_do_not_change_output():
+    # seven tuples split unevenly: one block of 7, blocks of 4 and 3, and of
+    # 3, 3 and 1; every report must match the single-block one byte for byte
+    cfg = bl_audit_config(params={"l": 1, "m": 2, "d": 2, "n": 4, "beta": 1.0},
+                          constants={"tuples": 7})
+    assert [cli._bl_blocks(7, w) for w in (1, 2, 3)] == [
+        [(0, 7)], [(0, 4), (4, 7)], [(0, 3), (3, 6), (6, 7)]]
+    reports = []
+    for workers in (1, 2, 3):
+        report = strip_timing(cli.run_experiment(cli.parse_config(cfg, {"workers": workers})))
+        report["config"].pop("workers")
+        reports.append(json.dumps(report, sort_keys=True))
+    assert reports[0] == reports[1] == reports[2]
+    assert [r["tuple"] for r in json.loads(reports[0])["records"]] == [
+        t for t in range(7) for _ in range(2)]
+
+
+def test_bl_blocks_respect_the_cap():
+    assert cli._bl_blocks(100, 1) == [(i, i + 25) for i in range(0, 100, 25)]
+    assert cli._bl_blocks(1, 3) == [(0, 1)]
+    blocks = cli._bl_blocks(cli.MAX_TUPLES, 2)
+    assert max(b - a for a, b in blocks) <= cli.BL_BLOCK_TUPLES
+    assert [a for a, _ in blocks[1:]] == [b for _, b in blocks[:-1]]
+    assert blocks[0][0] == 0 and blocks[-1][1] == cli.MAX_TUPLES
+
+
+def test_cli_import_leaves_the_process_pool_unloaded():
+    # a single-worker run never needs concurrent.futures.process; a fresh
+    # interpreter, so no other test's imports count
+    script = ("import sys\n"
+              "import grasskit.cli\n"
+              "assert 'concurrent.futures.process' not in sys.modules\n")
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    done = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+
+
 def test_run_kakeya_sweep(tmp_path):
     cfg = base_config(experiment="kakeya-sweep",
                       deltas=[2.0 ** -5, 2.0 ** -6])
@@ -426,20 +466,32 @@ def test_bl_audit_records_are_pinned(params, seed, p_values, volumes, threshold,
 
 
 def test_bl_audit_builds_each_tuple_functional_once(monkeypatch):
-    # the W_j and their kernel lattice serve every exponent of a tuple
+    # the W_j and their kernel lattice serve every exponent of a tuple: each
+    # unit's stacked builds cover its tuples, and every tuple exactly once
     from grasskit import kakeya as kk
-    calls = {"kernel_lattice": 0, "tuple_obstruction_subspaces": 0}
-    for name in calls:
-        def counted(*args, _original=getattr(kk, name), _name=name):
-            calls[_name] += 1
-            return _original(*args)
-        monkeypatch.setattr(kk, name, counted)
+    stacked = {"tuple_obstruction_stack": [], "kernel_lattices": []}
+    obstruction, lattices = kk.tuple_obstruction_stack, kk.kernel_lattices
+
+    def obstruction_counted(tuples, params):
+        stacked["tuple_obstruction_stack"].append([t.volume for t in tuples])
+        return obstruction(tuples, params)
+
+    def lattices_counted(ws):
+        stacked["kernel_lattices"].append(len(ws[0]))
+        return lattices(ws)
+
+    monkeypatch.setattr(kk, "tuple_obstruction_stack", obstruction_counted)
+    monkeypatch.setattr(kk, "kernel_lattices", lattices_counted)
+    monkeypatch.setattr(cli, "BL_BLOCK_TUPLES", 2)
     cfg = {"experiment": "bl-audit", "seed": 3, "workers": 1,
            "params": {"l": 1, "m": 2, "d": 2, "n": 4, "beta": 1.0},
-           "p_values": [1.0, 1.1, 1.2], "constants": {"tuples": 2}}
+           "p_values": [1.0, 1.1, 1.2], "constants": {"tuples": 5}}
     report = cli.run_experiment(cli.parse_config(cfg))
-    assert len(report["records"]) == 6 and report["passed"]
-    assert calls == {"kernel_lattice": 2, "tuple_obstruction_subspaces": 2}
+    assert len(report["records"]) == 15 and report["passed"]
+    volumes = [r["volume"] for r in report["records"] if r["p"] == 1.0]
+    assert [len(v) for v in stacked["tuple_obstruction_stack"]] == [2, 2, 1]
+    assert sum(stacked["tuple_obstruction_stack"], []) == volumes
+    assert stacked["kernel_lattices"] == [2, 2, 1]
 
 
 def test_bl_audit_K_below_feasible_exit_2(tmp_path, capsys):

@@ -726,8 +726,8 @@ def test_verify_bl_bound_cross_check_catches_a_short_lattice(monkeypatch):
     tup = kk.random_transverse_tuple(params, rng_for(67))
     assert kk.verify_bl_bound(tup, params, 1.0, rng_for(68)).ok
     # a lattice missing its top member scores below the random draws
-    lattice = kk.kernel_lattice
-    monkeypatch.setattr(kk, "kernel_lattice", lambda ws: lattice(ws)[:1])
+    lattices = kk.kernel_lattices
+    monkeypatch.setattr(kk, "kernel_lattices", lambda ws: [lat[:1] for lat in lattices(ws)])
     with pytest.raises(CertificateError):
         kk.verify_bl_bound(tup, params, 1.0, rng_for(68))
     # without an rng there is no cross-check
@@ -765,11 +765,48 @@ def test_verify_bl_bounds_cross_checks_every_exponent(monkeypatch):
     tup = kk.random_transverse_tuple(params, rng_for(67))
     # a stand-in lattice {0, a line inside K_1}, of maximum max(0, 1 - p/2):
     # the random draws (best 5 - 4p) beat it at p = 1 but not at p = 1.2
-    monkeypatch.setattr(kk, "kernel_lattice", lambda ws: [
-        Subspace.zero(ws[0].ambient_dim), Subspace(ws[0].complement().basis[:, :1])])
+    monkeypatch.setattr(kk, "kernel_lattices", lambda ws: [[
+        Subspace.zero(ws[0].shape[1]).basis, Subspace(ws[0][0]).complement().basis[:, :1]]])
     assert kk.verify_bl_bounds(tup, params, [1.2], rng_for(68))[0].ok
     with pytest.raises(CertificateError):
         kk.verify_bl_bounds(tup, params, [1.2, 1.0], rng_for(68))
+
+
+@pytest.mark.parametrize("shape", [(1, 2, 2, 4), (0, 1, 2, 3), (0, 2, 3, 4), (0, 1, 3, 4),
+                                   (0, 1, 1, 2)])
+def test_a_stack_equals_its_tuples_one_at_a_time(shape):
+    params = kk.FamilyParams(*shape, 1.0)
+    p_max = kk.admissible_p_max(shape[0], shape[1], shape[2], 1.0)
+    p_values = [1.0, (1.0 + p_max) / 2.0, p_max]
+    tuples = [kk.random_transverse_tuple(params, rng_for(91, *shape, i)) for i in range(4)]
+
+    def fields(rep):
+        inst = rep.instance
+        return (inst.best_value, inst.n_candidates, inst.best_candidate.basis.tobytes(),
+                rep.rhs, rep.ok, rep.slack)
+
+    stacked = kk.verify_bl_stack(tuples, params, p_values)
+    assert len(stacked) == len(tuples)
+    for tup, reports in zip(tuples, stacked):
+        alone = kk.verify_bl_stack([tup], params, p_values)[0]
+        assert [fields(r) for r in reports] == [fields(r) for r in alone]
+
+
+@pytest.mark.parametrize("shape", [(0, 1, 1, 2), (0, 1, 2, 3), (1, 2, 2, 4)])
+def test_stacked_ranks_follow_the_kernel_intersections(shape):
+    # sum_j dim P_{W_j} U = J dim U - sum_j dim(U ∩ K_j), K_j = W_j-perp, on
+    # every lattice member of a stack of tuples, with the intersections
+    # taken one pair at a time by Subspace.intersect
+    params = kk.FamilyParams(*shape, 1.0)
+    tuples = [kk.random_transverse_tuple(params, rng_for(92, *shape, i)) for i in range(5)]
+    ws = kk.tuple_obstruction_stack(tuples, params)
+    stacks = [ws[:, j] for j in range(ws.shape[1])]
+    lattices = kk.kernel_lattices(stacks)
+    for t, (lattice, totals) in enumerate(zip(lattices, kk._projection_ranks(lattices, stacks))):
+        kernels = [Subspace(w).complement() for w in ws[t]]
+        for u, total in zip(lattice, totals):
+            u = Subspace(u)
+            assert total == len(kernels) * u.dim - sum(u.intersect(k).dim for k in kernels)
 
 
 def test_bl_invalid_exponent():
