@@ -666,7 +666,7 @@ class BlInstance:
 # 30 with 0 and R^N, so only J >= 4 kernels can reach the cap.
 LATTICE_CAP = 256
 LATTICE_TOL = 1e-9  # projector entries closer than this are equal
-CROSS_CHECK_DRAWS = 12  # random subspaces per proper dimension in verify_bl_stack
+CROSS_CHECK_DRAWS = 12  # random subspaces per proper dimension in verify_bl_bounds
 
 
 def _kept(basis: np.ndarray, keep: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -778,12 +778,6 @@ def kernel_lattice(subspaces) -> list[Subspace]:
     return [Subspace(b) for b in kernel_lattices([w.basis[None] for w in subspaces])[0]]
 
 
-def _stacks(subspace_tuples: list[tuple[Subspace, ...]]) -> list[np.ndarray]:
-    """The J stacks (T, N, w_j) of the j-th subspaces of T tuples."""
-    return [np.stack([ws[j].basis for ws in subspace_tuples])
-            for j in range(len(subspace_tuples[0]))]
-
-
 def bl_constant_lower(subspaces, p: float) -> BlInstance:
     """:func:`bl_constant_lowers` at one exponent."""
     return bl_constant_lowers(subspaces, [p])[0]
@@ -808,7 +802,7 @@ def bl_constant_lower_stack(subspace_tuples, p_values) -> list[list[BlInstance]]
     for p in p_values:
         if not 1.0 <= p <= jj + 1e-12:
             raise InvalidInputError(f"exponent {p} outside [1, J={jj}]")
-    stacks = _stacks(wss)
+    stacks = [np.stack([ws[j].basis for ws in wss]) for j in range(jj)]
     lattices = kernel_lattices(stacks)
     out = []
     for ws, lattice, values_at in zip(wss, lattices, _functionals(lattices, stacks)):
@@ -900,12 +894,26 @@ def verify_bl_bound(tup: TransverseTuple, params: FamilyParams, p: float,
 
 def verify_bl_bounds(tup: TransverseTuple, params: FamilyParams, p_values,
                      rng: np.random.Generator | None = None) -> list[BlBoundReport]:
-    """:func:`verify_bl_stack` of one tuple."""
-    return verify_bl_stack([tup], params, p_values, None if rng is None else [rng])[0]
+    """:func:`verify_bl_stack` of one tuple.
+
+    With ``rng``, random subspaces of every proper dimension are drawn once
+    and scored at each exponent too, and one that beats the lattice maximum
+    raises CertificateError.
+    """
+    reports = verify_bl_stack([tup], params, p_values)[0]
+    if rng is not None and reports:
+        ws = reports[0].instance.subspaces
+        ambient = ws[0].ambient_dim
+        draws = [b for r in range(1, ambient)
+                 for b in random_subspaces(rng, CROSS_CHECK_DRAWS, ambient, r)]
+        values_at = _functionals([draws], [w.basis[None] for w in ws])[0]
+        if draws and any(values_at(rep.instance.p).max() > rep.instance.best_value + 1e-12
+                         for rep in reports):
+            raise CertificateError("a random subspace beats the kernel-lattice maximum")
+    return reports
 
 
-def verify_bl_stack(tuples, params: FamilyParams, p_values,
-                    rngs=None) -> list[list[BlBoundReport]]:
+def verify_bl_stack(tuples, params: FamilyParams, p_values) -> list[list[BlBoundReport]]:
     """Check the certified lower bound of each tuple at each exponent of
     ``p_values`` against the closed-form ceiling
 
@@ -917,10 +925,6 @@ def verify_bl_stack(tuples, params: FamilyParams, p_values,
     :func:`tuple_obstruction_stack`, and their kernel lattices and
     projection ranks from one :func:`bl_constant_lower_stack`, which serves
     every exponent.
-
-    With ``rngs``, one generator per tuple, random subspaces of every
-    proper dimension are drawn once per tuple and scored at each exponent
-    too, and one that beats its lattice maximum raises CertificateError.
     """
     if not all(tup.certified() for tup in tuples):
         raise InvalidInputError("tuple is not certified transverse")
@@ -932,17 +936,8 @@ def verify_bl_stack(tuples, params: FamilyParams, p_values,
     for p in p_values:
         if p > p_max + 1e-9:
             raise InvalidInputError(f"exponent {p} above the admissible maximum {p_max}")
-    wss = [tuple(Subspace(b) for b in ws) for ws in tuple_obstruction_stack(tuples, params)]
-    instances = bl_constant_lower_stack(wss, p_values)
-    ambient = wss[0][0].ambient_dim
-    if rngs is not None and ambient > 1:
-        draws = [[b for r in range(1, ambient)
-                  for b in random_subspaces(rng, CROSS_CHECK_DRAWS, ambient, r)]
-                 for rng in rngs]
-        for values_at, insts in zip(_functionals(draws, _stacks(wss)), instances):
-            if any(values_at(p).max() > inst.best_value + 1e-12
-                   for p, inst in zip(p_values, insts)):
-                raise CertificateError("a random subspace beats the kernel-lattice maximum")
+    instances = bl_constant_lower_stack(
+        [[Subspace(b) for b in ws] for ws in tuple_obstruction_stack(tuples, params)], p_values)
     l, m, d, beta = params.l, params.m, params.d, params.beta
     rhs = [(l + 1) * (d - l) + beta - ((l + 1) * (d - m) + beta) * p for p in p_values]
     return [[BlBoundReport(inst, float(r), inst.best_value <= r + 1e-9,
