@@ -663,7 +663,9 @@ class BlInstance:
 
 
 # Three generators span a modular lattice of at most 28 members (Dedekind),
-# 30 with 0 and R^N, so only J >= 4 kernels can reach the cap.
+# 30 with 0 and R^N, so only J >= 4 kernels can pass DEDEKIND_MEMBERS and
+# reach the cap.
+DEDEKIND_MEMBERS = 30
 LATTICE_CAP = 256
 LATTICE_TOL = 1e-9  # projector entries closer than this are equal
 CROSS_CHECK_DRAWS = 12  # random subspaces per proper dimension in verify_bl_bounds
@@ -718,7 +720,12 @@ def kernel_lattices(ws: list[np.ndarray]) -> list[list[np.ndarray]]:
     intersection, a ascending; members are told apart by their projectors
     P.  The walk runs in step over the tuples: step b tests every tuple
     that has a member b at once, and builds all their pairs' sums and
-    intersections in one :func:`_sums_and_meets`.  Raises
+    intersections in one :func:`_sums_and_meets`.  A lattice that outgrows
+    ``DEDEKIND_MEMBERS``, the most three kernels span, may be infinite, so
+    the first tuple then walks on alone to its end: an infinite lattice
+    stops the walk after the work of one lattice rather than of the whole
+    stack, and if it closes, the others go on in step.  A tuple's walk reads
+    only its own members, so this order changes no lattice.  Raises
     ResourceCapError beyond ``LATTICE_CAP`` members."""
     count, ambient = ws[0].shape[:2]
     kernels: list[np.ndarray | None] = [None] * len(ws)
@@ -750,17 +757,7 @@ def kernel_lattices(ws: list[np.ndarray]) -> list[list[np.ndarray]]:
         projectors[t, n] = proj
         lattices[t].append(basis)
 
-    start = [(np.zeros((ambient, 0)), np.zeros((ambient, ambient))),
-             (np.eye(ambient), np.eye(ambient))]
-    kernel_projectors = [k @ np.swapaxes(k, 1, 2) for k in kernels]
-    for t in range(count):
-        for basis, proj in start + [(k[t], p[t]) for k, p in zip(kernels, kernel_projectors)]:
-            add(t, basis, proj)
-    b = 0
-    while True:
-        active = [t for t, lattice in enumerate(lattices) if len(lattice) > b]
-        if not active:
-            return lattices
+    def step(active: list[int], b: int) -> None:
         earlier, pb = projectors[active, :b], projectors[active, b, None]
         prods = earlier @ pb
         comparable = same(prods, earlier) | same(prods, pb)
@@ -770,7 +767,26 @@ def kernel_lattices(ws: list[np.ndarray]) -> list[list[np.ndarray]]:
         for (t, _), s, m in zip(pairs, sums, meets):
             add(t, *s)
             add(t, *m)
+
+    start = [(np.zeros((ambient, 0)), np.zeros((ambient, ambient))),
+             (np.eye(ambient), np.eye(ambient))]
+    kernel_projectors = [k @ np.swapaxes(k, 1, 2) for k in kernels]
+    for t in range(count):
+        for basis, proj in start + [(k[t], p[t]) for k, p in zip(kernels, kernel_projectors)]:
+            add(t, basis, proj)
+    b, active, probed = 0, list(range(count)), False
+    while active:
+        if not probed and max(len(lattices[t]) for t in active) > DEDEKIND_MEMBERS:
+            probed, lead, active = True, active[0], active[1:]
+            s = b
+            while len(lattices[lead]) > s:
+                step([lead], s)
+                s += 1
+            continue
+        step(active, b)
         b += 1
+        active = [t for t in active if len(lattices[t]) > b]
+    return lattices
 
 
 def kernel_lattice(subspaces) -> list[Subspace]:

@@ -666,6 +666,25 @@ def test_kernel_lattice_cap(monkeypatch):
         kk.kernel_lattice(ws)
 
 
+def test_a_stack_reaches_the_cap_after_about_one_lattice(monkeypatch):
+    # (0, 2, 4, 5) lattices are infinite: past DEDEKIND_MEMBERS the first
+    # tuple walks on alone, so a stack of five stops at the cap after little
+    # more work than its first tuple alone, not five lattices' worth
+    params = kk.FamilyParams(0, 2, 4, 5, 1.0)
+    tuples = [kk.random_transverse_tuple(params, rng_for(95, i)) for i in range(5)]
+    ws = kk.tuple_obstruction_stack(tuples, params)
+    monkeypatch.setattr(kk, "LATTICE_CAP", 64)
+    pairs, meet = [], kk._sums_and_meets
+    monkeypatch.setattr(kk, "_sums_and_meets", lambda p: pairs.append(len(p)) or meet(p))
+    walked = []
+    for count in (1, 5):
+        pairs.clear()
+        with pytest.raises(ResourceCapError, match="exceeds 64 members"):
+            kk.kernel_lattices([ws[:count, j] for j in range(ws.shape[1])])
+        walked.append(sum(pairs))
+    assert walked[1] < 2 * walked[0]
+
+
 def test_bl_value_is_the_lattice_max_member_by_member():
     # the lattice scored one member at a time through dim_projection
     from grasskit.grassmann import random_subspace
@@ -773,8 +792,10 @@ def test_verify_bl_bounds_cross_checks_every_exponent(monkeypatch):
 
 
 @pytest.mark.parametrize("shape", [(1, 2, 2, 4), (0, 1, 2, 3), (0, 2, 3, 4), (0, 1, 3, 4),
-                                   (0, 1, 1, 2)])
+                                   (0, 1, 1, 2), (0, 1, 4, 5)])
 def test_a_stack_equals_its_tuples_one_at_a_time(shape):
+    # (0, 1, 4, 5) has 32-member lattices, past DEDEKIND_MEMBERS: its first
+    # tuple walks on alone, then the others in step
     params = kk.FamilyParams(*shape, 1.0)
     p_max = kk.admissible_p_max(shape[0], shape[1], shape[2], 1.0)
     p_values = [1.0, (1.0 + p_max) / 2.0, p_max]
