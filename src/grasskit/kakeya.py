@@ -643,7 +643,14 @@ DIM_PROJECTION_TOL = 1e-9
 def dim_projection(u: Subspace, w: Subspace) -> int:
     """dim of the orthogonal projection of u into w: :func:`_projection_ranks`
     of the pair."""
+    _check_ambient([u.basis, w.basis])
     return int(_projection_ranks([[u.basis]], [w.basis[None]])[0][0])
+
+
+def _check_ambient(bases) -> None:
+    """InvalidInputError unless the bases (..., N, dim) share one N."""
+    if len({b.shape[-2] for b in bases}) > 1:
+        raise InvalidInputError("ambient dimension mismatch")
 
 
 @dataclass(frozen=True)
@@ -659,7 +666,8 @@ class BlInstance:
     n_candidates: int
 
     def value_of(self, u: Subspace) -> float:
-        return float(_functional([u], self.subspaces)(self.p)[0])
+        values_at = _functionals([[u.basis]], [w.basis[None] for w in self.subspaces])[0]
+        return float(values_at(self.p)[0])
 
 
 # Three generators span a modular lattice of at most 28 members (Dedekind),
@@ -668,7 +676,7 @@ class BlInstance:
 DEDEKIND_MEMBERS = 30
 LATTICE_CAP = 256
 LATTICE_TOL = 1e-9  # projector entries closer than this are equal
-CROSS_CHECK_DRAWS = 12  # random subspaces per proper dimension in verify_bl_bounds
+CROSS_CHECK_DRAWS = 12  # random subspaces per proper dimension in verify_bl_bound
 
 
 def _kept(basis: np.ndarray, keep: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -789,54 +797,39 @@ def kernel_lattices(ws: list[np.ndarray]) -> list[list[np.ndarray]]:
     return lattices
 
 
-def kernel_lattice(subspaces) -> list[Subspace]:
-    """:func:`kernel_lattices` of one tuple of subspaces."""
-    return [Subspace(b) for b in kernel_lattices([w.basis[None] for w in subspaces])[0]]
-
-
 def bl_constant_lower(subspaces, p: float) -> BlInstance:
-    """:func:`bl_constant_lowers` at one exponent."""
-    return bl_constant_lowers(subspaces, [p])[0]
+    """:func:`bl_constant_lower_stack` of one tuple of subspaces at one
+    exponent."""
+    return bl_constant_lower_stack([w.basis[None] for w in subspaces], [p])[0][0]
 
 
-def bl_constant_lowers(subspaces, p_values) -> list[BlInstance]:
-    """:func:`bl_constant_lower_stack` of one tuple of subspaces."""
-    return bl_constant_lower_stack([subspaces], p_values)[0]
-
-
-def bl_constant_lower_stack(subspace_tuples, p_values) -> list[list[BlInstance]]:
+def bl_constant_lower_stack(ws: list[np.ndarray], p_values) -> list[list[BlInstance]]:
     """The dimension-counting functional at the maximum over the +/∩ lattice
     of the kernels (:func:`kernel_lattices`), a lower bound of its
     supremum, at each exponent of ``p_values``, for T tuples of J
-    subspaces whose j-th members share a dimension.  The lattices and their
-    projection ranks do not depend on p, so they are built once, for all
-    tuples together, and serve every exponent."""
-    wss = [tuple(ws) for ws in subspace_tuples]
-    jj = len(wss[0])
-    if not jj:
+    subspaces, with ``ws`` the J stacks (T, N, w_j) of their bases.  The
+    lattices and their projection ranks do not depend on p, so they are
+    built once, for all tuples together, and serve every exponent."""
+    if not ws:
         raise InvalidInputError("need at least one subspace")
+    _check_ambient(ws)
     for p in p_values:
-        if not 1.0 <= p <= jj + 1e-12:
-            raise InvalidInputError(f"exponent {p} outside [1, J={jj}]")
-    stacks = [np.stack([ws[j].basis for ws in wss]) for j in range(jj)]
-    lattices = kernel_lattices(stacks)
+        if not 1.0 <= p <= len(ws) + 1e-12:
+            raise InvalidInputError(f"exponent {p} outside [1, J={len(ws)}]")
+    lattices = kernel_lattices(ws)
     out = []
-    for ws, lattice, values_at in zip(wss, lattices, _functionals(lattices, stacks)):
+    for t, (lattice, values_at) in enumerate(zip(lattices, _functionals(lattices, ws))):
+        subspaces = tuple(Subspace(w[t]) for w in ws)
         instances = []
         for p in p_values:
             values = values_at(p)
             # first candidate of the top value cluster (values sit on a lattice
             # of spacing far above 1e-12, so this is the first maximizer)
             best = int(np.flatnonzero(values >= values.max() - 1e-12)[0])
-            instances.append(BlInstance(ws, float(p), float(values[best]),
+            instances.append(BlInstance(subspaces, float(p), float(values[best]),
                                         Subspace(lattice[best]), len(lattice)))
         out.append(instances)
     return out
-
-
-def _functional(candidates: list[Subspace], ws: tuple[Subspace, ...]):
-    """:func:`_functionals` of one tuple."""
-    return _functionals([[u.basis for u in candidates]], [w.basis[None] for w in ws])[0]
 
 
 def _functionals(lattices: list[list[np.ndarray]], ws: list[np.ndarray]) -> list:
@@ -879,11 +872,6 @@ def _projection_ranks(lattices: list[list[np.ndarray]], ws: list[np.ndarray]) ->
     return np.split(totals, offsets[1:-1])
 
 
-def tuple_obstruction_subspaces(tup: TransverseTuple, params: FamilyParams) -> list[Subspace]:
-    """:func:`tuple_obstruction_stack` of one tuple, as subspaces."""
-    return [Subspace(b) for b in tuple_obstruction_stack([tup], params)[0]]
-
-
 def tuple_obstruction_stack(tuples, params: FamilyParams) -> np.ndarray:
     """The W_j of the counting functional for T tuples, (T, J, N, N-k):
     orthogonal complements (in the product space R^N) of the embedded tuple
@@ -904,29 +892,22 @@ class BlBoundReport:
 
 def verify_bl_bound(tup: TransverseTuple, params: FamilyParams, p: float,
                     rng: np.random.Generator | None = None) -> BlBoundReport:
-    """:func:`verify_bl_bounds` at one exponent."""
-    return verify_bl_bounds(tup, params, [p], rng)[0]
+    """:func:`verify_bl_stack` of one tuple at one exponent.
 
-
-def verify_bl_bounds(tup: TransverseTuple, params: FamilyParams, p_values,
-                     rng: np.random.Generator | None = None) -> list[BlBoundReport]:
-    """:func:`verify_bl_stack` of one tuple.
-
-    With ``rng``, random subspaces of every proper dimension are drawn once
-    and scored at each exponent too, and one that beats the lattice maximum
-    raises CertificateError.
+    With ``rng``, ``CROSS_CHECK_DRAWS`` random subspaces of every proper
+    dimension are scored too, and one that beats the lattice maximum raises
+    CertificateError.
     """
-    reports = verify_bl_stack([tup], params, p_values)[0]
-    if rng is not None and reports:
-        ws = reports[0].instance.subspaces
+    rep = verify_bl_stack([tup], params, [p])[0][0]
+    if rng is not None:
+        ws = rep.instance.subspaces
         ambient = ws[0].ambient_dim
         draws = [b for r in range(1, ambient)
                  for b in random_subspaces(rng, CROSS_CHECK_DRAWS, ambient, r)]
         values_at = _functionals([draws], [w.basis[None] for w in ws])[0]
-        if draws and any(values_at(rep.instance.p).max() > rep.instance.best_value + 1e-12
-                         for rep in reports):
+        if draws and values_at(p).max() > rep.instance.best_value + 1e-12:
             raise CertificateError("a random subspace beats the kernel-lattice maximum")
-    return reports
+    return rep
 
 
 def verify_bl_stack(tuples, params: FamilyParams, p_values) -> list[list[BlBoundReport]]:
@@ -942,6 +923,8 @@ def verify_bl_stack(tuples, params: FamilyParams, p_values) -> list[list[BlBound
     projection ranks from one :func:`bl_constant_lower_stack`, which serves
     every exponent.
     """
+    if not tuples:
+        raise InvalidInputError("need at least one tuple")
     if not all(tup.certified() for tup in tuples):
         raise InvalidInputError("tuple is not certified transverse")
     if params.beta > params.l + 1:
@@ -952,8 +935,8 @@ def verify_bl_stack(tuples, params: FamilyParams, p_values) -> list[list[BlBound
     for p in p_values:
         if p > p_max + 1e-9:
             raise InvalidInputError(f"exponent {p} above the admissible maximum {p_max}")
-    instances = bl_constant_lower_stack(
-        [[Subspace(b) for b in ws] for ws in tuple_obstruction_stack(tuples, params)], p_values)
+    ws = tuple_obstruction_stack(tuples, params)
+    instances = bl_constant_lower_stack([ws[:, j] for j in range(ws.shape[1])], p_values)
     l, m, d, beta = params.l, params.m, params.d, params.beta
     rhs = [(l + 1) * (d - l) + beta - ((l + 1) * (d - m) + beta) * p for p in p_values]
     return [[BlBoundReport(inst, float(r), inst.best_value <= r + 1e-9,
@@ -1026,6 +1009,8 @@ def kakeya_rows(family: PlaneFamily, p_values, eps: float) -> list[KakeyaRow]:
     against delta^-(r(d-m)(1-1/p)+eps) times its total measure^(1/p).  For
     a non-empty family both sides are positive, so a side that overflows
     or rounds to 0 raises InvalidInputError."""
+    if not all(p > 0 for p in p_values):
+        raise InvalidInputError("exponents must be positive")
     params, delta = family.params, family.scale
     slab = SlabNeighborhood(family, delta)
     counter = overlap_counter(slab)

@@ -532,11 +532,19 @@ TUPLE_PINS = {
 }
 
 
+def _obstructions(tup, params):
+    return [Subspace(b) for b in kk.tuple_obstruction_stack([tup], params)[0]]
+
+
+def _lattice(ws):
+    return [Subspace(b) for b in kk.kernel_lattices([w.basis[None] for w in ws])[0]]
+
+
 @pytest.mark.parametrize("shape, seed", list(TUPLE_PINS))
 def test_transverse_tuple_and_its_obstructions_are_pinned(shape, seed):
     params = kk.FamilyParams(*shape, 1.0)
     tup = kk.random_transverse_tuple(params, rng_for(82, *shape, seed))
-    ws = kk.tuple_obstruction_subspaces(tup, params)
+    ws = _obstructions(tup, params)
     assert (_digest(tup.vectors), tup.volume.hex(),
             _digest(np.stack([w.basis for w in ws]))) == TUPLE_PINS[shape, seed]
 
@@ -639,8 +647,8 @@ def test_kernel_lattice_is_closed_and_distinct():
     for shape in [(0, 1, 2, 3), (0, 1, 3, 4)]:
         params = kk.FamilyParams(*shape, 1.0)
         tup = kk.random_transverse_tuple(params, rng_for(66, *shape))
-        ws = kk.tuple_obstruction_subspaces(tup, params)
-        lattice = kk.kernel_lattice(ws)
+        ws = _obstructions(tup, params)
+        lattice = _lattice(ws)
         ambient = ws[0].ambient_dim
         assert any(u.dim == 0 for u in lattice) and any(u.dim == ambient for u in lattice)
         for w in ws:
@@ -653,17 +661,16 @@ def test_kernel_lattice_is_closed_and_distinct():
     g = rng_for(66)
     generic = [random_subspace(g, 4, 2) for _ in range(3)]
     # pairwise sums are R^4 and pairwise intersections 0
-    assert len(kk.kernel_lattice(generic)) == 5
+    assert len(_lattice(generic)) == 5
 
 
 def test_kernel_lattice_cap(monkeypatch):
     params = kk.FamilyParams(0, 1, 3, 4, 1.0)
-    ws = kk.tuple_obstruction_subspaces(kk.random_transverse_tuple(params, rng_for(67)),
-                                        params)
-    assert len(kk.kernel_lattice(ws)) == 16
+    ws = _obstructions(kk.random_transverse_tuple(params, rng_for(67)), params)
+    assert len(_lattice(ws)) == 16
     monkeypatch.setattr(kk, "LATTICE_CAP", 15)
     with pytest.raises(ResourceCapError):
-        kk.kernel_lattice(ws)
+        _lattice(ws)
 
 
 def test_a_stack_reaches_the_cap_after_about_one_lattice(monkeypatch):
@@ -692,7 +699,7 @@ def test_bl_value_is_the_lattice_max_member_by_member():
     for trial in range(3):
         g = rng_for(79, trial)
         ws = [random_subspace(g, ambient, int(g.integers(1, ambient))) for _ in range(3)]
-        lattice = kk.kernel_lattice(ws)
+        lattice = _lattice(ws)
         for p in (1.0, 1.2, 2.5):
             inst = kk.bl_constant_lower(ws, p)
             values = [u.dim - (p / 3) * sum(kk.dim_projection(u, w) for w in ws)
@@ -713,7 +720,7 @@ def _bl_subspaces(data, kind):
                                            (0, 1, 3, 4), (0, 2, 3, 4)]))
         params = kk.FamilyParams(*shape, 1.0)
         tup = kk.random_transverse_tuple(params, rng_for(seed))
-        return kk.tuple_obstruction_subspaces(tup, params)
+        return _obstructions(tup, params)
     ambient = data.draw(st.integers(2, 6))
     if kind == "random":
         g = rng_for(seed)
@@ -737,7 +744,9 @@ def test_no_coordinate_or_random_subspace_beats_the_lattice(data, kind):
     others = [Subspace.spanned_by_axes(ambient, axes) for r in range(1, ambient)
               for axes in itertools.combinations(range(ambient), r)]
     others += [random_subspace(g, ambient, r) for r in range(1, ambient) for _ in range(12)]
-    assert kk._functional(others, inst.subspaces)(p).max() <= inst.best_value + 1e-12
+    values_at = kk._functionals([[u.basis for u in others]],
+                                [w.basis[None] for w in inst.subspaces])[0]
+    assert values_at(p).max() <= inst.best_value + 1e-12
 
 
 def test_verify_bl_bound_cross_check_catches_a_short_lattice(monkeypatch):
@@ -772,10 +781,11 @@ def test_verify_bl_bounds_equals_the_single_exponent_view(shape):
         for seed in (None, 74):
             def rng():
                 return None if seed is None else rng_for(seed, trial)
-            assert [fields(rep) for rep in kk.verify_bl_bounds(tup, params, p_values, rng())] \
+            assert [fields(rep) for rep in kk.verify_bl_stack([tup], params, p_values)[0]] \
                 == [fields(kk.verify_bl_bound(tup, params, p, rng())) for p in p_values]
-    ws = kk.tuple_obstruction_subspaces(tup, params)
-    assert [_instance_fields(inst) for inst in kk.bl_constant_lowers(ws, p_values)] \
+    ws = _obstructions(tup, params)
+    stacks = [w.basis[None] for w in ws]
+    assert [_instance_fields(inst) for inst in kk.bl_constant_lower_stack(stacks, p_values)[0]] \
         == [_instance_fields(kk.bl_constant_lower(ws, p)) for p in p_values]
 
 
@@ -786,9 +796,24 @@ def test_verify_bl_bounds_cross_checks_every_exponent(monkeypatch):
     # the random draws (best 5 - 4p) beat it at p = 1 but not at p = 1.2
     monkeypatch.setattr(kk, "kernel_lattices", lambda ws: [[
         Subspace.zero(ws[0].shape[1]).basis, Subspace(ws[0][0]).complement().basis[:, :1]]])
-    assert kk.verify_bl_bounds(tup, params, [1.2], rng_for(68))[0].ok
+    assert kk.verify_bl_bound(tup, params, 1.2, rng_for(68)).ok
     with pytest.raises(CertificateError):
-        kk.verify_bl_bounds(tup, params, [1.2, 1.0], rng_for(68))
+        kk.verify_bl_bound(tup, params, 1.0, rng_for(68))
+
+
+@pytest.mark.parametrize("shape", [(0, 1, 1, 2), (1, 2, 2, 4), (0, 1, 3, 4)])
+def test_the_cross_check_takes_its_draws_and_no_more(shape):
+    # criterion 6 hands verify_bl_bound a generator per check: the draws it
+    # takes are CROSS_CHECK_DRAWS subspaces of each proper dimension, no more
+    from grasskit.grassmann import random_subspaces
+    params = kk.FamilyParams(*shape, 1.0)
+    tup = kk.random_transverse_tuple(params, rng_for(93, *shape))
+    g, expected = rng_for(94, *shape), rng_for(94, *shape)
+    kk.verify_bl_bound(tup, params, 1.0, g)
+    ambient = (params.l + 1) * (params.n - params.l)
+    for r in range(1, ambient):
+        random_subspaces(expected, kk.CROSS_CHECK_DRAWS, ambient, r)
+    np.testing.assert_equal(g.bit_generator.state, expected.bit_generator.state)
 
 
 @pytest.mark.parametrize("shape", [(1, 2, 2, 4), (0, 1, 2, 3), (0, 2, 3, 4), (0, 1, 3, 4),
@@ -833,6 +858,20 @@ def test_stacked_ranks_follow_the_kernel_intersections(shape):
 def test_bl_invalid_exponent():
     with pytest.raises(InvalidInputError):
         kk.bl_constant_lower([Subspace.full(2)], 3.5)
+
+
+def test_mixed_ambient_dimensions_are_rejected():
+    pair = [Subspace.spanned_by_axes(2, [0]), Subspace.spanned_by_axes(3, [1])]
+    with pytest.raises(InvalidInputError, match="ambient dimension mismatch"):
+        kk.bl_constant_lower(pair, 1.5)
+    with pytest.raises(InvalidInputError, match="ambient dimension mismatch"):
+        kk.dim_projection(*pair)
+
+
+def test_verify_bl_stack_rejects_no_tuples():
+    params = kk.FamilyParams(1, 2, 2, 4, 1.0)
+    with pytest.raises(InvalidInputError, match="at least one tuple"):
+        kk.verify_bl_stack([], params, [1.0])
 
 
 def test_verify_bl_bound_p1_equals_k():
@@ -894,6 +933,16 @@ def test_lp_norm_tiling_count_one():
     fam = vertical_family(params, delta, positions)
     val = kk.lp_counting_norm(fam, 2.0)
     assert val == pytest.approx(2.0, rel=0.25)  # (2^2)^(1/2)
+
+
+def test_nonpositive_exponents_are_rejected():
+    params = kk.FamilyParams(0, 1, 1, 2, 1.0)
+    fam = kk.generate_sharp_example(params, 2.0 ** -4)
+    for p in (0.0, -1.0):
+        with pytest.raises(InvalidInputError, match="positive"):
+            kk.lp_counting_norm(fam, p)
+        with pytest.raises(InvalidInputError, match="positive"):
+            kk.verify_kakeya_inequality([fam], p, 0.1)
 
 
 def test_kakeya_sweep_single_member():
