@@ -255,18 +255,22 @@ def _kakeya_unit(arg: tuple) -> dict:
 
 
 def _bl_unit(arg: tuple) -> dict:
-    """Tuples start..stop-1, each drawn from its own generator and verified
-    together as one stack."""
+    """Tuples start..stop-1, each drawn from its own generator, classified
+    as one stack and verified as one stack; each stage is timed."""
     params, (start, stop), seed, p_values, K = arg
-    tuples = [kakeya.random_transverse_tuple(params, rng_for(seed, 90, i), K=K)
-              for i in range(start, stop)]
+    started = time.perf_counter()
+    tuples = kakeya.random_transverse_tuples(
+        params, [rng_for(seed, 90, i) for i in range(start, stop)], K)
+    drawn = time.perf_counter()
+    reports = kakeya.verify_bl_stack(tuples, params, p_values)
+    verified = time.perf_counter()
     rows = [{"tuple": i, "p": p, "lower": rep.instance.best_value,
              "rhs": rep.rhs, "ok": rep.ok, "volume": tup.volume,
              "threshold": tup.threshold}
-            for i, tup, reports in zip(range(start, stop), tuples,
-                                       kakeya.verify_bl_stack(tuples, params, p_values))
-            for p, rep in zip(p_values, reports)]
-    return {"tuple": start, "rows": rows}
+            for i, tup, reps in zip(range(start, stop), tuples, reports)
+            for p, rep in zip(p_values, reps)]
+    return {"tuple": start, "rows": rows, "draw_seconds": drawn - started,
+            "verify_seconds": verified - drawn}
 
 
 def _bl_blocks(n_tuples: int, workers: int) -> list[tuple[int, int]]:
@@ -337,6 +341,8 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
         blocks = _run_units(_bl_unit, units, cfg.workers)
         blocks.sort(key=lambda b: b["tuple"])
         records = [row for b in blocks for row in b["rows"]]
+        timing["draw_seconds"] = sum(b["draw_seconds"] for b in blocks)
+        timing["verify_seconds"] = sum(b["verify_seconds"] for b in blocks)
         violations = [r for r in records if not r["ok"]]
         passed = not violations
         summary = {"tuples": n_tuples, "p_values": p_values,

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import linalg
+from . import grassmann, linalg
 from .affine import ChartMPlane, ChartPoint, chart_offsets, embed_tilde_stack
 from .discretize import (CELL_CAP, SlabNeighborhood, GridCounter, box_count,
                          build_direction_net, cells_per_axis, min_pairwise_distance,
@@ -407,8 +407,8 @@ class BushDirections:
     members: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        if len(check_bases(self.bases)) != len(self.members):
-            raise InvalidInputError("need one member tuple per direction")
+        if len(check_bases(self.bases)) != len(self.members) or not all(self.members):
+            raise InvalidInputError("need one non-empty member tuple per direction")
         object.__setattr__(self, "bases", linalg.frozen(self.bases))
 
     @property
@@ -518,121 +518,147 @@ class Broad:
     kind = "broad"
 
 
-def _select_balls(bush: BushDirections, constants: ClassifierConstants, n: int):
-    """Significant, comparable-count, separated ball selection.
-
-    Balls are centered on bush directions (greedy cover at radius K^-n),
-    filtered at the significance fraction K^(-n^4), grouped in dyadic count
-    classes (the largest class wins), then thinned to 100 K^-n separation.
-    Returns (index into ``bush.bases``, member indices) per chosen ball.
-    """
+def _select_balls(bases: list[np.ndarray], members: list, constants: ClassifierConstants,
+                  n: int) -> list[list[int]]:
+    """Indices of the chosen ball centers of each bush ``bases[t]`` (B_t, q, r)
+    with member tuples ``members[t]``: a greedy cover at radius K^-n, the
+    significance fraction K^(-n^4), the largest dyadic count class, then
+    thinning to 100 K^-n separation.  All pair distances come from one
+    :func:`distances` call and are read as Python lists."""
     radius = constants.ball_radius(n)
-    total = bush.total()
-    try:
-        significance = total * math.exp(-(float(n) ** 4) * math.log(constants.K))
-    except OverflowError:
-        significance = 0.0
-    order = sorted(range(len(bush.members)), key=lambda i: (-len(bush.members[i]), i))
-    dirs = bush.bases
-    dist = distances(np.repeat(dirs, len(dirs), axis=0),  # dist[i, j]: from i to j
-                     np.tile(dirs, (len(dirs), 1, 1))).reshape(len(dirs), -1)
-    centers: list[tuple[int, list[int]]] = []
-    assigned = set()
-    for i in order:
-        if i in assigned:
-            continue
-        members = list(bush.members[i])
-        assigned.add(i)
-        for j in order:
-            if j in assigned:
-                continue
-            if dist[i, j] <= radius:
-                members.extend(bush.members[j])
-                assigned.add(j)
-        centers.append((i, members))
-    centers = [(c, ms) for c, ms in centers if len(ms) >= significance]
-    classes: dict[int, list[tuple[int, list[int]]]] = {}
-    for c, ms in centers:
-        classes.setdefault(int(math.floor(math.log2(len(ms)))), []).append((c, ms))
-    best_class = max(classes, key=lambda k: (sum(len(ms) for _, ms in classes[k]), k))
-    chosen = []
-    for c, ms in sorted(classes[best_class], key=lambda e: -len(e[1])):
-        if all(dist[c, c2] > 100.0 * radius for c2, _ in chosen):
-            chosen.append((c, ms))
+    fraction = math.exp(-(float(n) ** 4) * math.log(constants.K))
+    flat = distances(np.concatenate([np.repeat(b, len(b), axis=0) for b in bases]),
+                     np.concatenate([np.tile(b, (len(b), 1, 1)) for b in bases])).tolist()
+    chosen, offset = [], 0
+    for b, ms in zip(bases, members):
+        size = len(b)
+        dist = [flat[i:i + size] for i in range(offset, offset + size * size, size)]
+        offset += size * size
+        # each center takes every later direction within the radius
+        left, centers = sorted(range(size), key=lambda i: (-len(ms[i]), i)), []
+        while left:
+            i, row, rest = left[0], dist[left[0]], left[1:]
+            left = [j for j in rest if not row[j] <= radius]
+            centers.append((i, sum(len(ms[j]) for j in rest if row[j] <= radius) + len(ms[i])))
+        significance = sum(map(len, ms)) * fraction
+        classes: dict[int, list[tuple[int, int]]] = {}
+        for c, count in centers:
+            if count >= significance:
+                classes.setdefault(int(math.floor(math.log2(count))), []).append((c, count))
+        best = max(classes, key=lambda k: (sum(count for _, count in classes[k]), k))
+        kept: list[int] = []
+        for c, _ in sorted(classes[best], key=lambda e: -e[1]):
+            if all(dist[c][c2] > 100.0 * radius for c2 in kept):
+                kept.append(c)
+        chosen.append(kept)
     return chosen
+
+
+def _classify_bushes(bases: list[np.ndarray], members: list, params: FamilyParams,
+                     constants: ClassifierConstants) -> list[Narrow | Broad]:
+    """Classify the bushes ``bases[t]`` (B_t, q, r) with member tuples
+    ``members[t]``, in step.
+
+    The greedy certificate construction starts from the heaviest ball's
+    orthonormal basis and keeps adding a unit vector from some ball at
+    maximal distance from the span so far.  Completing d-l+1 vectors
+    certifies a transverse tuple (Broad); getting stuck means every ball
+    direction hugs the current span, whose extension to a (d-l)-plane is a
+    Narrow witness covering all selected balls.  The open bushes have
+    equally many vectors, so a step takes their spans from one
+    ``orthonormalize_stack``, every selected ball's residual from one pair of
+    products and their singular values from one LAPACK call; the winning
+    ball's vector comes from the canonical ``linalg.svd``.  No bush's result
+    depends on the others.  (A vector within ``RANK_TOL`` of its span, ruled
+    out by the step threshold at any feasible K, stays a zero column.)
+    """
+    q, threshold = params.n - params.l, constants.step_threshold(params)
+    selected = [b[c] for b, c in zip(bases, _select_balls(bases, members, constants, params.n))]
+    out: list = [None] * len(selected)
+    vectors, balls = [list(s[0].T) for s in selected], [[0] for _ in selected]
+    active = list(range(len(selected)))
+    while active and len(vectors[active[0]]) <= params.d - params.l:
+        spans = linalg.orthonormalize_stack(np.stack([np.column_stack(vectors[t])
+                                                      for t in active]))[0]
+        sizes = [len(selected[t]) for t in active]
+        stack = np.concatenate([selected[t] for t in active])
+        span = spans[np.repeat(np.arange(len(active)), sizes)]
+        resid = stack - span @ (np.swapaxes(span, 1, 2) @ stack)
+        sigma = np.linalg.svd(resid)[1]
+        top, ends = sigma[:, 0].copy(), np.cumsum(sizes)
+        if sigma.shape[1] > 1:
+            # where the top two round equal, linalg.svd's canonical order may
+            # put the other first: that matters only at its bush's maximum
+            rounded = np.round(sigma[:, :2], 12)
+            peak = np.repeat(np.maximum.reduceat(rounded[:, 0], ends - sizes), sizes)
+            for i in np.flatnonzero((rounded[:, 0] == rounded[:, 1]) & (rounded[:, 0] == peak)):
+                top[i] = linalg.svd(resid[i]).singular_values[0]
+        for a, (t, start, size) in enumerate(zip(active, (ends - sizes).tolist(), sizes)):
+            win = start + int(np.argmax(top[start:start + size]))  # the first maximum
+            if top[win] < threshold:
+                pad = linalg.orthonormal_completion(spans[a], q)[:, :params.d - params.l]
+                dist = project_stack(selected[t], np.broadcast_to(pad, (size,) + pad.shape))[1]
+                out[t] = Narrow(Subspace(pad), float(np.mean(dist <= constants.c1 / constants.K)))
+                continue
+            vec = stack[win] @ linalg.svd(resid[win]).right[:, 0]
+            vectors[t].append(vec / np.linalg.norm(vec))
+            balls[t].append(win - start)
+        active = [t for t in active if out[t] is None]
+    for t in active:
+        frame = np.column_stack(vectors[t])
+        tup = TransverseTuple(linalg.frozen(selected[t][balls[t]]),
+                              constants.ball_radius(params.n),
+                              linalg.frozen(frame), linalg.gram_volume(frame),
+                              constants.c_prime * constants.K ** (-params.n), constants.K)
+        if not tup.certified():
+            # the per-step threshold guarantees this cannot happen
+            raise CertificateError("greedy certificate below the volume target")
+        out[t] = Broad(tup)
+    return out
 
 
 def broad_narrow_classify(bush: BushDirections, params: FamilyParams,
                           K: int | None = None) -> Narrow | Broad:
-    """Classify a direction bush.
-
-    The greedy certificate construction runs first: starting from the
-    heaviest ball's orthonormal basis it keeps adding a unit vector from
-    some ball at maximal distance from the span so far.  Completing
-    d-l+1 vectors certifies a transverse tuple (Broad); getting stuck
-    means every ball direction hugs the current span, whose extension to a
-    (d-l)-plane is a Narrow witness covering all selected balls.
-    """
+    """Classify a direction bush: :func:`_classify_bushes` of a stack of one."""
     if not bush.members:
         raise InvalidInputError("empty bush")
     constants = ClassifierConstants.for_params(params, K)
-    q = params.n - params.l
-    bases = bush.bases[[c for c, _ in _select_balls(bush, constants, params.n)]]
-    threshold = constants.step_threshold(params)
+    return _classify_bushes([bush.bases], [bush.members], params, constants)[0]
 
-    vectors = list(bases[0].T)
-    balls = [0]
-    target = params.d - params.l + 1
-    while len(vectors) < target:
-        if vectors:
-            span = linalg.orthonormalize(np.column_stack(vectors)).matrix
-        else:
-            span = np.zeros((q, 0))
-        # one LAPACK call over the stack of residuals gives each ball the
-        # singular values linalg.svd would; where the top two round equal,
-        # linalg.svd's canonical order may put the other one first, which
-        # matters only to a ball whose rounded top reaches the rounded maximum
-        resid = bases - span @ (span.T @ bases)
-        sigma = np.linalg.svd(resid)[1]
-        top = sigma[:, 0].copy()
-        if sigma.shape[1] > 1:
-            rounded = np.round(sigma[:, :2], 12)
-            tied = (rounded[:, 0] == rounded[:, 1]) & (rounded[:, 0] == rounded[:, 0].max())
-            for i in np.flatnonzero(tied):
-                top[i] = linalg.svd(resid[i]).singular_values[0]
-        win = int(np.argmax(top))  # the first maximum, as a loop with > keeps
-        if top[win] < threshold:
-            padded = linalg.orthonormal_completion(span, q)[:, :params.d - params.l]
-            dist = project_stack(bases, np.broadcast_to(padded, (len(bases),) + padded.shape))[1]
-            return Narrow(Subspace(padded), float(np.mean(dist <= constants.c1 / constants.K)))
-        vec = bases[win] @ linalg.svd(resid[win]).right[:, 0]
-        vectors.append(vec / np.linalg.norm(vec))
-        balls.append(win)
 
-    volume = linalg.gram_volume(np.column_stack(vectors))
-    vol_target = constants.c_prime * constants.K ** (-params.n)
-    tup = TransverseTuple(linalg.frozen(bases[balls]), constants.ball_radius(params.n),
-                          linalg.frozen(np.column_stack(vectors)), volume,
-                          vol_target, constants.K)
-    if not tup.certified():
-        # the per-step threshold guarantees this cannot happen
-        raise CertificateError("greedy certificate below the volume target")
-    return Broad(tup)
+def random_transverse_tuples(params: FamilyParams, rngs: list,
+                             K: int | None) -> list[TransverseTuple]:
+    """One certified tuple per generator, from random bushes of 4(d-l+2)
+    directions drawn from it until one classifies Broad (at most 64).  Each
+    round orthonormalizes every open tuple's bush in one stack and classifies
+    them as one stack, so each tuple comes out as it would alone."""
+    q, r = params.n - params.l, params.m - params.l
+    members = tuple((i,) for i in range(4 * (params.d - params.l + 2)))
+    constants = ClassifierConstants.for_params(params, K)
+    out, pending = [None] * len(rngs), list(range(len(rngs)))
+    for _ in range(64):
+        if not pending:
+            break
+        raw = np.stack([rngs[t].standard_normal((len(members), q, r)) for t in pending])
+        basis, keep = linalg.orthonormalize_stack(raw.reshape((-1, q, r)))
+        basis = basis.reshape(raw.shape)
+        # a rank-deficient row is redrawn from its generator, as random_subspaces would
+        for i in np.flatnonzero(~keep.reshape(len(raw), -1).all(axis=1)):
+            basis[i] = grassmann.orthonormal_draws(rngs[pending[i]], raw[i])
+        for t, res in zip(pending, _classify_bushes(list(basis),
+                                                    [members] * len(pending), params, constants)):
+            if isinstance(res, Broad):
+                out[t] = res.tuple
+        pending = [t for t in pending if out[t] is None]
+    if pending:
+        raise InvalidInputError("could not draw a broad bush (parameters too tight)")
+    return out
 
 
 def random_transverse_tuple(params: FamilyParams, rng: np.random.Generator,
                             K: int | None = None) -> TransverseTuple:
-    """Certified tuple from classifying a random bush of 4(d-l+2)
-    directions."""
-    q, r = params.n - params.l, params.m - params.l
-    count = 4 * (params.d - params.l + 2)
-    members = tuple((i,) for i in range(count))
-    for _ in range(64):
-        bush = BushDirections(random_subspaces(rng, count, q, r), members)
-        result = broad_narrow_classify(bush, params, K=K)
-        if isinstance(result, Broad):
-            return result.tuple
-    raise InvalidInputError("could not draw a broad bush (parameters too tight)")
+    """:func:`random_transverse_tuples` of one generator."""
+    return random_transverse_tuples(params, [rng], K)[0]
 
 
 # -------------------------------------------------- counting functionals
@@ -925,6 +951,9 @@ def verify_bl_stack(tuples, params: FamilyParams, p_values) -> list[list[BlBound
     """
     if not tuples:
         raise InvalidInputError("need at least one tuple")
+    shape = (params.d - params.m + 2, params.n - params.l, params.m - params.l)
+    if any(tup.centers.shape != shape for tup in tuples):
+        raise InvalidInputError(f"tuple centers must have shape {shape} for these parameters")
     if not all(tup.certified() for tup in tuples):
         raise InvalidInputError("tuple is not certified transverse")
     if params.beta > params.l + 1:

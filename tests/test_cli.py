@@ -494,6 +494,49 @@ def test_bl_audit_builds_each_tuple_functional_once(monkeypatch):
     assert stacked["kernel_lattices"] == [2, 2, 1]
 
 
+def test_bl_audit_classifies_each_unit_as_one_stack(monkeypatch):
+    # one stacked draw and classification per unit ([2, 2, 1] tuples), never
+    # a tuple or a bush on its own
+    from grasskit import kakeya as kk
+    calls = {"random_transverse_tuples": [], "_classify_bushes": []}
+    draw, classify = kk.random_transverse_tuples, kk._classify_bushes
+
+    def draw_counted(params, rngs, K):
+        calls["random_transverse_tuples"].append(len(rngs))
+        return draw(params, rngs, K)
+
+    def classify_counted(bases, members, params, constants):
+        calls["_classify_bushes"].append(len(bases))
+        return classify(bases, members, params, constants)
+
+    def alone(*args, **kwargs):
+        raise AssertionError("a tuple was drawn or classified on its own")
+
+    monkeypatch.setattr(kk, "random_transverse_tuples", draw_counted)
+    monkeypatch.setattr(kk, "_classify_bushes", classify_counted)
+    monkeypatch.setattr(kk, "random_transverse_tuple", alone)
+    monkeypatch.setattr(kk, "broad_narrow_classify", alone)
+    monkeypatch.setattr(cli, "BL_BLOCK_TUPLES", 2)
+    cfg = {"experiment": "bl-audit", "seed": 3, "workers": 1,
+           "params": {"l": 1, "m": 2, "d": 2, "n": 4, "beta": 1.0},
+           "constants": {"tuples": 5}}
+    report = cli.run_experiment(cli.parse_config(cfg))
+    assert len(report["records"]) == 10 and report["passed"]
+    assert calls == {"random_transverse_tuples": [2, 2, 1], "_classify_bushes": [2, 2, 1]}
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_bl_audit_times_the_draws_and_the_checks(workers):
+    cfg = bl_audit_config(workers=workers, constants={"tuples": 5})
+    report = cli.run_experiment(cli.parse_config(cfg))
+    timing = report["timing"]
+    assert timing["draw_seconds"] > 0 and timing["verify_seconds"] > 0
+    if workers == 1:
+        assert timing["draw_seconds"] + timing["verify_seconds"] <= timing["total_seconds"]
+    serial = cli.run_experiment(cli.parse_config(bl_audit_config(constants={"tuples": 5})))
+    assert report["records"] == serial["records"]
+
+
 def test_bl_audit_K_below_feasible_exit_2(tmp_path, capsys):
     # K=2 used to pass validate, then the tuple draw gave up with a traceback
     cfg = {"experiment": "bl-audit",

@@ -376,7 +376,8 @@ def test_bushes_share_one_direction_net(monkeypatch):
 @pytest.mark.parametrize("bases, members", [
     (np.ones((2, 2, 1)), ((0,), (1,))),        # columns that are not unit vectors
     (np.eye(2)[None, :, :1], ((0,), (1,))),     # more member tuples than bases
-], ids=["not-orthonormal", "count-mismatch"])
+    (np.eye(3)[None, :, :1], ((),)),            # a direction without members
+], ids=["not-orthonormal", "count-mismatch", "empty-member"])
 def test_bush_rejects_bases_it_cannot_hold(bases, members):
     with pytest.raises(InvalidInputError):
         kk.BushDirections(bases, members)
@@ -429,15 +430,15 @@ def reference_greedy(bush, params):
     canonical ``linalg.svd`` per ball per step: the vectors of a Broad
     outcome, or the span at which it got stuck."""
     constants = kk.ClassifierConstants.for_params(params)
-    selected = [(Subspace(bush.bases[c]), ms) for c, ms in
-                kk._select_balls(bush, constants, params.n)]
+    selected = [Subspace(bush.bases[c]) for c in
+                kk._select_balls([bush.bases], [bush.members], constants, params.n)[0]]
     threshold = constants.step_threshold(params)
-    first = selected[0][0]
+    first = selected[0]
     vectors = [first.basis[:, i] for i in range(first.dim)]
     while len(vectors) < params.d - params.l + 1:
         span = linalg.orthonormalize(np.column_stack(vectors)).matrix
         best = (-1.0, None)
-        for center, _ in selected:
+        for center in selected:
             resid = center.basis - span @ (span.T @ center.basis)
             dec = linalg.svd(resid)
             if dec.singular_values[0] > best[0]:
@@ -447,6 +448,26 @@ def reference_greedy(bush, params):
             return "narrow", span
         vectors.append(best[1])
     return "broad", np.column_stack(vectors)
+
+
+def reference_tuple(params, g):
+    """A transverse tuple drawn one bush at a time, each bush classified by
+    reference_greedy: the witness vectors of the first Broad bush, and the
+    selected ball count of every bush drawn."""
+    from grasskit.grassmann import random_subspaces
+    q, r = params.n - params.l, params.m - params.l
+    count = 4 * (params.d - params.l + 2)
+    constants = kk.ClassifierConstants.for_params(params)
+    selections = []
+    for _ in range(64):
+        bush = kk.BushDirections(random_subspaces(g, count, q, r),
+                                 tuple((i,) for i in range(count)))
+        selections.append(len(kk._select_balls([bush.bases], [bush.members],
+                                               constants, params.n)[0]))
+        kind, frame = reference_greedy(bush, params)
+        if kind == "broad":
+            return frame, selections
+    raise AssertionError("no broad bush in 64 draws")
 
 
 def isoclinic_bush(g):
@@ -490,6 +511,117 @@ def test_classifier_step_matches_the_per_ball_loop():
             width = frame.shape[1]
             assert np.array_equal(res.witness.basis[:, :width], frame)
     assert kinds == {"narrow", "broad"}
+
+
+def _tuple_fields(tup):
+    return tup.vectors.tobytes(), tup.centers.tobytes(), tup.volume.hex(), tup.threshold, tup.K
+
+
+@pytest.mark.parametrize("shape", [(0, 1, 1, 2), (1, 2, 2, 3), (0, 1, 5, 6), (1, 2, 2, 4),
+                                   (0, 2, 3, 4)])
+def test_stacked_tuples_equal_tuples_drawn_one_at_a_time(shape):
+    # (0,1,1,2) and (1,2,2,3) select different ball counts across the
+    # stack's bushes; at (0,1,5,6) about one tuple in nine needs a second bush
+    params = kk.FamilyParams(*shape, 1.0)
+    rngs = [rng_for(96, *shape, i) for i in range(40)]
+    selections = []
+    for i, (tup, g) in enumerate(zip(kk.random_transverse_tuples(params, rngs, None), rngs)):
+        alone = kk.random_transverse_tuple(params, rng_for(96, *shape, i))
+        assert _tuple_fields(tup) == _tuple_fields(alone)
+        ref = rng_for(96, *shape, i)
+        frame, counts = reference_tuple(params, ref)
+        assert np.array_equal(tup.vectors, frame) and tup.volume == linalg.gram_volume(frame)
+        # the same generator calls: each bush drawn once, redraws included
+        assert np.array_equal(g.standard_normal(8), ref.standard_normal(8))
+        selections.append(counts)
+    if shape in [(0, 1, 1, 2), (1, 2, 2, 3)]:
+        assert len({counts[0] for counts in selections}) > 1
+    if shape == (0, 1, 5, 6):
+        assert any(len(counts) > 1 for counts in selections)
+
+
+class _ZeroFirstRow:
+    """A generator whose first draw has a zero (rank-deficient) first row."""
+
+    def __init__(self, seed):
+        self.g, self.first = rng_for(97, seed), True
+
+    def standard_normal(self, shape):
+        out = self.g.standard_normal(shape)
+        if self.first:
+            out[0], self.first = 0.0, False
+        return out
+
+
+def test_a_rank_deficient_draw_is_redrawn_from_its_own_generator():
+    params = kk.FamilyParams(0, 1, 2, 3, 1.0)
+    rngs = [_ZeroFirstRow(i) if i % 2 else rng_for(97, i) for i in range(5)]
+    for i, tup in enumerate(kk.random_transverse_tuples(params, rngs, None)):
+        ref = _ZeroFirstRow(i) if i % 2 else rng_for(97, i)
+        assert np.array_equal(tup.vectors, reference_tuple(params, ref)[0])
+        alone = kk.random_transverse_tuple(params, _ZeroFirstRow(i) if i % 2 else rng_for(97, i))
+        assert _tuple_fields(tup) == _tuple_fields(alone)
+
+
+def _sharp_bushes(params, k, seed, anchors):
+    fam = kk.generate_sharp_example(params, 2.0 ** -k)
+    g = rng_for(seed, k)
+    bushes = []
+    for _ in range(anchors):
+        i = int(g.integers(len(fam)))
+        coords = np.clip(fam.offsets[i] + g.uniform(-fam.scale, fam.scale, fam.offsets[i].shape),
+                         -1, 1)
+        bushes.append(kk.bush_directions(ChartPoint(coords), fam))
+    return [b for b in bushes if b.members]
+
+
+def _stack_of_bushes(shape):
+    """Bushes of one shape and several sizes, Broad and Narrow: random ones,
+    planar ones (inside one (d-l)-plane), multi-member sharp-family ones at
+    (0,1,2,3) and tied isoclinic ones at (0,2,3,4)."""
+    from grasskit.grassmann import random_subspaces
+    params = kk.FamilyParams(*shape, 1.0)
+    q, r = shape[3] - shape[0], shape[1] - shape[0]
+    if shape == (0, 1, 2, 3):
+        bushes = _sharp_bushes(params, 3, 98, 8) + _sharp_bushes(params, 4, 98, 8)
+    else:
+        bushes = [isoclinic_bush(rng_for(72, trial)) for trial in range(12)]
+    for trial in range(10):
+        g = rng_for(99, *shape, trial)
+        count = int(g.integers(2, 4 * (shape[2] - shape[0] + 2) + 1))
+        bases = random_subspaces(g, count, q, r)
+        if trial % 3 == 0:
+            bases = np.stack([linalg.orthonormalize(np.eye(q)[:, :shape[2] - shape[0]] @ b).matrix
+                              for b in g.standard_normal((count, shape[2] - shape[0], r))])
+        bushes.append(kk.BushDirections(bases, tuple((i,) for i in range(count))))
+    return params, bushes
+
+
+def _result_fields(res):
+    if res.kind == "broad":
+        return ("broad",) + _tuple_fields(res.tuple)
+    return "narrow", res.witness.basis.tobytes(), res.covered_fraction.hex()
+
+
+@pytest.mark.parametrize("shape", [(0, 1, 2, 3), (0, 2, 3, 4)])
+def test_a_stack_of_bushes_classifies_as_each_bush_alone(shape):
+    params, bushes = _stack_of_bushes(shape)
+    constants = kk.ClassifierConstants.for_params(params)
+    stacked = kk._classify_bushes([b.bases for b in bushes], [b.members for b in bushes],
+                                  params, constants)
+    assert [_result_fields(res) for res in stacked] == \
+        [_result_fields(kk.broad_narrow_classify(b, params)) for b in bushes]
+    for bush, res in zip(bushes, stacked):
+        kind, frame = reference_greedy(bush, params)
+        assert res.kind == kind
+        if kind == "broad":
+            assert np.array_equal(res.tuple.vectors, frame)
+        else:
+            assert np.array_equal(res.witness.basis[:, :frame.shape[1]], frame)
+    assert {res.kind for res in stacked} == {"broad", "narrow"}
+    assert len({len(b.members) for b in bushes}) > 2
+    if shape == (0, 1, 2, 3):
+        assert any(max(b.counts) > 1 for b in bushes)
 
 
 def test_tuple_generation_all_parameter_sets():
@@ -866,6 +998,17 @@ def test_mixed_ambient_dimensions_are_rejected():
         kk.bl_constant_lower(pair, 1.5)
     with pytest.raises(InvalidInputError, match="ambient dimension mismatch"):
         kk.dim_projection(*pair)
+
+
+def test_verify_bl_stack_rejects_tuples_of_another_shape():
+    # a (1,2,2,4) tuple used to be scored against the (0,1,2,3) ceiling, and
+    # tuples of two shapes ended in numpy's reshape ValueError
+    small, big = kk.FamilyParams(0, 1, 2, 3, 1.0), kk.FamilyParams(1, 2, 2, 4, 1.0)
+    tup, other = kk.random_transverse_tuple(big, rng_for(67)), \
+        kk.random_transverse_tuple(small, rng_for(67))
+    for tuples, params in [([tup], small), ([tup, other], big), ([other, tup], small)]:
+        with pytest.raises(InvalidInputError, match="shape"):
+            kk.verify_bl_stack(tuples, params, [1.0])
 
 
 def test_verify_bl_stack_rejects_no_tuples():
