@@ -24,13 +24,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import grassmann, linalg
+from . import linalg
 from .affine import ChartMPlane, ChartPoint, chart_offsets, embed_tilde_stack
 from .discretize import (CELL_CAP, SlabNeighborhood, GridCounter, box_count,
                          build_direction_net, cells_per_axis, min_pairwise_distance,
                          occupancy_mask, spacing_report, SpacingReport)
 from .errors import CertificateError, InvalidInputError, ResourceCapError
-from .grassmann import Subspace, check_bases, distances, project_stack, random_subspaces
+from .grassmann import (Subspace, check_bases, distances, orthonormal_draws, project_stack,
+                        random_subspaces)
 
 
 # ---------------------------------------------------------------- params
@@ -557,17 +558,15 @@ def _select_balls(bases: list[np.ndarray], members: list, constants: ClassifierC
 def _classify_bushes(bases: list[np.ndarray], members: list, params: FamilyParams,
                      constants: ClassifierConstants) -> list[Narrow | Broad]:
     """Classify the bushes ``bases[t]`` (B_t, q, r) with member tuples
-    ``members[t]``, in step.
-
-    The greedy certificate construction starts from the heaviest ball's
-    orthonormal basis and keeps adding a unit vector from some ball at
-    maximal distance from the span so far.  Completing d-l+1 vectors
-    certifies a transverse tuple (Broad); getting stuck means every ball
-    direction hugs the current span, whose extension to a (d-l)-plane is a
-    Narrow witness covering all selected balls.  The open bushes have
-    equally many vectors, so a step takes their spans from one
-    ``orthonormalize_stack``, every selected ball's residual from one pair of
-    products and their singular values from one LAPACK call; the winning
+    ``members[t]`` in step.  The greedy certificate construction starts from
+    the heaviest ball's orthonormal basis and keeps adding a unit vector
+    from some ball at maximal distance from the span so far.  Completing
+    d-l+1 vectors certifies a transverse tuple (Broad); getting stuck means
+    every ball direction hugs the current span, whose extension to a
+    (d-l)-plane is a Narrow witness covering all selected balls.  The open
+    bushes have equally many vectors, so a step takes their spans from one
+    ``orthonormalize_stack``, every selected ball's residual from one pair
+    of products and their singular values from one LAPACK call; the winning
     ball's vector comes from the canonical ``linalg.svd``.  No bush's result
     depends on the others.  (A vector within ``RANK_TOL`` of its span, ruled
     out by the step threshold at any feasible K, stays a zero column.)
@@ -644,7 +643,7 @@ def random_transverse_tuples(params: FamilyParams, rngs: list,
         basis = basis.reshape(raw.shape)
         # a rank-deficient row is redrawn from its generator, as random_subspaces would
         for i in np.flatnonzero(~keep.reshape(len(raw), -1).all(axis=1)):
-            basis[i] = grassmann.orthonormal_draws(rngs[pending[i]], raw[i])
+            basis[i] = orthonormal_draws(rngs[pending[i]], raw[i])
         for t, res in zip(pending, _classify_bushes(list(basis),
                                                     [members] * len(pending), params, constants)):
             if isinstance(res, Broad):
