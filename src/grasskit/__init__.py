@@ -4,8 +4,8 @@ counting experiments.
 Modules:
 
 * ``linalg``     - small dense SVD (LAPACK, canonical signs and order),
-                   ranks, orthonormalization, Gram volumes, subspace
-                   intersection;
+                   ranks, orthonormalization, Gram volumes, the stacked
+                   subspace sum and intersection kernel;
 * ``grassmann``  - principal angles, distances, geodesics and projection
                    onto a sub-Grassmannian over (N, q, k) stacks of bases;
 * ``affine``     - affine planes, the local chart, incidence, the product

@@ -82,19 +82,6 @@ class AffinePlane:
         object.__setattr__(plane, "offset", linalg.frozen(offset))
         return plane
 
-    @classmethod
-    def through_points(cls, points) -> "AffinePlane":
-        """Affine span of a point list (first point is the anchor)."""
-        pts = [np.asarray(p, dtype=float).ravel() for p in points]
-        if not pts:
-            raise InvalidInputError("need at least one point")
-        diffs = [p - pts[0] for p in pts[1:]]
-        if diffs:
-            direction = Subspace.from_vectors(diffs)
-        else:
-            direction = Subspace.zero(len(pts[0]))
-        return cls(direction, pts[0])
-
     @property
     def ambient_dim(self) -> int:
         return self.direction.ambient_dim
@@ -107,14 +94,8 @@ class AffinePlane:
         x = np.asarray(x, dtype=float).reshape(1, -1)
         return float(point_distances(self.direction.basis[None], self.offset[None], x)[0])
 
-    def contains_point(self, x, tol: float = 1e-9) -> bool:
-        return self.point_distance(x) <= tol
-
-    def parallel_to(self, other: "AffinePlane", tol: float = 1e-9) -> bool:
-        return self.direction.same(other.direction, tol)
-
     def same(self, other: "AffinePlane", tol: float = 1e-9) -> bool:
-        return (self.parallel_to(other, tol)
+        return (self.direction.same(other.direction, tol)
                 and float(np.linalg.norm(self.offset - other.offset)) <= tol)
 
 
@@ -383,9 +364,6 @@ class ChartMPlane:
         section direction inside the slice."""
         full = linalg.orthonormal_completion(self.direction.basis, self.slice_dim)
         return full[:, self.direction.dim:]
-
-    def parallel_to(self, other: "ChartMPlane", tol: float = 1e-9) -> bool:
-        return self.direction.same(other.direction, tol)
 
 
 def incidences(bases: np.ndarray, offsets: np.ndarray, coords: np.ndarray,

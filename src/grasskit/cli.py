@@ -43,7 +43,6 @@ MAX_AMBIENT = 64      # params.n; the sharp example lists its n - d base axes
 DEFAULT_CONSTANTS = {
     "eps": 0.1,
     "K": None,            # broad-narrow scale; None = feasible default
-    "rangeofp_k": "m",    # symbol reading in the exponent-range formula
     "ratio_bound": 10.0,
     "growth_bound": 2.0,
     "tuples": 100,
@@ -159,8 +158,6 @@ def parse_config(data: dict, overrides: dict | None = None) -> ExperimentConfig:
     if unknown:
         raise ConfigError(f"unknown constants: {sorted(unknown)}")
     constants.update(extra)
-    if constants["rangeofp_k"] not in ("m", "l"):
-        raise ConfigError("rangeofp_k must be 'm' or 'l'")
     _check_constants(constants)
 
     deltas = _numbers(data, "deltas")
@@ -232,8 +229,7 @@ def _p_list(cfg: ExperimentConfig) -> list[float]:
     if cfg.p_values:
         return cfg.p_values
     par = cfg.params
-    k_value = par.m if cfg.constants["rangeofp_k"] == "m" else par.l
-    p_max = admissible_p_max(par.l, par.m, par.d, par.beta, k_value)
+    p_max = admissible_p_max(par.l, par.m, par.d, par.beta)
     if cfg.experiment == "bl-audit":
         return [1.0, p_max]
     return [1.0, p_max / 2.0 + 0.5, p_max]

@@ -62,10 +62,9 @@ class Subspace:
         object.__setattr__(self, "basis", linalg.frozen(b))
 
     @classmethod
-    def from_vectors(cls, vectors, tol: float = linalg.RANK_TOL) -> "Subspace":
+    def from_vectors(cls, vectors) -> "Subspace":
         """Span of arbitrary vectors (dependent inputs are dropped)."""
-        res = linalg.orthonormalize(vectors, tol)
-        return cls(res.matrix)
+        return cls(linalg.orthonormalize(vectors).matrix)
 
     @classmethod
     def spanned_by_axes(cls, ambient: int, axes) -> "Subspace":
@@ -93,9 +92,6 @@ class Subspace:
     def projector(self) -> np.ndarray:
         return self.basis @ self.basis.T
 
-    def project(self, x: np.ndarray) -> np.ndarray:
-        return linalg.project_columns(self.basis, np.asarray(x, dtype=float))
-
     def complement(self) -> "Subspace":
         full = linalg.orthonormal_completion(self.basis, self.ambient_dim)
         return Subspace(full[:, self.dim:])
@@ -106,17 +102,17 @@ class Subspace:
     def same(self, other: "Subspace", tol: float = EQUALITY_TOL) -> bool:
         return bool(same_stack(self.basis[None], other.basis[None], tol)[0])
 
-    def intersect(self, other: "Subspace", tol: float = linalg.RANK_TOL) -> "Subspace":
-        """Largest subspace contained in both operands."""
-        if self.ambient_dim != other.ambient_dim:
-            raise InvalidInputError("ambient dimension mismatch")
-        return Subspace(linalg.intersect_bases(self.basis, other.basis, tol))
+    def intersect(self, other: "Subspace") -> "Subspace":
+        """Largest subspace contained in both operands:
+        :func:`linalg.sums_and_meets` of one pair."""
+        _, meets = linalg.sums_and_meets([(self.basis, other.basis)])
+        return Subspace(meets[0][0])
 
     def sum(self, other: "Subspace") -> "Subspace":
-        stacked = np.hstack([self.basis, other.basis])
-        if stacked.shape[1] == 0:
-            return Subspace.zero(self.ambient_dim)
-        return Subspace.from_vectors(stacked)
+        """Smallest subspace containing both operands:
+        :func:`linalg.sums_and_meets` of one pair."""
+        sums, _ = linalg.sums_and_meets([(self.basis, other.basis)])
+        return Subspace(sums[0][0])
 
 
 def orthonormal_draws(rng: np.random.Generator, raw: np.ndarray) -> np.ndarray:
@@ -295,7 +291,7 @@ class GrassmannProjection:
     unique: bool
 
 
-def project_stack(v: np.ndarray, pi: np.ndarray, tol: float = linalg.RANK_TOL):
+def project_stack(v: np.ndarray, pi: np.ndarray):
     """Closest l-subspaces of the planes ``pi`` (N, q, m) to the bases ``v``
     (N, q, l), l <= m: returns their bases (N, q, l), the distances (N,)
     and the ``unique`` flags (N,).
@@ -310,20 +306,19 @@ def project_stack(v: np.ndarray, pi: np.ndarray, tol: float = linalg.RANK_TOL):
     angles, _, right = aligned_angles(v, pi, equal_dims=False)
     pi = np.asarray(pi, dtype=float)
     unique = np.max(angles, axis=1, initial=0.0) < np.pi / 2.0 - 1e-12
-    w, keep = linalg.orthonormalize_stack(right, tol)
+    w, keep = linalg.orthonormalize_stack(right)
     short = ~keep.all(axis=1)
     if short.any():
         # degenerate alignment; pad inside pi away from the found columns
         padded, kept = linalg.orthonormalize_stack(
-            np.concatenate([w[short], pi[short]], axis=2), tol)
+            np.concatenate([w[short], pi[short]], axis=2))
         first = np.argsort(~kept, axis=1, kind="stable")[:, :l]
         w[short] = np.take_along_axis(padded, first[:, None, :], 2)
         unique &= ~short
     return w, np.sqrt(np.vecdot(angles, angles)), unique
 
 
-def project_to_sub_grassmannian(v: Subspace, pi: Subspace,
-                                tol: float = linalg.RANK_TOL) -> GrassmannProjection:
+def project_to_sub_grassmannian(v: Subspace, pi: Subspace) -> GrassmannProjection:
     """Closest l-subspace of ``pi`` to ``v`` (dim v = l <= dim pi)."""
-    w, dist, unique = project_stack(v.basis[None], pi.basis[None], tol)
+    w, dist, unique = project_stack(v.basis[None], pi.basis[None])
     return GrassmannProjection(Subspace(w[0]), float(dist[0]), bool(unique[0]))

@@ -57,11 +57,6 @@ class FamilyParams:
         return (self.m + 1) * (self.d - self.m) + self.beta
 
     @property
-    def embedded_plane_dim(self) -> int:
-        """k = (m-l)(l+1), the dimension of an embedded product plane."""
-        return (self.m - self.l) * (self.l + 1)
-
-    @property
     def union_dimension_target(self) -> float:
         return (self.l + 1) * (self.d - self.l) + min(self.l + 1, self.beta)
 
@@ -69,25 +64,25 @@ class FamilyParams:
         return {"l": self.l, "m": self.m, "d": self.d, "n": self.n, "beta": self.beta}
 
 
-def admissible_p_max(l: int, m: int, d: int, beta: float,
-                     k_value: int | None = None) -> float:
+def admissible_p_max(l: int, m: int, d: int, beta: float) -> float:
     """Upper end of the exponent range for the counting inequality.
 
-    The three terms are (d-k+beta+1)/(d-k+beta), (d+beta)/(d+beta-1/(d-m+2))
-    and d-m+2, with k read as m by default.  When d-k+beta = 0 (beta = 0 at
-    d = m) the first ratio degenerates; beta is then replaced by l+1 in that
-    ratio, the same substitution the dimension argument uses to avoid
-    beta = 0.  The result is always > 1.
+    The three terms are (d-m+beta+1)/(d-m+beta), (d+beta)/(d+beta-1/(d-m+2))
+    and d-m+2.  When d-m+beta = 0 (beta = 0 at d = m) the first ratio
+    degenerates; beta is then replaced by l+1 in that ratio, the same
+    substitution the dimension argument uses to avoid beta = 0.  The result
+    is always > 1.  Reading the first ratio's m as l gives the same minimum:
+    for l < m, d >= 1, and either reading keeps that ratio at or above the
+    second.
     """
     if not 0 <= l <= m <= d:
         raise InvalidInputError("need 0 <= l <= m <= d")
     if not 0.0 <= beta <= m + 1:
         raise InvalidInputError("need beta in [0, m+1]")
-    k = m if k_value is None else int(k_value)
     t3 = float(d - m + 2)
-    denom1 = d - k + beta
+    denom1 = d - m + beta
     if denom1 <= 1e-12:
-        denom1 = d - k + (l + 1.0)
+        denom1 = d - m + (l + 1.0)
     t1 = (denom1 + 1.0) / denom1 if denom1 > 0 else math.inf
     denom2 = d + beta - 1.0 / t3
     t2 = (d + beta) / denom2 if denom2 > 0 else math.inf
@@ -451,6 +446,9 @@ class ClassifierConstants:
 
     @classmethod
     def for_params(cls, params: FamilyParams, K: int | None = None) -> "ClassifierConstants":
+        if params.l == params.m:
+            # the m-planes are the l-planes: zero-dimensional directions
+            raise InvalidInputError("the classifier needs l < m")
         n = params.n
         c_tilde = 10.0 * n
         c_prime = 10.0 * c_tilde ** (params.d - params.l + 1)
@@ -616,12 +614,11 @@ def _classify_bushes(bases: list[np.ndarray], members: list, params: FamilyParam
     return out
 
 
-def broad_narrow_classify(bush: BushDirections, params: FamilyParams,
-                          K: int | None = None) -> Narrow | Broad:
+def broad_narrow_classify(bush: BushDirections, params: FamilyParams) -> Narrow | Broad:
     """Classify a direction bush: :func:`_classify_bushes` of a stack of one."""
     if not bush.members:
         raise InvalidInputError("empty bush")
-    constants = ClassifierConstants.for_params(params, K)
+    constants = ClassifierConstants.for_params(params)
     return _classify_bushes([bush.bases], [bush.members], params, constants)[0]
 
 
@@ -654,10 +651,9 @@ def random_transverse_tuples(params: FamilyParams, rngs: list,
     return out
 
 
-def random_transverse_tuple(params: FamilyParams, rng: np.random.Generator,
-                            K: int | None = None) -> TransverseTuple:
+def random_transverse_tuple(params: FamilyParams, rng: np.random.Generator) -> TransverseTuple:
     """:func:`random_transverse_tuples` of one generator."""
-    return random_transverse_tuples(params, [rng], K)[0]
+    return random_transverse_tuples(params, [rng], None)[0]
 
 
 # -------------------------------------------------- counting functionals
@@ -704,43 +700,6 @@ LATTICE_TOL = 1e-9  # projector entries closer than this are equal
 CROSS_CHECK_DRAWS = 12  # random subspaces per proper dimension in verify_bl_bound
 
 
-def _kept(basis: np.ndarray, keep: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Per matrix of an ``orthonormalize_stack`` result: its kept columns
-    and its projector (dropped columns are zero and add nothing to it)."""
-    proj = basis @ np.swapaxes(basis, 1, 2)
-    return [(b[:, k], p) for b, k, p in zip(basis, keep, proj)]
-
-
-def _sums_and_meets(pairs: list[tuple[np.ndarray, np.ndarray]]):
-    """Bases and projectors of span(u) + span(w) and span(u) ∩ span(w) for
-    every pair of bases (u, w): one stacked Gram-Schmidt of [u | w] per
-    width, and one stacked SVD of [u | -w] per pair shape, whose null
-    vectors (x, y) give u x = w y, a vector in both spans."""
-    sums, meets = [None] * len(pairs), [None] * len(pairs)
-    widths: dict[int, list[int]] = {}
-    shapes: dict[tuple[int, int], list[int]] = {}
-    for i, (u, w) in enumerate(pairs):
-        widths.setdefault(u.shape[1] + w.shape[1], []).append(i)
-        shapes.setdefault((u.shape[1], w.shape[1]), []).append(i)
-    for idx in widths.values():
-        both = np.stack([np.concatenate(pairs[i], axis=1) for i in idx])
-        for i, out in zip(idx, _kept(*linalg.orthonormalize_stack(both))):
-            sums[i] = out
-    for (a, b), idx in shapes.items():
-        u = np.stack([pairs[i][0] for i in idx])
-        _, sigma, vt = np.linalg.svd(np.concatenate(
-            [u, -np.stack([pairs[i][1] for i in idx])], axis=2))
-        rank = linalg.ranks(sigma)
-        low = int(rank.min())
-        # the u-part of the null vectors, rows low.. of vt; a pair of higher
-        # rank zeroes its leading columns, which Gram-Schmidt then drops
-        null = np.swapaxes(vt[:, low:, :a], 1, 2)
-        null = np.where(np.arange(a + b - low) < (rank - low)[:, None, None], 0.0, null)
-        for i, out in zip(idx, _kept(*linalg.orthonormalize_stack(u @ null))):
-            meets[i] = out
-    return sums, meets
-
-
 def kernel_lattices(ws: list[np.ndarray]) -> list[list[np.ndarray]]:
     """The closure of {0, R^N, K_1..K_J} (K_j = W_j-perp) under sum and
     intersection for each of T tuples, with ``ws`` the J stacks (T, N, w_j)
@@ -753,7 +712,7 @@ def kernel_lattices(ws: list[np.ndarray]) -> list[list[np.ndarray]]:
     intersection, a ascending; members are told apart by their projectors
     P.  The walk runs in step over the tuples: step b tests every tuple
     that has a member b at once, and builds all their pairs' sums and
-    intersections in one :func:`_sums_and_meets`.  A lattice that outgrows
+    intersections in one :func:`linalg.sums_and_meets`.  A lattice that outgrows
     ``DEDEKIND_MEMBERS``, the most three kernels span, may be infinite, so
     the first tuple then walks on alone to its end: an infinite lattice
     stops the walk after the work of one lattice rather than of the whole
@@ -796,7 +755,7 @@ def kernel_lattices(ws: list[np.ndarray]) -> list[list[np.ndarray]]:
         comparable = same(prods, earlier) | same(prods, pb)
         pairs = [(t, a) for t, row in zip(active, comparable.tolist())
                  for a, c in enumerate(row) if not c]
-        sums, meets = _sums_and_meets([(lattices[t][a], lattices[t][b]) for t, a in pairs])
+        sums, meets = linalg.sums_and_meets([(lattices[t][a], lattices[t][b]) for t, a in pairs])
         for (t, _), s, m in zip(pairs, sums, meets):
             add(t, *s)
             add(t, *m)

@@ -62,9 +62,6 @@ class SvdResult:
         d[:k, :k] = np.diag(self.singular_values)
         return self.left @ d @ self.right.T
 
-    def rank(self, tol: float = RANK_TOL) -> int:
-        return int(ranks(self.singular_values, tol))
-
 
 def svd(a) -> SvdResult:
     """Full SVD of an arbitrary small dense matrix (LAPACK), canonicalized.
@@ -98,14 +95,14 @@ def svd(a) -> SvdResult:
     return SvdResult(frozen(left), frozen(sigma), frozen(right))
 
 
-def ranks(sigma: np.ndarray, tol: float = RANK_TOL) -> np.ndarray:
+def ranks(sigma: np.ndarray) -> np.ndarray:
     """Numerical ranks from singular values along the last axis (sorted
-    non-increasing): the count above ``tol`` times the largest, 0 when the
-    largest is 0.  Works on one matrix's values or on a batch."""
+    non-increasing): the count above ``RANK_TOL`` times the largest, 0 when
+    the largest is 0.  Works on one matrix's values or on a batch."""
     s = np.asarray(sigma, dtype=float)
     if s.shape[-1] == 0:
         return np.zeros(s.shape[:-1], dtype=int)
-    return np.sum(s > tol * s[..., :1], axis=-1)
+    return np.sum(s > RANK_TOL * s[..., :1], axis=-1)
 
 
 def singular_values(a) -> np.ndarray:
@@ -115,8 +112,8 @@ def singular_values(a) -> np.ndarray:
     return np.linalg.svd(m, compute_uv=False)
 
 
-def rank_of(a, tol: float = RANK_TOL) -> int:
-    return int(ranks(singular_values(a), tol))
+def rank_of(a) -> int:
+    return int(ranks(singular_values(a)))
 
 
 def orthonormal_completion(q: np.ndarray, ambient: int | None = None) -> np.ndarray:
@@ -134,12 +131,12 @@ def orthonormal_completion(q: np.ndarray, ambient: int | None = None) -> np.ndar
     return full
 
 
-def orthonormalize_stack(m: np.ndarray, tol: float = RANK_TOL) -> tuple[np.ndarray, np.ndarray]:
+def orthonormalize_stack(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Modified Gram-Schmidt with a second re-orthogonalization pass over a
     stack ``m`` of (ambient, k) column matrices, shape (N, ambient, k).
 
     Returns the bases (N, ambient, k) and a keep mask (N, k).  A column at
-    or below ``tol`` times the largest input column norm of its matrix
+    or below ``RANK_TOL`` times the largest input column norm of its matrix
     after projection is dropped and left zero; a zero column projects
     nothing away from the later ones.
     """
@@ -147,7 +144,7 @@ def orthonormalize_stack(m: np.ndarray, tol: float = RANK_TOL) -> tuple[np.ndarr
     n, ambient, k = m.shape
     cols = np.zeros((n, k, ambient))
     keep = np.zeros((n, k), dtype=bool)
-    floor = tol * np.sqrt((m * m).sum(axis=1).max(axis=1, initial=0.0))
+    floor = RANK_TOL * np.sqrt((m * m).sum(axis=1).max(axis=1, initial=0.0))
     for i in range(k):
         # np.vecdot takes the same BLAS dot as ``u @ v`` on 1-d vectors, so
         # one matrix gets the same bits alone and inside a stack
@@ -174,7 +171,7 @@ class OrthonormalizeResult:
     dropped: tuple[int, ...]
 
 
-def orthonormalize(vectors, tol: float = RANK_TOL) -> OrthonormalizeResult:
+def orthonormalize(vectors) -> OrthonormalizeResult:
     """``orthonormalize_stack`` of one (ambient, k) matrix, or of a sequence of
     same-length vectors as its columns, with the dropped columns removed."""
     if not (isinstance(vectors, np.ndarray) and vectors.ndim == 2):
@@ -185,7 +182,7 @@ def orthonormalize(vectors, tol: float = RANK_TOL) -> OrthonormalizeResult:
     m = as_matrix(vectors)
     if m.shape[1] == 0:
         raise InvalidInputError("orthonormalize needs at least one vector")
-    basis, keep = orthonormalize_stack(m[None], tol)
+    basis, keep = orthonormalize_stack(m[None])
     dropped = tuple(np.flatnonzero(~keep[0]).tolist())
     kept = basis[0][:, keep[0]] if dropped else basis[0]
     return OrthonormalizeResult(frozen(kept), kept.shape[1], dropped)
@@ -209,14 +206,6 @@ def gram_volume(vectors) -> float:
     return float(np.prod(singular_values(m)[:j]))
 
 
-def nullspace(a, tol: float = RANK_TOL) -> np.ndarray:
-    """Orthonormal basis (cols) of the kernel of ``a``."""
-    m = as_matrix(a)
-    dec = svd(m)
-    r = dec.rank(tol)
-    return frozen(dec.right[:, r:])
-
-
 def project_columns(basis: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Orthogonal projection of vector(s) onto the column span of ``basis``."""
     if basis.shape[1] == 0:
@@ -232,20 +221,43 @@ def containment_residual(outer: np.ndarray, inner: np.ndarray) -> float:
     return float(np.max(np.abs(r)))
 
 
-def intersect_bases(u: np.ndarray, w: np.ndarray, tol: float = RANK_TOL) -> np.ndarray:
-    """Orthonormal basis of span(u) ∩ span(w); bases share an ambient dim.
+def _kept(basis: np.ndarray, keep: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Per matrix of an ``orthonormalize_stack`` result: its kept columns
+    and its projector (dropped columns are zero and add nothing to it)."""
+    proj = basis @ np.swapaxes(basis, 1, 2)
+    return [(b[:, k], p) for b, k, p in zip(basis, keep, proj)]
 
-    A null vector (x, y) of [u | -w] encodes u x = w y, i.e. a vector in
-    both spans; the intersection dimension equals
-    dim u + dim w - rank [u | w].
-    """
-    if u.shape[0] != w.shape[0]:
+
+def sums_and_meets(pairs: list[tuple[np.ndarray, np.ndarray]]):
+    """The sums span(u) + span(w) and the intersections span(u) ∩ span(w)
+    of the pairs of orthonormal bases (u, w) of one ambient dimension: two
+    lists with one (orthonormal basis, projector) per pair.  Sums take one
+    stacked Gram-Schmidt of [u | w] per width; intersections take one
+    stacked SVD of [u | -w] per pair shape, whose null vectors (x, y) give
+    u x = w y, a vector in both spans.  No pair's result depends on the
+    others."""
+    if len({b.shape[0] for pair in pairs for b in pair}) > 1:
         raise InvalidInputError("ambient dimension mismatch")
-    a, b = u.shape[1], w.shape[1]
-    if a == 0 or b == 0:
-        return frozen(np.zeros((u.shape[0], 0)))
-    ker = nullspace(np.hstack([u, -w]), tol)
-    if ker.shape[1] == 0:
-        return frozen(np.zeros((u.shape[0], 0)))
-    vecs = u @ ker[:a, :]
-    return orthonormalize(vecs, tol).matrix
+    sums, meets = [None] * len(pairs), [None] * len(pairs)
+    widths: dict[int, list[int]] = {}
+    shapes: dict[tuple[int, int], list[int]] = {}
+    for i, (u, w) in enumerate(pairs):
+        widths.setdefault(u.shape[1] + w.shape[1], []).append(i)
+        shapes.setdefault((u.shape[1], w.shape[1]), []).append(i)
+    for idx in widths.values():
+        both = np.stack([np.concatenate(pairs[i], axis=1) for i in idx])
+        for i, out in zip(idx, _kept(*orthonormalize_stack(both))):
+            sums[i] = out
+    for (a, _), idx in shapes.items():
+        u = np.stack([pairs[i][0] for i in idx])
+        _, sigma, vt = np.linalg.svd(np.concatenate(
+            [u, -np.stack([pairs[i][1] for i in idx])], axis=2))
+        rank = ranks(sigma)
+        # the u-part of the null vectors, rows rank.. of vt, one product per
+        # rank, so that no pair's product takes another shape in a stack
+        for r in sorted(set(rank.tolist())):  # np.unique would import numpy.ma
+            sel = np.flatnonzero(rank == r)
+            null = np.swapaxes(vt[sel, r:, :a], 1, 2)
+            for k, out in zip(sel.tolist(), _kept(*orthonormalize_stack(u[sel] @ null))):
+                meets[idx[k]] = out
+    return sums, meets

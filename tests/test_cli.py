@@ -402,14 +402,45 @@ def test_bl_audit_p_outside_admissible_range_exit_2(tmp_path, capsys):
     assert json.loads(out)["error"] == "config"
 
 
-@pytest.mark.parametrize("name", ["C1", "c_tilde", "c_prime"])
-def test_unwired_constants_are_unknown(tmp_path, capsys, name):
-    cfg = base_config(constants={name: 1.0})
+# rangeofp_k chose a reading of the exponent range that never changed p_max
+@pytest.mark.parametrize("name, value", [("C1", 1.0), ("c_tilde", 1.0), ("c_prime", 1.0),
+                                         ("rangeofp_k", "m")],
+                         ids=["C1", "c_tilde", "c_prime", "rangeofp_k"])
+def test_unwired_constants_are_unknown(tmp_path, capsys, name, value):
+    cfg = base_config(constants={name: value})
     code, out = _main_exit(tmp_path, capsys, cfg, "validate")
     assert code == 2
     err = json.loads(out)
     assert err["error"] == "config" and "unknown constants" in err["message"]
     assert name not in cli.DEFAULT_CONSTANTS
+
+
+SMALL_SWEEP = base_config(experiment="kakeya-sweep", deltas=[0.25, 0.125])
+# per constant: a small run of an experiment that reads it, and a value other
+# than its default (the bounds are set below the sweep's ratios and growths)
+KNOB_RUNS = {
+    "eps": (SMALL_SWEEP, 0.2),
+    "K": (bl_audit_config(), 256),
+    "ratio_bound": (SMALL_SWEEP, 0.5),
+    "growth_bound": (SMALL_SWEEP, 0.5),
+    "tuples": (bl_audit_config(constants={}), 3),
+    "slope_tol": (base_config(), 0.01),
+    "suite_scale": ({"experiment": "geometry-selftest"}, 0.5),
+}
+
+
+@pytest.mark.parametrize("name", sorted(cli.DEFAULT_CONSTANTS))
+def test_every_echoed_constant_takes_effect(name):
+    cfg, value = KNOB_RUNS[name]  # a constant without a run fails here
+    other = copy.deepcopy(cfg)
+    other["constants"] = {**cfg.get("constants", {}), name: value}
+    assert name not in cfg.get("constants", {}) and value != cli.DEFAULT_CONSTANTS[name]
+    reports = []
+    for c in (cfg, other):
+        report = strip_timing(cli.run_experiment(cli.parse_config(c)))
+        report.pop("config")
+        reports.append(json.dumps(report, sort_keys=True))
+    assert reports[0] != reports[1]
 
 
 def test_bl_audit_reports_min_slack(tmp_path):

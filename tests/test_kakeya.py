@@ -385,6 +385,20 @@ def test_bush_rejects_bases_it_cannot_hold(bases, members):
 
 # ---------------------------------------------------------- broad/narrow
 
+@pytest.mark.parametrize("call", [
+    lambda g: kk.broad_narrow_classify(kk.BushDirections(np.zeros((3, 2, 0)), ((0,), (1,), (2,))),
+                                       kk.FamilyParams(1, 1, 2, 3, 1.0)),
+    lambda g: kk.random_transverse_tuple(kk.FamilyParams(1, 1, 2, 3, 1.0), g),
+    lambda g: kk.random_transverse_tuples(kk.FamilyParams(0, 0, 2, 3, 1.0), [g], None),
+], ids=["classify", "one-tuple", "tuples"])
+def test_the_classifier_rejects_zero_dimensional_directions(call):
+    # with m = l these ended in a bare numpy ValueError; now nothing is drawn
+    g = rng_for(69)
+    with pytest.raises(InvalidInputError, match="l < m"):
+        call(g)
+    assert g.standard_normal() == rng_for(69).standard_normal()
+
+
 def test_classify_planar_bush_is_narrow():
     params = kk.FamilyParams(0, 1, 2, 3, 1.0)
     inside = Subspace(np.eye(3)[:, :2])
@@ -813,8 +827,8 @@ def test_a_stack_reaches_the_cap_after_about_one_lattice(monkeypatch):
     tuples = [kk.random_transverse_tuple(params, rng_for(95, i)) for i in range(5)]
     ws = kk.tuple_obstruction_stack(tuples, params)
     monkeypatch.setattr(kk, "LATTICE_CAP", 64)
-    pairs, meet = [], kk._sums_and_meets
-    monkeypatch.setattr(kk, "_sums_and_meets", lambda p: pairs.append(len(p)) or meet(p))
+    pairs, meet = [], linalg.sums_and_meets
+    monkeypatch.setattr(linalg, "sums_and_meets", lambda p: pairs.append(len(p)) or meet(p))
     walked = []
     for count in (1, 5):
         pairs.clear()
@@ -1022,8 +1036,8 @@ def test_verify_bl_bound_p1_equals_k():
     params = kk.FamilyParams(1, 2, 2, 4, 1.0)
     tup = kk.random_transverse_tuple(params, rng_for(67))
     rep = kk.verify_bl_bound(tup, params, 1.0, rng_for(68))
-    assert rep.rhs == pytest.approx(params.embedded_plane_dim)
-    assert rep.instance.best_value == pytest.approx(params.embedded_plane_dim)
+    assert rep.rhs == pytest.approx((params.m - params.l) * (params.l + 1))
+    assert rep.instance.best_value == pytest.approx((params.m - params.l) * (params.l + 1))
     assert rep.ok
 
 

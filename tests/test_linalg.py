@@ -52,7 +52,7 @@ def test_svd_reconstruction_and_orthogonality(shape):
 def test_svd_rank_deficient_reconstruction():
     a = np.array([[1.0, 2.0, 3.0], [2.0, 4.0, 6.0], [0.5, 1.0, 1.5]])
     res = linalg.svd(a)
-    assert res.rank() == 1
+    assert linalg.ranks(res.singular_values) == 1
     assert np.max(np.abs(res.reconstruct() - a)) <= 1e-10
 
 
@@ -117,7 +117,7 @@ def test_rank_of_matches_numpy_on_rank_deficient_batch():
         a = g.standard_normal((r, k)) @ g.standard_normal((k, c))
         a *= 10.0 ** int(g.integers(-8, 9))   # the tolerance is relative
         assert linalg.rank_of(a) == np.linalg.matrix_rank(a)
-        assert linalg.svd(a).rank() == np.linalg.matrix_rank(a)
+        assert linalg.ranks(linalg.svd(a).singular_values) == np.linalg.matrix_rank(a)
 
 
 # ------------------------------------------------------ orthonormalize
@@ -184,12 +184,16 @@ def test_gram_volume_orthogonal_invariance():
         assert linalg.gram_volume(q @ vecs) == pytest.approx(vol, abs=1e-9)
 
 
-# ----------------------------------------------------------- intersect
+# --------------------------------------------------- sum and intersection
+
+def meet(u, w):
+    return linalg.sums_and_meets([(u, w)])[1][0][0]
+
 
 def test_intersect_coordinate_planes():
     u = np.eye(3)[:, :2]           # span{e1, e2}
     w = np.eye(3)[:, 1:]           # span{e2, e3}
-    res = linalg.intersect_bases(u, w)
+    res = meet(u, w)
     assert res.shape[1] == 1
     assert abs(abs(res[1, 0]) - 1.0) <= 1e-12
 
@@ -197,7 +201,7 @@ def test_intersect_coordinate_planes():
 def test_intersect_idempotence():
     g = rng_for(19)
     u = linalg.orthonormalize(g.standard_normal((5, 3))).matrix
-    res = linalg.intersect_bases(u, u)
+    res = meet(u, u)
     assert res.shape[1] == 3
     assert linalg.containment_residual(u, res) <= 1e-9
 
@@ -209,10 +213,58 @@ def test_intersect_matches_rank_nullity():
         u = linalg.orthonormalize(g.standard_normal((5, 3))).matrix
         w = linalg.orthonormalize(g.standard_normal((5, 3))).matrix
         expected = 3 + 3 - np.linalg.matrix_rank(np.hstack([u, w]), tol=1e-10)
-        res = linalg.intersect_bases(u, w)
+        res = meet(u, w)
         assert res.shape[1] == expected
         assert linalg.containment_residual(u, res) <= 1e-9
         assert linalg.containment_residual(w, res) <= 1e-9
+
+
+def _mixed_pairs():
+    """Pairs of orthonormal bases of R^5: zero-dimensional, full, nested,
+    equal and generic, several of each shape so that pairs share a stack."""
+    g = rng_for(24)
+
+    def basis(*columns):
+        return linalg.orthonormalize(np.column_stack(columns)).matrix
+
+    zero, full, pairs = np.zeros((5, 0)), np.eye(5), []
+    for dim in (1, 2, 3):
+        a = basis(*g.standard_normal((dim, 5)))
+        turned = a @ basis(*g.standard_normal((dim, dim)))  # the same subspace
+        bigger = basis(*a.T, g.standard_normal(5))
+        pairs += [(zero, a), (a, zero), (full, a), (a, a), (a, turned), (a, bigger), (bigger, a)]
+        pairs += [(basis(*g.standard_normal((dim, 5))), basis(*g.standard_normal((w, 5))))
+                  for w in (1, 2, 3, 4) for _ in range(2)]
+    return pairs + [(zero, zero), (full, full)]
+
+
+def test_sums_and_meets_of_a_mixed_stack():
+    pairs = _mixed_pairs()
+    sums, meets = linalg.sums_and_meets(pairs)
+    for (u, w), (s, ps), (m, pm) in zip(pairs, sums, meets):
+        # each pair as it would come out alone, byte for byte
+        (alone_s, alone_ps), = linalg.sums_and_meets([(u, w)])[0]
+        (alone_m, alone_pm), = linalg.sums_and_meets([(u, w)])[1]
+        for a, b in [(s, alone_s), (ps, alone_ps), (m, alone_m), (pm, alone_pm)]:
+            assert a.shape == b.shape and a.tobytes() == b.tobytes()
+        # rank-nullity: dim(U+W) + dim(U∩W) = dim U + dim W
+        joint = np.linalg.matrix_rank(np.hstack([u, w]), tol=1e-10) if u.size + w.size else 0
+        assert s.shape[1] == joint
+        assert s.shape[1] + m.shape[1] == u.shape[1] + w.shape[1]
+        assert np.allclose(s.T @ s, np.eye(s.shape[1]), atol=1e-12)
+        assert np.allclose(m.T @ m, np.eye(m.shape[1]), atol=1e-12)
+        assert np.allclose(ps, s @ s.T) and np.allclose(pm, m @ m.T)
+        for sub in (u, w):
+            assert linalg.containment_residual(sub, m) <= 1e-9
+            assert linalg.containment_residual(s, sub) <= 1e-9
+    dims = {(u.shape[1], w.shape[1], m.shape[1]) for (u, w), (m, _) in zip(pairs, meets)}
+    assert {(0, 0, 0), (5, 5, 5), (3, 3, 3), (2, 3, 0), (3, 4, 2), (4, 3, 3)} <= dims
+
+
+def test_sums_and_meets_reject_mixed_ambients():
+    with pytest.raises(InvalidInputError, match="ambient dimension mismatch"):
+        linalg.sums_and_meets([(np.eye(3)[:, :1], np.eye(3)[:, 1:]),
+                               (np.eye(2)[:, :1], np.eye(3)[:, :1])])
 
 
 def test_orthonormalize_stack_matches_single_calls_with_dropped_columns():

@@ -8,7 +8,7 @@ from grasskit import sampling, selftest
 from grasskit.affine import AffinePlane, ChartMPlane, ChartPoint, affine_offsets
 from grasskit.errors import InvalidInputError
 from grasskit.grassmann import random_subspace, random_subspaces
-from grasskit.linalg import orthonormalize_stack
+from grasskit.linalg import orthonormalize_stack, project_columns
 from grasskit.sampling import random_chart_m_plane, random_point_on, rng_for
 
 
@@ -167,7 +167,7 @@ def reference_chart_m_plane(g, l, m, n, offset_scale=0.6, tries=None):
             tries.append(1)
         w = random_subspace(g, n - l, m - l)
         raw = g.uniform(-offset_scale, offset_scale, size=(l + 1, n - l))
-        o = raw - (w.project(raw.T)).T
+        o = raw - project_columns(w.basis, raw.T).T
         if np.max(np.abs(o)) <= 1.0:
             return ChartMPlane(w, o)
 

@@ -1,13 +1,17 @@
 """Every function, method and class the package defines is named somewhere
-else: in the package, the tests, the benchmark scripts or the README; and
-every field of a package dataclass is read somewhere in that code.
+else: in the package, the tests, the benchmark scripts or the README; every
+field of a package dataclass is read somewhere in that code; and every
+parameter with a default is passed by some call in that code or in a python
+block of the README.
 
 No linter ships with the toolchain, so this stands in for a dead-code
 check: a definition that nothing names is either unused or undocumented.
 A name counts where the code names it (a name, an attribute, an import or a
 word of a string that is not a docstring) and anywhere in the README.  A
 field counts as read where the code loads it as an attribute or names it in
-a string that is not a docstring (the keys of ``asdict`` records).
+a string that is not a docstring (the keys of ``asdict`` records).  A
+defaulted parameter that no call passes is an option nobody sets, so its
+default is the only value it can take.
 """
 
 import ast
@@ -17,6 +21,7 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
+README_BLOCKS = re.findall(r"^```python\n(.*?)^```", (ROOT / "README.md").read_text(), re.M | re.S)
 WORD = re.compile(r"[A-Za-z_]\w*")
 DEFINITIONS = (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
 
@@ -82,6 +87,58 @@ def unread(package: list[str], others: list[str]) -> list[str]:
                   if f.split(".")[1] not in used)
 
 
+def defaulted(tree: ast.AST) -> list[tuple[str, str, str, int | None]]:
+    """(qualified name, name, parameter, position) of every parameter with a
+    default; the position counts the arguments a call passes before it, not
+    ``self`` or ``cls``, and is None for a keyword-only parameter."""
+    out = []
+
+    def visit(node: ast.AST, prefix: str, in_class: bool) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                visit(child, f"{prefix}{child.name}.", True)
+                continue
+            if not isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, prefix, in_class)
+                continue
+            a, name = child.args, child.name
+            bound = in_class and not any(getattr(d, "id", None) == "staticmethod"
+                                         for d in child.decorator_list)
+            params = a.posonlyargs + a.args
+            first = len(params) - len(a.defaults)
+            out.extend((prefix + name, name, p.arg, i - bound)
+                       for i, p in enumerate(params[first:], first))
+            out.extend((prefix + name, name, p.arg, None)
+                       for p, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None)
+            visit(child, f"{prefix}{name}.", False)
+
+    visit(tree, "", False)
+    return out
+
+
+def passes(call: ast.Call, param: str, position: int | None) -> bool:
+    """Whether ``call`` passes the parameter: by keyword, by ``**``, or by
+    position, where a ``*`` argument passes every position."""
+    if any(k.arg in (None, param) for k in call.keywords):
+        return True
+    return position is not None and (len(call.args) > position or any(
+        isinstance(arg, ast.Starred) for arg in call.args))
+
+
+def unset(package: list[str], others: list[str]) -> list[str]:
+    """``function(parameter)`` for every defaulted parameter of the
+    ``package`` sources that no call of a function of that name passes,
+    sorted."""
+    trees = [ast.parse(source) for source in package + others]
+    calls: dict[str, list[ast.Call]] = {}
+    for node in (n for tree in trees for n in ast.walk(tree) if isinstance(n, ast.Call)):
+        calls.setdefault(getattr(node.func, "id", getattr(node.func, "attr", None)),
+                         []).append(node)
+    return sorted(f"{qualified}({param})" for tree in trees[:len(package)]
+                  for qualified, name, param, position in defaulted(tree)
+                  if not any(passes(c, param, position) for c in calls.get(name, [])))
+
+
 def sources() -> tuple[list[str], list[str]]:
     package = [p.read_text() for p in sorted((ROOT / "src" / "grasskit").glob("*.py"))]
     others = [p.read_text() for pattern in ("tests/*.py", "perfbench/*.py")
@@ -95,6 +152,11 @@ def test_every_package_definition_is_named_elsewhere():
 
 def test_every_dataclass_field_is_read():
     assert unread(*sources()) == []
+
+
+def test_every_defaulted_parameter_is_passed():
+    package, others = sources()
+    assert unset(package, others + README_BLOCKS) == []
 
 
 @pytest.mark.parametrize("source, text, expected", [
@@ -118,3 +180,16 @@ def test_the_check_finds_an_unreferenced_name(source, text, expected):
 ])
 def test_the_check_finds_an_unread_field(source, expected):
     assert unread([source], []) == expected
+
+
+@pytest.mark.parametrize("source, expected", [
+    ("def f(x, tol=1, *, k=None):\n    pass\n\nf(0)\n", ["f(k)", "f(tol)"]),
+    ("def f(x, tol=1, *, k=None):\n    pass\n\nf(0, 2)\ng.f(0, k=3)\n", []),
+    ("def f(x, tol=1):\n    pass\n\nf(*xs)\nf(0, **kw)\n", []),
+    # self is not passed by position, and a nested function counts too
+    ("class A:\n    def m(self, x=1):\n        def g(y=2):\n            pass\n\nA().m()\n",
+     ["A.m(x)", "A.m.g(y)"]),
+    ("class A:\n    @classmethod\n    def m(cls, x, y=1):\n        pass\n\nA.m(0, 1)\n", []),
+])
+def test_the_check_finds_an_unset_option(source, expected):
+    assert unset([source], []) == expected
