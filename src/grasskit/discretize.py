@@ -5,7 +5,9 @@ ball-counting spacing condition, and the spacing partition.
 Conventions fixed here and used everywhere:
 
 * grids over the chart box [-1, 1]^q are anchored at -1 with half-open
-  cells of side delta (the top edge is folded into the last cell);
+  cells of side delta (the top edge is folded into the last cell); a
+  coordinate beyond the box, +-inf included, lies in the edge cell, and
+  NaN raises ``InvalidInputError``;
 * radii for the spacing condition are dyadic, r in {delta, 2 delta, ..., 1},
   and balls are closed Euclidean balls centered at family members;
 * a slab neighborhood of a chart m-plane is the product over the l+1
@@ -21,12 +23,13 @@ Conventions fixed here and used everywhere:
   number of its index tuple with radix ``cells_per_axis(scale)`` (axis 0
   most significant), so sorted keys follow lexicographic tuple order.
   ``GridCounter`` sorts keys and compares neighbours.  ``box_count`` keys
-  the same way and marks the keys on a bool occupancy mask when the key
-  range is below 8 keys per point (the mask is then no larger than the
-  keys), else sorts them; when the range overflows int64 it counts the
-  index rows by lexsort.  A caller may pass its own mask, sized for all
-  the points it will box, and box them a block at a time onto it, each
-  call counting the cells that the calls before it left unmarked.
+  the same way, column by column with no index matrix, and marks the keys
+  on a bool occupancy mask when the key range is below 8 keys per point
+  (the mask is then no larger than the keys), else sorts them; when the
+  range overflows int64 it counts the index rows by lexsort.  A caller may
+  pass its own mask, sized for all the points it will box, and box them a
+  block at a time onto it, each call counting the cells that the calls
+  before it left unmarked.
 """
 
 from __future__ import annotations
@@ -129,20 +132,30 @@ def cells_per_axis(delta: float) -> int:
     return int(math.ceil(2.0 / delta - 1e-12))
 
 
+def _cell_column(coords: np.ndarray, delta: float, top: int, out: np.ndarray) -> np.ndarray:
+    """floor((x + 1) / delta) of each coordinate, clipped to [0, top] in
+    float, into ``out``; NaN lies in no cell."""
+    np.add(coords, 1.0, out=out)
+    out /= delta
+    np.clip(np.floor(out, out=out), 0.0, top, out=out)
+    if out.size and np.isnan(out.min()):
+        raise InvalidInputError("a NaN coordinate lies in no grid cell")
+    return out
+
+
 def cell_indices(points: np.ndarray, delta: float) -> np.ndarray:
     """Integer grid cells (anchored at -1, half-open, side delta)."""
     delta = _check_scale(delta)
     pts = np.atleast_2d(np.asarray(points, dtype=float))
+    top = cells_per_axis(delta) - 1
     # column by column: a reduction or ufunc over the short axis of a tall
     # array is far slower than the same work on its strided columns.  One
     # column buffer serves every column, so at most one temporary is alive
     idx = np.empty(pts.shape, dtype=np.int64)
     col = np.empty(pts.shape[0])
     for a in range(pts.shape[1]):
-        np.add(pts[:, a], 1.0, out=col)
-        col /= delta
-        idx[:, a] = np.floor(col, out=col)
-    return np.clip(idx, 0, cells_per_axis(delta) - 1, out=idx)
+        idx[:, a] = _cell_column(pts[:, a], delta, top, col)
+    return idx
 
 
 def _cell_keys(idx: np.ndarray, radix: int) -> np.ndarray:
@@ -188,11 +201,18 @@ def box_count(points: np.ndarray, delta: float, seen: np.ndarray | None = None) 
         if radix ** dim > KEY_MAX:
             return _lexsort_distinct_rows(cell_indices(pts, delta))
         seen = occupancy_mask(dim, delta, n)
-    # a batch of points at a time, so no (n, dim) index matrix is held
+    # keys folded column by column in _cell_keys's order, a batch at a time
     keys = np.empty(n, dtype=np.int64)
+    col = np.empty(min(n, KEY_BATCH))
+    cell = np.empty(len(col), dtype=np.int64)
     for start in range(0, n, KEY_BATCH):
-        keys[start:start + KEY_BATCH] = _cell_keys(
-            cell_indices(pts[start:start + KEY_BATCH], delta), radix)
+        block = keys[start:start + KEY_BATCH]
+        b = len(block)
+        block[:] = _cell_column(pts[start:start + b, 0], delta, radix - 1, col[:b])
+        for a in range(1, dim):
+            cell[:b] = _cell_column(pts[start:start + b, a], delta, radix - 1, col[:b])
+            block *= radix
+            block += cell[:b]
     if seen is not None:
         # the new cells are counted over the keys' range only: a block of
         # nearby members touches a small part of a shared mask

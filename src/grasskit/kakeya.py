@@ -311,9 +311,11 @@ def union_sample_points(family: PlaneFamily, cap: int = UNION_POINT_CAP) -> np.n
     box counts at that scale exact up to boundary slivers.  Section j of a
     member is sampled on the tick lattice offset_j + D t, t in ticks^r,
     evaluated for a chunk of members at once in a workspace allocated once
-    per call; rows come member by member, slice 0 varying slowest.  Each
-    chunk's kept rows are counted from its mask, and ResourceCapError is
-    raised before they are gathered when the total would exceed ``cap``.
+    per call, the span D t as a (q, c, t) view: a broadcast product for
+    r = 1, else a batched matmul.  Rows come member by member, slice 0
+    varying slowest.  Each chunk's kept rows are counted from its mask, and
+    ResourceCapError is raised before they are gathered when the total
+    would exceed ``cap``.
     The CLI boxes this output through :func:`union_box_count`, which, when
     the count fits an occupancy mask, draws and boxes it a block of members
     at a time instead of holding it for the whole family.
@@ -324,7 +326,7 @@ def union_sample_points(family: PlaneFamily, cap: int = UNION_POINT_CAP) -> np.n
     t = len(coeff)
     step = max(1, min(members, UNION_CHUNK_ROWS // t ** copies))
     bound = 1.0 if r else np.inf  # a point section is taken as it is
-    span = np.empty((step, t, q))
+    work = np.empty(step * t * q)
     pts = np.empty((copies, step, t, q))
     absval = np.empty((step, t))
     below = np.empty((step, t), dtype=bool)
@@ -334,14 +336,22 @@ def union_sample_points(family: PlaneFamily, cap: int = UNION_POINT_CAP) -> np.n
     total = 0
     for start in range(0, members, step):
         c = min(step, members - start)
-        np.matmul(coeff, np.swapaxes(family.directions[start:start + c], 1, 2), out=span[:c])
+        chunk = family.directions[start:start + c]
+        if r == 1:
+            # ticks contiguous; a K = 1 gemm is several times slower
+            span = work.reshape(q, step, t)[:, :c]
+            np.multiply(np.swapaxes(chunk, 0, 1), coeff[:, 0], out=span)
+        else:
+            span = work.reshape(step, t, q)[:c]
+            np.matmul(coeff, np.swapaxes(chunk, 1, 2), out=span)
+            span = np.moveaxis(span, 2, 0)
         keep[:c] = True
         for j in range(copies):
-            # column by column: a broadcast over the short last axis is
-            # far slower than the same work on its strided columns
+            # one axis at a time, each span[a] a (c, t) block (the ticks
+            # contiguous for r = 1), where a broadcast over q is far slower
             inside[:c] = True
             for a in range(q):
-                col = np.add(family.offsets[start:start + c, j, a, None], span[:c, :, a],
+                col = np.add(family.offsets[start:start + c, j, a, None], span[a],
                              out=pts[j, :c, :, a])
                 np.less_equal(np.abs(col, out=absval[:c]), bound, out=below[:c])
                 inside[:c] &= below[:c]

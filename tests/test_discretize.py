@@ -1,3 +1,4 @@
+import warnings
 from fractions import Fraction
 from itertools import combinations
 from types import SimpleNamespace
@@ -351,7 +352,10 @@ def test_box_count_mask_and_sort_branches_match_tuple_set(key_batch, monkeypatch
         for k in (0, 2, 4, 6, 8):
             delta = 2.0 ** -k
             branches.add(dz.cells_per_axis(delta) ** dim < 8 * len(pts))
-            assert dz.box_count(pts, delta) == tuple_set_count(pts, delta)
+            # the keys read the points' columns: a Fortran-ordered copy and
+            # a column-reversed view are read in place
+            for view in (pts, np.asfortranarray(pts), pts[:, ::-1]):
+                assert dz.box_count(view, delta) == tuple_set_count(view, delta)
     assert branches == {True, False}
 
 
@@ -380,6 +384,36 @@ def test_column_wise_kernels_match_the_array_expressions(dim):
         old = np.clip(np.floor((pts + 1.0) / delta).astype(np.int64), 0,
                       dz.cells_per_axis(delta) - 1)
         assert np.array_equal(dz.cell_indices(pts, delta), old)
+
+
+def test_coordinates_beyond_the_box_clamp_and_nan_is_rejected():
+    # any value beyond the box, +-inf and values past int64 included, lies
+    # in the edge cell, with no cast warning; NaN lies in no cell, and
+    # every box_count path rejects it before it marks a caller's mask
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        far = [[np.inf], [3e18], [2e18], [1e300], [-np.inf], [-3e18], [-1.5]]
+        assert dz.cell_indices(far, 0.25).ravel().tolist() == [7, 7, 7, 7, 0, 0, 0]
+        assert dz.box_count([[np.inf], [-1.0]], 0.25) == 2
+        assert dz.box_count([[np.inf, -np.inf], [9.0, -9.0], [1.0, -1.0]], 0.5) == 1
+        with pytest.raises(InvalidInputError):
+            dz.cell_indices([[0.0, np.nan]], 0.5)
+        few = np.array([[0.0, np.nan]])
+        many = np.zeros((100, 2))
+        many[37, 1] = np.nan
+        wide = np.zeros((10, 6))
+        wide[3, 5] = np.nan
+        delta = 2.0 ** -10
+        assert dz.occupancy_mask(2, 0.25, len(few)) is None  # sorted keys
+        assert dz.occupancy_mask(2, 0.25, len(many)) is not None  # mask
+        assert dz.cells_per_axis(delta) ** 6 > dz.KEY_MAX  # lexsort
+        for pts, scale in [(few, 0.25), (many, 0.25), (wide, delta)]:
+            with pytest.raises(InvalidInputError):
+                dz.box_count(pts, scale)
+        seen = dz.occupancy_mask(2, 0.25, len(many))
+        with pytest.raises(InvalidInputError):
+            dz.box_count(many, 0.25, seen)
+        assert not seen.any()
 
 
 def test_box_count_key_overflow_uses_lexsort(monkeypatch):

@@ -161,6 +161,7 @@ ARRAY_FAMILY_CASES = [
     ((1, 1, 2, 3, 1.0), (3, 5)),
     ((0, 2, 2, 3, 1.0), (3, 4)),    # r = 2: a two-dimensional tick lattice
     ((1, 2, 3, 4, 0.5), (2, 3)),    # l = 1, r = 1: a product of two slices
+    ((0, 3, 3, 4, 2.5), (2,)),      # r = 3: tilted sections, a cubic tick lattice
 ]
 
 
