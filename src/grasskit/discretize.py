@@ -23,7 +23,10 @@ Conventions fixed here and used everywhere:
   number of its index tuple with radix ``cells_per_axis(scale)`` (axis 0
   most significant), so sorted keys follow lexicographic tuple order.
   ``GridCounter`` sorts keys and compares neighbours.  ``box_count`` keys
-  the same way, column by column with no index matrix, and marks the keys
+  the same way, column by column with no index matrix (each column is
+  (x + 1) / delta, a multiply by 1 / delta when delta is a power of two,
+  which gives the same bits, clipped to the grid in float before the int64
+  cast truncates it to the cell index), and marks the keys
   on a bool occupancy mask when the key range is below 8 keys per point
   (the mask is then no larger than the keys), else sorts them; when the
   range overflows int64 it counts the index rows by lexsort.  A caller may
@@ -133,11 +136,16 @@ def cells_per_axis(delta: float) -> int:
 
 
 def _cell_column(coords: np.ndarray, delta: float, top: int, out: np.ndarray) -> np.ndarray:
-    """floor((x + 1) / delta) of each coordinate, clipped to [0, top] in
-    float, into ``out``; NaN lies in no cell."""
+    """(x + 1) / delta of each coordinate, clipped to [0, top] in float,
+    into ``out``, whose int64 cast (a truncation, the floor on values >= 0)
+    is the cell index; NaN lies in no cell."""
     np.add(coords, 1.0, out=out)
-    out /= delta
-    np.clip(np.floor(out, out=out), 0.0, top, out=out)
+    inverse = 1.0 / delta
+    if math.frexp(delta)[0] == 0.5 and math.isfinite(inverse):
+        out *= inverse  # a power of two: the same bits as dividing
+    else:
+        out /= delta
+    np.clip(out, 0.0, top, out=out)
     if out.size and np.isnan(out.min()):
         raise InvalidInputError("a NaN coordinate lies in no grid cell")
     return out

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -179,6 +180,15 @@ def digit_set(beta: float, levels: int) -> list[int]:
             if math.floor(i * beta) > math.floor((i - 1) * beta)]
 
 
+def _cantor_digits(span: float, beta: float, pitch: float) -> list[int] | None:
+    """Digits of :func:`cantor_points` over a ``span``; None for one point.
+    floor(log2(span / pitch)) is taken on mantissas and exponents: no overflow."""
+    if pitch >= span or beta <= 0.0:
+        return None
+    (ms, es), (mp, ep) = math.frexp(span), math.frexp(pitch)
+    return digit_set(min(beta, 1.0), math.floor(math.log2(ms / mp)) + es - ep)
+
+
 def cantor_points(lo: float, hi: float, beta: float, pitch: float) -> np.ndarray:
     """Deterministic set of box dimension ``beta`` inside [lo, hi].
 
@@ -189,10 +199,9 @@ def cantor_points(lo: float, hi: float, beta: float, pitch: float) -> np.ndarray
     span = hi - lo
     if span <= 0:
         raise InvalidInputError("empty interval")
-    if pitch >= span or beta <= 0.0:
+    digits = _cantor_digits(span, beta, pitch)
+    if digits is None:
         return np.array([lo + span / 2.0 if beta <= 0.0 else lo])
-    levels = int(math.floor(math.log2(span / pitch)))
-    digits = digit_set(min(beta, 1.0), levels)
     values = np.array([0.0])
     for i in digits:
         values = np.concatenate([values, values + span * 2.0 ** (-i)])
@@ -202,11 +211,23 @@ def cantor_points(lo: float, hi: float, beta: float, pitch: float) -> np.ndarray
 @dataclass(frozen=True)
 class _Axis:
     """One generator coordinate: an index into a parameter block plus the
-    1-d point set placed on it."""
+    1-d point set placed on it, drawn on first use; ``size`` needs no draw."""
 
     kind: str          # "tilt" | "offset" | "base"
     index: tuple
-    points: np.ndarray
+    lo: float
+    hi: float
+    beta: float
+    pitch: float
+
+    @property
+    def size(self) -> int:
+        digits = _cantor_digits(self.hi - self.lo, self.beta, self.pitch)
+        return 1 if digits is None else 2 ** len(digits)
+
+    @cached_property
+    def points(self) -> np.ndarray:
+        return cantor_points(self.lo, self.hi, self.beta, self.pitch)
 
 
 def _graded_axes(specs: list[tuple[str, tuple, float, float]], budget: float,
@@ -217,7 +238,7 @@ def _graded_axes(specs: list[tuple[str, tuple, float, float]], budget: float,
     remaining = budget
     for kind, index, lo, hi in specs:
         b = min(1.0, max(0.0, remaining))
-        axes.append(_Axis(kind, index, cantor_points(lo, hi, b, pitch)))
+        axes.append(_Axis(kind, index, lo, hi, b, pitch))
         remaining -= b
     if remaining > 1e-9:
         raise InvalidInputError("dimension budget exceeds the available axes")
@@ -254,6 +275,9 @@ def _sharp_axes(params: FamilyParams, delta: float):
     return _graded_axes(specs, params.spacing_exponent, pitch), base_cols, tilt_cols
 
 
+SHARP_MEMBER_CAP = 2_000_000
+
+
 def generate_sharp_example(params: FamilyParams, delta: float) -> PlaneFamily:
     """Deterministic family realizing the sharp-example constructions (see
     :func:`_sharp_axes`).  Grids use pitch 2*delta so the family is
@@ -265,10 +289,13 @@ def generate_sharp_example(params: FamilyParams, delta: float) -> PlaneFamily:
     are evaluated at once as arrays.
     """
     axes, base_cols, tilt_cols = _sharp_axes(params, delta)
-    sizes = [len(a.points) for a in axes]
+    # sized from the digit sets: no axis is drawn for a family over the cap
+    sizes = [a.size for a in axes]
     total = math.prod(sizes)
-    if total > 2_000_000:
-        raise ResourceCapError(f"sharp example would have {total} members")
+    if total > SHARP_MEMBER_CAP:
+        # log2: the count itself may have more digits than str() prints
+        raise ResourceCapError(f"sharp example would have 2^{math.log2(total):.2f} members, "
+                               f"above the cap {SHARP_MEMBER_CAP}")
 
     r = params.m - params.l
     cols = np.zeros((total, params.n - params.l, r))
@@ -293,14 +320,61 @@ UNION_POINT_CAP = 6_000_000
 
 
 def _union_ticks(family: PlaneFamily) -> np.ndarray:
-    """Coefficients (t, r) of the tick lattice that samples each section of
-    the family's members, at pitch half its scale."""
+    """Ticks on each axis of the lattice that samples each section of the
+    family's members, at pitch half its scale."""
     pitch = family.scale / 2.0
-    q, r = family.directions.shape[1:]
-    half = math.sqrt(q)
-    ticks = np.arange(-half, half + pitch / 2.0, pitch)
-    mesh = np.meshgrid(*([ticks] * r), indexing="ij")
-    return np.column_stack([g.ravel() for g in mesh]) if r else np.zeros((1, 0))
+    half = math.sqrt(family.directions.shape[1])
+    return np.arange(-half, half + pitch / 2.0, pitch)
+
+
+def _section_runs(family: PlaneFamily, ticks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """For r = 1: (start, length) (M, copies) of the ticks at which each
+    section lies in the box.  offset_a + D_a t in float is monotone in the
+    tick (negated, exactly, where D_a < 0), so they form one run, from the
+    first tick with every coordinate >= -1 to the first with one > 1.  Each
+    end is counted on that expression in four ticks around a guess, checked
+    by the ticks either side; where one fails, a chunk is bisected."""
+    members, copies, q = family.offsets.shape
+    ends = np.empty((2, members, copies), dtype=np.int64)
+    n, pitch = len(ticks), family.scale / 2.0
+    # x >= -1 is x > the float below -1
+    c = np.array([np.nextafter(-1.0, -2.0), 1.0]).reshape(2, 1, 1, 1)
+    window = np.arange(-1, 5).reshape(6, 1, 1, 1, 1)
+    step = max(1, UNION_CHUNK_ROWS // (copies * q))
+    for lo in range(0, members, step):
+        d = family.directions[lo:lo + step, None, :, 0]
+        sign = np.where(d < 0, -1.0, 1.0)
+        e, b = d * sign, family.offsets[lo:lo + step] * sign
+
+        def at_most_c(t):
+            return b + e * ticks.take(t, mode="clip") <= c
+
+        # base: the first of the window's ticks
+        with np.errstate(divide="ignore", invalid="ignore"):
+            guess = np.floor(((c - b) / e - ticks[0]) / pitch) - 1.0
+        base = np.fmin(np.fmax(guess, 0.0), n - 4).astype(np.int64)
+        low = at_most_c(base + window)
+        if n > 4 and (((base == 0) | low[0]) & ((base == n - 4) | ~low[5])).all():
+            base += low[1:5].sum(axis=0)
+        else:
+            # the answer lies in [base, base + m]
+            base[:], m = 0, n
+            while m > 1:
+                np.add(base, m // 2, out=base, where=at_most_c(base + m // 2))
+                m -= m // 2
+            base += at_most_c(base)
+        ends[0, lo:lo + step] = base[0].max(axis=2)
+        ends[1, lo:lo + step] = base[1].min(axis=2)
+    return ends[0], np.maximum(ends[1] - ends[0], 0)
+
+
+def _run_rows(length: np.ndarray, cap: int) -> np.ndarray:
+    """Rows per member, the product of its runs (in float: no overflow, and
+    exact below the cap); ResourceCapError when they sum above ``cap``."""
+    rows = np.prod(length, axis=1, dtype=float)
+    if rows.sum() > cap:
+        raise ResourceCapError("union sample exceeds the point cap")
+    return rows.astype(np.int64)
 
 
 def union_sample_points(family: PlaneFamily, cap: int = UNION_POINT_CAP) -> np.ndarray:
@@ -310,19 +384,68 @@ def union_sample_points(family: PlaneFamily, cap: int = UNION_POINT_CAP) -> np.n
     section inside the box at pitch half the family's scale, which keeps
     box counts at that scale exact up to boundary slivers.  Section j of a
     member is sampled on the tick lattice offset_j + D t, t in ticks^r,
-    evaluated for a chunk of members at once in a workspace allocated once
-    per call, the span D t as a (q, c, t) view: a broadcast product for
-    r = 1, else a batched matmul.  Rows come member by member, slice 0
-    varying slowest.  Each chunk's kept rows are counted from its mask, and
-    ResourceCapError is raised before they are gathered when the total
-    would exceed ``cap``.
-    The CLI boxes this output through :func:`union_box_count`, which, when
-    the count fits an occupancy mask, draws and boxes it a block of members
-    at a time instead of holding it for the whole family.
+    keeping the points with every |x| <= 1.  Rows come member by member,
+    slice 0 varying slowest.  ResourceCapError is raised before any point
+    is written when the total would exceed ``cap``.  For r = 1 only each
+    section's run of kept ticks (:func:`_section_runs`) is evaluated, about
+    ``UNION_CHUNK_ROWS`` rows at a time, into a (copies*q, N) buffer returned
+    as its transposed view, so its columns are contiguous; other r mask the
+    whole lattice (:func:`_lattice_points`).  The CLI boxes this output
+    through :func:`union_box_count`.
     """
+    if family.directions.shape[2] != 1:
+        return _lattice_points(family, cap)
+    members, copies, q = family.offsets.shape
+    ticks = _union_ticks(family)
+    start, length = _section_runs(family, ticks)
+    rows = _run_rows(length, cap)
+    ends = np.cumsum(rows)
+    begins = ends - rows
+    total = int(ends[-1]) if members else 0
+    out = np.empty((copies * q, total))
+    d, o = family.directions[:, :, 0], family.offsets
+    # chunk k: the members whose first row lies in [k, k + 1) * UNION_CHUNK_ROWS
+    cuts = np.searchsorted(begins, np.arange(0, total, UNION_CHUNK_ROWS)).tolist()
+    for lo, hi in zip(cuts, cuts[1:] + [members]):
+        if lo == hi:
+            continue
+        p0, n = int(begins[lo]), int(ends[hi - 1] - begins[lo])
+        dest = out[:, p0:p0 + n]
+        if copies > 1:
+            # each row's member and run positions, slice 0 most significant
+            member = np.repeat(np.arange(hi - lo), rows[lo:hi])
+            local = np.arange(n) - np.repeat(begins[lo:hi] - p0, rows[lo:hi])
+            digits = [None] * copies
+            for j in range(copies - 1, 0, -1):
+                local, digits[j] = np.divmod(local, length[lo:hi, j].take(member))
+            digits[0] = local
+        for j in range(copies):
+            size = length[lo:hi, j]
+            first = np.cumsum(size) - size
+            at = np.repeat(start[lo:hi, j] - first, size)
+            at += np.arange(len(at))
+            tick = ticks.take(at)
+            # copies = 1: the run points are the rows
+            pts = dest if copies == 1 else np.empty((q, len(at)))
+            for a in range(q):
+                np.multiply(np.repeat(d[lo:hi, a], size), tick, out=pts[a])
+                pts[a] += np.repeat(o[lo:hi, j, a], size)
+            if copies > 1:
+                at = first.take(member) + digits[j]
+                for a in range(q):
+                    pts[a].take(at, mode="clip", out=dest[j * q + a])
+    return out.T
+
+
+def _lattice_points(family: PlaneFamily, cap: int) -> np.ndarray:
+    """:func:`union_sample_points` for r != 1: the lattice of a chunk of
+    members by one batched matmul in a workspace allocated once per call,
+    masked, and its kept rows gathered."""
     members, copies, q = family.offsets.shape
     r = family.directions.shape[2]
-    coeff = _union_ticks(family)
+    ticks = _union_ticks(family)
+    mesh = np.meshgrid(*([ticks] * r), indexing="ij")
+    coeff = np.column_stack([g.ravel() for g in mesh]) if r else np.zeros((1, 0))
     t = len(coeff)
     step = max(1, min(members, UNION_CHUNK_ROWS // t ** copies))
     bound = 1.0 if r else np.inf  # a point section is taken as it is
@@ -337,18 +460,13 @@ def union_sample_points(family: PlaneFamily, cap: int = UNION_POINT_CAP) -> np.n
     for start in range(0, members, step):
         c = min(step, members - start)
         chunk = family.directions[start:start + c]
-        if r == 1:
-            # ticks contiguous; a K = 1 gemm is several times slower
-            span = work.reshape(q, step, t)[:, :c]
-            np.multiply(np.swapaxes(chunk, 0, 1), coeff[:, 0], out=span)
-        else:
-            span = work.reshape(step, t, q)[:c]
-            np.matmul(coeff, np.swapaxes(chunk, 1, 2), out=span)
-            span = np.moveaxis(span, 2, 0)
+        span = work.reshape(step, t, q)[:c]
+        np.matmul(coeff, np.swapaxes(chunk, 1, 2), out=span)
+        span = np.moveaxis(span, 2, 0)
         keep[:c] = True
         for j in range(copies):
-            # one axis at a time, each span[a] a (c, t) block (the ticks
-            # contiguous for r = 1), where a broadcast over q is far slower
+            # one axis at a time, each span[a] a (c, t) block, where a
+            # broadcast over q is far slower
             inside[:c] = True
             for a in range(q):
                 col = np.add(family.offsets[start:start + c, j, a, None], span[a],
@@ -384,10 +502,15 @@ def union_box_count(family: PlaneFamily) -> int:
     occupancy mask holds the count, the union is sampled and boxed onto it
     a block of members at a time, each block under the point cap the
     blocks before it left, so memory follows the mask and one block's
-    points rather than the whole sample."""
+    points rather than the whole sample.  An r = 1 union with more candidate
+    rows than the cap is sized from its runs before any of it is boxed."""
     members, copies, q = family.offsets.shape
-    per_member = len(_union_ticks(family)) ** copies
+    r = family.directions.shape[2]
+    ticks = _union_ticks(family)
+    per_member = len(ticks) ** (r * copies)
     cap = UNION_POINT_CAP
+    if r == 1 and members * per_member > cap:
+        _run_rows(_section_runs(family, ticks)[1], cap)
     seen = occupancy_mask(copies * q, family.scale, min(members * per_member, cap))
     if seen is None:
         return box_count(union_sample_points(family, cap), family.scale)

@@ -775,6 +775,32 @@ def test_union_point_cap_exit_3(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("k", [40, 60, 1000, 1074])
+def test_sharp_member_cap_exit_3_before_any_axis_is_drawn(tmp_path, k):
+    # each Cantor axis doubles once per digit: the member count is now
+    # taken from the digit sets before any axis is drawn.  Unchecked, 2^-40
+    # raised MemoryError under this limit, 2^-60 and 2^-1000 were killed
+    # for memory, and 2^-1074 overflowed counting the digits.  The CLI
+    # runs in a child process under a 2 GiB address-space limit, so that a
+    # regression fails there instead of exhausting this one's memory
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(base_config(deltas=[0.5, 2.0 ** -k])))
+    limit = ("import resource, runpy, sys\n"
+             "resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))\n"
+             f"sys.argv = ['grasskit', 'run', '--config', {str(path)!r}]\n"
+             "runpy.run_module('grasskit.cli', run_name='__main__')\n")
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "PYTHONPATH": os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    done = subprocess.run([sys.executable, "-c", limit], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 3, done.stderr
+    err = json.loads(done.stdout)
+    assert err["error"] == "resource-cap"
+    assert err["message"].startswith("sharp example would have 2^")
+    assert "Traceback" not in done.stderr
+
+
 def test_slab_raster_cap_exit_3(tmp_path, capsys, monkeypatch):
     # 8 vertical slabs at 2^-4: about 24 scan lines of 32 candidate cells
     # each, so a cap of 100 stops the raster at its candidate count

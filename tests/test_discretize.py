@@ -376,14 +376,36 @@ def test_box_count_onto_one_mask_counts_each_cell_once():
 
 @pytest.mark.parametrize("dim", [1, 2, 3, 6])
 def test_column_wise_kernels_match_the_array_expressions(dim):
-    # cell_indices works column by column; the whole-array expression it
-    # replaced is the reference, bit for bit
+    # cell_indices works column by column, multiplies by 1/delta when delta
+    # is a power of two and casts a clipped float without flooring it; the
+    # whole-array expression it replaced (divide, floor, clip) is the
+    # reference, bit for bit.  The clip comes before the reference's cast,
+    # so that +-inf and values past int64 have a cell there too
+    def reference(pts, delta):
+        top = dz.cells_per_axis(delta) - 1
+        return np.clip(np.floor((pts + 1.0) / delta), 0, top).astype(np.int64)
+
     pts = rng_for(6, dim).uniform(-1.3, 1.3, size=(5000, dim))
     pts[::7] = 1.0
     for delta in (1.0, 0.3, 2.0 ** -5, 2.0 ** -10):
-        old = np.clip(np.floor((pts + 1.0) / delta).astype(np.int64), 0,
-                      dz.cells_per_axis(delta) - 1)
-        assert np.array_equal(dz.cell_indices(pts, delta), old)
+        assert np.array_equal(dz.cell_indices(pts, delta), reference(pts, delta))
+    # at every dyadic scale down to 2^-30: cell edges k delta - 1 and their
+    # float neighbours, the box's ends, +-inf and a value past int64
+    rng = rng_for(6, dim, 1)
+    for j in range(1, 31):
+        delta = 2.0 ** -j
+        cells = dz.cells_per_axis(delta)
+        edges = np.r_[0, 1, rng.integers(0, cells + 1, 200), cells - 1, cells] * delta - 1.0
+        vals = np.r_[edges, np.nextafter(edges, -np.inf), np.nextafter(edges, np.inf),
+                     -1.0, 1.0, np.inf, -np.inf, 3e18]
+        pts = np.stack([np.roll(vals, a) for a in range(dim)], axis=1)
+        assert np.array_equal(dz.cell_indices(pts, delta), reference(pts, delta))
+    # at delta 0.1, (x + 1) * (1 / delta) is 6.0 where (x + 1) / delta is
+    # just below it: the multiply is for powers of two only
+    pts = np.full((1, dim), -0.4)
+    assert ((pts + 1.0) * (1.0 / 0.1) != (pts + 1.0) / 0.1).all()
+    assert np.array_equal(dz.cell_indices(pts, 0.1), reference(pts, 0.1))
+    assert dz.cell_indices(pts, 0.1).ravel().tolist() == [5] * dim
 
 
 def test_coordinates_beyond_the_box_clamp_and_nan_is_rejected():

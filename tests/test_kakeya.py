@@ -1,4 +1,5 @@
 import hashlib
+import math
 
 import numpy as np
 import pytest
@@ -307,6 +308,80 @@ def test_union_box_count_of_the_empty_family():
     params = kk.FamilyParams(1, 1, 2, 3, 1.0)
     fam = kk.PlaneFamily.from_arrays(params, 0.25, np.zeros((0, 2, 0)), np.zeros((0, 2, 2)))
     assert kk.union_box_count(fam) == 0
+
+
+def test_over_cap_union_is_refused_before_boxing(monkeypatch):
+    # (0,1,1,2,1) at 2^-11 holds 8.4M union points: its exact runs are
+    # summed before any block is drawn, where 66 blocks used to be boxed
+    # before the cap was reached
+    calls = []
+
+    def counted(*args):
+        calls.append(len(args[0]))
+        return dz.box_count(*args)
+
+    monkeypatch.setattr(kk, "box_count", counted)
+    fam = kk.generate_sharp_example(kk.FamilyParams(0, 1, 1, 2, 1.0), 2.0 ** -11)
+    with pytest.raises(ResourceCapError, match="^union sample exceeds the point cap$"):
+        kk.union_box_count(fam)
+    assert calls == []
+
+
+def r1_edge_families():
+    """Hand-built r = 1 families whose section runs end on edge cases, each
+    at three scales, the largest with one tick, fewer than the search window.
+    (0,1,1,2) slices are planar; in (0,1,3,4) and (1,2,4,5) slices,
+    sqrt(q) = 2, so ticks land exactly on +-1."""
+    s2, tiny = math.sqrt(0.5), 2.0 ** -53
+    planar = [  # (direction, offset)
+        ((0.0, 1.0), (0.3, 0.0)),        # axis-parallel: x_0 stays constant
+        ((1.0, 0.0), (0.0, -0.7)),
+        ((0.0, -1.0), (-0.5, 0.0)),      # negative components
+        ((-0.6, 0.8), (0.8, 0.6)),
+        ((0.6, -0.8), (-0.4, -0.3)),
+        ((-0.6, -0.8), (0.4, -0.3)),
+        ((0.0, 1.0), (1.0, 0.0)),        # offsets on the box's faces
+        ((0.0, -1.0), (-1.0, 0.0)),
+        ((1.0, 0.0), (0.0, 1.0)),
+        ((s2, s2), (0.0, 0.0)),          # through the corners
+        ((s2, -s2), (0.0, 0.0)),
+        ((s2, s2), (0.95, -0.95)),       # one tick inside at 2^-2
+        ((s2, s2), (0.999, -0.999)),     # no tick inside
+        # x_0 rounds to 1 - tiny or 1 at every tick, never above 1, while
+        # the unrounded line leaves the box: a guess the bisection corrects
+        ((tiny, 1.0), (1.0 - tiny, 0.0)),
+    ]
+    four = [
+        ((0.0, 0.0, 0.0, 1.0), (0.5, 0.0, 0.0, 0.0)),
+        ((0.0, 0.0, -1.0, 0.0), (0.0, 1.0, 0.0, -1.0)),
+        ((-0.6, 0.0, 0.0, 0.8), (0.8, 0.0, 0.0, 0.6)),
+        ((0.5, -0.5, 0.5, -0.5), (0.5, 0.5, 0.0, 0.0)),
+    ]
+    product = [  # two slices: the rows are the product of the two runs
+        ((0.0, 0.0, 0.0, 1.0), ((1.0, 0.0, 0.0, 0.0), (0.2, -0.5, 0.0, 0.0))),
+        ((-0.6, 0.0, 0.0, 0.8), ((0.8, 0.3, 0.0, 0.6), (0.0, -1.0, 0.0, 0.0))),
+        ((s2, s2, 0.0, 0.0), ((0.999, -0.999, 0.0, 0.0), (0.0, 0.0, 0.5, 0.0))),
+        ((0.0, -s2, s2, 0.0), ((0.3, 0.5, 0.5, 0.0), (-1.0, 0.0, 0.0, 1.0))),
+    ]
+    for params, lines in [((0, 1, 1, 2), planar), ((0, 1, 3, 4), four), ((1, 2, 4, 5), product)]:
+        directions = np.array([d for d, _ in lines])[:, :, None]
+        offsets = np.array([o for _, o in lines]).reshape(len(lines), params[0] + 1, -1)
+        for scale in (16.0, 0.25, 2.0 ** -5):
+            yield kk.PlaneFamily.from_arrays(kk.FamilyParams(*params, 1.0), scale,
+                                             directions, offsets)
+
+
+@pytest.mark.parametrize("chunk_rows", [kk.UNION_CHUNK_ROWS, 4], ids=["default-chunk", "4"])
+def test_section_runs_on_edge_families(chunk_rows, monkeypatch):
+    # at 4 rows per chunk every run is longer than a chunk
+    monkeypatch.setattr(kk, "UNION_CHUNK_ROWS", chunk_rows)
+    for fam in r1_edge_families():
+        pts = kk.union_sample_points(fam)
+        assert np.array_equal(pts, reference_union_sample_points(fam.members, fam.scale))
+        assert pts.flags.f_contiguous
+        if fam.scale == 0.25 and fam.params.n == 2:
+            lengths = kk._section_runs(fam, kk._union_ticks(fam))[1][:, 0].tolist()
+            assert lengths[-3:-1] == [1, 0]
 
 
 def test_union_box_count_memory_follows_the_cells():
