@@ -31,7 +31,7 @@ from dataclasses import asdict, dataclass
 
 from . import __version__, kakeya, selftest
 from .discretize import box_dimension_fit
-from .errors import InvalidInputError, ResourceCapError
+from .errors import InvalidInputError, OutOfChartError, ResourceCapError
 from .kakeya import FamilyParams, admissible_p_max
 from .sampling import rng_for
 
@@ -433,7 +433,8 @@ def main(argv=None) -> int:
         return 2
     try:
         report = run_experiment(cfg)
-    except InvalidInputError as exc:  # config values the run cannot evaluate
+    # config values the run cannot evaluate, such as a family that leaves the chart
+    except (InvalidInputError, OutOfChartError) as exc:
         print(_error_record("config", str(exc)))
         return 2
     except ResourceCapError as exc:

@@ -158,6 +158,9 @@ def aligned_angles(v: np.ndarray, w: np.ndarray, equal_dims: bool = True):
     stacks (N, q, k each), where k = min(dim v, dim w).  The overlap matrix
     of a pair has singular values cos(theta_i); its singular vectors rotate
     each basis into aligned position.  One stacked SVD serves all N pairs.
+    A stable argsort then orders each row's angles, unless every row
+    already ascends as computed, as the SVD's descending cosines usually
+    leave them; only ties broken by rounding take the sort.
 
     Pairs of lines skip the SVD: their 1x1 overlap a has the singular
     vectors u = sign(a) (the sign bit of a zero included) and vt = 1, which
@@ -184,7 +187,9 @@ def aligned_angles(v: np.ndarray, w: np.ndarray, equal_dims: bool = True):
     # contiguous rows, so each norm takes the dot a lone 1-d vector would
     gap = np.ascontiguousarray(rt - c[:, :, None] * lt)
     angles = np.minimum(np.arctan2(np.sqrt(np.vecdot(gap, gap)), c), np.pi / 2.0)
-    if k == 1:
+    # a stable argsort of rows that already ascend (ties included) is the
+    # identity, so such a stack is returned as computed
+    if k == 1 or np.all(angles[:, 1:] >= angles[:, :-1]):
         return angles, left, right
     order = np.argsort(angles, axis=1, kind="stable")
     return (np.take_along_axis(angles, order, 1),

@@ -862,25 +862,55 @@ def kernel_lattices(ws: list[np.ndarray]) -> list[list[np.ndarray]]:
         for i, j in enumerate(js):
             kernels[j] = full[i * count:(i + 1) * count, :, dim:]
     lattices: list[list[np.ndarray]] = [[] for _ in range(count)]
-    # grown with the largest lattice so far, not allocated for LATTICE_CAP
-    projectors = np.empty((count, 2 + len(ws), ambient, ambient))
+    # grown with the largest lattice so far, not allocated for LATTICE_CAP;
+    # zeros, so that a comparison never reads an unset entry
+    projectors = np.zeros((count, 2 + len(ws), ambient, ambient))
 
     def same(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         return np.all(np.abs(a - b) <= LATTICE_TOL, axis=(-2, -1))
 
-    def add(t: int, basis: np.ndarray, proj: np.ndarray) -> None:
+    def extend(owners: list[int], found: list[tuple[np.ndarray, np.ndarray]]) -> None:
+        """Add the candidates ``found`` (basis, projector) to the lattices of
+        ``owners``, in order, each unless its tuple already holds it.  The
+        members from before the call are compared with all candidates at
+        once, on the diagonals first (equal projectors have diagonals
+        within LATTICE_TOL), then on the whole projectors of the pairs the
+        diagonals leave; the candidates of one tuple are compared with each
+        other in one call, and a loop over those booleans keeps the first
+        of each."""
         nonlocal projectors
-        n = len(lattices[t])
-        if same(projectors[t, :n], proj).any():
+        if not found:
             return
-        if n == LATTICE_CAP:
-            raise ResourceCapError(f"kernel lattice of {len(ws)} subspaces "
-                                   f"exceeds {LATTICE_CAP} members")
-        if n == projectors.shape[1]:
-            more = np.empty((count, min(n, LATTICE_CAP - n)) + projectors.shape[2:])
-            projectors = np.concatenate([projectors, more], axis=1)
-        projectors[t, n] = proj
-        lattices[t].append(basis)
+        props, who = np.array([proj for _, proj in found]), np.array(owners)
+        known = np.array([len(lattices[t]) for t in owners])
+        width = int(known.max())
+        # a gathered copy, so the differences can be taken in place
+        gaps = np.diagonal(projectors, axis1=2, axis2=3)[who, :width]
+        gaps -= np.diagonal(props, axis1=1, axis2=2)[:, None]
+        near = (np.all(np.abs(gaps, out=gaps) <= LATTICE_TOL, axis=2)
+                & (np.arange(width) < known[:, None]))
+        cand, member = np.nonzero(near)
+        old = np.zeros(len(found), dtype=bool)
+        old[cand[same(projectors[who[cand], member], props[cand])]] = True
+        fresh = np.flatnonzero(~old)
+        tuples = who[fresh]
+        later, earlier = np.nonzero(np.tril(tuples[:, None] == tuples[None, :], -1))
+        twin = np.zeros((len(fresh), len(fresh)), dtype=bool)
+        twin[later, earlier] = same(props[fresh[later]], props[fresh[earlier]])
+        kept: list[int] = []
+        for a, (i, row) in enumerate(zip(fresh.tolist(), twin.tolist())):
+            if any(row[k] for k in kept):
+                continue
+            kept.append(a)
+            t, n = owners[i], len(lattices[owners[i]])
+            if n == LATTICE_CAP:
+                raise ResourceCapError(f"kernel lattice of {len(ws)} subspaces "
+                                       f"exceeds {LATTICE_CAP} members")
+            if n == projectors.shape[1]:
+                more = np.zeros((count, min(n, LATTICE_CAP - n)) + projectors.shape[2:])
+                projectors = np.concatenate([projectors, more], axis=1)
+            projectors[t, n] = props[i]
+            lattices[t].append(found[i][0])
 
     def step(active: list[int], b: int) -> None:
         earlier, pb = projectors[active, :b], projectors[active, b, None]
@@ -889,16 +919,15 @@ def kernel_lattices(ws: list[np.ndarray]) -> list[list[np.ndarray]]:
         pairs = [(t, a) for t, row in zip(active, comparable.tolist())
                  for a, c in enumerate(row) if not c]
         sums, meets = linalg.sums_and_meets([(lattices[t][a], lattices[t][b]) for t, a in pairs])
-        for (t, _), s, m in zip(pairs, sums, meets):
-            add(t, *s)
-            add(t, *m)
+        extend([t for t, _ in pairs for _ in range(2)],
+               [x for s, m in zip(sums, meets) for x in (s, m)])
 
     start = [(np.zeros((ambient, 0)), np.zeros((ambient, ambient))),
              (np.eye(ambient), np.eye(ambient))]
     kernel_projectors = [k @ np.swapaxes(k, 1, 2) for k in kernels]
-    for t in range(count):
-        for basis, proj in start + [(k[t], p[t]) for k, p in zip(kernels, kernel_projectors)]:
-            add(t, basis, proj)
+    extend([t for t in range(count) for _ in range(2 + len(ws))],
+           [x for t in range(count)
+            for x in start + [(k[t], p[t]) for k, p in zip(kernels, kernel_projectors)]])
     b, active, probed = 0, list(range(count)), False
     while active:
         if not probed and max(len(lattices[t]) for t in active) > DEDEKIND_MEMBERS:

@@ -12,22 +12,33 @@ derives once on stacks; the object constructors are the same draw and
 derivation on a stack of one, so both forms take the same stream and give
 the same bits.
 
-Most redraw decisions are settled by a bound on the raw draws, with a
-margin far above rounding; only a draw the bound cannot settle is derived
-on a stack of one and checked exactly.
+A redraw decision is settled without the stacked derivation where floats
+suffice.  A plane is kept when its raw offset rows are shorter than 1 (a
+projection does not lengthen a row).  A point is decided from a float
+estimate of itself, computed from the raw draws and within a few ulps of
+the derived point: an estimate whose largest entry is at least
+``BOX_MARGIN`` inside the box keeps the draw, one at least ``BOX_MARGIN``
+outside redraws it, and only one in between is derived on a stack of one
+and checked exactly.
 """
 
 from __future__ import annotations
 
 import math
+from operator import mul
 
 import numpy as np
 
 from . import grassmann, linalg
 from .affine import AffinePlane, ChartMPlane, ChartPoint, chart_offsets, off_directions
 
-# a bound within this of 1 settles a chart-box decision without the exact check
+# a bound or estimate this far from 1 settles a chart-box decision without
+# the exact check
 BOX_MARGIN = 1e-9
+# a Gram-Schmidt residual below this fraction of its column leaves the float
+# basis of point_on_draw too far from the derived one; that plane is derived
+# first
+RESIDUAL_FLOOR = 1e-4
 # a Gaussian line draw with an entry above this has full rank
 LINE_FLOOR = 1e-100
 
@@ -94,36 +105,72 @@ def points_on(bases: np.ndarray, offsets: np.ndarray, steps: np.ndarray) -> np.n
     return offsets + np.swapaxes(bases @ np.swapaxes(steps, 1, 2), 1, 2)
 
 
-def _steps_draw(rng, norms, reach: float, r: int, spread: float, exact) -> np.ndarray:
+def _steps_draw(rng, cols, offsets, spread: float, exact) -> np.ndarray:
     """Steps (l+1, r) of one point on a chart m-plane, a row per section,
-    redrawn while the point leaves the chart box.  Entry i of row j is at
-    most norms[j] + reach * |steps[j]| when ``norms`` bound the offset rows'
-    lengths and ``reach`` the basis rows' lengths; a point whose bound
-    misses the box edge is checked by ``exact(steps)``."""
+    redrawn while the point leaves the chart box.  ``cols`` (r lists of q
+    floats) and ``offsets`` (l+1 lists of q) are the plane's basis columns
+    and offset rows in floats, within a few ulps of the arrays the point is
+    derived from.  The point they give settles a draw whose largest entry is
+    at least ``BOX_MARGIN`` from 1; ``exact(steps)`` decides the rest."""
     while True:
-        steps = np.array([rng.uniform(-spread, spread, size=r) for _ in norms])
-        if (max(a + reach * math.hypot(*t) for a, t in zip(norms, steps.tolist()))
-                <= 1.0 - BOX_MARGIN or exact(steps)):
-            return steps
+        draws = [rng.uniform(-spread, spread, size=len(cols)) for _ in offsets]
+        top = 0.0
+        for point, d in zip(offsets, draws):
+            for t, e in zip(d.tolist(), cols):
+                point = [a + t * b for a, b in zip(point, e)]
+            top = max(top, *map(abs, point))
+        if top <= 1.0 - BOX_MARGIN or (top < 1.0 + BOX_MARGIN and exact(np.array(draws))):
+            return np.array(draws)
 
 
 def _inside(bases, offsets, steps) -> bool:
     return bool(np.max(np.abs(points_on(bases, offsets, steps[None]))) <= 1.0)
 
 
+def _off(v: list[float], cols: list[list[float]]) -> list[float]:
+    """``v`` minus its projections on the orthonormal ``cols``, one at a time."""
+    for e in cols:
+        c = sum(map(mul, e, v))
+        v = [a - c * b for a, b in zip(v, e)]
+    return v
+
+
+def _float_frame(x: np.ndarray, raw: np.ndarray):
+    """The basis columns and offset rows of :func:`chart_m_planes` of one
+    draw (x, raw), computed in floats: Gram-Schmidt of the columns of ``x``
+    with a second pass, and the raw rows projected off the basis.  None when
+    a residual falls below ``RESIDUAL_FLOOR`` times its column's length,
+    where rounding in the floats could grow past ``BOX_MARGIN``."""
+    cols = []
+    for col in x.T.tolist():
+        v = _off(_off(col, cols), cols)
+        norm = math.hypot(*v)
+        if cols and norm < RESIDUAL_FLOOR * math.hypot(*col):
+            return None
+        cols.append([a / norm for a in v])
+    return cols, [_off(row, cols) for row in raw.tolist()]
+
+
 def point_on_draw(rng: np.random.Generator, x: np.ndarray, raw: np.ndarray,
                   spread: float = 0.5) -> np.ndarray:
     """Steps (l+1, r) of a point on the chart m-plane drawn as (x, raw) by
-    :func:`chart_m_plane_draw`, before the plane is derived.  The raw rows
-    bound the offset rows; a line's basis rows are its entries over its
-    length, and no basis row is longer than 1."""
-    r = x.shape[1]
-    reach = 1.0
-    if r == 1:
-        xs = x.ravel().tolist()
-        reach = max(map(abs, xs)) / math.hypot(*xs)
-    return _steps_draw(rng, _norms(raw), reach, r, spread,
-                       lambda steps: _inside(*chart_m_planes(x[None], raw[None]), steps))
+    :func:`chart_m_plane_draw`, before the plane is derived.  Each try is
+    decided from the float frame of :func:`_float_frame`; the plane is
+    derived on a stack of one at most once, for a try that the floats leave
+    within ``BOX_MARGIN`` of the box edge (or up front when the draw is too
+    close to rank-deficient for the floats)."""
+    derived = []
+
+    def exact(steps):
+        if not derived:
+            derived.extend(chart_m_planes(x[None], raw[None]))
+        return _inside(*derived, steps)
+
+    frame = _float_frame(x, raw)
+    if frame is None:
+        derived.extend(chart_m_planes(x[None], raw[None]))
+        frame = derived[0][0].T.tolist(), derived[1][0].tolist()
+    return _steps_draw(rng, *frame, spread, exact)
 
 
 def random_point_on(rng: np.random.Generator, plane: ChartMPlane,
@@ -131,7 +178,7 @@ def random_point_on(rng: np.random.Generator, plane: ChartMPlane,
     """Chart point incident to ``plane`` (exactly, up to rounding); a point
     outside the chart box is redrawn."""
     basis, offsets = plane.direction.basis, plane.offsets
-    steps = _steps_draw(rng, _norms(offsets), max(_norms(basis)), basis.shape[1], spread,
+    steps = _steps_draw(rng, basis.T.tolist(), offsets.tolist(), spread,
                         lambda steps: _inside(basis[None], offsets[None], steps))
     return ChartPoint(points_on(basis[None], offsets[None], steps[None])[0])
 

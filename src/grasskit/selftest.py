@@ -72,12 +72,17 @@ def geodesic_suite(seed: int, samples: int = 1000) -> GeodesicSuiteResult:
     block = g.standard_normal((samples, GEODESIC_WIDTH))
     v, w, u, a, b = _blocks(g, block, GEODESIC_DRAWS)
     pi = np.eye(4)[:, :3]
-    d = distances(v, w)
+    # the distance of (v, w) from the geodesic's own angles, as distances()
+    # takes it from the same aligned_angles
+    frames = geodesic_frames(v, w)[:3]
+    d = np.sqrt(np.vecdot(frames[0], frames[0]))
     sym = np.max(np.abs(d - distances(w, v)), initial=0.0)
     triangle = np.min(distances(v, u) + distances(u, w) - d, initial=np.inf)
-    frames = geodesic_frames(v, w)[:3]
-    scaling = max(np.max(np.abs(distances(v, geodesic_points(*frames, t)) - t * d),
-                         initial=0.0) for t in GEODESIC_TIMES)
+    # the scaling check at every time in one stack; each pair is as alone
+    times = np.array(GEODESIC_TIMES)[:, None]
+    moved = np.concatenate([geodesic_points(*frames, t) for t in GEODESIC_TIMES])
+    along = distances(np.tile(v, (len(GEODESIC_TIMES), 1, 1)), moved)
+    scaling = np.max(np.abs(along.reshape(len(GEODESIC_TIMES), -1) - times * d), initial=0.0)
     inner = geodesic_frames(pi @ a, pi @ b)[:3]
     points = [geodesic_points(*inner, t) for t in GEODESIC_TIMES]
     containment = max(np.max(np.abs(x - pi @ (pi.T @ x)), initial=0.0) for x in points)

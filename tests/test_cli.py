@@ -642,6 +642,20 @@ def test_kakeya_sweep_enumerates_each_family_once(tmp_path, capsys, monkeypatch)
     assert calls == [2 ** k for k in range(3, 6)]  # one per family, of its members
 
 
+@pytest.mark.parametrize("experiment", ["sharp-dimension", "kakeya-sweep"])
+def test_out_of_chart_family_exit_2(tmp_path, capsys, experiment):
+    # (0,1,7,8) at delta 1/2 draws a section offset outside the chart box
+    cfg = {"experiment": experiment, "deltas": [0.5, 0.25],
+           "params": {"l": 0, "m": 1, "d": 7, "n": 8, "beta": 1.0}}
+    assert _main_exit(tmp_path, capsys, cfg, "validate")[0] == 0
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert cli.main(["run", "--config", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert json.loads(out) == {"error": "config", "message": "section offset outside the chart box"}
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("deltas", [[2.0, 1.0], [0.5, 5e-324 * 3]])
 def test_deltas_outside_unit_interval_or_not_dyadic_exit_2(tmp_path, capsys, deltas):
     code, out = _main_exit(tmp_path, capsys, base_config(deltas=deltas), "run")

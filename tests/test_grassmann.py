@@ -394,3 +394,38 @@ def test_line_pairs_match_the_lapack_path_bit_for_bit(q, monkeypatch):
     monkeypatch.setattr(gr, "aligned_angles", lapack_aligned_angles)
     lapack = [gr.distances(v, w), gr.same_stack(v, w), *gr.geodesic_frames(v, w)]
     assert _bits(*closed) == _bits(*lapack)
+
+
+def _argsorted(v, w):
+    """``aligned_angles`` of (N, q, k) stacks as it always reordered: the
+    stacked-SVD path followed by the stable argsort of every row."""
+    angles, left, right = lapack_aligned_angles(v, w)
+    order = np.argsort(angles, axis=1, kind="stable")
+    return (np.take_along_axis(angles, order, 1),
+            np.take_along_axis(left, order[:, None, :], 2),
+            np.take_along_axis(right, order[:, None, :], 2))
+
+
+def test_sorted_angle_rows_skip_the_reorder_bit_for_bit():
+    # generic pairs of 2-planes in R^4 ascend as computed; isoclinic pairs
+    # (both angles 0.3) moved by random rotations come out tied or an ulp
+    # apart in either order
+    generic = gr.random_subspaces(rng_for(31), 12, 4, 2).reshape(6, 2, 4, 2)
+    e = np.eye(4)
+    v0 = e[:, :2]
+    w0 = np.stack([np.cos(0.3) * e[0] + np.sin(0.3) * e[2],
+                   np.cos(0.3) * e[1] + np.sin(0.3) * e[3]], axis=1)
+    rotations = linalg.orthonormalize_stack(rng_for(2024).standard_normal((40, 4, 4)))[0]
+    iso = np.stack([rotations @ v0, rotations @ w0], axis=1)
+    raw = lapack_aligned_angles(iso[:, 0], iso[:, 1])[0]
+    tied = iso[raw[:, 0] == raw[:, 1]][:3]
+    unsorted = iso[raw[:, 1] < raw[:, 0]][:1]
+    assert len(tied) == 3 and len(unsorted) == 1
+    tied = np.concatenate([np.stack([v0, w0])[None], tied])
+    stacks = {"sorted": generic, "tied": tied, "sorted-and-tied": np.concatenate([generic, tied]),
+              "one-unsorted": np.concatenate([generic, tied, unsorted])}
+    for name, pairs in stacks.items():
+        v, w = pairs[:, 0], pairs[:, 1]
+        assert _bits(*gr.aligned_angles(v, w)) == _bits(*_argsorted(v, w)), name
+        ascending = np.all(np.diff(lapack_aligned_angles(v, w)[0], axis=1) >= 0, axis=1)
+        assert ascending.all() == (name != "one-unsorted")

@@ -1224,3 +1224,19 @@ def test_lp_norm_resource_cap():
     fam = kk.PlaneFamily.from_arrays(params, 2.0 ** -6, v.direction.basis[None], v.offsets[None])
     with pytest.raises(ResourceCapError):
         kk.lp_counting_norm(fam, 2.0)
+
+
+def test_a_repeated_kernel_adds_no_member():
+    # K_1 listed twice: the seeding's own candidates include a twin, which
+    # the walk drops, so the lattices are those of the tuples without it
+    params = kk.FamilyParams(0, 1, 2, 3, 1.0)
+    tuples = [kk.random_transverse_tuple(params, rng_for(93, i)) for i in range(4)]
+    ws = kk.tuple_obstruction_stack(tuples, params)
+    stacks = [ws[:, j] for j in range(ws.shape[1])]
+    once, twice = kk.kernel_lattices(stacks), kk.kernel_lattices(stacks + stacks[:1])
+    assert [[b.tobytes() for b in lat] for lat in twice] == [[b.tobytes() for b in lat]
+                                                             for lat in once]
+    for lat in twice:
+        projectors = np.array([b @ b.T for b in lat])
+        gaps = np.abs(projectors[:, None] - projectors[None]).max(axis=(2, 3))
+        assert np.all(gaps[~np.eye(len(lat), dtype=bool)] > kk.LATTICE_TOL)

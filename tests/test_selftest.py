@@ -5,11 +5,12 @@ import numpy as np
 import pytest
 
 from grasskit import sampling, selftest
-from grasskit.affine import AffinePlane, ChartMPlane, ChartPoint, affine_offsets
+from grasskit.affine import (AffinePlane, ChartMPlane, ChartPoint, affine_offsets,
+                             embed_tilde_stack, incidences, point_distances)
 from grasskit.errors import InvalidInputError
-from grasskit.grassmann import random_subspace, random_subspaces
+from grasskit.grassmann import random_subspace, random_subspaces, same_stack
 from grasskit.linalg import orthonormalize_stack, project_columns
-from grasskit.sampling import random_chart_m_plane, random_point_on, rng_for
+from grasskit.sampling import points_on, random_chart_m_plane, random_point_on, rng_for
 
 
 def test_geodesic_block_is_the_sequence_of_per_sample_draws():
@@ -296,17 +297,29 @@ FORCED_REDRAWS = {
     "plane-leaves-box": ({35: [[5.0, 5.0, 5.0], [5.0, -5.0, 5.0]]}, ("normal", (1, 3, 1))),
     # a step of 5 along a unit line moves some entry by >= 5/sqrt(3)
     "point-leaves-box": ({36: [5.0]}, ("uniform", 1)),
-    # a raw row of length 1.018 that the bound cannot settle, whose projection
-    # off any line has entries <= 0.72 (1 + sqrt(2)) / 2 = 0.87: kept
+    # a raw row of length 1.018 that the plane's bound cannot settle, whose
+    # projection off any line has entries <= 0.72 (1 + sqrt(2)) / 2 = 0.87:
+    # the plane's exact check keeps it, and the float estimate of its point
+    # settles the point without deriving the plane
     "exact-check-keeps": ({35: [[0.72, 0.72, 0.0], [0.0, 0.0, 0.0]]}, ("uniform", 1)),
+    # zero offsets, and a step along sample 10's line (largest entry
+    # 0.84168) that puts the point's entry at 1 - 2.3e-13, inside BOX_MARGIN
+    # of the edge: only the exact check, on the derived plane, can keep it
+    "exact-check-at-the-edge": ({35: 0.0, 36: [1.188101516979372]}, ("uniform", 1)),
 }
+# the stack-of-one plane derivations each case makes in point_on_draw
+EXACT_POINT_CHECKS = {"exact-check-at-the-edge": 1}
 
 
 @pytest.mark.parametrize("case", FORCED_REDRAWS)
-def test_embedding_draws_replay_forced_redraws(case):
+def test_embedding_draws_replay_forced_redraws(case, monkeypatch):
     forced, after = FORCED_REDRAWS[case]
+    derived, derive = [], sampling.chart_m_planes
+    monkeypatch.setattr(sampling, "chart_m_planes",
+                        lambda x, raw: derived.append(len(x)) or derive(x, raw))
     g, ref_g = _Forced(rng_for(0, 3), forced), _Forced(rng_for(0, 3), forced)
     v, offsets, points, w, w_offsets = selftest.embedding_draws(g, 24, 1, 2, 4)
+    assert derived == [1] * EXACT_POINT_CHECKS.get(case, 0)
     ref = reference_embedding_loop(ref_g, 24)
     assert g.log == ref_g.log and _state(g) == _state(ref_g)
     # the decision went the forced way: the call after the forced one is the
@@ -316,6 +329,8 @@ def test_embedding_draws_replay_forced_redraws(case):
     assert g.log[hit + (2 if case == "point-leaves-box" else 1)] == after
     if case == "exact-check-keeps":
         assert np.hypot(0.72, 0.72) > 1.0 - sampling.BOX_MARGIN
+    if case == "exact-check-at-the-edge":
+        assert 1.0 - sampling.BOX_MARGIN < np.max(np.abs(points[10])) <= 1.0
     assert np.array_equal(v, [a.direction.basis for a, _, _ in ref])
     assert np.array_equal(offsets, [a.offsets for a, _, _ in ref])
     assert np.array_equal(points, [p.coords for _, p, _ in ref])
@@ -347,3 +362,103 @@ def test_gaussian_draw_replays_random_subspaces(dim, factor):
         assert np.array_equal(basis, random_subspaces(ref_g, 1, 3, dim)[0])
     assert g.calls == ref_g.calls == 3 + (factor == 0.0 and dim > 0)
     assert _state(g) == _state(ref_g)
+
+
+@pytest.mark.parametrize("seed", [0, 5])
+def test_point_draws_derive_no_plane_alone(seed, monkeypatch):
+    # the float estimate settles every on-plane point draw of the benchmark's
+    # suite_scale: no chart m-plane is derived on a stack of one
+    alone, derive = [], sampling.chart_m_planes
+    monkeypatch.setattr(sampling, "chart_m_planes",
+                        lambda x, raw: alone.append(len(x) == 1) or derive(x, raw))
+    selftest.run_all(seed, 0.5)
+    assert not any(alone)
+
+
+def _both_sides(plane, coords, tol):
+    """Incidence of a chart point and a chart m-plane as the embedding suite
+    decides it on the chart side (every section within ``tol``) and on the
+    product side (distance to the product embedding within ``tol``)."""
+    bases, offsets, coords = plane.direction.basis[None], plane.offsets[None], coords[None]
+    big, big_offsets = embed_tilde_stack(bases, offsets)
+    tilde = point_distances(big, big_offsets, coords.reshape(1, -1)) <= tol
+    return bool(incidences(bases, offsets, coords, tol)[0]), bool(tilde[0])
+
+
+def _off_plane(plane, moves):
+    """A point on ``plane`` moved by moves[j] along a unit section normal in
+    section j."""
+    steps = rng_for(8).uniform(-0.3, 0.3, size=(1, plane.l + 1, plane.direction.dim))
+    on = points_on(plane.direction.basis[None], plane.offsets[None], steps)[0]
+    return on + np.asarray(moves)[:, None] * plane.normal_frame()[:, 0]
+
+
+@pytest.mark.parametrize("moves, incident", [
+    ((0.1, 0.1), True), ((10.0, 0.0), False), ((0.0, 10.0), False), ((10.0, 10.0), False),
+], ids=["both-0.1", "first-10", "second-10", "both-10"])
+def test_incidence_tolerance_agrees_with_the_product_embedding(moves, incident):
+    tol = 1e-9
+    plane = random_chart_m_plane(rng_for(8), 1, 2, 4)
+    assert _both_sides(plane, _off_plane(plane, np.multiply(moves, tol)), tol) == (incident,) * 2
+
+
+def test_incidence_tolerance_band_where_the_sides_disagree():
+    # characterization: the chart side takes the largest section distance and
+    # the product side their l2 norm, so a point 0.8 tol off both sections is
+    # incident on the chart side only; the suite's draws never land in this
+    # band (tol / sqrt(l+1), tol]
+    tol = 1e-9
+    plane = random_chart_m_plane(rng_for(8), 1, 2, 4)
+    assert _both_sides(plane, _off_plane(plane, (0.8 * tol, 0.8 * tol)), tol) == (True, False)
+
+
+@pytest.mark.parametrize("angle, parallel", [(0.5, True), (2.0, False)])
+def test_near_parallel_planes_agree_with_the_product_embedding(angle, parallel):
+    # the product direction's principal angles are the section angle, repeated
+    tol = 1e-9
+    plane = random_chart_m_plane(rng_for(9), 1, 2, 4)
+    basis, normal = plane.direction.basis, plane.normal_frame()[:, :1]
+    turned = np.cos(angle * tol) * basis + np.sin(angle * tol) * normal
+    v, w = basis[None], turned[None]
+    big_v = embed_tilde_stack(v, plane.offsets[None])[0]
+    big_w = embed_tilde_stack(w, plane.offsets[None])[0]
+    assert bool(same_stack(v, w, tol)[0]) == bool(same_stack(big_v, big_w, tol)[0]) == parallel
+
+
+# (l, m, n) of planes with r = m - l >= 2 section dimensions, where the float
+# estimate's basis takes Gram-Schmidt, and x, a draw whose second column is
+# 1e-6 off the first, below the estimate's RESIDUAL_FLOOR
+NEAR_DEPENDENT = np.array([[1.0, 1.0], [0.5, 0.5 + 1e-6], [0.25, 0.25]])
+
+
+@pytest.mark.parametrize("shape, x", [((1, 3, 5), None), ((0, 2, 4), None), ((2, 4, 6), None),
+                                      ((1, 3, 4), NEAR_DEPENDENT)],
+                         ids=["r2", "r2-l0", "r2-l2", "near-dependent"])
+def test_point_draws_on_planes_replay_the_reference(shape, x, monkeypatch):
+    l, m, n = shape
+    derived, derive = [], sampling.chart_m_planes
+    monkeypatch.setattr(sampling, "chart_m_planes",
+                        lambda x, raw: derived.append(len(x)) or derive(x, raw))
+    g, ref_g = rng_for(21, *shape), rng_for(21, *shape)
+    for k in range(40):
+        draws = sampling.chart_m_plane_draw(g, l, m, n, offset_scale=0.9)
+        if x is not None:
+            draws = (x, draws[1])
+        calls = len(derived)
+        steps = sampling.point_on_draw(g, *draws, spread=0.8)
+        assert len(derived) - calls <= 1
+        bases, offsets = derive(draws[0][None], draws[1][None])
+        plane = ChartMPlane.view(bases[0], offsets[0])
+        if x is None:
+            ref_plane = reference_chart_m_plane(ref_g, l, m, n, offset_scale=0.9)
+            assert np.array_equal(ref_plane.direction.basis, bases[0])
+        else:
+            reference_chart_m_plane(ref_g, l, m, n, offset_scale=0.9)
+        # the reference sums each section's basis @ t alone, a matmul order
+        # that can differ in the last bit once r >= 2
+        point = points_on(bases, offsets, steps[None])[0]
+        assert np.max(np.abs(point - reference_point_on(ref_g, plane, spread=0.8).coords)) <= 1e-15
+    assert _state(g) == _state(ref_g)
+    if x is not None:
+        # derived up front, once per point, whatever the point's tries
+        assert derived == [1] * 40
