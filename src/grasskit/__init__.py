@@ -19,11 +19,8 @@ Modules:
 * ``sampling``   - seeded random constructions: one-sample draws and
                    their derivation on stacks;
 * ``selftest``   - the seeded geometry invariant suites;
+* ``params``     - family parameters, exponent range, classifier constants;
 * ``cli``        - config-driven deterministic experiment runner.
 """
 
 __version__ = "0.1.0"
-
-from .grassmann import Subspace, distance, geodesic, principal_angles  # noqa: F401
-from .affine import AffinePlane, Chart, ChartMPlane, ChartPoint, incidence  # noqa: F401
-from .kakeya import FamilyParams, PlaneFamily, admissible_p_max  # noqa: F401

@@ -29,11 +29,20 @@ import tempfile
 import time
 from dataclasses import asdict, dataclass
 
-from . import __version__, kakeya, selftest
-from .discretize import box_dimension_fit
+from . import __version__
 from .errors import InvalidInputError, OutOfChartError, ResourceCapError
-from .kakeya import FamilyParams, admissible_p_max
-from .sampling import rng_for
+from .params import FamilyParams, admissible_p_max, feasible_K
+
+
+def _load_layers() -> None:
+    """Bind the numerical layers (and numpy) as globals: at once on import by
+    name, under ``python -m`` only for ``run``, never for ``validate``."""
+    global kakeya, selftest, discretize, sampling
+    from . import kakeya, selftest, discretize, sampling
+
+
+if __name__ != "__main__":
+    _load_layers()
 
 EXPERIMENTS = ("geometry-selftest", "sharp-dimension", "kakeya-sweep", "bl-audit")
 MAX_TUPLES = 100_000  # bl-audit tuples per run, drawn and verified a block at a time
@@ -181,7 +190,7 @@ def parse_config(data: dict, overrides: dict | None = None) -> ExperimentConfig:
             raise ConfigError("bl-audit requires beta <= l+1")
         try:
             p_max = admissible_p_max(params.l, params.m, params.d, params.beta)
-            k_min = kakeya.feasible_K(params)
+            k_min = feasible_K(params)
         except (InvalidInputError, OverflowError) as exc:
             raise ConfigError(f"bl-audit params out of range: {exc}") from exc
         if any(not 1.0 <= p <= p_max + 1e-9 for p in p_values):
@@ -237,16 +246,23 @@ def _p_list(cfg: ExperimentConfig) -> list[float]:
 
 # ------------------------------------------------------------- work units
 
+def _sharp_family(params: FamilyParams, delta: float) -> kakeya.PlaneFamily:
+    try:
+        return kakeya.generate_sharp_example(params, delta)
+    except OutOfChartError as exc:  # name the family the config asked for
+        raise OutOfChartError(f"{exc}: {params} at delta {delta}") from exc
+
+
 def _sharp_unit(arg: tuple) -> dict:
     params, delta = arg
-    family = kakeya.generate_sharp_example(params, delta)
+    family = _sharp_family(params, delta)
     return {"delta": delta, "members": len(family),
             "box_count": kakeya.union_box_count(family)}
 
 
 def _kakeya_unit(arg: tuple) -> dict:
     params, delta, p_values, eps = arg
-    family = kakeya.generate_sharp_example(params, delta)
+    family = _sharp_family(params, delta)
     return {"delta": delta, "rows": kakeya.kakeya_rows(family, p_values, eps)}
 
 
@@ -256,7 +272,7 @@ def _bl_unit(arg: tuple) -> dict:
     params, (start, stop), seed, p_values, K = arg
     started = time.perf_counter()
     tuples = kakeya.random_transverse_tuples(
-        params, [rng_for(seed, 90, i) for i in range(start, stop)], K)
+        params, [sampling.rng_for(seed, 90, i) for i in range(start, stop)], K)
     drawn = time.perf_counter()
     reports = kakeya.verify_bl_stack(tuples, params, p_values)
     verified = time.perf_counter()
@@ -305,8 +321,8 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
         units = [(cfg.params, d) for d in cfg.deltas]
         records = _run_units(_sharp_unit, units, cfg.workers)
         records.sort(key=lambda r: -r["delta"])
-        fit = box_dimension_fit([r["delta"] for r in records],
-                                [r["box_count"] for r in records])
+        fit = discretize.box_dimension_fit([r["delta"] for r in records],
+                                           [r["box_count"] for r in records])
         target = cfg.params.union_dimension_target
         passed = abs(fit.slope - target) <= cfg.constants["slope_tol"]
         summary = {"slope": fit.slope, "intercept": fit.intercept,
@@ -431,6 +447,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(_error_record("config", str(exc)))
         return 2
+    _load_layers()
     try:
         report = run_experiment(cfg)
     # config values the run cannot evaluate, such as a family that leaves the chart

@@ -190,18 +190,84 @@ def test_bl_blocks_respect_the_cap():
     assert blocks[0][0] == 0 and blocks[-1][1] == cli.MAX_TUPLES
 
 
-def test_cli_import_leaves_the_process_pool_unloaded():
-    # a single-worker run never needs concurrent.futures.process; a fresh
-    # interpreter, so no other test's imports count
-    script = ("import sys\n"
-              "import grasskit.cli\n"
-              "assert 'concurrent.futures.process' not in sys.modules\n")
+def _fresh_python(*args: str) -> subprocess.CompletedProcess:
+    """``python *args`` in a fresh interpreter, so no other test's imports
+    count, with this package first on its path."""
     src = str(Path(cli.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
-    done = subprocess.run([sys.executable, "-c", script], env=env,
+    return subprocess.run([sys.executable, *args], env=env,
                           capture_output=True, text=True, timeout=300)
+
+
+def test_cli_import_leaves_the_process_pool_unloaded():
+    # a single-worker run never needs concurrent.futures.process
+    script = ("import sys\n"
+              "import grasskit.cli\n"
+              "assert 'concurrent.futures.process' not in sys.modules\n")
+    done = _fresh_python("-c", script)
     assert done.returncode == 0, done.stderr
+
+
+def test_cli_import_by_name_loads_every_layer():
+    # perfbench's child and tracer import grasskit.cli before their clock
+    # starts and then read the layers from sys.modules, so numpy's import
+    # must stay outside run_s
+    layers = ["kakeya", "selftest", "discretize", "sampling", "linalg",
+              "grassmann", "affine"]
+    script = ("import sys\n"
+              "import grasskit.cli\n"
+              f"missing = [m for m in {layers!r} if 'grasskit.' + m not in sys.modules]\n"
+              "assert not missing and 'numpy' in sys.modules, missing\n")
+    done = _fresh_python("-c", script)
+    assert done.returncode == 0, done.stderr
+
+
+# runs grasskit.cli as ``python -m`` does, then exits with its code; with no
+# arguments it only imports the package
+NUMPY_FREE = """import runpy, sys
+code = 0
+if len(sys.argv) > 1:
+    try:
+        runpy.run_module("grasskit.cli", run_name="__main__")
+    except SystemExit as exc:
+        code = exc.code
+else:
+    import grasskit
+assert "numpy" not in sys.modules, sorted(m for m in sys.modules if "grasskit" in m)
+sys.exit(code)
+"""
+
+
+@pytest.mark.parametrize("command, cfg, code", [
+    ("validate", bl_audit_config(), 0),   # goes through feasible_K
+    ("validate", {"experiment": "geometry-selftest", "seed": 0}, 0),
+    ("run", base_config(params={"l": 0, "m": 1, "d": 1, "n": 2, "beta": 3.0}), 2),
+    (None, None, 0),
+], ids=["validate-bl-audit", "validate-selftest", "run-config-error", "import"])
+def test_validation_never_loads_numpy(tmp_path, command, cfg, code):
+    args = []
+    if command:
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        args = [command, "--config", str(path)]
+    done = _fresh_python("-c", NUMPY_FREE, *args)
+    assert done.returncode == code, done.stderr
+    if command == "run":
+        assert "beta in [0, m+1]" in json.loads(done.stdout)["message"]
+
+
+def test_main_module_run_with_a_pool_matches_the_in_process_report(tmp_path):
+    cfg_path, out = tmp_path / "cfg.json", tmp_path / "report.json"
+    cfg_path.write_text(json.dumps(base_config()))
+    done = _fresh_python("-m", "grasskit.cli", "run", "--config", str(cfg_path),
+                         "--workers", "2", "--out", str(out))
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout) == {"out": str(out), "passed": True}
+    serial = cli.run_experiment(cli.load_config(str(cfg_path), {"workers": 1, "out": str(out)}))
+    a, b = strip_timing(serial), strip_timing(json.loads(out.read_text()))
+    assert (a["config"].pop("workers"), b["config"].pop("workers")) == (1, 2)
+    assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
 
 
 def test_run_kakeya_sweep(tmp_path):
@@ -652,7 +718,8 @@ def test_out_of_chart_family_exit_2(tmp_path, capsys, experiment):
     path.write_text(json.dumps(cfg))
     assert cli.main(["run", "--config", str(path)]) == 2
     out, err = capsys.readouterr()
-    assert json.loads(out) == {"error": "config", "message": "section offset outside the chart box"}
+    assert json.loads(out) == {"error": "config", "message": "section offset outside the chart box: "
+                               "FamilyParams(l=0, m=1, d=7, n=8, beta=1.0) at delta 0.5"}
     assert "Traceback" not in err
 
 
