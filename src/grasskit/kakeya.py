@@ -19,6 +19,7 @@ arrays; ``PlaneFamily.members`` gives ``ChartMPlane`` views of the rows.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -259,8 +260,9 @@ def generate_sharp_example(params: FamilyParams, delta: float) -> PlaneFamily:
     return PlaneFamily.from_arrays(params, delta, directions, offsets)
 
 
-# candidate rows (tick-lattice points of the slice products) evaluated per
-# chunk of members by union_sample_points; bounds its temporaries
+# union rows (kept points of the slice products) that union_sample_points
+# writes per chunk of members, and section rows times coordinates that
+# _section_runs tests per chunk; bounds their temporaries
 UNION_CHUNK_ROWS = 1 << 15
 UNION_POINT_CAP = 6_000_000
 
@@ -273,51 +275,85 @@ def _union_ticks(family: PlaneFamily) -> np.ndarray:
     return np.arange(-half, half + pitch / 2.0, pitch)
 
 
+def _lead_ticks(ticks: np.ndarray, r: int) -> np.ndarray:
+    """The (t**(r-1), r-1) rows of leading ticks t_1..t_{r-1} in lattice
+    order, t_1 slowest; one empty row for r <= 1."""
+    return np.array(list(itertools.product(ticks, repeat=max(r - 1, 0))))
+
+
 def _section_runs(family: PlaneFamily, ticks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """For r = 1: (start, length) (M, copies) of the ticks at which each
-    section lies in the box.  offset_a + D_a t in float is monotone in the
-    tick (negated, exactly, where D_a < 0), so they form one run, from the
-    first tick with every coordinate >= -1 to the first with one > 1.  Each
-    end is counted on that expression in four ticks around a guess, checked
-    by the ticks either side; where one fails, a chunk is bisected."""
+    """(start, length), each (M, copies, t**(r-1)) for t ticks: for each
+    section and each row of its leading ticks (:func:`_lead_ticks`), the run
+    of last ticks t_r at which offset + D t lies in the box.  Each coordinate
+    of offset + D t in float is monotone in t_r (negated, exactly, where D's
+    last column is negative), so a row keeps one run, from the first tick
+    with no coordinate < -1 to the first with one > 1.  Each end is counted
+    on that expression, D t formed as :func:`union_sample_points` forms it:
+    guessed from the coordinates' crossings and checked by the ticks either
+    side; where a check fails, the chunk is bisected.  A point section
+    (r = 0) is one run of length 1."""
     members, copies, q = family.offsets.shape
-    ends = np.empty((2, members, copies), dtype=np.int64)
+    r = family.directions.shape[2]
+    if r == 0:
+        return np.zeros((members, copies, 1), np.int64), np.ones((members, copies, 1), np.int64)
+    lead = _lead_ticks(ticks, r)
+    ends = np.empty((2, members, copies, len(lead)), dtype=np.int64)
     n, pitch = len(ticks), family.scale / 2.0
-    # x >= -1 is x > the float below -1
+    # x >= -1 is x > the float below -1; axes (coordinate, member, end, copy, row, tick)
     c = np.array([np.nextafter(-1.0, -2.0), 1.0]).reshape(2, 1, 1, 1)
-    window = np.arange(-1, 5).reshape(6, 1, 1, 1, 1)
-    step = max(1, UNION_CHUNK_ROWS // (copies * q))
+    step = max(1, UNION_CHUNK_ROWS // (copies * len(lead) * q))
     for lo in range(0, members, step):
-        d = family.directions[lo:lo + step, None, :, 0]
-        sign = np.where(d < 0, -1.0, 1.0)
-        e, b = d * sign, family.offsets[lo:lo + step] * sign
+        sign = np.copysign(1.0, family.directions[lo:lo + step, :, -1])
+        e = (family.directions[lo:lo + step] * sign[:, :, None]).transpose(0, 2, 1)
+        # coordinate-major copies: results take their operands' layout, and
+        # a reduction over a short contiguous axis is slow
+        b = (family.offsets[lo:lo + step] * sign[:, None]).transpose(2, 0, 1).copy()
+        b = b[:, :, None, :, None, None]
+        slope = e[:, -1].T.copy()[:, :, None, None, None, None]
 
-        def at_most_c(t):
-            return b + e * ticks.take(t, mode="clip") <= c
+        def before_end(t):
+            # at ticks t of each row: is a coordinate < -1 (start), none > 1
+            # (end)?  The matmul takes the tick rows and D t by coordinate
+            tick = ticks.take(t, mode="clip")
+            if r == 1:
+                span = slope * tick
+            else:
+                coeff = np.stack([*np.broadcast_to(lead.T[:, None, None, None, :, None],
+                                                   (r - 1,) + t.shape), tick])
+                span = np.empty((q,) + t.shape)
+                np.matmul(coeff.reshape(r, len(t), -1).transpose(1, 2, 0), e,
+                          out=span.reshape(q, len(t), -1).transpose(1, 2, 0))
+            below = b + span <= c
+            side = below.any(0)
+            side[:, 1] = below.all(0)[:, 1]
+            return side
 
-        # base: the first of the window's ticks
+        # base: the ticks up to the last crossing of a coordinate (start) or
+        # the first (end), on a D t rounded otherwise: the ticks either side check
+        lead_part = np.matmul(lead, e[:, :-1]).transpose(2, 0, 1).copy()
         with np.errstate(divide="ignore", invalid="ignore"):
-            guess = np.floor(((c - b) / e - ticks[0]) / pitch) - 1.0
-        base = np.fmin(np.fmax(guess, 0.0), n - 4).astype(np.int64)
-        low = at_most_c(base + window)
-        if n > 4 and (((base == 0) | low[0]) & ((base == n - 4) | ~low[5])).all():
-            base += low[1:5].sum(axis=0)
-        else:
+            cross = (c - b - lead_part[:, :, None, None, :, None]) / (pitch * slope)
+        guess = np.floor(cross - (ticks[0] / pitch - 1.0))
+        # nan, a constant coordinate on the bound, counts every tick
+        guess = np.fmax(np.fmin(guess, n), 0.0).astype(np.int64)
+        base = guess.max(0)
+        base[:, 1] = guess.min(0)[:, 1]
+        side = before_end(base + np.arange(-1, 1))
+        if not (((base == 0) | side[..., :1]) & ((base == n) | ~side[..., 1:])).all():
             # the answer lies in [base, base + m]
             base[:], m = 0, n
             while m > 1:
-                np.add(base, m // 2, out=base, where=at_most_c(base + m // 2))
+                np.add(base, m // 2, out=base, where=before_end(base + m // 2))
                 m -= m // 2
-            base += at_most_c(base)
-        ends[0, lo:lo + step] = base[0].max(axis=2)
-        ends[1, lo:lo + step] = base[1].min(axis=2)
+            base += before_end(base)
+        ends[:, lo:lo + step] = base[..., 0].swapaxes(0, 1)
     return ends[0], np.maximum(ends[1] - ends[0], 0)
 
 
-def _run_rows(length: np.ndarray, cap: int) -> np.ndarray:
-    """Rows per member, the product of its runs (in float: no overflow, and
-    exact below the cap); ResourceCapError when they sum above ``cap``."""
-    rows = np.prod(length, axis=1, dtype=float)
+def _run_rows(size: np.ndarray, cap: int) -> np.ndarray:
+    """Rows per member, the product of its section sizes (in float: no
+    overflow, exact below the cap); ResourceCapError when they sum above ``cap``."""
+    rows = np.prod(size, axis=1, dtype=float)
     if rows.sum() > cap:
         raise ResourceCapError("union sample exceeds the point cap")
     return rows.astype(np.int64)
@@ -330,26 +366,28 @@ def union_sample_points(family: PlaneFamily, cap: int = UNION_POINT_CAP) -> np.n
     section inside the box at pitch half the family's scale, which keeps
     box counts at that scale exact up to boundary slivers.  Section j of a
     member is sampled on the tick lattice offset_j + D t, t in ticks^r,
-    keeping the points with every |x| <= 1.  Rows come member by member,
-    slice 0 varying slowest.  ResourceCapError is raised before any point
-    is written when the total would exceed ``cap``.  For r = 1 only each
-    section's run of kept ticks (:func:`_section_runs`) is evaluated, about
-    ``UNION_CHUNK_ROWS`` rows at a time, into a (copies*q, N) buffer returned
-    as its transposed view, so its columns are contiguous; other r mask the
-    whole lattice (:func:`_lattice_points`).  The CLI boxes this output
-    through :func:`union_box_count`.
+    keeping the points with every |x| <= 1; a point section (r = 0) is
+    kept as it is.  Rows come member by member, slice 0 varying slowest,
+    and a section's points in lattice order.  Only the kept points are
+    evaluated: the runs of :func:`_section_runs` size the output, and
+    ResourceCapError is raised before any point is written when it would
+    exceed ``cap``.  The points are written about ``UNION_CHUNK_ROWS`` rows
+    at a time into a (copies*q, N) buffer returned as its transposed view,
+    so its columns are contiguous.  D t is a product for r = 1 and
+    otherwise a matmul of each member's tick rows, as the lattice forms it.
+    The CLI boxes this output through :func:`union_box_count`.
     """
-    if family.directions.shape[2] != 1:
-        return _lattice_points(family, cap)
     members, copies, q = family.offsets.shape
+    r = family.directions.shape[2]
     ticks = _union_ticks(family)
     start, length = _section_runs(family, ticks)
-    rows = _run_rows(length, cap)
+    size = length.sum(axis=2)
+    rows = _run_rows(size, cap)
     ends = np.cumsum(rows)
     begins = ends - rows
     total = int(ends[-1]) if members else 0
     out = np.empty((copies * q, total))
-    d, o = family.directions[:, :, 0], family.offsets
+    d, o = family.directions, family.offsets
     # chunk k: the members whose first row lies in [k, k + 1) * UNION_CHUNK_ROWS
     cuts = np.searchsorted(begins, np.arange(0, total, UNION_CHUNK_ROWS)).tolist()
     for lo, hi in zip(cuts, cuts[1:] + [members]):
@@ -358,24 +396,45 @@ def union_sample_points(family: PlaneFamily, cap: int = UNION_POINT_CAP) -> np.n
         p0, n = int(begins[lo]), int(ends[hi - 1] - begins[lo])
         dest = out[:, p0:p0 + n]
         if copies > 1:
-            # each row's member and run positions, slice 0 most significant
+            # each row's member and section positions, slice 0 most significant
             member = np.repeat(np.arange(hi - lo), rows[lo:hi])
             local = np.arange(n) - np.repeat(begins[lo:hi] - p0, rows[lo:hi])
             digits = [None] * copies
             for j in range(copies - 1, 0, -1):
-                local, digits[j] = np.divmod(local, length[lo:hi, j].take(member))
+                local, digits[j] = np.divmod(local, size[lo:hi, j].take(member))
             digits[0] = local
         for j in range(copies):
-            size = length[lo:hi, j]
-            first = np.cumsum(size) - size
-            at = np.repeat(start[lo:hi, j] - first, size)
+            # each kept point's last tick, run after run; a section starts at its first run
+            run = length[lo:hi, j].ravel()
+            first = np.cumsum(run) - run
+            at = np.repeat(start[lo:hi, j].ravel() - first, run)
             at += np.arange(len(at))
             tick = ticks.take(at)
-            # copies = 1: the run points are the rows
+            count, first = size[lo:hi, j], first[::length.shape[2]]
+            # copies = 1: the section points are the rows
             pts = dest if copies == 1 else np.empty((q, len(at)))
-            for a in range(q):
-                np.multiply(np.repeat(d[lo:hi, a], size), tick, out=pts[a])
-                pts[a] += np.repeat(o[lo:hi, j, a], size)
+            if r == 1:
+                for a in range(q):
+                    np.multiply(np.repeat(d[lo:hi, a, 0], count), tick, out=pts[a])
+                    pts[a] += np.repeat(o[lo:hi, j, a], count)
+            else:
+                # each member's tick rows in a block of at least two rows, as
+                # BLAS forms a one-row product by gemv, which rounds D t
+                # otherwise; stored by coordinate, as in _section_runs
+                width = max(2, int(count.max()))
+                slot = np.repeat(np.arange(hi - lo) * width - first, count) + np.arange(len(at))
+                # each run's leading ticks, over its length
+                lead = np.repeat(np.tile(_lead_ticks(ticks, r).T, hi - lo), run, axis=1)
+                block = np.zeros((r, (hi - lo) * width))
+                # zip: a point section has no column
+                for col, v in zip(block, [*lead, tick]):
+                    col[slot] = v
+                span = np.empty((q, hi - lo, width))
+                np.matmul(block.reshape(r, hi - lo, width).transpose(1, 2, 0),
+                          np.swapaxes(d[lo:hi], 1, 2), out=span.transpose(1, 2, 0))
+                span += o[lo:hi, j].T[:, :, None]
+                for a in range(q):
+                    span[a].take(slot, out=pts[a], mode="clip")
             if copies > 1:
                 at = first.take(member) + digits[j]
                 for a in range(q):
@@ -383,84 +442,24 @@ def union_sample_points(family: PlaneFamily, cap: int = UNION_POINT_CAP) -> np.n
     return out.T
 
 
-def _lattice_points(family: PlaneFamily, cap: int) -> np.ndarray:
-    """:func:`union_sample_points` for r != 1: the lattice of a chunk of
-    members by one batched matmul in a workspace allocated once per call,
-    masked, and its kept rows gathered."""
-    members, copies, q = family.offsets.shape
-    r = family.directions.shape[2]
-    ticks = _union_ticks(family)
-    mesh = np.meshgrid(*([ticks] * r), indexing="ij")
-    coeff = np.column_stack([g.ravel() for g in mesh]) if r else np.zeros((1, 0))
-    t = len(coeff)
-    step = max(1, min(members, UNION_CHUNK_ROWS // t ** copies))
-    bound = 1.0 if r else np.inf  # a point section is taken as it is
-    work = np.empty(step * t * q)
-    pts = np.empty((copies, step, t, q))
-    absval = np.empty((step, t))
-    below = np.empty((step, t), dtype=bool)
-    inside = np.empty((step, t), dtype=bool)
-    keep = np.empty((step,) + (t,) * copies, dtype=bool)
-    out = np.empty((min(members * t ** copies, cap), copies * q))
-    total = 0
-    for start in range(0, members, step):
-        c = min(step, members - start)
-        chunk = family.directions[start:start + c]
-        span = work.reshape(step, t, q)[:c]
-        np.matmul(coeff, np.swapaxes(chunk, 1, 2), out=span)
-        span = np.moveaxis(span, 2, 0)
-        keep[:c] = True
-        for j in range(copies):
-            # one axis at a time, each span[a] a (c, t) block, where a
-            # broadcast over q is far slower
-            inside[:c] = True
-            for a in range(q):
-                col = np.add(family.offsets[start:start + c, j, a, None], span[a],
-                             out=pts[j, :c, :, a])
-                np.less_equal(np.abs(col, out=absval[:c]), bound, out=below[:c])
-                inside[:c] &= below[:c]
-            # keep[c, t_0, ..., t_j]: member c keeps the tick tuple
-            keep[:c] &= inside[:c].reshape((c,) + (1,) * j + (t,) + (1,) * (copies - 1 - j))
-        kept = np.flatnonzero(keep[:c])
-        n = len(kept)
-        if total + n > cap:
-            raise ResourceCapError("union sample exceeds the point cap")
-        # the row of pts, seen as (copies * step * t, q), of each kept slice
-        # point: kept = (member, t_0, ..., t_last) in mixed radix, so after
-        # peeling t_last, ..., t_1 it is member * t + t_0, slice 0's row
-        rows = np.empty((n, copies), dtype=np.int64)
-        for j in range(copies - 1, 0, -1):
-            kept, rows[:, j] = np.divmod(kept, t)
-        rows[:, 0] = kept
-        if copies > 1:
-            rows[:, 1:] += (kept - kept % t)[:, None] + step * t * np.arange(1, copies)
-        # flat row indices and np.take straight into the output (mode "clip"
-        # skips take's buffered copy; the rows are in range): far faster
-        # than a boolean or a many-array index over the (member, tick) axes
-        np.take(pts.reshape(-1, q), rows, axis=0, mode="clip",
-                out=out[total:total + n].reshape(n, copies, q))
-        total += n
-    return out[:total]
-
-
 def union_box_count(family: PlaneFamily) -> int:
-    """``box_count(union_sample_points(family), family.scale)``.  When an
-    occupancy mask holds the count, the union is sampled and boxed onto it
-    a block of members at a time, each block under the point cap the
-    blocks before it left, so memory follows the mask and one block's
-    points rather than the whole sample.  An r = 1 union with more candidate
-    rows than the cap is sized from its runs before any of it is boxed."""
+    """``box_count(union_sample_points(family), family.scale)``.  A union
+    with more lattice candidates than the point cap is sized from its runs
+    first, and refused before anything is boxed when its points exceed the
+    cap.  When an occupancy mask holds the count, the union is sampled and
+    boxed onto it a block of members at a time, each block under the point
+    cap the blocks before it left, so memory follows the mask and one
+    block's points rather than the whole sample."""
     members, copies, q = family.offsets.shape
-    r = family.directions.shape[2]
     ticks = _union_ticks(family)
-    per_member = len(ticks) ** (r * copies)
+    per_member = len(ticks) ** (family.directions.shape[2] * copies)
     cap = UNION_POINT_CAP
-    if r == 1 and members * per_member > cap:
-        _run_rows(_section_runs(family, ticks)[1], cap)
+    if members * per_member > cap:
+        _run_rows(_section_runs(family, ticks)[1].sum(axis=2), cap)
     seen = occupancy_mask(copies * q, family.scale, min(members * per_member, cap))
     if seen is None:
         return box_count(union_sample_points(family, cap), family.scale)
-    # about four chunks of union_sample_points per block
+    # about four chunks of lattice candidates per block
     step = max(1, 4 * UNION_CHUNK_ROWS // per_member)
     total = count = 0
     for start in range(0, members, step):

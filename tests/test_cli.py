@@ -94,11 +94,13 @@ SHARP_RECORD_PINS = [
     ((0, 2, 2, 3, 1.0), [(3, 4, 1024), (4, 8, 8192), (5, 16, 65536)]),  # r = 2
     ((1, 1, 2, 3, 1.0), [(3, 64, 64), (4, 512, 512), (5, 4096, 4096)]),  # r = 0
     ((0, 1, 3, 4, 1.0), [(2, 8, 62), (3, 256, 3396)]),          # chart dim 4
+    ((0, 2, 3, 4, 1.0), [(2, 4, 312), (3, 64, 10956), (4, 1024, 243824)]),  # r = 2, dim 4
+    ((0, 3, 3, 4, 2.5), [(2, 2, 1248), (3, 8, 32400)]),         # r = 3
 ]
 
 
 @pytest.mark.parametrize("params, pins", SHARP_RECORD_PINS,
-                         ids=["copies-2", "r-2", "r-0", "chart-dim-4"])
+                         ids=["copies-2", "r-2", "r-0", "chart-dim-4", "r-2-chart-dim-4", "r-3"])
 def test_sharp_dimension_records_are_pinned(params, pins):
     keys = ("l", "m", "d", "n", "beta")
     cfg = cli.parse_config(base_config(params=dict(zip(keys, params)),

@@ -245,7 +245,8 @@ def test_union_point_cap_is_exact(monkeypatch):
     monkeypatch.setattr(kk, "UNION_CHUNK_ROWS", 1000)
     for params, k in [((0, 1, 1, 2, 1.0), 5),
                       ((1, 2, 3, 4, 0.5), 3),    # copies = 2
-                      ((1, 1, 2, 3, 1.0), 4)]:   # r = 0
+                      ((1, 1, 2, 3, 1.0), 4),    # r = 0
+                      ((0, 2, 2, 3, 1.0), 4)]:   # r = 2
         fam = kk.generate_sharp_example(kk.FamilyParams(*params), 2.0 ** -k)
         pts = kk.union_sample_points(fam)
         total = len(pts)
@@ -310,10 +311,28 @@ def test_union_box_count_of_the_empty_family():
     assert kk.union_box_count(fam) == 0
 
 
-def test_over_cap_union_is_refused_before_boxing(monkeypatch):
-    # (0,1,1,2,1) at 2^-11 holds 8.4M union points: its exact runs are
-    # summed before any block is drawn, where 66 blocks used to be boxed
-    # before the cap was reached
+def r0_family_over_many_blocks():
+    # (0,0,1,2): 60,000 points in the plane, whose 64 x 64 cells at 2^-5 take
+    # the mask, 4,000 members a block at 1000 rows per chunk
+    offsets = rng_for(85).uniform(-1.0, 1.0, size=(60_000, 1, 2))
+    return kk.PlaneFamily.from_arrays(kk.FamilyParams(0, 0, 1, 2, 1.0), 2.0 ** -5,
+                                      np.zeros((60_000, 2, 0)), offsets)
+
+
+def sharp_family(params, k):
+    return lambda: kk.generate_sharp_example(kk.FamilyParams(*params), 2.0 ** -k)
+
+
+@pytest.mark.parametrize("family, cap", [
+    # 8.4M union points: 66 blocks used to be boxed before the cap was reached
+    (sharp_family((0, 1, 1, 2, 1.0), 11), kk.UNION_POINT_CAP),
+    # 22 blocks, as only the masked lattice knew its kept count
+    (sharp_family((0, 2, 2, 3, 1.0), 7), kk.UNION_POINT_CAP),
+    (r0_family_over_many_blocks, 50_000),    # 12 blocks
+], ids=["r-1", "r-2", "r-0"])
+def test_over_cap_union_is_refused_before_boxing(family, cap, monkeypatch):
+    # the union's exact runs are summed before any block is drawn
+    monkeypatch.setattr(kk, "UNION_CHUNK_ROWS", 1000)
     calls = []
 
     def counted(*args):
@@ -321,19 +340,24 @@ def test_over_cap_union_is_refused_before_boxing(monkeypatch):
         return dz.box_count(*args)
 
     monkeypatch.setattr(kk, "box_count", counted)
-    fam = kk.generate_sharp_example(kk.FamilyParams(0, 1, 1, 2, 1.0), 2.0 ** -11)
+    monkeypatch.setattr(kk, "UNION_POINT_CAP", cap)
     with pytest.raises(ResourceCapError, match="^union sample exceeds the point cap$"):
-        kk.union_box_count(fam)
+        kk.union_box_count(family())
     assert calls == []
 
 
-def r1_edge_families():
-    """Hand-built r = 1 families whose section runs end on edge cases, each
-    at three scales, the largest with one tick, fewer than the search window.
-    (0,1,1,2) slices are planar; in (0,1,3,4) and (1,2,4,5) slices,
-    sqrt(q) = 2, so ticks land exactly on +-1."""
+def edge_families():
+    """Hand-built families whose section runs end on edge cases, each at
+    three scales, the largest with one tick per axis.  r = 1: (0,1,1,2)
+    slices are planar; in (0,1,3,4) and (1,2,4,5) slices, sqrt(q) = 2, so
+    ticks land exactly on +-1.  r = 2: planes in (0,2,2,3) slices, and in
+    (0,2,3,4) and (1,3,4,5) slices, where ticks land on +-1; the (1,3,4,5)
+    products at coarser scales, which keep their rows few.  Each member is
+    (direction columns, offsets)."""
     s2, tiny = math.sqrt(0.5), 2.0 ** -53
-    planar = [  # (direction, offset)
+    # a plane cutting off the corner (1, 1, 1), negative components in both columns
+    u, w = (s2, -s2, 0.0), (math.sqrt(1 / 6), math.sqrt(1 / 6), -math.sqrt(2 / 3))
+    planar = [
         ((0.0, 1.0), (0.3, 0.0)),        # axis-parallel: x_0 stays constant
         ((1.0, 0.0), (0.0, -0.7)),
         ((0.0, -1.0), (-0.5, 0.0)),      # negative components
@@ -348,7 +372,7 @@ def r1_edge_families():
         ((s2, s2), (0.95, -0.95)),       # one tick inside at 2^-2
         ((s2, s2), (0.999, -0.999)),     # no tick inside
         # x_0 rounds to 1 - tiny or 1 at every tick, never above 1, while
-        # the unrounded line leaves the box: a guess the bisection corrects
+        # the unrounded line leaves the box
         ((tiny, 1.0), (1.0 - tiny, 0.0)),
     ]
     four = [
@@ -356,6 +380,9 @@ def r1_edge_families():
         ((0.0, 0.0, -1.0, 0.0), (0.0, 1.0, 0.0, -1.0)),
         ((-0.6, 0.0, 0.0, 0.8), (0.8, 0.0, 0.0, 0.6)),
         ((0.5, -0.5, 0.5, -0.5), (0.5, 0.5, 0.0, 0.0)),
+        # as the planar tiny line, but the run ends on x_2, far past the
+        # end x_0 guesses: a guess the bisection corrects
+        ((tiny, 0.6, 0.8, 0.0), (1.0 - tiny, 0.0, 0.0, 0.0)),
     ]
     product = [  # two slices: the rows are the product of the two runs
         ((0.0, 0.0, 0.0, 1.0), ((1.0, 0.0, 0.0, 0.0), (0.2, -0.5, 0.0, 0.0))),
@@ -363,25 +390,59 @@ def r1_edge_families():
         ((s2, s2, 0.0, 0.0), ((0.999, -0.999, 0.0, 0.0), (0.0, 0.0, 0.5, 0.0))),
         ((0.0, -s2, s2, 0.0), ((0.3, 0.5, 0.5, 0.0), (-1.0, 0.0, 0.0, 1.0))),
     ]
-    for params, lines in [((0, 1, 1, 2), planar), ((0, 1, 3, 4), four), ((1, 2, 4, 5), product)]:
-        directions = np.array([d for d, _ in lines])[:, :, None]
-        offsets = np.array([o for _, o in lines]).reshape(len(lines), params[0] + 1, -1)
-        for scale in (16.0, 0.25, 2.0 ** -5):
+    planes = [
+        (((1.0, 0.0, 0.0), (0.0, 1.0, 0.0)), (0.0, 0.0, 0.3)),     # axis-aligned
+        (((0.0, 1.0, 0.0), (0.0, 0.0, 1.0)), (-0.7, 0.0, 0.0)),
+        (((0.0, -1.0, 0.0), (-0.6, 0.0, 0.8)), (0.4, 0.0, 0.3)),   # negative components
+        (((1.0, 0.0, 0.0), (0.0, -1.0, 0.0)), (0.0, 0.0, 1.0)),    # offsets on the faces
+        (((0.0, 0.0, -1.0), (0.0, 1.0, 0.0)), (-1.0, 0.0, 0.0)),
+        (((s2, s2, 0.0), (0.0, 0.0, 1.0)), (0.0, 0.0, 0.0)),       # through the corners
+        ((u, w), (0.9526, 0.9526, 0.9526)),                        # one tick inside at 2^-2
+        ((u, w), (0.993, 0.993, 0.993)),                           # no tick inside
+        # the planar tiny line, swept along (0, 0.8, -0.6)
+        (((0.0, 0.8, -0.6), (tiny, 0.6, 0.8)), (1.0 - tiny, 0.0, 0.0)),
+    ]
+    planes4 = [
+        (((0.0, 0.0, 1.0, 0.0), (0.0, 0.0, 0.0, 1.0)), (0.5, 0.0, 0.0, 0.0)),
+        (((0.0, 0.0, -1.0, 0.0), (-0.6, 0.0, 0.0, 0.8)), (0.4, 1.0, 0.0, 0.3)),  # on x_1 = 1
+        (((0.5, 0.5, 0.5, 0.5), (0.5, -0.5, 0.5, -0.5)), (0.0, 0.0, 0.0, 0.0)),  # corners
+        # four's tiny line, swept along x_3
+        (((0.0, 0.0, 0.0, 1.0), (tiny, 0.6, 0.8, 0.0)), (1.0 - tiny, 0.0, 0.0, 0.0)),
+    ]
+    product_planes = [
+        (((0.0, 0.0, 1.0, 0.0), (0.0, 0.0, 0.0, 1.0)),
+         ((1.0, 0.0, 0.0, 0.0), (0.2, -0.5, 0.0, 0.0))),
+        (((0.5, 0.5, 0.5, 0.5), (0.5, -0.5, 0.5, -0.5)),
+         ((0.0, 0.0, 0.0, 0.0), (0.5, 0.0, -0.5, 0.0))),
+    ]
+    for params, members, scales in [((0, 1, 1, 2), planar, (16.0, 0.25, 2.0 ** -5)),
+                                    ((0, 1, 3, 4), four, (16.0, 0.25, 2.0 ** -5)),
+                                    ((1, 2, 4, 5), product, (16.0, 0.25, 2.0 ** -5)),
+                                    ((0, 2, 2, 3), planes, (16.0, 0.25, 2.0 ** -5)),
+                                    ((0, 2, 3, 4), planes4, (16.0, 0.25, 2.0 ** -5)),
+                                    ((1, 3, 4, 5), product_planes, (16.0, 0.5, 0.25))]:
+        q = params[3] - params[0]
+        directions = np.array([d for d, _ in members]).reshape(len(members), -1, q)
+        offsets = np.array([o for _, o in members]).reshape(len(members), params[0] + 1, q)
+        for scale in scales:
             yield kk.PlaneFamily.from_arrays(kk.FamilyParams(*params, 1.0), scale,
-                                             directions, offsets)
+                                             directions.swapaxes(1, 2), offsets)
 
 
 @pytest.mark.parametrize("chunk_rows", [kk.UNION_CHUNK_ROWS, 4], ids=["default-chunk", "4"])
 def test_section_runs_on_edge_families(chunk_rows, monkeypatch):
     # at 4 rows per chunk every run is longer than a chunk
     monkeypatch.setattr(kk, "UNION_CHUNK_ROWS", chunk_rows)
-    for fam in r1_edge_families():
+    for fam in edge_families():
         pts = kk.union_sample_points(fam)
         assert np.array_equal(pts, reference_union_sample_points(fam.members, fam.scale))
         assert pts.flags.f_contiguous
         if fam.scale == 0.25 and fam.params.n == 2:
-            lengths = kk._section_runs(fam, kk._union_ticks(fam))[1][:, 0].tolist()
+            lengths = kk._section_runs(fam, kk._union_ticks(fam))[1][:, 0, 0].tolist()
             assert lengths[-3:-1] == [1, 0]
+        if fam.scale == 0.25 and fam.params.n == 3:
+            sizes = kk._section_runs(fam, kk._union_ticks(fam))[1].sum(axis=2)[:, 0].tolist()
+            assert sizes[-3:-1] == [1, 0]
 
 
 def test_union_box_count_memory_follows_the_cells():
@@ -398,6 +459,23 @@ def test_union_box_count_memory_follows_the_cells():
         tracemalloc.stop()
     assert count == 4 ** 10
     assert peak < 16e6
+
+
+def test_union_sample_is_sized_from_the_runs():
+    # (0,2,2,3) at 2^-5 keeps 262,144 of its 795,664 lattice candidates,
+    # 6.3 MB of points.  A buffer sized for the candidates would alone hold
+    # 19.1 MB; sized from the runs, the output and one chunk's temporaries
+    # stay below that
+    import tracemalloc
+    fam = kk.generate_sharp_example(kk.FamilyParams(0, 2, 2, 3, 1.0), 2.0 ** -5)
+    tracemalloc.start()
+    try:
+        pts = kk.union_sample_points(fam)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(pts) == 262_144
+    assert pts.nbytes <= peak < 795_664 * 3 * 8
 
 
 # ----------------------------------------------------------------- bush
