@@ -260,9 +260,9 @@ def generate_sharp_example(params: FamilyParams, delta: float) -> PlaneFamily:
     return PlaneFamily.from_arrays(params, delta, directions, offsets)
 
 
-# union rows (kept points of the slice products) that union_sample_points
-# writes per chunk of members, and section rows times coordinates that
-# _section_runs tests per chunk; bounds their temporaries
+# union rows (kept points of the slice products) per chunk of members, which
+# union_sample_points writes and union_box_count boxes at once, and section
+# rows times coordinates that _section_runs tests per chunk; bounds temporaries
 UNION_CHUNK_ROWS = 1 << 15
 UNION_POINT_CAP = 6_000_000
 
@@ -350,16 +350,30 @@ def _section_runs(family: PlaneFamily, ticks: np.ndarray) -> tuple[np.ndarray, n
     return ends[0], np.maximum(ends[1] - ends[0], 0)
 
 
-def _run_rows(size: np.ndarray, cap: int) -> np.ndarray:
-    """Rows per member, the product of its section sizes (in float: no
-    overflow, exact below the cap); ResourceCapError when they sum above ``cap``."""
+def _union_runs(family: PlaneFamily) -> tuple:
+    """(ticks, start, length, size, rows): :func:`_union_ticks`, the runs of
+    :func:`_section_runs`, each section's kept points (M, copies) and each
+    member's rows, their product (in float: no overflow, exact below the
+    cap).  ResourceCapError when the rows sum above ``UNION_POINT_CAP``."""
+    ticks = _union_ticks(family)
+    start, length = _section_runs(family, ticks)
+    size = length.sum(axis=2)
     rows = np.prod(size, axis=1, dtype=float)
-    if rows.sum() > cap:
+    if rows.sum() > UNION_POINT_CAP:
         raise ResourceCapError("union sample exceeds the point cap")
-    return rows.astype(np.int64)
+    return ticks, start, length, size, rows.astype(np.int64)
 
 
-def union_sample_points(family: PlaneFamily, cap: int = UNION_POINT_CAP) -> np.ndarray:
+def _union_chunks(rows: np.ndarray) -> list[tuple[int, int]]:
+    """(lo, hi) for each chunk of members that holds a row: the members
+    whose first row lies in one window [k, k + 1) * UNION_CHUNK_ROWS."""
+    begins = np.cumsum(rows) - rows
+    cuts = np.searchsorted(begins, np.arange(0, rows.sum(), UNION_CHUNK_ROWS)).tolist()
+    chunks = zip(cuts, cuts[1:] + [len(rows)])
+    return [(lo, hi) for lo, hi in chunks if lo < hi and rows[lo:hi].any()]
+
+
+def union_sample_points(family: PlaneFamily, runs: tuple | None = None) -> np.ndarray:
     """Point sample of the union of the member plane-sets in the chart.
 
     Each member contributes the product over slices of a sample of its
@@ -369,31 +383,23 @@ def union_sample_points(family: PlaneFamily, cap: int = UNION_POINT_CAP) -> np.n
     keeping the points with every |x| <= 1; a point section (r = 0) is
     kept as it is.  Rows come member by member, slice 0 varying slowest,
     and a section's points in lattice order.  Only the kept points are
-    evaluated: the runs of :func:`_section_runs` size the output, and
-    ResourceCapError is raised before any point is written when it would
-    exceed ``cap``.  The points are written about ``UNION_CHUNK_ROWS`` rows
-    at a time into a (copies*q, N) buffer returned as its transposed view,
-    so its columns are contiguous.  D t is a product for r = 1 and
-    otherwise a matmul of each member's tick rows, as the lattice forms it.
-    The CLI boxes this output through :func:`union_box_count`.
+    evaluated: the family's :func:`_union_runs` (or ``runs``, when the
+    caller found them) size the output, and ResourceCapError is raised
+    before any point is written when it would exceed ``UNION_POINT_CAP``.
+    The points are written a chunk of members (:func:`_union_chunks`) at a
+    time into a (copies*q, N) buffer returned as its transposed view, so
+    its columns are contiguous.  D t is a product for r = 1 and otherwise a
+    matmul of each member's tick rows, as the lattice forms it.  The CLI
+    boxes this output through :func:`union_box_count`.
     """
-    members, copies, q = family.offsets.shape
+    _, copies, q = family.offsets.shape
     r = family.directions.shape[2]
-    ticks = _union_ticks(family)
-    start, length = _section_runs(family, ticks)
-    size = length.sum(axis=2)
-    rows = _run_rows(size, cap)
-    ends = np.cumsum(rows)
-    begins = ends - rows
-    total = int(ends[-1]) if members else 0
-    out = np.empty((copies * q, total))
+    ticks, start, length, size, rows = _union_runs(family) if runs is None else runs
+    begins = np.cumsum(rows) - rows
+    out = np.empty((copies * q, int(rows.sum())))
     d, o = family.directions, family.offsets
-    # chunk k: the members whose first row lies in [k, k + 1) * UNION_CHUNK_ROWS
-    cuts = np.searchsorted(begins, np.arange(0, total, UNION_CHUNK_ROWS)).tolist()
-    for lo, hi in zip(cuts, cuts[1:] + [members]):
-        if lo == hi:
-            continue
-        p0, n = int(begins[lo]), int(ends[hi - 1] - begins[lo])
+    for lo, hi in _union_chunks(rows):
+        p0, n = int(begins[lo]), int(rows[lo:hi].sum())
         dest = out[:, p0:p0 + n]
         if copies > 1:
             # each row's member and section positions, slice 0 most significant
@@ -443,29 +449,22 @@ def union_sample_points(family: PlaneFamily, cap: int = UNION_POINT_CAP) -> np.n
 
 
 def union_box_count(family: PlaneFamily) -> int:
-    """``box_count(union_sample_points(family), family.scale)``.  A union
-    with more lattice candidates than the point cap is sized from its runs
-    first, and refused before anything is boxed when its points exceed the
-    cap.  When an occupancy mask holds the count, the union is sampled and
-    boxed onto it a block of members at a time, each block under the point
-    cap the blocks before it left, so memory follows the mask and one
-    block's points rather than the whole sample."""
-    members, copies, q = family.offsets.shape
-    ticks = _union_ticks(family)
-    per_member = len(ticks) ** (family.directions.shape[2] * copies)
-    cap = UNION_POINT_CAP
-    if members * per_member > cap:
-        _run_rows(_section_runs(family, ticks)[1].sum(axis=2), cap)
-    seen = occupancy_mask(copies * q, family.scale, min(members * per_member, cap))
+    """``box_count(union_sample_points(family), family.scale)``, from runs
+    found once, so a union over the point cap is refused before anything is
+    boxed.  When an occupancy mask of its kept rows holds the count, each
+    chunk of members is sampled from its slice of the runs and boxed onto
+    it, so memory follows the mask, one chunk's points and the runs: two
+    integers per row of a section's leading ticks, against q floats per
+    kept tick for its points."""
+    _, copies, q = family.offsets.shape
+    runs = _union_runs(family)
+    seen = occupancy_mask(copies * q, family.scale, int(runs[-1].sum()))
     if seen is None:
-        return box_count(union_sample_points(family, cap), family.scale)
-    # about four chunks of lattice candidates per block
-    step = max(1, 4 * UNION_CHUNK_ROWS // per_member)
-    total = count = 0
-    for start in range(0, members, step):
-        points = union_sample_points(family.block(start, start + step), cap - total)
-        total += len(points)
-        count += box_count(points, family.scale, seen)
+        return box_count(union_sample_points(family, runs), family.scale)
+    count = 0
+    for lo, hi in _union_chunks(runs[-1]):
+        chunk = (runs[0], *(a[lo:hi] for a in runs[1:]))
+        count += box_count(union_sample_points(family.block(lo, hi), chunk), family.scale, seen)
     return count
 
 

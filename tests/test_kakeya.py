@@ -243,40 +243,44 @@ def test_sharp_planar_work_is_pinned():
 
 def test_union_point_cap_is_exact(monkeypatch):
     monkeypatch.setattr(kk, "UNION_CHUNK_ROWS", 1000)
+    cap = kk.UNION_POINT_CAP
     for params, k in [((0, 1, 1, 2, 1.0), 5),
                       ((1, 2, 3, 4, 0.5), 3),    # copies = 2
                       ((1, 1, 2, 3, 1.0), 4),    # r = 0
                       ((0, 2, 2, 3, 1.0), 4)]:   # r = 2
         fam = kk.generate_sharp_example(kk.FamilyParams(*params), 2.0 ** -k)
+        monkeypatch.setattr(kk, "UNION_POINT_CAP", cap)
         pts = kk.union_sample_points(fam)
         total = len(pts)
-        with pytest.raises(ResourceCapError):
-            kk.union_sample_points(fam, cap=total - 1)
-        again = kk.union_sample_points(fam, cap=total)
-        # each call fills its own output: no buffer outlives a call
-        assert np.array_equal(again, pts) and not np.shares_memory(again, pts)
-        # the streamed box count keeps the cap of the whole union
         monkeypatch.setattr(kk, "UNION_POINT_CAP", total - 1)
+        with pytest.raises(ResourceCapError):
+            kk.union_sample_points(fam)
+        # the streamed box count keeps the cap of the whole union
         with pytest.raises(ResourceCapError, match="^union sample exceeds the point cap$"):
             kk.union_box_count(fam)
         monkeypatch.setattr(kk, "UNION_POINT_CAP", total)
+        again = kk.union_sample_points(fam)
+        # each call fills its own output: no buffer outlives a call
+        assert np.array_equal(again, pts) and not np.shares_memory(again, pts)
         assert kk.union_box_count(fam) == dz.box_count(pts, fam.scale)
 
 
 def box_count_paths(monkeypatch):
-    """Record how union_box_count boxes each family: block by block onto
+    """Record how union_box_count boxes each family: chunk by chunk onto
     an occupancy mask, or the whole sample by sorted keys or, when the key
-    range overflows int64, by lexsorted index rows."""
-    paths = []
+    range overflows int64, by lexsorted index rows; and the rows each mask
+    was sized for."""
+    paths, sized = [], []
 
     def recording(dim, delta, rows):
         seen = dz.occupancy_mask(dim, delta, rows)
         paths.append("mask" if seen is not None else
                      "rows" if dz.cells_per_axis(delta) ** dim > dz.KEY_MAX else "keys")
+        sized.append(rows)
         return seen
 
     monkeypatch.setattr(kk, "occupancy_mask", recording)
-    return paths
+    return paths, sized
 
 
 def r0_family_beyond_int64_keys():
@@ -288,19 +292,44 @@ def r0_family_beyond_int64_keys():
     return kk.PlaneFamily.from_arrays(params, 2.0 ** -7, np.zeros((60, 4, 0)), offsets)
 
 
-@pytest.mark.parametrize("chunk_rows", [kk.UNION_CHUNK_ROWS, 4],
-                         ids=["default-chunk", "4"])
+@pytest.mark.parametrize("chunk_rows", [kk.UNION_CHUNK_ROWS, 1000, 4],
+                         ids=["default-chunk", "1000", "4"])
 def test_union_box_count_boxes_the_whole_sample(chunk_rows, monkeypatch):
-    # a block of four chunks: at 4 rows per chunk the masked families
-    # span many blocks
+    # a block is one chunk: at 1000 rows per chunk a masked family's chunks
+    # hold a few members each, at 4 rows each member is a chunk of its own
     monkeypatch.setattr(kk, "UNION_CHUNK_ROWS", chunk_rows)
-    paths = box_count_paths(monkeypatch)
+    paths, sized = box_count_paths(monkeypatch)
+    calls = {"_section_runs": 0, "box_count": 0}
+    for name, f in [("_section_runs", kk._section_runs), ("box_count", dz.box_count)]:
+        def counted(*args, name=name, f=f):
+            calls[name] += 1
+            return f(*args)
+        monkeypatch.setattr(kk, name, counted)
     families = [kk.generate_sharp_example(kk.FamilyParams(*params), 2.0 ** -k)
                 for params, exponents in ARRAY_FAMILY_CASES for k in exponents]
+    # a line of 16 rows, then one that keeps no point: at 4 rows per chunk
+    # the second member's window holds no row, so it is not boxed
+    s2 = math.sqrt(0.5)
+    families.append(kk.PlaneFamily.from_arrays(
+        kk.FamilyParams(0, 1, 1, 2, 1.0), 0.25, np.array([[[0.0], [1.0]], [[s2], [s2]]]),
+        np.array([[[0.3, 0.0]], [[0.999, -0.999]]])))
     families.append(r0_family_beyond_int64_keys())
     for fam in families:
-        want = dz.box_count(kk.union_sample_points(fam), fam.scale)
+        pts = kk.union_sample_points(fam)
+        want = dz.box_count(pts, fam.scale)
+        # the chunks that hold rows: members whose first row lies in one
+        # window; a member's rows are the product of its section sizes
+        rows = kk._section_runs(fam, kk._union_ticks(fam))[1].sum(axis=2).prod(axis=1)
+        begins = np.cumsum(rows) - rows
+        chunks = len(set((begins[rows > 0] // chunk_rows).tolist()))
+        before = dict(calls)
         assert kk.union_box_count(fam) == want
+        # the runs are found once, the mask is sized from the kept rows,
+        # and each chunk is boxed as one block
+        assert calls["_section_runs"] - before["_section_runs"] == 1
+        assert sized[-1] == len(pts)
+        if paths[-1] == "mask":
+            assert calls["box_count"] - before["box_count"] == chunks
     assert len(paths) == len(families) and set(paths) == {"mask", "keys", "rows"}
     assert paths[-1] == "rows"
 
@@ -448,7 +477,9 @@ def test_section_runs_on_edge_families(chunk_rows, monkeypatch):
 def test_union_box_count_memory_follows_the_cells():
     # the held sample at 2^-10 (2.1M points in a buffer sized for 3M
     # candidate rows, then their keys) peaked at 68 MB; the streamed count
-    # holds a 4 MB mask and one block of points
+    # holds the 4.19 MB mask, one chunk of 32,768 points (0.52 MB) and their
+    # keys (0.26 MB), and the union's runs (0.06 MB).  Blocks of four chunks
+    # of lattice candidates peaked at 7.97 MB
     import tracemalloc
     fam = kk.generate_sharp_example(kk.FamilyParams(0, 1, 1, 2, 1.0), 2.0 ** -10)
     tracemalloc.start()
@@ -458,7 +489,7 @@ def test_union_box_count_memory_follows_the_cells():
     finally:
         tracemalloc.stop()
     assert count == 4 ** 10
-    assert peak < 16e6
+    assert peak < 7e6
 
 
 def test_union_sample_is_sized_from_the_runs():
