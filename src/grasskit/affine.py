@@ -26,7 +26,7 @@ import numpy as np
 
 from . import linalg
 from .errors import CertificateError, InvalidInputError, OutOfChartError
-from .grassmann import Subspace, distance as grassmann_distance
+from .grassmann import Subspace
 
 CHART_TOL = 1e-9
 INCIDENCE_TOL = 1e-9
@@ -83,20 +83,8 @@ class AffinePlane:
         return plane
 
     @property
-    def ambient_dim(self) -> int:
-        return self.direction.ambient_dim
-
-    @property
     def dim(self) -> int:
         return self.direction.dim
-
-    def point_distance(self, x) -> float:
-        x = np.asarray(x, dtype=float).reshape(1, -1)
-        return float(point_distances(self.direction.basis[None], self.offset[None], x)[0])
-
-    def same(self, other: "AffinePlane", tol: float = 1e-9) -> bool:
-        return (self.direction.same(other.direction, tol)
-                and float(np.linalg.norm(self.offset - other.offset)) <= tol)
 
 
 def to_projective_stack(bases: np.ndarray, offsets: np.ndarray) -> np.ndarray:
@@ -134,24 +122,6 @@ def from_projective_stack(lifted: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     t = last / np.vecdot(last, last)[:, None]
     anchors = (lifted @ t[:, :, None])[:, :n, 0]
     return bases, affine_offsets(bases, anchors)
-
-
-def to_projective(plane: AffinePlane) -> Subspace:
-    """Lift an l-plane of R^n to the (l+1)-subspace of R^(n+1) that meets
-    the slice R^n x {1} exactly in the plane."""
-    return Subspace(to_projective_stack(plane.direction.basis[None], plane.offset[None])[0])
-
-
-def from_projective(sub: Subspace) -> AffinePlane:
-    """Inverse of :func:`to_projective` on its image."""
-    bases, offsets = from_projective_stack(sub.basis[None])
-    return AffinePlane.view(bases[0], offsets[0])
-
-
-def affine_distance(l1: AffinePlane, l2: AffinePlane) -> float:
-    """Distance induced by the Grassmannian metric on the projective lifts
-    (on stacks: ``grassmann.distances`` of two ``to_projective_stack``)."""
-    return grassmann_distance(to_projective(l1), to_projective(l2))
 
 
 def _max_norm_on_sphere(m: np.ndarray, c: np.ndarray, r: np.ndarray) -> np.ndarray:
@@ -291,10 +261,6 @@ class ChartPoint:
     def slice_dim(self) -> int:
         return self.coords.shape[1]
 
-    def stacked(self) -> np.ndarray:
-        """The point of R^N obtained by concatenating the slice coordinates."""
-        return self.coords.ravel().copy()
-
 
 def off_directions(directions: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """The rows (N, a, q) minus their projections onto the spans of the
@@ -354,16 +320,6 @@ class ChartMPlane:
     @property
     def slice_dim(self) -> int:
         return self.offsets.shape[1]
-
-    def section(self, j: int) -> AffinePlane:
-        """The j-th slice section as an affine plane of R^(n-l)."""
-        return AffinePlane(self.direction, self.offsets[j])
-
-    def normal_frame(self) -> np.ndarray:
-        """Orthonormal basis (n-l, n-m) of the directions normal to the
-        section direction inside the slice."""
-        full = linalg.orthonormal_completion(self.direction.basis, self.slice_dim)
-        return full[:, self.direction.dim:]
 
 
 def incidences(bases: np.ndarray, offsets: np.ndarray, coords: np.ndarray,

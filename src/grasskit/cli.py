@@ -122,6 +122,11 @@ def _numbers(data: dict, key: str) -> list[float]:
     return [_number(x, f"{key} entry") for x in raw]
 
 
+def _flag_key(p: float) -> str:
+    """The key of exponent ``p``'s flags in a kakeya-sweep summary."""
+    return f"p={p:.6g}"
+
+
 def _check_constants(constants: dict) -> None:
     """Check the numeric constants, which are echoed and used as given, by
     the rule of :func:`_number`; ``tuples`` and ``K`` (unless null) are ints."""
@@ -179,8 +184,13 @@ def parse_config(data: dict, overrides: dict | None = None) -> ExperimentConfig:
             raise ConfigError("deltas must be strictly decreasing")
 
     p_values = _numbers(data, "p_values")
-    if kind == "kakeya-sweep" and any(p <= 0.0 for p in p_values):
-        raise ConfigError("p_values must be positive")
+    if kind == "kakeya-sweep":
+        if any(p <= 0.0 for p in p_values):
+            raise ConfigError("p_values must be positive")
+        keys = [_flag_key(p) for p in p_values]
+        alike = [p for p, key in zip(p_values, keys) if keys.count(key) > 1]
+        if alike:  # one exponent's flags would overwrite another's in the summary
+            raise ConfigError(f"p_values {alike} print alike as summary flag keys")
     if kind == "bl-audit":
         if params.l == params.m:
             # the m-planes are the l-planes: no direction bush to classify
@@ -340,7 +350,7 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
                                        cfg.constants["ratio_bound"],
                                        cfg.constants["growth_bound"])
                    for i, p in enumerate(p_values)]
-        flags = {f"p={rep.p:.6g}": rep.flags() for rep in reports}
+        flags = {_flag_key(rep.p): rep.flags() for rep in reports}
         passed = all(rep.ok for rep in reports)
         summary = {"p_values": p_values, "eps": eps, "flags": flags}
     else:  # bl-audit

@@ -61,21 +61,6 @@ def _check_scale(delta: float) -> float:
     return float(delta)
 
 
-def min_pairwise_distance(points: np.ndarray) -> float:
-    m = points.shape[0]
-    if m < 2:
-        return np.inf
-    best = np.inf
-    chunk = max(1, 2_000_000 // max(m, 1))
-    for start in range(0, m, chunk):
-        block = points[start:start + chunk]
-        d2 = np.sum((block[:, None, :] - points[None, :, :]) ** 2, axis=-1)
-        for i in range(block.shape[0]):
-            d2[i, start + i] = np.inf
-        best = min(best, float(np.sqrt(np.min(d2))))
-    return best
-
-
 # ----------------------------------------------------------------- nets
 
 def _farthest_point_indices(dist_to, delta: float) -> list[int]:
@@ -439,11 +424,6 @@ class SlabNeighborhood:
             np.asarray(point, dtype=float).reshape(self.offsets.shape[1:])
         dots = _normal_dots(coords - self.offsets, self.normals[:, None])
         return np.sqrt(np.sum(np.maximum(np.abs(dots) - self.scale, 0.0) ** 2, axis=(1, 2)))
-
-    def contains(self, point: ChartPoint | np.ndarray) -> np.ndarray:
-        """Which members' neighborhoods hold the point, (M,) booleans: the
-        raster's test."""
-        return self.chart_distance(point) <= 0.0
 
     @cached_property
     def polytopes(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:

@@ -92,13 +92,6 @@ class Subspace:
     def projector(self) -> np.ndarray:
         return self.basis @ self.basis.T
 
-    def complement(self) -> "Subspace":
-        full = linalg.orthonormal_completion(self.basis, self.ambient_dim)
-        return Subspace(full[:, self.dim:])
-
-    def contains(self, other: "Subspace", tol: float = 1e-9) -> bool:
-        return linalg.containment_residual(self.basis, other.basis) <= tol
-
     def same(self, other: "Subspace", tol: float = EQUALITY_TOL) -> bool:
         return bool(same_stack(self.basis[None], other.basis[None], tol)[0])
 
@@ -309,17 +302,10 @@ def project_stack(v: np.ndarray, pi: np.ndarray):
     if l > np.shape(pi)[-1]:
         raise InvalidInputError("target plane dimension is too small")
     angles, _, right = aligned_angles(v, pi, equal_dims=False)
-    pi = np.asarray(pi, dtype=float)
     unique = np.max(angles, axis=1, initial=0.0) < np.pi / 2.0 - 1e-12
-    w, keep = linalg.orthonormalize_stack(right)
-    short = ~keep.all(axis=1)
-    if short.any():
-        # degenerate alignment; pad inside pi away from the found columns
-        padded, kept = linalg.orthonormalize_stack(
-            np.concatenate([w[short], pi[short]], axis=2))
-        first = np.argsort(~kept, axis=1, kind="stable")[:, :l]
-        w[short] = np.take_along_axis(padded, first[:, None, :], 2)
-        unique &= ~short
+    # the right vectors are pi @ vt^T, or pi itself when both are lines:
+    # orthonormal by construction, so Gram-Schmidt drops none of them
+    w = linalg.orthonormalize_stack(right)[0]
     return w, np.sqrt(np.vecdot(angles, angles)), unique
 
 

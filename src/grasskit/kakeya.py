@@ -29,7 +29,7 @@ import numpy as np
 from . import linalg
 from .affine import ChartMPlane, ChartPoint, chart_offsets, embed_tilde_stack
 from .discretize import (CELL_CAP, SlabNeighborhood, GridCounter, box_count,
-                         build_direction_net, cells_per_axis, min_pairwise_distance,
+                         build_direction_net, cells_per_axis,
                          occupancy_mask, spacing_report, SpacingReport)
 from .errors import CertificateError, InvalidInputError, ResourceCapError
 from .grassmann import (Subspace, check_bases, distances, orthonormal_draws, project_stack,
@@ -111,9 +111,6 @@ class PlaneFamily:
             object.__setattr__(self, "_features",
                                np.concatenate([_flat_rows(proj), _flat_rows(self.offsets)], axis=1))
         return self._features
-
-    def min_separation(self) -> float:
-        return float(min_pairwise_distance(self.feature_matrix()))
 
     def spacing(self) -> SpacingReport:
         return spacing_report(self.feature_matrix(), self.scale, self.params.spacing_exponent)
@@ -388,9 +385,9 @@ def union_sample_points(family: PlaneFamily, runs: tuple | None = None) -> np.nd
     before any point is written when it would exceed ``UNION_POINT_CAP``.
     The points are written a chunk of members (:func:`_union_chunks`) at a
     time into a (copies*q, N) buffer returned as its transposed view, so
-    its columns are contiguous.  D t is a product for r = 1 and otherwise a
-    matmul of each member's tick rows, as the lattice forms it.  The CLI
-    boxes this output through :func:`union_box_count`.
+    its columns are contiguous.  D t is zero for r = 0, a product for r = 1
+    and otherwise a matmul of each member's tick rows, as the lattice forms
+    it.  The CLI boxes this output through :func:`union_box_count`.
     """
     _, copies, q = family.offsets.shape
     r = family.directions.shape[2]
@@ -419,9 +416,12 @@ def union_sample_points(family: PlaneFamily, runs: tuple | None = None) -> np.nd
             count, first = size[lo:hi, j], first[::length.shape[2]]
             # copies = 1: the section points are the rows
             pts = dest if copies == 1 else np.empty((q, len(at)))
-            if r == 1:
+            if r <= 1:
                 for a in range(q):
-                    np.multiply(np.repeat(d[lo:hi, a, 0], count), tick, out=pts[a])
+                    if r:
+                        np.multiply(np.repeat(d[lo:hi, a, 0], count), tick, out=pts[a])
+                    else:  # a zero span: +0.0 plus a -0.0 offset is +0.0, as from a matmul
+                        pts[a] = 0.0
                     pts[a] += np.repeat(o[lo:hi, j, a], count)
             else:
                 # each member's tick rows in a block of at least two rows, as
@@ -432,7 +432,6 @@ def union_sample_points(family: PlaneFamily, runs: tuple | None = None) -> np.nd
                 # each run's leading ticks, over its length
                 lead = np.repeat(np.tile(_lead_ticks(ticks, r).T, hi - lo), run, axis=1)
                 block = np.zeros((r, (hi - lo) * width))
-                # zip: a point section has no column
                 for col, v in zip(block, [*lead, tick]):
                     col[slot] = v
                 span = np.empty((q, hi - lo, width))

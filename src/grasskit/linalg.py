@@ -55,13 +55,6 @@ class SvdResult:
     singular_values: np.ndarray
     right: np.ndarray
 
-    def reconstruct(self) -> np.ndarray:
-        r, c = self.left.shape[0], self.right.shape[0]
-        d = np.zeros((r, c))
-        k = len(self.singular_values)
-        d[:k, :k] = np.diag(self.singular_values)
-        return self.left @ d @ self.right.T
-
 
 def svd(a) -> SvdResult:
     """Full SVD of an arbitrary small dense matrix (LAPACK), canonicalized.

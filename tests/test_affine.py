@@ -3,7 +3,7 @@ import pytest
 
 from grasskit import affine as af, linalg
 from grasskit.errors import CertificateError, OutOfChartError
-from grasskit.grassmann import Subspace
+from grasskit.grassmann import Subspace, distances, same_stack
 from grasskit.sampling import (random_affine_plane, random_chart_m_plane,
                                random_chart_point, random_point_on, rng_for)
 
@@ -13,30 +13,42 @@ def line_through(p, q):
     return af.AffinePlane(Subspace.from_vectors([q - p]), p)
 
 
+def _arrays(planes):
+    return (np.array([p.direction.basis for p in planes]),
+            np.array([p.offset for p in planes]))
+
+
+def _distances_to(plane, points):
+    """``point_distances`` from the rows of ``points`` to one plane."""
+    basis, offset = plane.direction.basis, plane.offset
+    return af.point_distances(np.broadcast_to(basis, (len(points),) + basis.shape),
+                              np.broadcast_to(offset, points.shape), points)
+
+
 # ------------------------------------------------------------- projective
 
 def test_to_projective_x_axis():
     l = af.AffinePlane(Subspace.spanned_by_axes(2, [0]), np.zeros(2))
-    lifted = af.to_projective(l)
+    lifted = af.to_projective_stack(*_arrays([l]))
     expected = Subspace.from_vectors([np.array([1.0, 0, 0]), np.array([0, 0, 1.0])])
-    assert lifted.same(expected, 1e-12)
+    assert same_stack(lifted, expected.basis[None], 1e-12)[0]
 
 
 def test_to_projective_point():
     p = af.AffinePlane(Subspace.zero(2), np.array([0.3, -0.7]))
-    lifted = af.to_projective(p)
+    lifted = af.to_projective_stack(*_arrays([p]))
     expected = Subspace.from_vectors([np.array([0.3, -0.7, 1.0])])
-    assert lifted.same(expected, 1e-12)
+    assert same_stack(lifted, expected.basis[None], 1e-12)[0]
 
 
 def test_projective_round_trip():
     for trial in range(200):
         g = rng_for(31, trial)
         dim = int(g.integers(0, 3))
-        from grasskit.sampling import random_affine_plane
         pl = random_affine_plane(g, 4, dim)
-        back = af.from_projective(af.to_projective(pl))
-        assert back.same(pl, 1e-10)
+        bases, offsets = af.from_projective_stack(af.to_projective_stack(*_arrays([pl])))
+        assert same_stack(bases, pl.direction.basis[None], 1e-10)[0]
+        assert np.linalg.norm(offsets[0] - pl.offset) <= 1e-10
 
 
 def test_to_projective_refuses_a_lift_that_loses_rank():
@@ -44,14 +56,15 @@ def test_to_projective_refuses_a_lift_that_loses_rank():
     # the lift used to come back one dimension short
     far = af.AffinePlane(Subspace.spanned_by_axes(3, [0]), np.array([0.0, 1e11, 0.0]))
     with pytest.raises(CertificateError):
-        af.to_projective(far)
+        af.to_projective_stack(*_arrays([far]))
 
 
 # -------------------------------------------------------- affine distance
+# the affine distance is grassmann.distances of the projective lifts
 
 def test_affine_distance_zero():
-    pl = line_through([0.0, 0.0], [1.0, 1.0])
-    assert af.affine_distance(pl, pl) == pytest.approx(0.0, abs=1e-9)
+    lifted = af.to_projective_stack(*_arrays([line_through([0.0, 0.0], [1.0, 1.0])]))
+    assert distances(lifted, lifted)[0] == pytest.approx(0.0, abs=1e-9)
 
 
 def test_affine_distance_two_points():
@@ -59,16 +72,18 @@ def test_affine_distance_two_points():
     # (1,0,1); the angle between them is arccos(1/sqrt(2))
     a = af.AffinePlane(Subspace.zero(2), np.zeros(2))
     b = af.AffinePlane(Subspace.zero(2), np.array([1.0, 0.0]))
-    assert af.affine_distance(a, b) == pytest.approx(np.arccos(1 / np.sqrt(2)), abs=1e-12)
+    lifted = [af.to_projective_stack(*_arrays([pl])) for pl in (a, b)]
+    assert distances(*lifted)[0] == pytest.approx(np.arccos(1 / np.sqrt(2)), abs=1e-12)
 
 
 def test_affine_distance_symmetry():
-    from grasskit.sampling import random_affine_plane
+    a, b = [], []
     for trial in range(50):
         g = rng_for(32, trial)
-        a = random_affine_plane(g, 3, 1)
-        b = random_affine_plane(g, 3, 1)
-        assert af.affine_distance(a, b) == pytest.approx(af.affine_distance(b, a), abs=1e-10)
+        a.append(random_affine_plane(g, 3, 1))
+        b.append(random_affine_plane(g, 3, 1))
+    la, lb = af.to_projective_stack(*_arrays(a)), af.to_projective_stack(*_arrays(b))
+    assert distances(la, lb) == pytest.approx(distances(lb, la), abs=1e-10)
 
 
 # ----------------------------------------------------------- rho distance
@@ -77,15 +92,11 @@ def rho_oracle(l1, l2, samples=4000):
     """Dense sampling of the unit-ball part of l1."""
     r = np.sqrt(max(0.0, 1.0 - float(l1.offset @ l1.offset)))
     if l1.dim == 0:
-        return l2.point_distance(l1.offset)
-    best = 0.0
+        return float(_distances_to(l2, l1.offset[None])[0])
     g = rng_for(99)
-    for _ in range(samples):
-        u = g.standard_normal(l1.dim)
-        u = u / np.linalg.norm(u) * r
-        x = l1.offset + l1.direction.basis @ u
-        best = max(best, l2.point_distance(x))
-    return best
+    u = np.array([g.standard_normal(l1.dim) for _ in range(samples)])
+    u = u / np.linalg.norm(u, axis=1, keepdims=True) * r
+    return max(0.0, float(np.max(_distances_to(l2, l1.offset + u @ l1.direction.basis.T))))
 
 
 def test_rho_identical_planes():
@@ -101,7 +112,6 @@ def test_rho_parallel_lines_gap():
 
 
 def test_rho_against_sampling_oracle():
-    from grasskit.sampling import random_affine_plane
     for trial in range(25):
         g = rng_for(33, trial)
         a = random_affine_plane(g, 3, 1, offset_scale=0.25)
@@ -115,16 +125,14 @@ def test_rho_against_sampling_oracle():
 def test_rho_metric_comparability():
     # ratio rho/d bounded above and below over random in-chart pairs, and
     # far below the hard ceiling 100 n
-    from grasskit.sampling import random_affine_plane
-    ratios = []
+    a, b = [], []
     for trial in range(300):
         g = rng_for(34, trial)
-        a = random_affine_plane(g, 3, 1, offset_scale=0.25)
-        b = random_affine_plane(g, 3, 1, offset_scale=0.25)
-        d = af.affine_distance(a, b)
-        if d < 1e-6:
-            continue
-        ratios.append(af.rho_distance(a, b) / d)
+        a.append(random_affine_plane(g, 3, 1, offset_scale=0.25))
+        b.append(random_affine_plane(g, 3, 1, offset_scale=0.25))
+    d = distances(af.to_projective_stack(*_arrays(a)), af.to_projective_stack(*_arrays(b)))
+    far = d >= 1e-6
+    ratios = af.rho_distances(*_arrays(a), *_arrays(b))[far] / d[far]
     assert 1.0 / (100 * 3) <= min(ratios) and max(ratios) <= 100 * 3
 
 
@@ -181,7 +189,7 @@ def test_chart_m_plane_dimension_count():
     v = random_chart_m_plane(rng_for(37), l, m, n)
     direction_params = (m - l) * (n - m)
     offset_params = (l + 1) * (n - m)
-    assert v.normal_frame().shape == (n - l, n - m)
+    assert linalg.orthonormal_completion(v.direction.basis)[:, m - l:].shape == (n - l, n - m)
     assert v.offsets.shape == (l + 1, n - l)
     # offsets are constrained to the normal frame: n-m free entries each
     assert direction_params + offset_params == (m + 1) * (n - m)
@@ -201,7 +209,7 @@ def test_incidence_perturbed_off():
     v = random_chart_m_plane(g, 1, 2, 3)
     p = random_point_on(g, v, spread=0.3)
     coords = p.coords.copy()
-    coords[0] += 0.1 * v.normal_frame()[:, 0]
+    coords[0] += 0.1 * linalg.orthonormal_completion(v.direction.basis)[:, v.direction.dim]
     assert not af.incidence(af.ChartPoint(coords), v, tol=1e-6)
 
 
@@ -219,10 +227,8 @@ def test_incidence_matches_containment_oracle():
         else:
             p = random_chart_point(g, 1, 3, scale=0.9)
         small = chart.plane_of(p)
-        inside = all(
-            big.point_distance(small.offset + small.direction.basis @ np.array([t])) <= 1e-8
-            for t in np.linspace(-1.0, 1.0, 7)
-        )
+        along = np.linspace(-1.0, 1.0, 7)[:, None] * small.direction.basis[:, 0]
+        inside = bool(np.all(_distances_to(big, small.offset + along) <= 1e-8))
         assert af.incidence(p, v, tol=1e-8) == inside
         hits += inside
         misses += not inside
@@ -239,7 +245,8 @@ def test_incidences_meet_the_tolerance_as_incidence_does(l, m, n):
     for trial in range(20):
         v = random_chart_m_plane(g, l, m, n)
         coords = random_point_on(g, v, spread=0.3).coords.copy()
-        step = v.normal_frame() @ g.standard_normal(n - m)
+        normal = linalg.orthonormal_completion(v.direction.basis)[:, m - l:]
+        step = normal @ g.standard_normal(n - m)
         factor = (0.5, 2.0)[trial % 2]
         coords[trial % (l + 1)] += factor * af.INCIDENCE_TOL * step / np.linalg.norm(step)
         planes.append(v)
@@ -259,7 +266,7 @@ def test_embed_tilde_l0_identity():
     t = af.embed_tilde(v)
     assert t.direction.same(v.direction, 1e-12)
     p = random_point_on(g, v)
-    assert t.point_distance(p.stacked()) <= 1e-10
+    assert _distances_to(t, p.coords.reshape(1, -1))[0] <= 1e-10
 
 
 def test_embed_tilde_parallelism():
@@ -282,32 +289,28 @@ def test_embed_tilde_incidence_per_factor_oracle():
         v = random_chart_m_plane(g, 1, 2, 4)
         p = random_point_on(g, v)
         t = af.embed_tilde(v)
-        assert t.point_distance(p.stacked()) <= 1e-10
-        per_factor = sum(
-            v.section(j).point_distance(p.coords[j]) ** 2 for j in range(v.l + 1)
-        )
-        assert t.point_distance(p.stacked()) ** 2 == pytest.approx(
-            per_factor, abs=1e-12)
+        stacked = _distances_to(t, p.coords.reshape(1, -1))[0]
+        assert stacked <= 1e-10
+        # section j: the shared direction through offset j
+        sections = np.repeat(v.direction.basis[None], v.l + 1, axis=0)
+        per_factor = np.sum(af.point_distances(
+            sections, af.affine_offsets(sections, v.offsets), p.coords) ** 2)
+        assert stacked ** 2 == pytest.approx(per_factor, abs=1e-12)
 
 
 def test_embed_tilde_orthogonal_complement_structure():
     v = random_chart_m_plane(rng_for(44), 1, 2, 4)
     t = af.embed_tilde(v)
     q = v.slice_dim
-    normal = v.normal_frame()
+    normal = linalg.orthonormal_completion(v.direction.basis)[:, v.direction.dim:]
     big_normal = np.zeros((2 * q, 2 * normal.shape[1]))
     big_normal[:q, :normal.shape[1]] = normal
     big_normal[q:, normal.shape[1]:] = normal
-    comp = t.direction.complement()
-    assert comp.same(Subspace(big_normal), 1e-10)
+    comp = linalg.orthonormal_completion(t.direction.basis)[:, t.dim:]
+    assert Subspace(comp).same(Subspace(big_normal), 1e-10)
 
 
 # ------------------------------------------------------- stacked kernels
-
-def _arrays(planes):
-    return (np.array([p.direction.basis for p in planes]),
-            np.array([p.offset for p in planes]))
-
 
 def _hard_case_pair():
     """l1 = the plane z = 0.3 and l2 a line with c orthogonal to the top
@@ -333,7 +336,7 @@ def test_hard_case_pair_takes_the_hard_branch():
     # the disc's boundary circle, sampled densely, stays below rho
     t = np.linspace(0.0, 2 * np.pi, 4001)
     circle = l1.offset + np.sqrt(r2) * np.column_stack([np.cos(t), np.sin(t), 0 * t])
-    worst = max(l2.point_distance(x) for x in circle)
+    worst = float(np.max(_distances_to(l2, circle)))
     assert worst <= af.rho_distance(l1, l2) <= worst + 1e-6
 
 

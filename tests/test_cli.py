@@ -387,6 +387,18 @@ def test_bad_entries_exit_2(tmp_path, capsys, field, value):
         assert json.loads(out)["error"] == "config"
 
 
+@pytest.mark.parametrize("p_values", [[1.2, 1.2], [1.2, 1.2000001]], ids=["equal", "alike"])
+def test_sweep_exponents_that_print_alike_exit_2(tmp_path, capsys, p_values):
+    # the summary keys each exponent's flags by p to six digits, so the
+    # second exponent's flags would overwrite the first's
+    cfg = base_config(experiment="kakeya-sweep", p_values=p_values)
+    for command in ("validate", "run"):
+        code, out = _main_exit(tmp_path, capsys, cfg, command)
+        assert code == 2
+        err = json.loads(out)
+        assert err["error"] == "config" and str(p_values) in err["message"]
+
+
 @pytest.mark.parametrize("params", [[1, 2], "lmdn", 3])
 def test_params_not_an_object_exit_2(tmp_path, capsys, params):
     cfg = base_config(params=params)

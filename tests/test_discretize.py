@@ -8,10 +8,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from grasskit import discretize as dz
+from grasskit import discretize as dz, linalg
 from grasskit.affine import ChartMPlane, ChartPoint
 from grasskit.errors import InvalidInputError, InvalidScaleError, ResourceCapError
-from grasskit.grassmann import Subspace
+from grasskit.grassmann import Subspace, distances
 from grasskit.kakeya import FamilyParams, generate_sharp_example
 from grasskit.sampling import random_chart_m_plane, rng_for
 
@@ -43,6 +43,24 @@ def test_direction_net_circle():
     assert d01 >= 2.0 ** -3 - 1e-9
 
 
+@pytest.mark.parametrize("sub_dim, ambient, delta, count", [(2, 3, 0.5, 14), (2, 4, 0.7, 42)])
+def test_direction_net_of_planes_is_separated(sub_dim, ambient, delta, count):
+    # the farthest-point net over random_subspaces
+    net = dz.build_direction_net(sub_dim, ambient, delta)
+    assert net.shape == (count, ambient, sub_dim) and not net.flags.writeable
+    gram = np.swapaxes(net, 1, 2) @ net
+    assert np.allclose(gram, np.eye(sub_dim), atol=1e-12)
+    i, j = np.triu_indices(count, 1)
+    assert np.min(distances(net[i], net[j])) >= delta
+    assert dz.build_direction_net(sub_dim, ambient, delta) is net
+
+
+@pytest.mark.parametrize("sub_dim", [0, 3], ids=["point", "whole"])
+def test_direction_net_of_a_single_plane(sub_dim):
+    net = dz.build_direction_net(sub_dim, 3, 0.5)
+    assert np.array_equal(net, np.eye(3)[None, :, :sub_dim]) and not net.flags.writeable
+
+
 # ----------------------------------------------------------------- slabs
 
 def test_slab_membership_core_and_displaced():
@@ -50,9 +68,10 @@ def test_slab_membership_core_and_displaced():
     delta = 1.0 / 16
     slab = dz.SlabNeighborhood(v, delta)
     on_core = ChartPoint((v.offsets[0] + 0.3 * v.direction.basis[:, 0]).reshape(1, 2))
-    assert slab.contains(on_core)
-    off = ChartPoint((v.offsets[0] + 2 * delta * v.normal_frame()[:, 0]).reshape(1, 2))
-    assert not slab.contains(off)
+    assert slab.chart_distance(on_core) <= 0
+    normal = linalg.orthonormal_completion(v.direction.basis)[:, v.direction.dim]
+    off = ChartPoint((v.offsets[0] + 2 * delta * normal).reshape(1, 2))
+    assert not slab.chart_distance(off) <= 0
 
 
 def test_slab_membership_agrees_with_metric_distance():
@@ -67,7 +86,7 @@ def test_slab_membership_agrees_with_metric_distance():
     for _ in range(200):
         p = g.uniform(-1.0, 1.0, size=2)
         brute = float(np.min(np.linalg.norm(core - p, axis=1)))
-        member = slab.contains(p.reshape(1, 2))
+        member = slab.chart_distance(p.reshape(1, 2)) <= 0
         if member:
             assert brute <= delta * 1.5 + 1e-6
         elif brute > delta * 1.5:
@@ -230,7 +249,7 @@ def test_slab_cells_match_membership(shape):
     mesh = np.meshgrid(*([axis] * dim), indexing="ij")
     all_cells = np.column_stack([m.ravel() for m in mesh])
     all_centers = -1.0 + (all_cells + 0.5) * delta
-    expected = {tuple(c) for c, x in zip(all_cells, all_centers) if slab.contains(x)}
+    expected = {tuple(c) for c, x in zip(all_cells, all_centers) if slab.chart_distance(x) <= 0}
     assert expected and {tuple(c) for c in cells} == expected
     if shape == "edge-on-centers":
         assert sorted({c[0] for c in expected}) == [3, 4, 5]

@@ -43,6 +43,12 @@ def test_p_max_exceeds_one_everywhere():
 
 # ------------------------------------------------------- sharp examples
 
+def _min_separation(fam):
+    """Least distance between two rows of the family's feature matrix."""
+    f = fam.feature_matrix()
+    return np.linalg.norm(f[:, None] - f[None], axis=2)[np.triu_indices(len(f), 1)].min()
+
+
 def test_sharp_example_invalid_params():
     with pytest.raises(InvalidInputError):
         kk.FamilyParams(1, 0, 1, 2, 0.5)
@@ -59,7 +65,7 @@ def test_sharp_example_full_net_count():
     fam = kk.generate_sharp_example(params, delta)
     ideal = delta ** -2.0
     assert ideal / 16 <= len(fam) <= ideal * 4
-    assert fam.min_separation() >= delta
+    assert _min_separation(fam) >= delta
 
 
 def test_sharp_example_cantor_count():
@@ -76,7 +82,7 @@ def test_sharp_example_spacing_constant():
         fam = kk.generate_sharp_example(kk.FamilyParams(l, m, d, n, beta), 2.0 ** -4)
         rep = fam.spacing()
         assert rep.worst_ratio <= 4.0, (l, m, d, n, beta, rep)
-        assert fam.min_separation() >= fam.scale - 1e-12
+        assert _min_separation(fam) >= fam.scale - 1e-12
 
 
 def test_sharp_example_union_slope_flat_case():
@@ -158,6 +164,7 @@ ARRAY_FAMILY_CASES = [
     ((0, 1, 1, 2, 0.0), (4, 6)),
     ((0, 1, 1, 2, 0.5), (4, 6)),
     ((0, 1, 1, 2, 1.0), (4, 6)),
+    ((0, 0, 1, 2, 1.0), (3, 5)),    # r = 0, one slice: the points are the rows
     ((1, 1, 2, 3, 0.0), (3, 5)),    # r = 0: point sections
     ((1, 1, 2, 3, 1.0), (3, 5)),
     ((0, 2, 2, 3, 1.0), (3, 4)),    # r = 2: a two-dimensional tick lattice
@@ -183,6 +190,18 @@ def test_array_family_matches_per_member_loops(params, exponents, chunk_rows, mo
         assert np.array_equal(fam.feature_matrix(), reference_feature_matrix(ref))
         pts = kk.union_sample_points(fam)
         assert np.array_equal(pts, reference_union_sample_points(ref, delta))
+
+
+@pytest.mark.parametrize("l, n", [(0, 2), (1, 3)], ids=["one-slice", "two-slices"])
+def test_point_sections_sample_no_negative_zero(l, n):
+    # a point section's span is zero, and +0.0 plus a -0.0 offset is +0.0
+    offsets = np.full((2, l + 1, n - l), -0.0)
+    offsets[1, :, 0] = 0.5
+    fam = kk.PlaneFamily.from_arrays(kk.FamilyParams(l, l, l + 1, n, 1.0), 0.25,
+                                     np.zeros((2, n - l, 0)), offsets)
+    pts = kk.union_sample_points(fam)
+    assert np.signbit(fam.offsets).any() and not np.signbit(pts).any()
+    assert np.array_equal(pts, reference_union_sample_points(fam.members, fam.scale))
 
 
 def test_family_members_are_views_of_the_arrays():
@@ -917,7 +936,8 @@ def test_sharp_family_bushes_classify_as_pinned(shape, k):
 
 def test_dim_projection_kernel_case():
     w = Subspace(np.eye(4)[:, :2])
-    assert kk.dim_projection(w.complement(), w) == 0
+    kernel = Subspace(linalg.orthonormal_completion(w.basis)[:, w.dim:])
+    assert kk.dim_projection(kernel, w) == 0
 
 
 def test_dim_projection_full_space():
@@ -936,7 +956,8 @@ def test_dim_projection_matches_rank_oracle():
         # rank-nullity refinement: >= dim W + dim U - N, +1 when U misses W-perp
         lower = w.dim + u.dim - 6
         assert kk.dim_projection(u, w) >= lower
-        if not u.contains(w.complement(), 1e-9):
+        kernel = linalg.orthonormal_completion(w.basis)[:, w.dim:]
+        if not linalg.containment_residual(u.basis, kernel) <= 1e-9:
             assert kk.dim_projection(u, w) >= lower + 1
 
 
@@ -966,7 +987,8 @@ def test_bl_single_subspace_kernel_maximizer():
     inst = kk.bl_constant_lower([w], 1.0)
     assert inst.best_value == pytest.approx(3.0)
     # the kernel candidate attains the maximum (projection dimension 0)
-    assert inst.value_of(w.complement()) == pytest.approx(3.0)
+    kernel = Subspace(linalg.orthonormal_completion(w.basis)[:, w.dim:])
+    assert inst.value_of(kernel) == pytest.approx(3.0)
 
 
 def _projectors_match(a: Subspace, b: Subspace) -> bool:
@@ -983,7 +1005,8 @@ def test_kernel_lattice_is_closed_and_distinct():
         ambient = ws[0].ambient_dim
         assert any(u.dim == 0 for u in lattice) and any(u.dim == ambient for u in lattice)
         for w in ws:
-            assert any(_projectors_match(u, w.complement()) for u in lattice)
+            kernel = Subspace(linalg.orthonormal_completion(w.basis)[:, w.dim:])
+            assert any(_projectors_match(u, kernel) for u in lattice)
         for i, a in enumerate(lattice):
             assert not any(_projectors_match(a, b) for b in lattice[i + 1:])
             for b in lattice[i + 1:]:
@@ -1126,7 +1149,8 @@ def test_verify_bl_bounds_cross_checks_every_exponent(monkeypatch):
     # a stand-in lattice {0, a line inside K_1}, of maximum max(0, 1 - p/2):
     # the random draws (best 5 - 4p) beat it at p = 1 but not at p = 1.2
     monkeypatch.setattr(kk, "kernel_lattices", lambda ws: [[
-        Subspace.zero(ws[0].shape[1]).basis, Subspace(ws[0][0]).complement().basis[:, :1]]])
+        Subspace.zero(ws[0].shape[1]).basis,
+        linalg.orthonormal_completion(ws[0][0])[:, ws[0].shape[2], None]]])
     assert kk.verify_bl_bound(tup, params, 1.2, rng_for(68)).ok
     with pytest.raises(CertificateError):
         kk.verify_bl_bound(tup, params, 1.0, rng_for(68))
@@ -1180,7 +1204,7 @@ def test_stacked_ranks_follow_the_kernel_intersections(shape):
     stacks = [ws[:, j] for j in range(ws.shape[1])]
     lattices = kk.kernel_lattices(stacks)
     for t, (lattice, totals) in enumerate(zip(lattices, kk._projection_ranks(lattices, stacks))):
-        kernels = [Subspace(w).complement() for w in ws[t]]
+        kernels = [Subspace(linalg.orthonormal_completion(w)[:, w.shape[1]:]) for w in ws[t]]
         for u, total in zip(lattice, totals):
             u = Subspace(u)
             assert total == len(kernels) * u.dim - sum(u.intersect(k).dim for k in kernels)

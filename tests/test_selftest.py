@@ -9,7 +9,7 @@ from grasskit.affine import (AffinePlane, ChartMPlane, ChartPoint, affine_offset
                              embed_tilde_stack, incidences, point_distances)
 from grasskit.errors import InvalidInputError
 from grasskit.grassmann import random_subspace, random_subspaces, same_stack
-from grasskit.linalg import orthonormalize_stack, project_columns
+from grasskit.linalg import orthonormal_completion, orthonormalize_stack, project_columns
 from grasskit.sampling import points_on, random_chart_m_plane, random_point_on, rng_for
 
 
@@ -390,7 +390,8 @@ def _off_plane(plane, moves):
     section j."""
     steps = rng_for(8).uniform(-0.3, 0.3, size=(1, plane.l + 1, plane.direction.dim))
     on = points_on(plane.direction.basis[None], plane.offsets[None], steps)[0]
-    return on + np.asarray(moves)[:, None] * plane.normal_frame()[:, 0]
+    normal = orthonormal_completion(plane.direction.basis)[:, plane.direction.dim]
+    return on + np.asarray(moves)[:, None] * normal
 
 
 @pytest.mark.parametrize("moves, incident", [
@@ -417,7 +418,8 @@ def test_near_parallel_planes_agree_with_the_product_embedding(angle, parallel):
     # the product direction's principal angles are the section angle, repeated
     tol = 1e-9
     plane = random_chart_m_plane(rng_for(9), 1, 2, 4)
-    basis, normal = plane.direction.basis, plane.normal_frame()[:, :1]
+    basis = plane.direction.basis
+    normal = orthonormal_completion(basis)[:, plane.direction.dim, None]
     turned = np.cos(angle * tol) * basis + np.sin(angle * tol) * normal
     v, w = basis[None], turned[None]
     big_v = embed_tilde_stack(v, plane.offsets[None])[0]

@@ -1,8 +1,8 @@
 """Every function, method and class the package defines is named somewhere
-else: in the package, the tests, the benchmark scripts or the README; every
-field of a package dataclass is read somewhere in that code; and every
-parameter with a default is passed by some call in that code or in a python
-block of the README.
+else in the package, the benchmark scripts or the README, or, for a short
+list of kept names, in the tests; every field of a package dataclass is
+read somewhere in that code; and every parameter with a default is passed
+by some call in that code or in a python block of the README.
 
 No linter ships with the toolchain, so this stands in for a dead-code
 check: a definition that nothing names is either unused or undocumented.
@@ -11,7 +11,9 @@ word of a string that is not a docstring) and anywhere in the README.  A
 field counts as read where the code loads it as an attribute or names it in
 a string that is not a docstring (the keys of ``asdict`` records).  A
 defaulted parameter that no call passes is an option nobody sets, so its
-default is the only value it can take.
+default is the only value it can take.  A definition that only the tests
+name is a helper that lives for the tests alone: the tests should call what
+the package runs.
 """
 
 import ast
@@ -139,15 +141,31 @@ def unset(package: list[str], others: list[str]) -> list[str]:
                   if not any(passes(c, param, position) for c in calls.get(name, [])))
 
 
-def sources() -> tuple[list[str], list[str]]:
+# the definitions that only the tests name, each kept for a reason
+TESTS_ONLY = [
+    # acceptance criterion 7 binds them
+    "check_spacing", "partition_spacing",
+    # the ROADMAP's classifier on real families and chart-invariance items build on them
+    "bush_directions", "affine_of",
+    # the tests' containment oracle, a max-norm residual that shares no code
+    # with the principal-angle kernels it checks
+    "containment_residual",
+]
+
+
+def sources(patterns=("tests/*.py", "perfbench/*.py")) -> tuple[list[str], list[str]]:
     package = [p.read_text() for p in sorted((ROOT / "src" / "grasskit").glob("*.py"))]
-    others = [p.read_text() for pattern in ("tests/*.py", "perfbench/*.py")
-              for p in sorted(ROOT.glob(pattern))]
+    others = [p.read_text() for pattern in patterns for p in sorted(ROOT.glob(pattern))]
     return package, others
 
 
 def test_every_package_definition_is_named_elsewhere():
     assert unreferenced(*sources(), (ROOT / "README.md").read_text()) == []
+
+
+def test_no_package_definition_lives_for_the_tests_alone():
+    readme = (ROOT / "README.md").read_text()
+    assert unreferenced(*sources(("perfbench/*.py",)), readme) == sorted(TESTS_ONLY)
 
 
 def test_every_dataclass_field_is_read():
