@@ -270,6 +270,14 @@ def _sharp_unit(arg: tuple) -> dict:
             "box_count": kakeya.union_box_count(family)}
 
 
+def _local_slopes(records: list[dict]) -> list[float]:
+    """log(N_{i+1}/N_i) / log(delta_i/delta_{i+1}) for each adjacent pair of
+    scales, coarsest first: where the box-count slope has settled, which the
+    whole-range fit does not show."""
+    return [math.log(b["box_count"] / a["box_count"]) / math.log(a["delta"] / b["delta"])
+            for a, b in zip(records, records[1:])]
+
+
 def _kakeya_unit(arg: tuple) -> dict:
     params, delta, p_values, eps = arg
     family = _sharp_family(params, delta)
@@ -337,7 +345,8 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
         passed = abs(fit.slope - target) <= cfg.constants["slope_tol"]
         summary = {"slope": fit.slope, "intercept": fit.intercept,
                    "residual": fit.residual, "target": target,
-                   "tolerance": cfg.constants["slope_tol"]}
+                   "tolerance": cfg.constants["slope_tol"],
+                   "local_slopes": _local_slopes(records)}
     elif cfg.experiment == "kakeya-sweep":
         p_values = _p_list(cfg)
         eps = cfg.constants["eps"]

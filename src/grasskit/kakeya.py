@@ -370,7 +370,8 @@ def _union_chunks(rows: np.ndarray) -> list[tuple[int, int]]:
     return [(lo, hi) for lo, hi in chunks if lo < hi and rows[lo:hi].any()]
 
 
-def union_sample_points(family: PlaneFamily, runs: tuple | None = None) -> np.ndarray:
+def union_sample_points(family: PlaneFamily, runs: tuple | None = None,
+                        out: np.ndarray | None = None) -> np.ndarray:
     """Point sample of the union of the member plane-sets in the chart.
 
     Each member contributes the product over slices of a sample of its
@@ -385,15 +386,24 @@ def union_sample_points(family: PlaneFamily, runs: tuple | None = None) -> np.nd
     before any point is written when it would exceed ``UNION_POINT_CAP``.
     The points are written a chunk of members (:func:`_union_chunks`) at a
     time into a (copies*q, N) buffer returned as its transposed view, so
-    its columns are contiguous.  D t is zero for r = 0, a product for r = 1
-    and otherwise a matmul of each member's tick rows, as the lattice forms
-    it.  The CLI boxes this output through :func:`union_box_count`.
+    its columns are contiguous.  The buffer is a fresh array, or the
+    leading N columns of ``out``, a float (copies*q, >= N) buffer the
+    caller lends, so that one buffer serves many calls; the result then
+    views ``out``.  D t is zero for r = 0, a product for r = 1 and otherwise
+    a matmul of each member's tick rows, as the lattice forms it.  The CLI
+    boxes this output through :func:`union_box_count`.
     """
     _, copies, q = family.offsets.shape
     r = family.directions.shape[2]
     ticks, start, length, size, rows = _union_runs(family) if runs is None else runs
     begins = np.cumsum(rows) - rows
-    out = np.empty((copies * q, int(rows.sum())))
+    total = int(rows.sum())
+    if out is None:
+        out = np.empty((copies * q, total))
+    elif out.dtype != float or out.shape[0] != copies * q or out.shape[1] < total:
+        raise InvalidInputError(f"a {out.dtype} {out.shape} buffer cannot hold "
+                                f"{total} union points of {copies * q} coordinates")
+    out = out[:, :total]
     d, o = family.directions, family.offsets
     for lo, hi in _union_chunks(rows):
         p0, n = int(begins[lo]), int(rows[lo:hi].sum())
@@ -451,19 +461,25 @@ def union_box_count(family: PlaneFamily) -> int:
     """``box_count(union_sample_points(family), family.scale)``, from runs
     found once, so a union over the point cap is refused before anything is
     boxed.  When an occupancy mask of its kept rows holds the count, each
-    chunk of members is sampled from its slice of the runs and boxed onto
-    it, so memory follows the mask, one chunk's points and the runs: two
-    integers per row of a section's leading ticks, against q floats per
-    kept tick for its points."""
+    chunk of members is sampled from its slice of the runs into one point
+    buffer, sized for the largest chunk and lent to every chunk's call, and
+    boxed onto the mask, so memory follows the mask, that buffer and the
+    runs: two integers per row of a section's leading ticks, against q
+    floats per kept tick for its points.  A buffer of its own per chunk
+    would be returned to the system and faulted in again chunk by chunk."""
     _, copies, q = family.offsets.shape
     runs = _union_runs(family)
-    seen = occupancy_mask(copies * q, family.scale, int(runs[-1].sum()))
+    rows = runs[-1]
+    seen = occupancy_mask(copies * q, family.scale, int(rows.sum()))
     if seen is None:
         return box_count(union_sample_points(family, runs), family.scale)
+    chunks = _union_chunks(rows)
+    buffer = np.empty((copies * q, max(int(rows[lo:hi].sum()) for lo, hi in chunks)))
     count = 0
-    for lo, hi in _union_chunks(runs[-1]):
+    for lo, hi in chunks:
         chunk = (runs[0], *(a[lo:hi] for a in runs[1:]))
-        count += box_count(union_sample_points(family.block(lo, hi), chunk), family.scale, seen)
+        points = union_sample_points(family.block(lo, hi), chunk, out=buffer)
+        count += box_count(points, family.scale, seen)
     return count
 
 

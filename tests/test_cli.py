@@ -2,6 +2,7 @@ import contextlib
 import copy
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -108,6 +109,20 @@ def test_sharp_dimension_records_are_pinned(params, pins):
     records = cli.run_experiment(cfg)["records"]
     assert records == [{"delta": 2.0 ** -k, "members": members, "box_count": count}
                        for k, members, count in pins]
+
+
+def test_sharp_dimension_reports_local_slopes():
+    # (0,1,2,3) fails its whole-range fit (3.328 against 3); the slope
+    # between adjacent scales settles towards the target
+    cfg = cli.parse_config(base_config(params={"l": 0, "m": 1, "d": 2, "n": 3, "beta": 1.0},
+                                       deltas=[2.0 ** -k for k in range(3, 7)]))
+    report = cli.run_experiment(cfg)
+    counts = [r["box_count"] for r in report["records"]]
+    assert counts == [468, 5_648, 55_152, 478_496]
+    slopes = report["summary"]["local_slopes"]
+    assert slopes == [math.log(b / a) / math.log(2.0) for a, b in zip(counts, counts[1:])]
+    assert [round(s, 3) for s in slopes] == [3.593, 3.288, 3.117]
+    assert round(report["summary"]["slope"], 3) == 3.328 and not report["passed"]
 
 
 def test_sharp_planar_traced_work_is_pinned(monkeypatch):
@@ -257,6 +272,30 @@ def test_validation_never_loads_numpy(tmp_path, command, cfg, code):
     assert done.returncode == code, done.stderr
     if command == "run":
         assert "beta in [0, m+1]" in json.loads(done.stdout)["message"]
+
+
+# calls grasskit.__main__.main as the installed console script does
+CONSOLE_SCRIPT = """import sys
+from grasskit.__main__ import main
+sys.argv[0] = "grasskit"
+try:
+    main()
+except SystemExit as exc:
+    code = exc.code
+assert "numpy" not in sys.modules, sorted(m for m in sys.modules if "grasskit" in m)
+sys.exit(code)
+"""
+
+
+@pytest.mark.parametrize("cfg", [bl_audit_config(), {"experiment": "geometry-selftest", "seed": 0}],
+                         ids=["bl-audit", "selftest"])
+def test_console_script_validates_without_numpy(tmp_path, cfg):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    for args in [("-c", CONSOLE_SCRIPT), ("-m", "grasskit")]:
+        done = _fresh_python(*args, "validate", "--config", str(path))
+        assert done.returncode == 0, done.stderr
+        assert json.loads(done.stdout)["experiment"] == cfg["experiment"]
 
 
 def test_main_module_run_with_a_pool_matches_the_in_process_report(tmp_path):

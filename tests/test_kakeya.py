@@ -528,6 +528,77 @@ def test_union_sample_is_sized_from_the_runs():
     assert pts.nbytes <= peak < 795_664 * 3 * 8
 
 
+def lent_buffer_families():
+    """Every union shape the sampler serves: the array cases, the edge
+    families and the shapes the CLI's record pins cover (r = 0..3, copies
+    1 and 2), each at its two coarsest pinned scales ((0,2,3,4) at 2^-4
+    alone is 4.3M points)."""
+    from test_cli import SHARP_RECORD_PINS
+    for params, exponents in ARRAY_FAMILY_CASES:
+        for k in exponents:
+            yield kk.generate_sharp_example(kk.FamilyParams(*params), 2.0 ** -k)
+    yield from edge_families()
+    for params, pins in SHARP_RECORD_PINS:
+        for k, _, _ in pins[:2]:
+            yield kk.generate_sharp_example(kk.FamilyParams(*params), 2.0 ** -k)
+
+
+@pytest.mark.parametrize("chunk_rows", [kk.UNION_CHUNK_ROWS, 1000, 4],
+                         ids=["default-chunk", "1000", "4"])
+def test_union_sample_into_a_lent_buffer_matches_a_fresh_one(chunk_rows, monkeypatch):
+    monkeypatch.setattr(kk, "UNION_CHUNK_ROWS", chunk_rows)
+    for fam in lent_buffer_families():
+        runs = kk._union_runs(fam)
+        fresh = kk.union_sample_points(fam, runs)
+        # a wider buffer than the sample: only its leading columns are written
+        buffer = np.full((fresh.shape[1], len(fresh) + 3), np.nan)
+        lent = kk.union_sample_points(fam, runs, out=buffer)
+        assert lent.shape == fresh.shape and lent.tobytes() == fresh.tobytes()
+        assert lent.base is buffer and np.isnan(buffer[:, len(fresh):]).all()
+    # a buffer one column short of the last family's sample
+    with pytest.raises(InvalidInputError):
+        kk.union_sample_points(fam, runs, out=buffer[:, :len(fresh) - 1])
+
+
+def repeated_copies_2_family():
+    # (1,2,2,3) at 2^-2, its members four times over: 2,048 rows in 8^4 cells
+    # take the mask, which no sharp copies-2 family small enough does
+    fam = kk.generate_sharp_example(kk.FamilyParams(1, 2, 2, 3, 1.0), 0.25)
+    return kk.PlaneFamily.from_arrays(fam.params, fam.scale, np.tile(fam.directions, (4, 1, 1)),
+                                      np.tile(fam.offsets, (4, 1, 1)))
+
+
+@pytest.mark.parametrize("family, chunk_rows", [
+    (sharp_family((0, 1, 1, 2, 1.0), 9), kk.UNION_CHUNK_ROWS),   # sharp-planar's 2^-9
+    (repeated_copies_2_family, 1000),
+    (sharp_family((0, 2, 2, 3, 1.0), 5), 1000),
+    (sharp_family((0, 3, 3, 4, 2.5), 2), 1000),
+    (r0_family_over_many_blocks, 1000),
+], ids=["sharp-planar", "copies-2", "r-2", "r-3", "r-0"])
+def test_union_box_count_lends_one_buffer_to_every_chunk(family, chunk_rows, monkeypatch):
+    # the chunks are drawn through the module-global name, as perfbench's
+    # tracer counts them, each a view of its kept rows in one buffer sized
+    # for the largest chunk
+    monkeypatch.setattr(kk, "UNION_CHUNK_ROWS", chunk_rows)
+    original, drawn = kk.union_sample_points, []
+
+    def recorded(*args, **kwargs):
+        out = original(*args, **kwargs)
+        drawn.append(out)
+        return out
+
+    monkeypatch.setattr(kk, "union_sample_points", recorded)
+    fam = family()
+    assert kk.union_box_count(fam) == dz.box_count(original(fam), fam.scale)
+    rows = kk._union_runs(fam)[-1]
+    kept = [int(rows[lo:hi].sum()) for lo, hi in kk._union_chunks(rows)]
+    assert len(drawn) == len(kept) > 1
+    assert [len(pts) for pts in drawn] == kept
+    buffer = drawn[0].base
+    assert buffer.shape == (drawn[0].shape[1], max(kept))
+    assert all(pts.base is buffer for pts in drawn)
+
+
 # ----------------------------------------------------------------- bush
 
 def test_bush_empty_off_all_slabs():
