@@ -16,8 +16,8 @@ Modules:
 * ``kakeya``     - sharp-example families, broad-narrow classification,
                    transversality certificates, the subspace-dimension
                    counting functional, the counting-inequality verifier;
-* ``sampling``   - seeded random constructions: one-sample draws and
-                   their derivation on stacks;
+* ``sampling``   - seeded random constructions: blocks of chart m-planes
+                   and of points on them, redrawn after the block;
 * ``selftest``   - the seeded geometry invariant suites;
 * ``params``     - family parameters, exponent range, classifier constants;
 * ``cli``        - config-driven deterministic experiment runner.

@@ -476,6 +476,10 @@ def main(argv=None) -> int:
     except ResourceCapError as exc:
         print(_error_record("resource-cap", str(exc)))
         return 3
+    # a backstop: the caps are meant to refuse a run before it allocates
+    except MemoryError:
+        print(_error_record("resource-cap", "out of memory"))
+        return 3
     if cfg.csv:
         write_csv(report, cfg.csv)
     if cfg.out:

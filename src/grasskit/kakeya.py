@@ -288,11 +288,14 @@ def _section_runs(family: PlaneFamily, ticks: np.ndarray) -> tuple[np.ndarray, n
     on that expression, D t formed as :func:`union_sample_points` forms it:
     guessed from the coordinates' crossings and checked by the ticks either
     side; where a check fails, the chunk is bisected.  A point section
-    (r = 0) is one run of length 1."""
+    (r = 0) is one run of length 1.  ResourceCapError, before any run is
+    found, when the runs of r >= 1 number above ``UNION_POINT_CAP``."""
     members, copies, q = family.offsets.shape
     r = family.directions.shape[2]
     if r == 0:
         return np.zeros((members, copies, 1), np.int64), np.ones((members, copies, 1), np.int64)
+    if members * copies * len(ticks) ** (r - 1) > UNION_POINT_CAP:
+        raise ResourceCapError("union sample exceeds the point cap")
     lead = _lead_ticks(ticks, r)
     ends = np.empty((2, members, copies, len(lead)), dtype=np.int64)
     n, pitch = len(ticks), family.scale / 2.0

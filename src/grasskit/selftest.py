@@ -18,10 +18,9 @@ from .affine import (Chart, affine_offsets, chart_offsets, check_chart_box,
                      point_distances, rho_distances, to_projective_stack)
 from .errors import InvalidInputError, ResourceCapError
 from .grassmann import (distances, geodesic_frames, geodesic_points,
-                        orthonormal_draws, project_stack, same_stack)
-from .linalg import orthonormalize_stack
-from .sampling import (affine_plane_draw, chart_m_plane_draw, chart_m_planes,
-                       chart_point_draw, point_on_draw, points_on, rng_for)
+                        orthonormal_draws, project_stack, random_subspaces,
+                        same_stack)
+from .sampling import random_chart_m_planes, random_points_on, rng_for
 
 
 class _Result:
@@ -151,25 +150,17 @@ class EmbeddingSuiteResult(_Result):
 
 
 def embedding_draws(g, samples: int, l: int, m: int, n: int):
-    """The embedding suite's draws, sample by sample in stream order: a
-    chart m-plane v, a point (on v for even samples, a free chart point in
-    [-0.9, 0.9] for odd ones) and a second chart m-plane.  The loop makes
-    only the generator calls and redraw decisions; the planes and points
-    are derived once on stacks.  Returns the stacks of v's bases and
-    offsets, the points, and the second planes' bases and offsets."""
-    first, steps, free, second = [], [], [], []
-    for k in range(samples):
-        first.append(chart_m_plane_draw(g, l, m, n))
-        if k % 2 == 0:
-            steps.append(point_on_draw(g, *first[-1]))
-        else:
-            free.append(chart_point_draw(g, l, n, scale=0.9))
-        second.append(chart_m_plane_draw(g, l, m, n))
-    v, offsets = chart_m_planes(*(np.array(x) for x in zip(*first)))
+    """The embedding suite's draws, as blocks in this order: the chart
+    m-planes v, the points on v of the even samples, the free chart points
+    of the odd samples (uniform in [-0.9, 0.9]) and the second chart
+    m-planes; each block's redraws follow it (see :mod:`grasskit.sampling`).
+    Returns the stacks of v's bases and offsets, the points, and the second
+    planes' bases and offsets."""
+    v, offsets = random_chart_m_planes(g, samples, l, m, n)
     points = np.empty_like(offsets)
-    points[0::2] = points_on(v[0::2], offsets[0::2], np.array(steps))
-    points[1::2] = np.reshape(free, (-1, l + 1, n - l))
-    return [v, offsets, points, *chart_m_planes(*(np.array(x) for x in zip(*second)))]
+    points[0::2] = random_points_on(g, v[0::2], offsets[0::2])
+    points[1::2] = g.uniform(-0.9, 0.9, size=points[1::2].shape)
+    return [v, offsets, points, *random_chart_m_planes(g, samples, l, m, n)]
 
 
 def embedding_suite(seed: int, samples: int = 1000, l: int = 1, m: int = 2,
@@ -218,17 +209,15 @@ class ChartSuiteResult(_Result):
 
 
 def chart_draws(g, samples: int):
-    """The chart suite's draws, sample by sample in stream order: a chart
-    point of (1, 3) in [-0.9, 0.9], then two lines of R^3 with offsets in
-    [-0.25, 0.25]^3.  The loop makes only the generator calls and redraw
-    decisions; the line bases are derived once on stacks.  Returns the
+    """The chart suite's draws, as blocks in this order: the chart points of
+    (1, 3), uniform in [-0.9, 0.9]; then for the first lines of R^3 and
+    then the second, a block of directions (deficient draws redrawn after
+    it) and a block of offsets, uniform in [-0.25, 0.25]^3.  Returns the
     points and each line stack's bases and drawn offsets."""
-    draws = [(chart_point_draw(g, 1, 3, scale=0.9),
-              *affine_plane_draw(g, 3, 1, offset_scale=0.25),
-              *affine_plane_draw(g, 3, 1, offset_scale=0.25))
-             for _ in range(samples)]
-    points, x1, o1, x2, o2 = (np.array(x) for x in zip(*draws))
-    return (points, orthonormalize_stack(x1)[0], o1, orthonormalize_stack(x2)[0], o2)
+    points = g.uniform(-0.9, 0.9, size=(samples, 2, 2))
+    b1, o1 = random_subspaces(g, samples, 3, 1), g.uniform(-0.25, 0.25, size=(samples, 3))
+    b2, o2 = random_subspaces(g, samples, 3, 1), g.uniform(-0.25, 0.25, size=(samples, 3))
+    return points, b1, o1, b2, o2
 
 
 def chart_suite(seed: int, samples: int = 500) -> ChartSuiteResult:

@@ -935,6 +935,46 @@ def test_sharp_member_cap_exit_3_before_any_axis_is_drawn(tmp_path, k):
     assert "Traceback" not in done.stderr
 
 
+def test_section_run_cap_exit_3_before_the_runs_are_allocated(tmp_path):
+    # (0,3,3,4,2.5) at 2^-6 has 538,970,112 section runs, whose ends took
+    # 8.03 GiB; unchecked, that allocation raised MemoryError under this
+    # limit and ended in a traceback.  The CLI runs in a child process under
+    # a 3 GB address-space limit, so that a regression fails there instead
+    # of exhausting this one's memory
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(base_config(params={"l": 0, "m": 3, "d": 3, "n": 4, "beta": 2.5},
+                                           deltas=[2.0 ** -2, 2.0 ** -6])))
+    limit = ("import resource, runpy, sys\n"
+             "resource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30))\n"
+             f"sys.argv = ['grasskit', 'run', '--config', {str(path)!r}]\n"
+             "runpy.run_module('grasskit.cli', run_name='__main__')\n")
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "PYTHONPATH": os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    done = subprocess.run([sys.executable, "-c", limit], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 3, done.stderr
+    assert json.loads(done.stdout) == {"error": "resource-cap",
+                                       "message": "union sample exceeds the point cap"}
+    assert "Traceback" not in done.stderr
+
+
+def test_memory_error_exit_3(tmp_path, capsys, monkeypatch):
+    # the backstop behind the caps: an allocation that fails anyway is a
+    # resource-cap record, not a traceback
+    def exhausted(cfg):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "run_experiment", exhausted)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(base_config()))
+    code = cli.main(["run", "--config", str(path)])
+    out, err = capsys.readouterr()
+    assert code == 3
+    assert json.loads(out) == {"error": "resource-cap", "message": "out of memory"}
+    assert "Traceback" not in err
+
+
 def test_slab_raster_cap_exit_3(tmp_path, capsys, monkeypatch):
     # 8 vertical slabs at 2^-4: about 24 scan lines of 32 candidate cells
     # each, so a cap of 100 stops the raster at its candidate count

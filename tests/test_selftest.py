@@ -1,16 +1,19 @@
-"""The batched invariant suites: their Gaussian block is the stream of the
-per-sample draws, and their results at fixed seeds and sizes are pinned."""
+"""The batched invariant suites: the geodesic and projection suites'
+Gaussian block is the stream of the per-sample draws, the embedding and
+chart suites draw blocks that redraw their rejects after the block, and the
+results at fixed seeds and sizes are pinned."""
 
 import numpy as np
 import pytest
 
-from grasskit import sampling, selftest
-from grasskit.affine import (AffinePlane, ChartMPlane, ChartPoint, affine_offsets,
-                             embed_tilde_stack, incidences, point_distances)
+from grasskit import selftest
+from grasskit.affine import (ChartMPlane, ChartPoint, chart_offsets, embed_tilde_stack,
+                             incidences, off_directions, point_distances)
 from grasskit.errors import InvalidInputError
 from grasskit.grassmann import random_subspace, random_subspaces, same_stack
 from grasskit.linalg import orthonormal_completion, orthonormalize_stack, project_columns
-from grasskit.sampling import points_on, random_chart_m_plane, random_point_on, rng_for
+from grasskit.sampling import (random_chart_m_plane, random_chart_m_planes, random_point_on,
+                               random_points_on, rng_for)
 
 
 def test_geodesic_block_is_the_sequence_of_per_sample_draws():
@@ -37,9 +40,9 @@ def test_projection_block_is_the_sequence_of_per_sample_draws():
 # the benchmark's suite_scale 0.5 at seed 0 and acceptance sizes at seed 1
 PINS = [
     ((0, 500, 250, 100, 250),
-     0.014953868477985077, 6.0923994738004694e-09, 0.6478763144348221, 1.3925679099939248),
+     0.014953868477985077, 6.0923994738004694e-09, 0.6397435039895407, 1.4200652742694302),
     ((1, 1000, 500, 200, 500),
-     0.05133074005571481, 1.0230261082710967e-11, 0.6417071655666756, 1.4066627402809044),
+     0.05133074005571481, 1.0230261082710967e-11, 0.6331581801750547, 1.417447784053684),
 ]
 
 
@@ -127,11 +130,11 @@ FIELD_PINS = [
         "samples": 500, "incidence_disagreements": 0, "parallelism_disagreements": 0,
         "incident_pairs": 250, "passed": True}),
     ("chart", (0, 250), {
-        "samples": 250, "max_point_roundtrip": "0x1.8000000000000p-52",
-        "max_projective_roundtrip": "0x1.d64d51e0db1c6p-54",
-        "ratio_low": "0x1.4bb671bcb37e6p-1", "ratio_high": "0x1.647f549ee20aep+0",
-        "ratio_prefix_low": "0x1.4bb671bcb37e6p-1",
-        "ratio_prefix_high": "0x1.647f549ee20aep+0", "passed": True}),
+        "samples": 250, "max_point_roundtrip": "0x1.0000000000000p-51",
+        "max_projective_roundtrip": "0x1.77ea35d632e43p-54",
+        "ratio_low": "0x1.478c75e6ed52ep-1", "ratio_high": "0x1.6b8965d72c273p+0",
+        "ratio_prefix_low": "0x1.478c75e6ed52ep-1",
+        "ratio_prefix_high": "0x1.697f020467aedp+0", "passed": True}),
     ("geodesic", (1, 1000), {
         "samples": 1000, "max_symmetry_error": "0x1.8000000000000p-51",
         "min_triangle_slack": "0x1.a4805d3a33620p-5",
@@ -144,11 +147,11 @@ FIELD_PINS = [
         "samples": 1000, "incidence_disagreements": 0, "parallelism_disagreements": 0,
         "incident_pairs": 500, "passed": True}),
     ("chart", (1, 500), {
-        "samples": 500, "max_point_roundtrip": "0x1.0000000000000p-51",
-        "max_projective_roundtrip": "0x1.90f5773e410e4p-54",
-        "ratio_low": "0x1.488dd7736f7a3p-1", "ratio_high": "0x1.681b0ca2021b2p+0",
-        "ratio_prefix_low": "0x1.488dd7736f7a3p-1",
-        "ratio_prefix_high": "0x1.681b0ca2021b2p+0", "passed": True}),
+        "samples": 500, "max_point_roundtrip": "0x1.c000000000000p-52",
+        "max_projective_roundtrip": "0x1.0bbb307acafdbp-53",
+        "ratio_low": "0x1.442d4f1a17edbp-1", "ratio_high": "0x1.6adddba44c59bp+0",
+        "ratio_prefix_low": "0x1.442d4f1a17edbp-1",
+        "ratio_prefix_high": "0x1.6adddba44c59bp+0", "passed": True}),
 ]
 
 
@@ -159,8 +162,8 @@ def test_every_suite_field_is_pinned(suite, args, fields):
     assert _hexed(res.to_dict()) == fields
 
 
-# The object-based draw sequence the embedding and chart suites used to run,
-# sample by sample: the reference the array draws must replay.
+# The object-based draw sequence the object constructors replay, one object
+# at a time: the reference for a block of one.
 
 def reference_chart_m_plane(g, l, m, n, offset_scale=0.6, tries=None):
     while True:
@@ -185,70 +188,101 @@ def reference_point_on(g, plane, spread=0.5, tries=None):
             return ChartPoint(coords)
 
 
-def reference_embedding_loop(g, samples, l=1, m=2, n=4):
-    out = []
-    for k in range(samples):
-        v = reference_chart_m_plane(g, l, m, n)
-        p = (reference_point_on(g, v) if k % 2 == 0
-             else ChartPoint(g.uniform(-0.9, 0.9, size=(l + 1, n - l))))
-        out.append((v, p, reference_chart_m_plane(g, l, m, n)))
-    return out
-
-
-def reference_chart_loop(g, samples):
-    return [(ChartPoint(g.uniform(-0.9, 0.9, size=(2, 2))),
-             AffinePlane(random_subspace(g, 3, 1), g.uniform(-0.25, 0.25, size=3)),
-             AffinePlane(random_subspace(g, 3, 1), g.uniform(-0.25, 0.25, size=3)))
-            for _ in range(samples)]
-
-
-class _ZeroFirst:
-    """A generator whose first Gaussian draw is all zeros, a rank-deficient
-    basis that must be redrawn; everything else comes from the real stream."""
-
-    def __init__(self, g):
-        self.g, self.calls = g, 0
-
-    def standard_normal(self, size):
-        out = self.g.standard_normal(size)
-        if self.calls == 0:
-            out[...] = 0.0
-        self.calls += 1
-        return out
-
-    def uniform(self, *args, **kwargs):
-        return self.g.uniform(*args, **kwargs)
-
-
 def _state(g):
     return str(getattr(g, "g", g).bit_generator.state)
 
 
-@pytest.mark.parametrize("wrap", [lambda g: g, _ZeroFirst], ids=["stream", "deficient"])
+class _Forced:
+    """The real stream, except that row ``row`` of the call numbered ``i``
+    among the calls of its kind (from 0) is set to ``value``, for each
+    ``(kind, i): (row, value)`` of ``forced``; every call is logged as
+    (kind, size)."""
+
+    def __init__(self, g, forced=()):
+        self.g, self.forced, self.log = g, dict(forced), []
+
+    def _force(self, kind, size, out):
+        index = sum(k == kind for k, _ in self.log)
+        self.log.append((kind, size))
+        if (kind, index) in self.forced:
+            row, value = self.forced[kind, index]
+            out[row] = value
+        return out
+
+    def standard_normal(self, size):
+        return self._force("normal", size, self.g.standard_normal(size))
+
+    def uniform(self, low, high, size):
+        return self._force("uniform", size, self.g.uniform(low, high, size=size))
+
+
+def _ZeroFirst(g):
+    """A generator whose first Gaussian block has an all-zero draw in row 3,
+    a rank-deficient basis that must be redrawn."""
+    return _Forced(g, {("normal", 0): (3, 0.0)})
+
+
+def _after(key, log):
+    """The generator ``rng_for(*key)`` once it has made the calls ``log``."""
+    g = rng_for(*key)
+    for kind, size in log:
+        g.standard_normal(size) if kind == "normal" else g.uniform(size=size)
+    return g
+
+
+# embedding_draws(g, 60, 1, 2, 4)'s blocks when nothing is redrawn: the
+# planes v, the even samples' steps, the odd samples' free points, the
+# second planes
+EMBEDDING_BLOCKS = [("normal", (60, 3, 1)), ("uniform", (60, 2, 3)), ("uniform", (30, 2, 1)),
+                    ("uniform", (30, 2, 3)), ("normal", (60, 3, 1)), ("uniform", (60, 2, 3))]
+# chart_draws(g, 60)'s blocks: the points, then each line stack's
+# directions and offsets
+CHART_BLOCKS = [("uniform", (60, 2, 2)), ("normal", (60, 3, 1)), ("uniform", (60, 3)),
+                ("normal", (60, 3, 1)), ("uniform", (60, 3))]
+
+
+@pytest.mark.parametrize("wrap", [_Forced, _ZeroFirst], ids=["stream", "deficient"])
 @pytest.mark.parametrize("seed", [0, 7])
 def test_embedding_draws_replay_the_object_sequence(seed, wrap):
-    g, ref_g = wrap(rng_for(seed, 3)), wrap(rng_for(seed, 3))
+    # the sequence of generator calls: six blocks when nothing is redrawn,
+    # and a deficient direction redrawn right after its block, alone
+    g, plain = wrap(rng_for(seed, 3)), _Forced(rng_for(seed, 3))
     v, offsets, points, w, w_offsets = selftest.embedding_draws(g, 60, 1, 2, 4)
-    ref = reference_embedding_loop(ref_g, 60)
-    assert _state(g) == _state(ref_g)
-    assert np.array_equal(v, [a.direction.basis for a, _, _ in ref])
-    assert np.array_equal(offsets, [a.offsets for a, _, _ in ref])
-    assert np.array_equal(points, [p.coords for _, p, _ in ref])
-    assert np.array_equal(w, [b.direction.basis for _, _, b in ref])
-    assert np.array_equal(w_offsets, [b.offsets for _, _, b in ref])
+    ref = selftest.embedding_draws(plain, 60, 1, 2, 4)
+    assert plain.log == EMBEDDING_BLOCKS
+    redraw = [("normal", (1, 3, 1))] if wrap is _ZeroFirst else []
+    assert g.log == EMBEDDING_BLOCKS[:1] + redraw + EMBEDDING_BLOCKS[1:]
+    assert _state(g) == _state(_after((seed, 3), g.log))
+    if wrap is _Forced:
+        assert all(map(np.array_equal, (v, offsets, points, w, w_offsets), ref))
+        return
+    others = np.arange(60) != 3
+    assert np.array_equal(v[others], ref[0][others])
+    x = _after((seed, 3), g.log[:1]).standard_normal((1, 3, 1))
+    assert np.array_equal(v[3], orthonormalize_stack(x)[0][0])
 
 
-@pytest.mark.parametrize("wrap", [lambda g: g, _ZeroFirst], ids=["stream", "deficient"])
+@pytest.mark.parametrize("wrap", [_Forced, _ZeroFirst], ids=["stream", "deficient"])
 @pytest.mark.parametrize("seed", [0, 7])
 def test_chart_draws_replay_the_object_sequence(seed, wrap):
-    g, ref_g = wrap(rng_for(seed, 4)), wrap(rng_for(seed, 4))
+    # as for the embedding draws: five blocks, a deficient direction
+    # redrawn right after its block, alone
+    g, plain = wrap(rng_for(seed, 4)), _Forced(rng_for(seed, 4))
     points, b1, o1, b2, o2 = selftest.chart_draws(g, 60)
-    ref = reference_chart_loop(ref_g, 60)
-    assert _state(g) == _state(ref_g)
-    assert np.array_equal(points, [p.coords for p, _, _ in ref])
-    for bases, offsets, i in ((b1, o1, 1), (b2, o2, 2)):
-        assert np.array_equal(bases, [r[i].direction.basis for r in ref])
-        assert np.array_equal(affine_offsets(bases, offsets), [r[i].offset for r in ref])
+    ref = selftest.chart_draws(plain, 60)
+    assert plain.log == CHART_BLOCKS
+    # the first Gaussian block is the first lines' directions
+    redraw = [("normal", (1, 3, 1))] if wrap is _ZeroFirst else []
+    assert g.log == CHART_BLOCKS[:2] + redraw + CHART_BLOCKS[2:]
+    assert _state(g) == _state(_after((seed, 4), g.log))
+    assert np.array_equal(points, ref[0])
+    others = np.arange(60) != 3 if wrap is _ZeroFirst else slice(None)
+    assert np.array_equal(b1[others], ref[1][others])
+    if wrap is _ZeroFirst:
+        x = _after((seed, 4), g.log[:2]).standard_normal((1, 3, 1))
+        assert np.array_equal(b1[3], orthonormalize_stack(x)[0][0])
+    else:
+        assert all(map(np.array_equal, (o1, b2, o2), ref[2:]))
 
 
 def test_draw_helpers_replay_rejections():
@@ -267,75 +301,74 @@ def test_draw_helpers_replay_rejections():
     assert len(plane_tries) > 40 and len(point_tries) > 40
 
 
-class _Forced:
-    """The real stream, except that the uniform calls numbered in ``forced``
-    (counting every uniform call from 0) return the given values; every call
-    is logged as (kind, size)."""
-
-    def __init__(self, g, forced):
-        self.g, self.forced, self.log = g, forced, []
-
-    def standard_normal(self, size):
-        self.log.append(("normal", size))
-        return self.g.standard_normal(size)
-
-    def uniform(self, low, high, size):
-        out = self.g.uniform(low, high, size=size)
-        index = sum(kind == "uniform" for kind, _ in self.log)
-        self.log.append(("uniform", size))
-        if index in self.forced:
-            out[...] = self.forced[index]
-        return out
-
-
-# At seed 0 nothing is redrawn in the first 24 samples, so uniform call 35 is
-# the first plane's raw offsets of sample 10 (even), and 36 and 37 are the
-# steps of its point, one per section.
+# At seed 0 nothing is redrawn in the first 60 samples.  Uniform call 0 is
+# the planes v's raw offsets, and row 10 is sample 10's; uniform call 1 is the
+# even samples' steps, and row 5 is sample 10's point
 FORCED_REDRAWS = {
     # raw rows of lengths 8.7 whose Gram matrix has top eigenvalue 100: off
     # any line one projected row keeps length >= 5, an entry >= 5/sqrt(3)
-    "plane-leaves-box": ({35: [[5.0, 5.0, 5.0], [5.0, -5.0, 5.0]]}, ("normal", (1, 3, 1))),
+    "plane-leaves-box": {("uniform", 0): (10, [[5.0, 5.0, 5.0], [5.0, -5.0, 5.0]])},
     # a step of 5 along a unit line moves some entry by >= 5/sqrt(3)
-    "point-leaves-box": ({36: [5.0]}, ("uniform", 1)),
-    # a raw row of length 1.018 that the plane's bound cannot settle, whose
-    # projection off any line has entries <= 0.72 (1 + sqrt(2)) / 2 = 0.87:
-    # the plane's exact check keeps it, and the float estimate of its point
-    # settles the point without deriving the plane
-    "exact-check-keeps": ({35: [[0.72, 0.72, 0.0], [0.0, 0.0, 0.0]]}, ("uniform", 1)),
-    # zero offsets, and a step along sample 10's line (largest entry
-    # 0.84168) that puts the point's entry at 1 - 2.3e-13, inside BOX_MARGIN
-    # of the edge: only the exact check, on the derived plane, can keep it
-    "exact-check-at-the-edge": ({35: 0.0, 36: [1.188101516979372]}, ("uniform", 1)),
+    "point-leaves-box": {("uniform", 1): (5, [[5.0], [0.0]])},
+    # a raw row of length 1.018 whose projection off any line has entries
+    # <= 0.72 (1 + sqrt(2)) / 2 = 0.87: the check on the projection keeps it
+    "exact-check-keeps": {("uniform", 0): (10, [[0.72, 0.72, 0.0], [0.0, 0.0, 0.0]])},
+    # zero offsets, and a step along sample 10's line that puts the point's
+    # largest entry within 1e-12 of the edge: the exact check keeps it
+    "exact-check-at-the-edge": {("uniform", 0): (10, 0.0), ("uniform", 1): (5, None)},
 }
-# the stack-of-one plane derivations each case makes in point_on_draw
-EXACT_POINT_CHECKS = {"exact-check-at-the-edge": 1}
+# the redraw block each case makes right after the forced one
+FORCED_AFTER = {"plane-leaves-box": [("normal", (1, 3, 1)), ("uniform", (1, 2, 3))],
+                "point-leaves-box": [("uniform", (1, 2, 1))]}
 
 
 @pytest.mark.parametrize("case", FORCED_REDRAWS)
-def test_embedding_draws_replay_forced_redraws(case, monkeypatch):
-    forced, after = FORCED_REDRAWS[case]
-    derived, derive = [], sampling.chart_m_planes
-    monkeypatch.setattr(sampling, "chart_m_planes",
-                        lambda x, raw: derived.append(len(x)) or derive(x, raw))
-    g, ref_g = _Forced(rng_for(0, 3), forced), _Forced(rng_for(0, 3), forced)
-    v, offsets, points, w, w_offsets = selftest.embedding_draws(g, 24, 1, 2, 4)
-    assert derived == [1] * EXACT_POINT_CHECKS.get(case, 0)
-    ref = reference_embedding_loop(ref_g, 24)
-    assert g.log == ref_g.log and _state(g) == _state(ref_g)
-    # the decision went the forced way: the call after the forced one is the
-    # plane's redraw, the point's redraw (after its second step) or the point
-    uniform = [i for i, (kind, _) in enumerate(g.log) if kind == "uniform"]
-    hit = uniform[min(forced)]
-    assert g.log[hit + (2 if case == "point-leaves-box" else 1)] == after
-    if case == "exact-check-keeps":
-        assert np.hypot(0.72, 0.72) > 1.0 - sampling.BOX_MARGIN
+def test_embedding_draws_replay_forced_redraws(case):
+    # the forced draws replay the unforced block in every other sample, and
+    # the forced sample is redrawn as a block of one after the whole block
+    plain = _Forced(rng_for(0, 3))
+    ref = selftest.embedding_draws(plain, 60, 1, 2, 4)
+    forced = dict(FORCED_REDRAWS[case])
     if case == "exact-check-at-the-edge":
-        assert 1.0 - sampling.BOX_MARGIN < np.max(np.abs(points[10])) <= 1.0
-    assert np.array_equal(v, [a.direction.basis for a, _, _ in ref])
-    assert np.array_equal(offsets, [a.offsets for a, _, _ in ref])
-    assert np.array_equal(points, [p.coords for _, p, _ in ref])
-    assert np.array_equal(w, [b.direction.basis for _, _, b in ref])
-    assert np.array_equal(w_offsets, [b.offsets for _, _, b in ref])
+        forced["uniform", 1] = (5, [[(1.0 - 2.3e-13) / np.max(np.abs(ref[0][10]))], [0.0]])
+    g = _Forced(rng_for(0, 3), forced)
+    v, offsets, points, w, w_offsets = selftest.embedding_draws(g, 60, 1, 2, 4)
+    hit = 1 + max(i for _, i in forced)
+    after = FORCED_AFTER.get(case, [])
+    assert g.log == EMBEDDING_BLOCKS[:hit + 1] + after + EMBEDDING_BLOCKS[hit + 1:]
+    others = np.arange(60) != 10
+    assert np.array_equal(v[others], ref[0][others])
+    assert np.array_equal(offsets[others], ref[1][others])
+    assert np.max(np.abs(offsets)) <= 1.0 and np.max(np.abs(points)) <= 1.0
+    if case == "plane-leaves-box":
+        again = random_chart_m_planes(_after((0, 3), g.log[:2]), 1, 1, 2, 4)
+        assert np.array_equal(v[10:11], again[0]) and np.array_equal(offsets[10:11], again[1])
+        return
+    assert np.array_equal(v, ref[0])
+    kept = np.arange(30) != 5
+    assert np.array_equal(points[0::2][kept], ref[2][0::2][kept])
+    if case == "point-leaves-box":
+        again = random_points_on(_after((0, 3), g.log[:3]), v[10:11], offsets[10:11])
+        assert np.array_equal(points[10:11], again)
+    if case == "exact-check-keeps":
+        assert np.hypot(0.72, 0.72) > 1.0 and np.max(np.abs(offsets[10])) <= 0.87
+    if case == "exact-check-at-the-edge":
+        assert 1.0 - 1e-12 < np.max(np.abs(points[10])) <= 1.0
+
+
+@pytest.mark.parametrize("shape", [(1, 2, 4), (1, 3, 5), (0, 2, 4)], ids=["r1", "r2", "r2-l0"])
+def test_blocks_return_what_the_box_check_read(shape):
+    # offsets and steps near the box edge, so both blocks redraw: every
+    # returned offset and point is in the box by the exact check, and every
+    # point lies on its plane
+    l, m, n = shape
+    g = _Forced(rng_for(13, *shape))
+    bases, offsets = random_chart_m_planes(g, 200, l, m, n, offset_scale=0.95)
+    points = random_points_on(g, bases, offsets, spread=0.9)
+    assert len(g.log) > 5
+    assert np.max(np.abs(offsets)) <= 1.0 and np.max(np.abs(points)) <= 1.0
+    assert np.array_equal(chart_offsets(bases, offsets), off_directions(bases, offsets))
+    assert incidences(bases, offsets, points, 1e-12).all()
 
 
 class _Scaled:
@@ -349,30 +382,39 @@ class _Scaled:
         self.calls += 1
         return out
 
+    def uniform(self, low, high, size):
+        return self.g.uniform(low, high, size=size)
 
-# a zero draw is redrawn; a line draw of entries near 1e-120, below the
-# bound's floor, is kept by the exact rank check, as random_subspaces keeps it
+
+# the Gaussian draw of a plane block of one: a zero draw is redrawn; a line
+# draw of entries near 1e-120 is kept by the rank check, as random_subspaces
+# keeps it
 @pytest.mark.parametrize("factor", [0.0, 1e-120, 1.0])
 @pytest.mark.parametrize("dim", [0, 1, 2])
 def test_gaussian_draw_replays_random_subspaces(dim, factor):
     g, ref_g = _Scaled(rng_for(12, dim), factor), _Scaled(rng_for(12, dim), factor)
     for _ in range(3):
-        x = sampling.gaussian_draw(g, 3, dim)
-        basis = orthonormalize_stack(x[None])[0][0]
-        assert np.array_equal(basis, random_subspaces(ref_g, 1, 3, dim)[0])
+        # one row of length <= 0.5 sqrt(3) < 1: never redrawn for the box
+        bases, _ = random_chart_m_planes(g, 1, 0, dim, 3, offset_scale=0.5)
+        assert np.array_equal(bases[0], random_subspaces(ref_g, 1, 3, dim)[0])
+        ref_g.uniform(-0.5, 0.5, size=(1, 1, 3))
     assert g.calls == ref_g.calls == 3 + (factor == 0.0 and dim > 0)
     assert _state(g) == _state(ref_g)
 
 
 @pytest.mark.parametrize("seed", [0, 5])
 def test_point_draws_derive_no_plane_alone(seed, monkeypatch):
-    # the float estimate settles every on-plane point draw of the benchmark's
-    # suite_scale: no chart m-plane is derived on a stack of one
-    alone, derive = [], sampling.chart_m_planes
-    monkeypatch.setattr(sampling, "chart_m_planes",
-                        lambda x, raw: alone.append(len(x) == 1) or derive(x, raw))
+    # the points are drawn on the plane block's stacks: at the benchmark's
+    # suite_scale the suites draw two plane blocks of the full sample count
+    # and one point block, and no plane alone
+    planes, points = [], []
+    draw_planes, draw_points = selftest.random_chart_m_planes, selftest.random_points_on
+    monkeypatch.setattr(selftest, "random_chart_m_planes",
+                        lambda g, count, *a: planes.append(count) or draw_planes(g, count, *a))
+    monkeypatch.setattr(selftest, "random_points_on",
+                        lambda g, b, o: points.append(len(b)) or draw_points(g, b, o))
     selftest.run_all(seed, 0.5)
-    assert not any(alone)
+    assert planes == [500, 500] and points == [250]
 
 
 def _both_sides(plane, coords, tol):
@@ -388,8 +430,8 @@ def _both_sides(plane, coords, tol):
 def _off_plane(plane, moves):
     """A point on ``plane`` moved by moves[j] along a unit section normal in
     section j."""
-    steps = rng_for(8).uniform(-0.3, 0.3, size=(1, plane.l + 1, plane.direction.dim))
-    on = points_on(plane.direction.basis[None], plane.offsets[None], steps)[0]
+    on = random_points_on(rng_for(8), plane.direction.basis[None], plane.offsets[None],
+                          spread=0.3)[0]
     normal = orthonormal_completion(plane.direction.basis)[:, plane.direction.dim]
     return on + np.asarray(moves)[:, None] * normal
 
@@ -427,40 +469,40 @@ def test_near_parallel_planes_agree_with_the_product_embedding(angle, parallel):
     assert bool(same_stack(v, w, tol)[0]) == bool(same_stack(big_v, big_w, tol)[0]) == parallel
 
 
-# (l, m, n) of planes with r = m - l >= 2 section dimensions, where the float
-# estimate's basis takes Gram-Schmidt, and x, a draw whose second column is
-# 1e-6 off the first, below the estimate's RESIDUAL_FLOOR
+class _Fixed:
+    """The real stream, except that every Gaussian draw is ``x``."""
+
+    def __init__(self, g, x):
+        self.g, self.x = g, x
+
+    def standard_normal(self, size):
+        self.g.standard_normal(size)
+        return np.broadcast_to(self.x, size).copy()
+
+    def uniform(self, low, high, size):
+        return self.g.uniform(low, high, size=size)
+
+
+# (l, m, n) of planes with r = m - l >= 2 section dimensions, and x, a
+# direction draw whose second column is 1e-6 off the first
 NEAR_DEPENDENT = np.array([[1.0, 1.0], [0.5, 0.5 + 1e-6], [0.25, 0.25]])
 
 
 @pytest.mark.parametrize("shape, x", [((1, 3, 5), None), ((0, 2, 4), None), ((2, 4, 6), None),
                                       ((1, 3, 4), NEAR_DEPENDENT)],
                          ids=["r2", "r2-l0", "r2-l2", "near-dependent"])
-def test_point_draws_on_planes_replay_the_reference(shape, x, monkeypatch):
+def test_point_draws_on_planes_replay_the_reference(shape, x):
     l, m, n = shape
-    derived, derive = [], sampling.chart_m_planes
-    monkeypatch.setattr(sampling, "chart_m_planes",
-                        lambda x, raw: derived.append(len(x)) or derive(x, raw))
     g, ref_g = rng_for(21, *shape), rng_for(21, *shape)
+    if x is not None:
+        g, ref_g = _Fixed(g, x), _Fixed(ref_g, x)
     for k in range(40):
-        draws = sampling.chart_m_plane_draw(g, l, m, n, offset_scale=0.9)
-        if x is not None:
-            draws = (x, draws[1])
-        calls = len(derived)
-        steps = sampling.point_on_draw(g, *draws, spread=0.8)
-        assert len(derived) - calls <= 1
-        bases, offsets = derive(draws[0][None], draws[1][None])
+        bases, offsets = random_chart_m_planes(g, 1, l, m, n, offset_scale=0.9)
+        ref_plane = reference_chart_m_plane(ref_g, l, m, n, offset_scale=0.9)
+        assert np.array_equal(ref_plane.direction.basis, bases[0])
         plane = ChartMPlane.view(bases[0], offsets[0])
-        if x is None:
-            ref_plane = reference_chart_m_plane(ref_g, l, m, n, offset_scale=0.9)
-            assert np.array_equal(ref_plane.direction.basis, bases[0])
-        else:
-            reference_chart_m_plane(ref_g, l, m, n, offset_scale=0.9)
         # the reference sums each section's basis @ t alone, a matmul order
         # that can differ in the last bit once r >= 2
-        point = points_on(bases, offsets, steps[None])[0]
+        point = random_points_on(g, bases, offsets, spread=0.8)[0]
         assert np.max(np.abs(point - reference_point_on(ref_g, plane, spread=0.8).coords)) <= 1e-15
     assert _state(g) == _state(ref_g)
-    if x is not None:
-        # derived up front, once per point, whatever the point's tries
-        assert derived == [1] * 40
