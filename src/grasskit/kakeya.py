@@ -285,9 +285,10 @@ def _section_runs(family: PlaneFamily, ticks: np.ndarray) -> tuple[np.ndarray, n
     of offset + D t in float is monotone in t_r (negated, exactly, where D's
     last column is negative), so a row keeps one run, from the first tick
     with no coordinate < -1 to the first with one > 1.  Each end is counted
-    on that expression, D t formed as :func:`union_sample_points` forms it:
-    guessed from the coordinates' crossings and checked by the ticks either
-    side; where a check fails, the chunk is bisected.  A point section
+    on that expression, D t summed as :func:`union_sample_points` sums it,
+    t_k D[:, k] in k order with the offset last: guessed from the
+    coordinates' crossings and checked by the ticks either side; where a
+    check fails, the chunk is bisected.  A point section
     (r = 0) is one run of length 1.  ResourceCapError, before any run is
     found, when the runs of r >= 1 number above ``UNION_POINT_CAP``."""
     members, copies, q = family.offsets.shape
@@ -310,29 +311,22 @@ def _section_runs(family: PlaneFamily, ticks: np.ndarray) -> tuple[np.ndarray, n
         b = (family.offsets[lo:lo + step] * sign[:, None]).transpose(2, 0, 1).copy()
         b = b[:, :, None, :, None, None]
         slope = e[:, -1].T.copy()[:, :, None, None, None, None]
+        # each row's leading part of D t, its terms summed in k order
+        lead_part = np.zeros((q, len(e), 1, 1, len(lead), 1))
+        for k in range(r - 1):
+            lead_part += e[:, k].T[:, :, None, None, None, None] * lead[:, k, None]
 
         def before_end(t):
-            # at ticks t of each row: is a coordinate < -1 (start), none > 1
-            # (end)?  The matmul takes the tick rows and D t by coordinate
-            tick = ticks.take(t, mode="clip")
-            if r == 1:
-                span = slope * tick
-            else:
-                coeff = np.stack([*np.broadcast_to(lead.T[:, None, None, None, :, None],
-                                                   (r - 1,) + t.shape), tick])
-                span = np.empty((q,) + t.shape)
-                np.matmul(coeff.reshape(r, len(t), -1).transpose(1, 2, 0), e,
-                          out=span.reshape(q, len(t), -1).transpose(1, 2, 0))
-            below = b + span <= c
+            # at ticks t of each row: is a coordinate < -1 (start), none > 1 (end)?
+            below = b + (lead_part + slope * ticks.take(t, mode="clip")) <= c
             side = below.any(0)
             side[:, 1] = below.all(0)[:, 1]
             return side
 
         # base: the ticks up to the last crossing of a coordinate (start) or
         # the first (end), on a D t rounded otherwise: the ticks either side check
-        lead_part = np.matmul(lead, e[:, :-1]).transpose(2, 0, 1).copy()
         with np.errstate(divide="ignore", invalid="ignore"):
-            cross = (c - b - lead_part[:, :, None, None, :, None]) / (pitch * slope)
+            cross = (c - b - lead_part) / (pitch * slope)
         guess = np.floor(cross - (ticks[0] / pitch - 1.0))
         # nan, a constant coordinate on the bound, counts every tick
         guess = np.fmax(np.fmin(guess, n), 0.0).astype(np.int64)
@@ -392,9 +386,10 @@ def union_sample_points(family: PlaneFamily, runs: tuple | None = None,
     its columns are contiguous.  The buffer is a fresh array, or the
     leading N columns of ``out``, a float (copies*q, >= N) buffer the
     caller lends, so that one buffer serves many calls; the result then
-    views ``out``.  D t is zero for r = 0, a product for r = 1 and otherwise
-    a matmul of each member's tick rows, as the lattice forms it.  The CLI
-    boxes this output through :func:`union_box_count`.
+    views ``out``.  D t is zero for r = 0 and otherwise the elementwise sum
+    of t_k D[:, k] in k order, the offset added last, so no BLAS kernel
+    rounds the points.  The CLI boxes this output through
+    :func:`union_box_count`.
     """
     _, copies, q = family.offsets.shape
     r = family.directions.shape[2]
@@ -407,7 +402,7 @@ def union_sample_points(family: PlaneFamily, runs: tuple | None = None,
         raise InvalidInputError(f"a {out.dtype} {out.shape} buffer cannot hold "
                                 f"{total} union points of {copies * q} coordinates")
     out = out[:, :total]
-    d, o = family.directions, family.offsets
+    d, o, lead = family.directions, family.offsets, _lead_ticks(ticks, r).T
     for lo, hi in _union_chunks(rows):
         p0, n = int(begins[lo]), int(rows[lo:hi].sum())
         dest = out[:, p0:p0 + n]
@@ -429,30 +424,16 @@ def union_sample_points(family: PlaneFamily, runs: tuple | None = None,
             count, first = size[lo:hi, j], first[::length.shape[2]]
             # copies = 1: the section points are the rows
             pts = dest if copies == 1 else np.empty((q, len(at)))
-            if r <= 1:
-                for a in range(q):
-                    if r:
-                        np.multiply(np.repeat(d[lo:hi, a, 0], count), tick, out=pts[a])
-                    else:  # a zero span: +0.0 plus a -0.0 offset is +0.0, as from a matmul
-                        pts[a] = 0.0
-                    pts[a] += np.repeat(o[lo:hi, j, a], count)
-            else:
-                # each member's tick rows in a block of at least two rows, as
-                # BLAS forms a one-row product by gemv, which rounds D t
-                # otherwise; stored by coordinate, as in _section_runs
-                width = max(2, int(count.max()))
-                slot = np.repeat(np.arange(hi - lo) * width - first, count) + np.arange(len(at))
-                # each run's leading ticks, over its length
-                lead = np.repeat(np.tile(_lead_ticks(ticks, r).T, hi - lo), run, axis=1)
-                block = np.zeros((r, (hi - lo) * width))
-                for col, v in zip(block, [*lead, tick]):
-                    col[slot] = v
-                span = np.empty((q, hi - lo, width))
-                np.matmul(block.reshape(r, hi - lo, width).transpose(1, 2, 0),
-                          np.swapaxes(d[lo:hi], 1, 2), out=span.transpose(1, 2, 0))
-                span += o[lo:hi, j].T[:, :, None]
-                for a in range(q):
-                    span[a].take(slot, out=pts[a], mode="clip")
+            # each kept point's ticks: its run's leading ticks, then its last tick
+            coeff = [*(np.repeat(np.tile(col, hi - lo), run) for col in lead), tick]
+            for a in range(q):
+                if r:
+                    np.multiply(np.repeat(d[lo:hi, a, 0], count), coeff[0], out=pts[a])
+                    for k in range(1, r):
+                        pts[a] += np.repeat(d[lo:hi, a, k], count) * coeff[k]
+                else:  # a zero span: +0.0 plus a -0.0 offset is +0.0
+                    pts[a] = 0.0
+                pts[a] += np.repeat(o[lo:hi, j, a], count)
             if copies > 1:
                 at = first.take(member) + digits[j]
                 for a in range(q):

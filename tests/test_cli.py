@@ -909,25 +909,30 @@ def test_union_point_cap_exit_3(tmp_path, capsys):
     assert "Traceback" not in err
 
 
-@pytest.mark.parametrize("k", [40, 60, 1000, 1074])
-def test_sharp_member_cap_exit_3_before_any_axis_is_drawn(tmp_path, k):
-    # each Cantor axis doubles once per digit: the member count is now
-    # taken from the digit sets before any axis is drawn.  Unchecked, 2^-40
-    # raised MemoryError under this limit, 2^-60 and 2^-1000 were killed
-    # for memory, and 2^-1074 overflowed counting the digits.  The CLI
-    # runs in a child process under a 2 GiB address-space limit, so that a
-    # regression fails there instead of exhausting this one's memory
-    path = tmp_path / "cfg.json"
-    path.write_text(json.dumps(base_config(deltas=[0.5, 2.0 ** -k])))
+def _run_limited(config_path, limit_bytes):
+    """``grasskit run`` on a config in a child process under an address-space
+    limit of ``limit_bytes``, so that a run that asks for too much memory
+    fails there instead of exhausting this one's."""
     limit = ("import resource, runpy, sys\n"
-             "resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))\n"
-             f"sys.argv = ['grasskit', 'run', '--config', {str(path)!r}]\n"
+             f"resource.setrlimit(resource.RLIMIT_AS, ({limit_bytes}, {limit_bytes}))\n"
+             f"sys.argv = ['grasskit', 'run', '--config', {str(config_path)!r}]\n"
              "runpy.run_module('grasskit.cli', run_name='__main__')\n")
     src = str(Path(cli.__file__).resolve().parents[1])
     env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "PYTHONPATH": os.pathsep.join(
         [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
-    done = subprocess.run([sys.executable, "-c", limit], env=env,
-                          capture_output=True, text=True, timeout=300)
+    return subprocess.run([sys.executable, "-c", limit], env=env,
+                          capture_output=True, text=True, timeout=60)
+
+
+@pytest.mark.parametrize("k", [40, 60, 1000, 1074])
+def test_sharp_member_cap_exit_3_before_any_axis_is_drawn(tmp_path, k):
+    # each Cantor axis doubles once per digit: the member count is now
+    # taken from the digit sets before any axis is drawn.  Unchecked, 2^-40
+    # raised MemoryError under a 2 GiB limit, 2^-60 and 2^-1000 were killed
+    # for memory, and 2^-1074 overflowed counting the digits
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(base_config(deltas=[0.5, 2.0 ** -k])))
+    done = _run_limited(path, 2 << 30)
     assert done.returncode == 3, done.stderr
     err = json.loads(done.stdout)
     assert err["error"] == "resource-cap"
@@ -937,25 +942,39 @@ def test_sharp_member_cap_exit_3_before_any_axis_is_drawn(tmp_path, k):
 
 def test_section_run_cap_exit_3_before_the_runs_are_allocated(tmp_path):
     # (0,3,3,4,2.5) at 2^-6 has 538,970,112 section runs, whose ends took
-    # 8.03 GiB; unchecked, that allocation raised MemoryError under this
-    # limit and ended in a traceback.  The CLI runs in a child process under
-    # a 3 GB address-space limit, so that a regression fails there instead
-    # of exhausting this one's memory
+    # 8.03 GiB; unchecked, that allocation raised MemoryError under a 3 GB
+    # limit and ended in a traceback
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(base_config(params={"l": 0, "m": 3, "d": 3, "n": 4, "beta": 2.5},
                                            deltas=[2.0 ** -2, 2.0 ** -6])))
-    limit = ("import resource, runpy, sys\n"
-             "resource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30))\n"
-             f"sys.argv = ['grasskit', 'run', '--config', {str(path)!r}]\n"
-             "runpy.run_module('grasskit.cli', run_name='__main__')\n")
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "PYTHONPATH": os.pathsep.join(
-        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
-    done = subprocess.run([sys.executable, "-c", limit], env=env,
-                          capture_output=True, text=True, timeout=300)
+    done = _run_limited(path, 3 << 30)
     assert done.returncode == 3, done.stderr
     assert json.loads(done.stdout) == {"error": "resource-cap",
                                        "message": "union sample exceeds the point cap"}
+    assert "Traceback" not in done.stderr
+
+
+@st.composite
+def _sharp_dimension_configs(draw):
+    """A sharp-dimension config of any shape l <= m <= d < n <= 5, with
+    two dyadic scales in [2^-4, 2^-1]."""
+    l, m, d, n = draw(st.sampled_from([(l, m, d, n) for n in range(1, 6) for d in range(n)
+                                       for m in range(d + 1) for l in range(m + 1)]))
+    beta = draw(st.sampled_from([0.0, 1.0, 2.5]))
+    coarse, fine = sorted(draw(st.lists(st.integers(1, 4), min_size=2, max_size=2,
+                                        unique=True)))
+    return base_config(params={"l": l, "m": m, "d": d, "n": n, "beta": beta},
+                       deltas=[2.0 ** -coarse, 2.0 ** -fine])
+
+
+@settings(max_examples=8, derandomize=True, deadline=None)
+@given(_sharp_dimension_configs())
+def test_sharp_run_fuzz_exits_0_to_3_without_traceback(cfg):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        done = _run_limited(path, 3 << 30)
+    assert done.returncode in (0, 1, 2, 3), done.stderr
     assert "Traceback" not in done.stderr
 
 

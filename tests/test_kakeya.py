@@ -126,7 +126,9 @@ def reference_sharp_example(params, delta):
 
 
 def reference_union_sample_points(members, delta, cap=6_000_000):
-    """The per-member loop that union_sample_points replaced."""
+    """The per-member loop that union_sample_points replaced, its span
+    summed t_k D[:, k] in k order with the offset added last, as the
+    sampler sums it."""
     pitch = delta / 2.0
     out = []
     total = 0
@@ -140,7 +142,11 @@ def reference_union_sample_points(members, delta, cap=6_000_000):
             ticks = np.arange(-half, half + pitch / 2.0, pitch)
             mesh = np.meshgrid(*([ticks] * v.direction.dim), indexing="ij")
             coeff = np.column_stack([g.ravel() for g in mesh])
-            pts = v.offsets[j][None, :] + coeff @ v.direction.basis.T
+            basis = v.direction.basis
+            span = coeff[:, :1] * basis[:, 0]
+            for k in range(1, v.direction.dim):
+                span = span + coeff[:, k:k + 1] * basis[:, k]
+            pts = span + v.offsets[j][None, :]
             pts = pts[np.max(np.abs(pts), axis=1) <= 1.0]
             per_slice.append(pts)
         rows = per_slice[0]
@@ -491,6 +497,26 @@ def test_section_runs_on_edge_families(chunk_rows, monkeypatch):
         if fam.scale == 0.25 and fam.params.n == 3:
             sizes = kk._section_runs(fam, kk._union_ticks(fam))[1].sum(axis=2)[:, 0].tolist()
             assert sizes[-3:-1] == [1, 0]
+
+
+@pytest.mark.parametrize("name", ["_section_runs", "union_sample_points"])
+def test_union_sampler_takes_no_blas_product(name):
+    # D t is an elementwise sum in a fixed order, so the union points' bits
+    # do not depend on which BLAS kernel a product would run on
+    import ast
+    with open(kk.__file__) as f:
+        tree = ast.parse(f.read())
+    fn = next(node for node in tree.body
+              if isinstance(node, ast.FunctionDef) and node.name == name)
+    products = []
+    for node in ast.walk(fn):
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
+            products.append(f"@ (line {node.lineno})")
+        elif isinstance(node, ast.Call):
+            called = getattr(node.func, "attr", getattr(node.func, "id", None))
+            if called in {"matmul", "dot", "einsum", "tensordot"}:
+                products.append(f"{called} (line {node.lineno})")
+    assert products == []
 
 
 def test_union_box_count_memory_follows_the_cells():
