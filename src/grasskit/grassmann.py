@@ -82,10 +82,6 @@ class Subspace:
         return cls(np.eye(ambient))
 
     @property
-    def ambient_dim(self) -> int:
-        return self.basis.shape[0]
-
-    @property
     def dim(self) -> int:
         return self.basis.shape[1]
 

@@ -345,17 +345,19 @@ def _section_runs(family: PlaneFamily, ticks: np.ndarray) -> tuple[np.ndarray, n
 
 
 def _union_runs(family: PlaneFamily) -> tuple:
-    """(ticks, start, length, size, rows): :func:`_union_ticks`, the runs of
-    :func:`_section_runs`, each section's kept points (M, copies) and each
-    member's rows, their product (in float: no overflow, exact below the
-    cap).  ResourceCapError when the rows sum above ``UNION_POINT_CAP``."""
+    """(ticks, start, length, size, rows, chunks): :func:`_union_ticks`, the
+    runs of :func:`_section_runs`, each section's kept points (M, copies),
+    each member's rows, their product (in float: no overflow, exact below
+    the cap), and the :func:`_union_chunks` of those rows.  ResourceCapError
+    when the rows sum above ``UNION_POINT_CAP``."""
     ticks = _union_ticks(family)
     start, length = _section_runs(family, ticks)
     size = length.sum(axis=2)
     rows = np.prod(size, axis=1, dtype=float)
     if rows.sum() > UNION_POINT_CAP:
         raise ResourceCapError("union sample exceeds the point cap")
-    return ticks, start, length, size, rows.astype(np.int64)
+    rows = rows.astype(np.int64)
+    return ticks, start, length, size, rows, _union_chunks(rows)
 
 
 def _union_chunks(rows: np.ndarray) -> list[tuple[int, int]]:
@@ -381,7 +383,7 @@ def union_sample_points(family: PlaneFamily, runs: tuple | None = None,
     evaluated: the family's :func:`_union_runs` (or ``runs``, when the
     caller found them) size the output, and ResourceCapError is raised
     before any point is written when it would exceed ``UNION_POINT_CAP``.
-    The points are written a chunk of members (:func:`_union_chunks`) at a
+    The points are written a chunk of members (the runs' chunks) at a
     time into a (copies*q, N) buffer returned as its transposed view, so
     its columns are contiguous.  The buffer is a fresh array, or the
     leading N columns of ``out``, a float (copies*q, >= N) buffer the
@@ -393,7 +395,7 @@ def union_sample_points(family: PlaneFamily, runs: tuple | None = None,
     """
     _, copies, q = family.offsets.shape
     r = family.directions.shape[2]
-    ticks, start, length, size, rows = _union_runs(family) if runs is None else runs
+    ticks, start, length, size, rows, chunks = _union_runs(family) if runs is None else runs
     begins = np.cumsum(rows) - rows
     total = int(rows.sum())
     if out is None:
@@ -403,7 +405,7 @@ def union_sample_points(family: PlaneFamily, runs: tuple | None = None,
                                 f"{total} union points of {copies * q} coordinates")
     out = out[:, :total]
     d, o, lead = family.directions, family.offsets, _lead_ticks(ticks, r).T
-    for lo, hi in _union_chunks(rows):
+    for lo, hi in chunks:
         p0, n = int(begins[lo]), int(rows[lo:hi].sum())
         dest = out[:, p0:p0 + n]
         if copies > 1:
@@ -450,18 +452,18 @@ def union_box_count(family: PlaneFamily) -> int:
     boxed onto the mask, so memory follows the mask, that buffer and the
     runs: two integers per row of a section's leading ticks, against q
     floats per kept tick for its points.  A buffer of its own per chunk
-    would be returned to the system and faulted in again chunk by chunk."""
+    would be returned to the system and faulted in again chunk by chunk.
+    Each chunk's runs say it is one chunk, so no call cuts it again."""
     _, copies, q = family.offsets.shape
     runs = _union_runs(family)
-    rows = runs[-1]
+    rows, chunks = runs[4:]
     seen = occupancy_mask(copies * q, family.scale, int(rows.sum()))
     if seen is None:
         return box_count(union_sample_points(family, runs), family.scale)
-    chunks = _union_chunks(rows)
     buffer = np.empty((copies * q, max(int(rows[lo:hi].sum()) for lo, hi in chunks)))
     count = 0
     for lo, hi in chunks:
-        chunk = (runs[0], *(a[lo:hi] for a in runs[1:]))
+        chunk = (runs[0], *(a[lo:hi] for a in runs[1:5]), [(0, hi - lo)])
         points = union_sample_points(family.block(lo, hi), chunk, out=buffer)
         count += box_count(points, family.scale, seen)
     return count
@@ -593,10 +595,13 @@ def _classify_bushes(bases: list[np.ndarray], members: list, params: FamilyParam
     (d-l)-plane is a Narrow witness covering all selected balls.  The open
     bushes have equally many vectors, so a step takes their spans from one
     ``orthonormalize_stack``, every selected ball's residual from one pair
-    of products and their singular values from one LAPACK call; the winning
-    ball's vector comes from the canonical ``linalg.svd``.  No bush's result
-    depends on the others.  (A vector within ``RANK_TOL`` of its span, ruled
-    out by the step threshold at any feasible K, stays a zero column.)
+    of products and their canonical decompositions from one stacked
+    :func:`linalg.svd`, which gives each ball the top singular value and
+    vector it would get alone; a winning ball's vector is its own product
+    with that right vector.  The certificate volumes of the Broad bushes
+    come from one :func:`linalg.gram_volume` call.  No bush's result depends
+    on the others.  (A vector within ``RANK_TOL`` of its span, ruled out by
+    the step threshold at any feasible K, stays a zero column.)
     """
     q, threshold = params.n - params.l, constants.step_threshold(params)
     selected = [b[c] for b, c in zip(bases, _select_balls(bases, members, constants, params.n))]
@@ -610,15 +615,8 @@ def _classify_bushes(bases: list[np.ndarray], members: list, params: FamilyParam
         stack = np.concatenate([selected[t] for t in active])
         span = spans[np.repeat(np.arange(len(active)), sizes)]
         resid = stack - span @ (np.swapaxes(span, 1, 2) @ stack)
-        sigma = np.linalg.svd(resid)[1]
-        top, ends = sigma[:, 0].copy(), np.cumsum(sizes)
-        if sigma.shape[1] > 1:
-            # where the top two round equal, linalg.svd's canonical order may
-            # put the other first: that matters only at its bush's maximum
-            rounded = np.round(sigma[:, :2], 12)
-            peak = np.repeat(np.maximum.reduceat(rounded[:, 0], ends - sizes), sizes)
-            for i in np.flatnonzero((rounded[:, 0] == rounded[:, 1]) & (rounded[:, 0] == peak)):
-                top[i] = linalg.svd(resid[i]).singular_values[0]
+        dec = linalg.svd(resid)
+        top, ends = dec.singular_values[:, 0], np.cumsum(sizes)
         for a, (t, start, size) in enumerate(zip(active, (ends - sizes).tolist(), sizes)):
             win = start + int(np.argmax(top[start:start + size]))  # the first maximum
             if top[win] < threshold:
@@ -626,15 +624,15 @@ def _classify_bushes(bases: list[np.ndarray], members: list, params: FamilyParam
                 dist = project_stack(selected[t], np.broadcast_to(pad, (size,) + pad.shape))[1]
                 out[t] = Narrow(Subspace(pad), float(np.mean(dist <= constants.c1 / constants.K)))
                 continue
-            vec = stack[win] @ linalg.svd(resid[win]).right[:, 0]
+            vec = stack[win] @ dec.right[win, :, 0]
             vectors[t].append(vec / np.linalg.norm(vec))
             balls[t].append(win - start)
         active = [t for t in active if out[t] is None]
-    for t in active:
-        frame = np.column_stack(vectors[t])
+    frames = [np.column_stack(vectors[t]) for t in active]
+    volumes = linalg.gram_volume(np.stack(frames)).tolist() if frames else []
+    for t, frame, volume in zip(active, frames, volumes):
         tup = TransverseTuple(linalg.frozen(selected[t][balls[t]]),
-                              constants.ball_radius(params.n),
-                              linalg.frozen(frame), linalg.gram_volume(frame),
+                              constants.ball_radius(params.n), linalg.frozen(frame), volume,
                               constants.c_prime * constants.K ** (-params.n), constants.K)
         if not tup.certified():
             # the per-step threshold guarantees this cannot happen
@@ -709,14 +707,16 @@ class BlInstance:
     K_j = W_j-perp of dim U - (p/J) sum_j dim proj_{W_j} U, a lower bound
     of its supremum over all subspaces U."""
 
-    subspaces: tuple[Subspace, ...]
+    bases: tuple[np.ndarray, ...]  # the J W_j, (N, w_j) each, read-only
     p: float
     best_value: float
-    best_candidate: Subspace
+    candidate: np.ndarray  # (N, dim U) orthonormal basis of the maximizer, read-only
     n_candidates: int
 
-    def value_of(self, u: Subspace) -> float:
-        values_at = _functionals([[u.basis]], [w.basis[None] for w in self.subspaces])[0]
+    def value_of(self, u: np.ndarray) -> float:
+        """The functional at the span of the orthonormal basis ``u`` (N, dim)."""
+        _check_ambient([u, *self.bases])
+        values_at = _functionals([[check_bases(u[None])[0]]], [w[None] for w in self.bases])[0]
         return float(values_at(self.p)[0])
 
 
@@ -859,18 +859,27 @@ def bl_constant_lower_stack(ws: list[np.ndarray], p_values) -> list[list[BlInsta
         if not 1.0 <= p <= len(ws) + 1e-12:
             raise InvalidInputError(f"exponent {p} outside [1, J={len(ws)}]")
     lattices = kernel_lattices(ws)
-    out = []
+    picks = []
     for t, (lattice, values_at) in enumerate(zip(lattices, _functionals(lattices, ws))):
-        subspaces = tuple(Subspace(w[t]) for w in ws)
-        instances = []
         for p in p_values:
             values = values_at(p)
             # first candidate of the top value cluster (values sit on a lattice
             # of spacing far above 1e-12, so this is the first maximizer)
             best = int(np.flatnonzero(values >= values.max() - 1e-12)[0])
-            instances.append(BlInstance(subspaces, float(p), float(values[best]),
-                                        Subspace(lattice[best]), len(lattice)))
-        out.append(instances)
+            picks.append((t, float(p), float(values[best]), lattice[best]))
+    # read-only copies, each stack checked orthonormal once: the W stacks,
+    # and the maximizers grouped by dimension
+    bases = [linalg.frozen(check_bases(w)) for w in ws]
+    groups: dict[int, list[int]] = {}
+    for i, pick in enumerate(picks):
+        groups.setdefault(pick[3].shape[1], []).append(i)
+    candidates = [None] * len(picks)
+    for idx in groups.values():
+        for i, u in zip(idx, linalg.frozen(check_bases(np.stack([picks[i][3] for i in idx])))):
+            candidates[i] = u
+    out = [[] for _ in lattices]
+    for (t, p, value, _), u in zip(picks, candidates):
+        out[t].append(BlInstance(tuple(w[t] for w in bases), p, value, u, len(lattices[t])))
     return out
 
 
@@ -942,11 +951,11 @@ def verify_bl_bound(tup: TransverseTuple, params: FamilyParams, p: float,
     """
     rep = verify_bl_stack([tup], params, [p])[0][0]
     if rng is not None:
-        ws = rep.instance.subspaces
-        ambient = ws[0].ambient_dim
+        ws = rep.instance.bases
+        ambient = ws[0].shape[0]
         draws = [b for r in range(1, ambient)
                  for b in random_subspaces(rng, CROSS_CHECK_DRAWS, ambient, r)]
-        values_at = _functionals([draws], [w.basis[None] for w in ws])[0]
+        values_at = _functionals([draws], [w[None] for w in ws])[0]
         if draws and values_at(p).max() > rep.instance.best_value + 1e-12:
             raise CertificateError("a random subspace beats the kernel-lattice maximum")
     return rep

@@ -7,8 +7,10 @@ objects are marked read-only.  A subspace basis is always an
 
 The singular value decomposition is LAPACK's (``numpy.linalg.svd``)
 followed by one vectorized canonicalization of signs and order, so equal
-inputs give equal bases.  Callers that only need ranks or volumes take
-the singular values alone.
+inputs give equal bases.  It takes a matrix or a stack (..., rows, cols)
+in one LAPACK call, and a matrix gets the same bits alone and inside a
+stack.  Callers that only need ranks or volumes take the singular values
+alone.
 """
 
 from __future__ import annotations
@@ -23,15 +25,24 @@ from .errors import InvalidInputError
 RANK_TOL = 1e-10
 
 
-def as_matrix(a) -> np.ndarray:
-    """Validate and copy input into a float64 2-d array."""
+def as_stack(a) -> np.ndarray:
+    """Validate and copy input into a float64 matrix or stack of matrices
+    (..., rows, cols); a 1-d input is one column."""
     m = np.array(a, dtype=float)
     if m.ndim == 1:
         m = m.reshape(-1, 1)
-    if m.ndim != 2:
-        raise InvalidInputError(f"expected a 2-d array, got ndim={m.ndim}")
+    if m.ndim < 2:
+        raise InvalidInputError(f"expected a matrix or a stack of them, got ndim={m.ndim}")
     if m.size and not np.all(np.isfinite(m)):
         raise InvalidInputError("matrix has non-finite entries")
+    return m
+
+
+def as_matrix(a) -> np.ndarray:
+    """Validate and copy input into a float64 2-d array."""
+    m = as_stack(a)
+    if m.ndim != 2:
+        raise InvalidInputError(f"expected a 2-d array, got ndim={m.ndim}")
     return m
 
 
@@ -44,9 +55,10 @@ def frozen(a: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SvdResult:
-    """Full decomposition ``a = left @ diag(singular_values) @ right.T``.
+    """Full decomposition ``a = left @ diag(singular_values) @ right.T``, of
+    each matrix of a stack (..., rows, cols) along the leading axes.
 
-    ``left`` is (rows, rows) orthogonal, ``right`` is (cols, cols)
+    ``left`` is (..., rows, rows) orthogonal, ``right`` is (..., cols, cols)
     orthogonal and ``singular_values`` has length min(rows, cols), sorted
     non-increasing, padded with zeros past the rank.
     """
@@ -57,33 +69,38 @@ class SvdResult:
 
 
 def svd(a) -> SvdResult:
-    """Full SVD of an arbitrary small dense matrix (LAPACK), canonicalized.
+    """Full SVD of a small dense matrix, or of each matrix of a stack
+    (..., rows, cols), by one LAPACK call, canonicalized matrix by matrix.
 
     The small-side singular vectors (right ones for a tall matrix, left
     ones otherwise) are made to have a positive largest-magnitude entry;
     the big-side vectors flip with them, which preserves the product.
     Singular values come non-increasing, and blocks of equal (rounded)
-    values are ordered lexicographically on the small-side vectors.
+    values are ordered lexicographically on the small-side vectors.  The
+    signs are exact products by +-1 over the whole stack, and only the
+    matrices whose rounded values tie are reordered, so a matrix gets the
+    same bits alone and inside a stack.
     """
-    m = as_matrix(a)
-    r, c = m.shape
+    m = as_stack(a)
+    *stack, r, c = m.shape
     if r == 0 or c == 0:
-        return SvdResult(frozen(np.eye(r)), frozen(np.zeros(min(r, c))), frozen(np.eye(c)))
+        def eye(n):
+            return np.broadcast_to(np.eye(n), (*stack, n, n))
+        return SvdResult(frozen(eye(r)), frozen(np.zeros((*stack, 0))), frozen(eye(c)))
     u, sigma, vt = np.linalg.svd(m, full_matrices=True)
-    v = vt.T
+    v = np.swapaxes(vt, -1, -2)
     small, big = (u, v) if r <= c else (v, u)
-    k = len(sigma)
-    cols = np.arange(k)
-    pivot = np.argmax(np.abs(np.round(small, 12)), axis=0)
-    signs = np.where(small[pivot, cols] < 0.0, -1.0, 1.0)
+    k = sigma.shape[-1]
+    pivot = np.argmax(np.abs(np.round(small, 12)), axis=-2)[..., None, :]
+    signs = np.where(np.take_along_axis(small, pivot, -2) < 0.0, -1.0, 1.0)
     small *= signs
-    big[:, :k] *= signs
+    big[..., :k] *= signs
     rounded = np.round(sigma, 12)
-    if np.any(rounded[1:] == rounded[:-1]):
-        neg = np.round(-small, 10)
-        order = sorted(range(k), key=lambda i: (-rounded[i], tuple(neg[:, i])))
-        small, sigma = small[:, order], sigma[order]
-        big[:, :k] = big[:, order]
+    for i in map(tuple, np.argwhere(np.any(rounded[..., 1:] == rounded[..., :-1], axis=-1))):
+        neg, key = np.round(-small[i], 10), rounded[i]
+        order = sorted(range(k), key=lambda j: (-key[j], tuple(neg[:, j])))
+        small[i], sigma[i] = small[i][:, order], sigma[i][order]
+        big[i][:, :k] = big[i][:, order]
     left, right = (small, big) if r <= c else (big, small)
     return SvdResult(frozen(left), frozen(sigma), frozen(right))
 
@@ -98,15 +115,9 @@ def ranks(sigma: np.ndarray) -> np.ndarray:
     return np.sum(s > RANK_TOL * s[..., :1], axis=-1)
 
 
-def singular_values(a) -> np.ndarray:
-    m = as_matrix(a)
-    if m.size == 0:
-        return np.zeros(min(m.shape))
-    return np.linalg.svd(m, compute_uv=False)
-
-
 def rank_of(a) -> int:
-    return int(ranks(singular_values(a)))
+    m = as_matrix(a)
+    return int(ranks(np.linalg.svd(m, compute_uv=False))) if m.size else 0
 
 
 def orthonormal_completion(q: np.ndarray, ambient: int | None = None) -> np.ndarray:
@@ -181,22 +192,19 @@ def orthonormalize(vectors) -> OrthonormalizeResult:
     return OrthonormalizeResult(frozen(kept), kept.shape[1], dropped)
 
 
-def gram_volume(vectors) -> float:
-    """j-dimensional volume of the parallelepiped spanned by j vectors.
+def gram_volume(stack) -> np.ndarray:
+    """The j-dimensional volumes (...) of the parallelepipeds spanned by the
+    j columns of each matrix of a stack (..., q, j).
 
-    Computed as the product of the singular values of the column matrix,
-    which equals sqrt(det of the Gram matrix); zero when dependent.
+    Computed as the product of the singular values, one LAPACK call for the
+    stack, which equals sqrt(det of the Gram matrix); 1 for j = 0 and 0 for
+    j > q, where the columns are dependent.
     """
-    if isinstance(vectors, np.ndarray) and vectors.ndim == 2:
-        m = as_matrix(vectors)
-    else:
-        m = as_matrix(np.column_stack([np.asarray(v, dtype=float) for v in vectors]))
-    q, j = m.shape
-    if j == 0:
-        return 1.0
-    if j > q:
-        return 0.0
-    return float(np.prod(singular_values(m)[:j]))
+    m = as_stack(stack)
+    q, j = m.shape[-2:]
+    if j == 0 or j > q:
+        return np.full(m.shape[:-2], float(j == 0))
+    return np.prod(np.linalg.svd(m, compute_uv=False), axis=-1)
 
 
 def project_columns(basis: np.ndarray, x: np.ndarray) -> np.ndarray:

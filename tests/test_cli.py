@@ -644,6 +644,34 @@ def test_bl_audit_builds_each_tuple_functional_once(monkeypatch):
     assert stacked["kernel_lattices"] == [2, 2, 1]
 
 
+def test_bl_audit_bench_config_work_counts(monkeypatch):
+    # perfbench's bl-audit config (20 tuples at (1,2,2,4), p in {1, 1.2}):
+    # the one greedy step takes one canonical SVD of all 240 selected balls,
+    # the 20 Broad volumes one more, the kernel lattices one intersection
+    # SVD and the projection ranks one per (dim U, dim W) group, three; the
+    # instances hold arrays, so no Subspace is built (45 SVD calls and 80
+    # Subspaces before)
+    import numpy as np
+    from grasskit import grassmann
+    calls = {"np.linalg.svd": 0, "Subspace": 0}
+    svd, post_init = np.linalg.svd, grassmann.Subspace.__post_init__
+
+    def svd_counted(*args, **kwargs):
+        calls["np.linalg.svd"] += 1
+        return svd(*args, **kwargs)
+
+    def post_init_counted(self):
+        calls["Subspace"] += 1
+        post_init(self)
+
+    monkeypatch.setattr(np.linalg, "svd", svd_counted)
+    monkeypatch.setattr(grassmann.Subspace, "__post_init__", post_init_counted)
+    bench = Path(cli.__file__).resolve().parents[2] / "perfbench" / "configs" / "bl-audit.json"
+    report = cli.run_experiment(cli.parse_config(json.loads(bench.read_text())))
+    assert len(report["records"]) == 40 and report["passed"]
+    assert calls == {"np.linalg.svd": 6, "Subspace": 0}
+
+
 def test_bl_audit_classifies_each_unit_as_one_stack(monkeypatch):
     # one stacked draw and classification per unit ([2, 2, 1] tuples), never
     # a tuple or a bush on its own
@@ -954,28 +982,51 @@ def test_section_run_cap_exit_3_before_the_runs_are_allocated(tmp_path):
     assert "Traceback" not in done.stderr
 
 
+# every shape l <= m <= d < n <= 5, and a beta below, at and above l + 1
+FUZZ_SHAPES = st.sampled_from([(l, m, d, n) for n in range(1, 6) for d in range(n)
+                               for m in range(d + 1) for l in range(m + 1)])
+FUZZ_BETAS = st.sampled_from([0.0, 1.0, 2.5])
+
+
 @st.composite
 def _sharp_dimension_configs(draw):
-    """A sharp-dimension config of any shape l <= m <= d < n <= 5, with
-    two dyadic scales in [2^-4, 2^-1]."""
-    l, m, d, n = draw(st.sampled_from([(l, m, d, n) for n in range(1, 6) for d in range(n)
-                                       for m in range(d + 1) for l in range(m + 1)]))
-    beta = draw(st.sampled_from([0.0, 1.0, 2.5]))
+    """A sharp-dimension config of any fuzz shape and beta, with two dyadic
+    scales in [2^-4, 2^-1]."""
+    l, m, d, n = draw(FUZZ_SHAPES)
+    beta = draw(FUZZ_BETAS)
     coarse, fine = sorted(draw(st.lists(st.integers(1, 4), min_size=2, max_size=2,
                                         unique=True)))
     return base_config(params={"l": l, "m": m, "d": d, "n": n, "beta": beta},
                        deltas=[2.0 ** -coarse, 2.0 ** -fine])
 
 
-@settings(max_examples=8, derandomize=True, deadline=None)
-@given(_sharp_dimension_configs())
-def test_sharp_run_fuzz_exits_0_to_3_without_traceback(cfg):
+@st.composite
+def _bl_audit_configs(draw):
+    """A bl-audit config of any fuzz shape and beta, with 1 to 4 tuples."""
+    l, m, d, n = draw(FUZZ_SHAPES)
+    return bl_audit_config(params={"l": l, "m": m, "d": d, "n": n, "beta": draw(FUZZ_BETAS)},
+                           constants={"tuples": draw(st.integers(1, 4))})
+
+
+def _run_exits_0_to_3_without_traceback(cfg):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "cfg.json"
         path.write_text(json.dumps(cfg))
         done = _run_limited(path, 3 << 30)
     assert done.returncode in (0, 1, 2, 3), done.stderr
     assert "Traceback" not in done.stderr
+
+
+@settings(max_examples=8, derandomize=True, deadline=None)
+@given(_sharp_dimension_configs())
+def test_sharp_run_fuzz_exits_0_to_3_without_traceback(cfg):
+    _run_exits_0_to_3_without_traceback(cfg)
+
+
+@settings(max_examples=8, derandomize=True, deadline=None)
+@given(_bl_audit_configs())
+def test_bl_audit_run_fuzz_exits_0_to_3_without_traceback(cfg):
+    _run_exits_0_to_3_without_traceback(cfg)
 
 
 def test_memory_error_exit_3(tmp_path, capsys, monkeypatch):

@@ -162,13 +162,17 @@ def test_projection_inside_is_identity():
 
 
 def test_projection_line_to_coordinate_plane():
-    # oracle: 1-d minimization of the distance over lines in the xy-plane
+    # oracle: 1-d minimization of the distance over lines in the xy-plane,
+    # the 20,001 lines as one stack, each with the bits of a stack of one
     v = line(1, 0, 1)
     pi = gr.Subspace(np.eye(3)[:, :2])
     res = gr.project_to_sub_grassmannian(v, pi)
     angles = np.linspace(0.0, np.pi, 20001)
-    dists = [gr.distance(v, planar_line3(a)) for a in angles]
-    best = min(dists)
+    directions = np.stack([np.cos(angles), np.sin(angles), np.zeros_like(angles)], axis=1)
+    lines = linalg.orthonormalize_stack(directions[:, :, None])[0]
+    dists = gr.distances(np.broadcast_to(v.basis, lines.shape), lines)
+    assert dists[::400].tolist() == [gr.distance(v, planar_line3(a)) for a in angles[::400]]
+    best = dists.min()
     assert res.distance <= best + 1e-6
     assert res.subspace.same(line(1, 0, 0), 1e-8)
 

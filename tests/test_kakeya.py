@@ -614,10 +614,16 @@ def test_union_box_count_lends_one_buffer_to_every_chunk(family, chunk_rows, mon
         return out
 
     monkeypatch.setattr(kk, "union_sample_points", recorded)
+    cut, cuts = kk._union_chunks, []
+    monkeypatch.setattr(kk, "_union_chunks", lambda rows: cuts.append(len(rows)) or cut(rows))
     fam = family()
-    assert kk.union_box_count(fam) == dz.box_count(original(fam), fam.scale)
-    rows = kk._union_runs(fam)[-1]
-    kept = [int(rows[lo:hi].sum()) for lo, hi in kk._union_chunks(rows)]
+    count = kk.union_box_count(fam)
+    # the family is cut into chunks once; no chunk's call cuts it again
+    assert cuts == [len(fam)]
+    assert count == dz.box_count(original(fam), fam.scale)
+    rows, chunks = kk._union_runs(fam)[4:]
+    assert chunks == cut(rows)
+    kept = [int(rows[lo:hi].sum()) for lo, hi in chunks]
     assert len(drawn) == len(kept) > 1
     assert [len(pts) for pts in drawn] == kept
     buffer = drawn[0].base
@@ -845,7 +851,8 @@ def test_stacked_tuples_equal_tuples_drawn_one_at_a_time(shape):
         assert _tuple_fields(tup) == _tuple_fields(alone)
         ref = rng_for(96, *shape, i)
         frame, counts = reference_tuple(params, ref)
-        assert np.array_equal(tup.vectors, frame) and tup.volume == linalg.gram_volume(frame)
+        assert np.array_equal(tup.vectors, frame)
+        assert tup.volume == linalg.gram_volume(frame[None])[0]
         # the same generator calls: each bush drawn once, redraws included
         assert np.array_equal(g.standard_normal(8), ref.standard_normal(8))
         selections.append(counts)
@@ -946,9 +953,9 @@ def test_tuple_generation_all_parameter_sets():
         assert len(tup.centers) == d - m + 2
         assert tup.vectors.shape == (n - l, d - l + 1)
         assert tup.certified()
-        # certificate volume is the gram volume of the witness vectors
-        from grasskit.linalg import gram_volume
-        assert tup.volume == pytest.approx(gram_volume(tup.vectors), abs=1e-12)
+        # certificate volume is the gram volume of the witness vectors, exactly
+        assert type(tup.volume) is float
+        assert tup.volume == linalg.gram_volume(tup.vectors[None])[0]
 
 
 def _digest(a) -> str:
@@ -1069,7 +1076,7 @@ def test_bl_worked_2d_example():
     diag = Subspace.from_vectors([np.array([1.0, 1.0])])
     for u, expect in [(Subspace.zero(2), 0.0), (w1, 0.0), (w2, 0.0),
                       (Subspace.full(2), 0.0), (diag, -1.0)]:
-        assert inst.value_of(u) == pytest.approx(expect, abs=1e-12)
+        assert inst.value_of(u.basis) == pytest.approx(expect, abs=1e-12)
 
 
 def test_bl_full_space_obstructions():
@@ -1085,7 +1092,7 @@ def test_bl_single_subspace_kernel_maximizer():
     assert inst.best_value == pytest.approx(3.0)
     # the kernel candidate attains the maximum (projection dimension 0)
     kernel = Subspace(linalg.orthonormal_completion(w.basis)[:, w.dim:])
-    assert inst.value_of(kernel) == pytest.approx(3.0)
+    assert inst.value_of(kernel.basis) == pytest.approx(3.0)
 
 
 def _projectors_match(a: Subspace, b: Subspace) -> bool:
@@ -1099,7 +1106,7 @@ def test_kernel_lattice_is_closed_and_distinct():
         tup = kk.random_transverse_tuple(params, rng_for(66, *shape))
         ws = _obstructions(tup, params)
         lattice = _lattice(ws)
-        ambient = ws[0].ambient_dim
+        ambient = ws[0].basis.shape[0]
         assert any(u.dim == 0 for u in lattice) and any(u.dim == ambient for u in lattice)
         for w in ws:
             kernel = Subspace(linalg.orthonormal_completion(w.basis)[:, w.dim:])
@@ -1157,7 +1164,7 @@ def test_bl_value_is_the_lattice_max_member_by_member():
                       for u in lattice]
             assert inst.n_candidates == len(lattice)
             assert inst.best_value == max(values)
-            assert inst.value_of(inst.best_candidate) == inst.best_value
+            assert inst.value_of(inst.candidate) == inst.best_value
 
 
 def _bl_subspaces(data, kind):
@@ -1190,13 +1197,13 @@ def test_no_coordinate_or_random_subspace_beats_the_lattice(data, kind):
     ws = _bl_subspaces(data, kind)
     p = data.draw(st.floats(1.0, float(len(ws))))
     inst = kk.bl_constant_lower(ws, p)
-    ambient = ws[0].ambient_dim
+    ambient = ws[0].basis.shape[0]
     g = rng_for(data.draw(st.integers(0, 2 ** 32 - 1)))
     others = [Subspace.spanned_by_axes(ambient, axes) for r in range(1, ambient)
               for axes in itertools.combinations(range(ambient), r)]
     others += [random_subspace(g, ambient, r) for r in range(1, ambient) for _ in range(12)]
     values_at = kk._functionals([[u.basis for u in others]],
-                                [w.basis[None] for w in inst.subspaces])[0]
+                                [w[None] for w in inst.bases])[0]
     assert values_at(p).max() <= inst.best_value + 1e-12
 
 
@@ -1214,8 +1221,8 @@ def test_verify_bl_bound_cross_check_catches_a_short_lattice(monkeypatch):
 
 
 def _instance_fields(inst):
-    return (inst.p, inst.best_value, inst.best_candidate.basis.tobytes(),
-            inst.n_candidates, [w.basis.tobytes() for w in inst.subspaces])
+    return (inst.p, inst.best_value, inst.candidate.tobytes(),
+            inst.n_candidates, [w.tobytes() for w in inst.bases])
 
 
 @pytest.mark.parametrize("shape", [(1, 2, 2, 4), (0, 2, 3, 4), (0, 1, 3, 4)])
@@ -1280,7 +1287,7 @@ def test_a_stack_equals_its_tuples_one_at_a_time(shape):
 
     def fields(rep):
         inst = rep.instance
-        return (inst.best_value, inst.n_candidates, inst.best_candidate.basis.tobytes(),
+        return (inst.best_value, inst.n_candidates, inst.candidate.tobytes(),
                 rep.rhs, rep.ok, rep.slack)
 
     stacked = kk.verify_bl_stack(tuples, params, p_values)
@@ -1305,6 +1312,26 @@ def test_stacked_ranks_follow_the_kernel_intersections(shape):
         for u, total in zip(lattice, totals):
             u = Subspace(u)
             assert total == len(kernels) * u.dim - sum(u.intersect(k).dim for k in kernels)
+
+
+def test_bl_instances_check_and_freeze_their_arrays(monkeypatch):
+    # the W stacks and the maximizers are checked orthonormal, as the
+    # Subspace objects they replace were, and held read-only
+    params = kk.FamilyParams(1, 2, 2, 4, 1.0)
+    tuples = [kk.random_transverse_tuple(params, rng_for(67, i)) for i in range(3)]
+    ws = kk.tuple_obstruction_stack(tuples, params)
+    stacks = [ws[:, j] for j in range(ws.shape[1])]
+    for insts in kk.bl_constant_lower_stack(stacks, [1.0, 1.2]):
+        for inst in insts:
+            assert not inst.candidate.flags.writeable
+            assert not any(w.flags.writeable for w in inst.bases)
+    with pytest.raises(InvalidInputError, match="orthonormal"):
+        kk.bl_constant_lower_stack([stacks[0] * 2.0] + stacks[1:], [1.0])
+    lattices = kk.kernel_lattices
+    monkeypatch.setattr(kk, "kernel_lattices",
+                        lambda w: [[u * 2.0 for u in lattice] for lattice in lattices(w)])
+    with pytest.raises(InvalidInputError, match="orthonormal"):
+        kk.bl_constant_lower_stack(stacks, [1.0])
 
 
 def test_bl_invalid_exponent():

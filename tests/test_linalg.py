@@ -106,6 +106,87 @@ def test_svd_repeated_singular_value_is_deterministic():
     assert np.max(np.abs(svd_product(first) - a)) <= 1e-10
 
 
+def reference_svd(a):
+    """``linalg.svd`` as it canonicalized one matrix at a time: the
+    reference its stacked form must match bit for bit on every matrix."""
+    m = linalg.as_matrix(a)
+    r, c = m.shape
+    if r == 0 or c == 0:
+        return np.eye(r), np.zeros(min(r, c)), np.eye(c)
+    u, sigma, vt = np.linalg.svd(m, full_matrices=True)
+    v = vt.T
+    small, big = (u, v) if r <= c else (v, u)
+    k = len(sigma)
+    cols = np.arange(k)
+    pivot = np.argmax(np.abs(np.round(small, 12)), axis=0)
+    signs = np.where(small[pivot, cols] < 0.0, -1.0, 1.0)
+    small *= signs
+    big[:, :k] *= signs
+    rounded = np.round(sigma, 12)
+    if np.any(rounded[1:] == rounded[:-1]):
+        neg = np.round(-small, 10)
+        order = sorted(range(k), key=lambda i: (-rounded[i], tuple(neg[:, i])))
+        small, sigma = small[:, order], sigma[order]
+        big[:, :k] = big[:, order]
+    left, right = (small, big) if r <= c else (big, small)
+    return left, sigma, right
+
+
+def _svd_bits(left, sigma, right):
+    return left.tobytes(), sigma.tobytes(), right.tobytes(), left.shape, sigma.shape, right.shape
+
+
+def svd_stack(shape, count=12):
+    """A stack of ``count`` matrices of one shape: random ones, rank-deficient
+    ones, and tied ones: scaled identities padded with zeros and isoclinic
+    matrices (two equal singular values) in random frames."""
+    r, c = shape
+    g = rng_for(47, r, c)
+    stack = g.standard_normal((count, r, c))
+    k = min(r, c)
+    if k:
+        stack[1] = g.standard_normal((r, 1)) @ g.standard_normal((1, c))   # rank 1
+        stack[2] = 0.0
+        stack[3] = 2.5 * np.eye(r, c)
+        stack[4] = np.eye(r, c)
+        left = linalg.orthonormalize_stack(g.standard_normal((3, r, r)))[0]
+        right = linalg.orthonormalize_stack(g.standard_normal((3, c, c)))[0]
+        diag = np.zeros((r, c))
+        diag[range(k), range(k)] = [1.5, 1.5, 0.25, 0.25][:k] if k <= 4 else 1.5
+        stack[5:8] = left @ diag @ np.swapaxes(right, 1, 2)
+    return stack
+
+
+@pytest.mark.parametrize("shape", [(3, 2), (2, 3), (3, 3), (4, 1), (1, 4), (5, 5), (6, 3),
+                                   (2, 6), (1, 1), (0, 3), (3, 0), (0, 0)],
+                         ids=lambda s: f"{s[0]}x{s[1]}")
+def test_stacked_svd_matches_the_per_matrix_canonicalization(shape):
+    stack = svd_stack(shape)
+    dec = linalg.svd(stack)
+    assert not dec.left.flags.writeable and not dec.right.flags.writeable
+    for i, m in enumerate(stack):
+        ref = _svd_bits(*reference_svd(m))
+        assert _svd_bits(dec.left[i], dec.singular_values[i], dec.right[i]) == ref, i
+        alone = linalg.svd(m)
+        assert _svd_bits(alone.left, alone.singular_values, alone.right) == ref, i
+    # leading axes of any shape, and the ties really were reordered
+    nested = linalg.svd(stack.reshape((3, 4) + shape))
+    assert nested.right.tobytes() == dec.right.tobytes()
+    if min(shape) > 1:
+        rounded = np.round(dec.singular_values, 12)
+        assert (rounded[:, 1:] == rounded[:, :-1]).any(axis=1)[[2, 3, 4, 5]].all()
+
+
+def test_stacked_svd_rejects_a_nan_anywhere():
+    stack = rng_for(48).standard_normal((5, 3, 2))
+    linalg.svd(stack)
+    stack[4, 2, 1] = np.nan
+    with pytest.raises(InvalidInputError, match="non-finite"):
+        linalg.svd(stack)
+    with pytest.raises(InvalidInputError):
+        linalg.svd(5.0)
+
+
 def test_orthonormal_completion_keeps_q_exactly():
     for n, k in [(4, 0), (4, 1), (5, 3), (6, 6)]:
         q = linalg.orthonormalize(rng_for(41, n, k).standard_normal((n, max(k, 1)))).matrix[:, :k]
@@ -168,26 +249,51 @@ def test_orthonormalize_empty_rejected():
 
 def test_gram_volume_orthonormal_triple():
     b = np.eye(4)[:, :3]
-    assert linalg.gram_volume(b) == pytest.approx(1.0)
+    assert linalg.gram_volume(b[None])[0] == pytest.approx(1.0)
 
 
 def test_gram_volume_dependent_pair_is_zero():
     v = np.array([1.0, 2.0, 0.5])
-    assert linalg.gram_volume([v, v]) == pytest.approx(0.0, abs=1e-12)
+    assert linalg.gram_volume(np.column_stack([v, v])[None])[0] == pytest.approx(0.0, abs=1e-12)
 
 
 def test_gram_volume_matches_2x2_determinant():
     # oracle: |det [[1,1],[0,1]]| = 1
-    assert linalg.gram_volume([(1.0, 0.0), (1.0, 1.0)]) == pytest.approx(1.0, abs=1e-12)
+    frame = np.column_stack([(1.0, 0.0), (1.0, 1.0)])
+    assert linalg.gram_volume(frame[None])[0] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_gram_volume_orthogonal_invariance():
     g = rng_for(13)
     vecs = g.standard_normal((5, 3))
-    vol = linalg.gram_volume(vecs)
+    vol = linalg.gram_volume(vecs[None])[0]
     for trial in range(10):
         q = linalg.orthonormalize(rng_for(17, trial).standard_normal((5, 5))).matrix
-        assert linalg.gram_volume(q @ vecs) == pytest.approx(vol, abs=1e-9)
+        assert linalg.gram_volume((q @ vecs)[None])[0] == pytest.approx(vol, abs=1e-9)
+
+
+@pytest.mark.parametrize("shape", [(4, 3), (3, 3), (6, 1), (2, 4), (3, 0), (0, 0)])
+def test_stacked_gram_volume_is_each_matrix_product_of_singular_values(shape):
+    # one LAPACK call for the stack, the same bits as each matrix alone;
+    # no columns span volume 1, more columns than rows volume 0
+    q, j = shape
+    stack = rng_for(19, q, j).standard_normal((7, q, j))
+    stack[3, :, 1:] = stack[3, :, :1]   # dependent columns
+    volumes = linalg.gram_volume(stack)
+    assert volumes.shape == (7,)
+    for m, volume in zip(stack, volumes):
+        if j == 0 or j > q:
+            assert volume == float(j == 0)
+        else:
+            assert volume == np.prod(np.linalg.svd(m, compute_uv=False))
+    assert linalg.gram_volume(stack.reshape((7, 1, q, j))).shape == (7, 1)
+
+
+def test_gram_volume_rejects_non_finite():
+    stack = np.ones((3, 2, 2))
+    stack[2, 0, 1] = np.inf
+    with pytest.raises(InvalidInputError):
+        linalg.gram_volume(stack)
 
 
 # --------------------------------------------------- sum and intersection
