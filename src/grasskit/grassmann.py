@@ -10,6 +10,15 @@ The kernels work on stacks: N bases of k-subspaces of R^q are one float
 array of shape (N, q, k), and the pair kernels take two stacks of the same
 N.  The functions on ``Subspace`` objects are views of a stack of size 1,
 so a single pair and a stacked pair take the same arithmetic.
+
+Principal angles rotate each basis by the singular vectors of the pair's
+overlap matrix.  Lines take the sign of their 1x1 overlap, and pairs of
+planes the closed-form rotations of their 2x2 overlap, evaluated
+elementwise over the whole stack instead of by a LAPACK call per matrix.
+Where a 2x2 overlap's two cosines lie within ``ROTATION_GAP_TOL`` of each
+other, its closed-form rotation is ill-determined and could mix the two
+angles, so those overlaps alone still take LAPACK.  Larger overlaps take
+one stacked LAPACK SVD.
 """
 
 from __future__ import annotations
@@ -25,6 +34,11 @@ from .errors import CertificateError, InvalidInputError
 EQUALITY_TOL = 1e-9
 # largest entry of |B^T B - I| accepted for an orthonormal basis B
 ORTHONORMAL_TOL = 1e-10
+# largest cosine gap cos(theta_1) - cos(theta_2) of a 2x2 overlap whose
+# singular vectors come from LAPACK, not the closed form, which is
+# ill-determined near a tie: at angles (1e-8, 1.5e-8), whose cosines tie in
+# float, it alone put the angles 2.7e-9 off and LAPACK 1e-16
+ROTATION_GAP_TOL = 1e-6
 
 
 def check_bases(b: np.ndarray) -> np.ndarray:
@@ -140,21 +154,56 @@ class PrincipalAngleData:
     right_aligned: np.ndarray
 
 
+def _plane_rotations(a: np.ndarray):
+    """Singular vectors (u, vt) of a stack ``a`` (N, 2, 2), with
+    a = u diag(s) vt and s descending and nonnegative.
+
+    With a = [[p, b], [c, d]], E, F, G, H = (p+d)/2, (p-d)/2, (c+b)/2,
+    (c-b)/2 and Q, R = hypot(E, H), hypot(F, G), the singular values are
+    Q + R and |Q - R|, and a = rot(phi) diag(Q + R, Q - R) rot(theta), where
+    rot(t) = [[cos t, -sin t], [sin t, cos t]] and phi, theta = (atan2(H, E)
+    +- atan2(G, F)) / 2; u is rot(phi) with its second column negated where
+    Q < R, and vt is rot(theta).  The overlaps whose cosine gap 2 min(Q, R)
+    is at most ``ROTATION_GAP_TOL`` take one stacked LAPACK SVD instead, so
+    they keep LAPACK's bits.  Every step works on each matrix alone, so a
+    matrix gets the same bits alone and inside a stack.
+    """
+    # contiguous rows, so every ufunc takes the same loop at every length
+    p, b, c, d = np.ascontiguousarray(a.reshape(-1, 4).T)
+    e, f, g, h = (p + d) / 2.0, (p - d) / 2.0, (c + b) / 2.0, (c - b) / 2.0
+    q, r = np.hypot(e, h), np.hypot(f, g)
+    x, y = np.arctan2(h, e), np.arctan2(g, f)
+    phi, theta = (x + y) / 2.0, (x - y) / 2.0
+    cp, sp, ct, st = np.cos(phi), np.sin(phi), np.cos(theta), np.sin(theta)
+    flip = np.where(q < r, -1.0, 1.0)
+    u = np.stack([cp, -sp * flip, sp, cp * flip], axis=1).reshape(-1, 2, 2)
+    vt = np.stack([ct, -st, st, ct], axis=1).reshape(-1, 2, 2)
+    tied = 2.0 * np.minimum(q, r) <= ROTATION_GAP_TOL
+    if tied.any():
+        u[tied], _, vt[tied] = np.linalg.svd(a[tied], full_matrices=False)
+    return u, vt
+
+
 def aligned_angles(v: np.ndarray, w: np.ndarray, equal_dims: bool = True):
     """Principal angles between the pairs of two stacks of bases.
 
     Returns the angles (N, k), ascending, with the aligned bases of both
     stacks (N, q, k each), where k = min(dim v, dim w).  The overlap matrix
     of a pair has singular values cos(theta_i); its singular vectors rotate
-    each basis into aligned position.  One stacked SVD serves all N pairs.
-    A stable argsort then orders each row's angles, unless every row
-    already ascends as computed, as the SVD's descending cosines usually
-    leave them; only ties broken by rounding take the sort.
+    each basis into aligned position, and each angle is the atan2 of its
+    aligned pair (Bjorck and Golub, Math. Comp. 27, 1973).  A stable
+    argsort then orders each row's angles, unless every row already
+    ascends as computed, as descending cosines usually leave them; only
+    ties broken by rounding take the sort.
 
     Pairs of lines skip the SVD: their 1x1 overlap a has the singular
     vectors u = sign(a) (the sign bit of a zero included) and vt = 1, which
-    are the bits LAPACK returns, so the angle is the angle between two
-    vectors (Bjorck and Golub, Math. Comp. 27, 1973).
+    are the bits LAPACK returns.  Pairs of planes take the closed-form
+    rotations of their 2x2 overlap (``_plane_rotations``), except where
+    the two cosines are within ``ROTATION_GAP_TOL``: there two distinct
+    small angles can have cosines that tie in float, the closed form's
+    rotation is arbitrary and would mix the angles, so those overlaps take
+    LAPACK.  Every other shape takes one stacked LAPACK SVD.
     """
     v, w = _check_pair(v, w, equal_dims)
     k = min(v.shape[2], w.shape[2])
@@ -166,7 +215,10 @@ def aligned_angles(v: np.ndarray, w: np.ndarray, equal_dims: bool = True):
         # matmul sum starts from +0.0, so a zero entry comes out +0.0
         left, right = v * np.copysign(1.0, overlap) + 0.0, w + 0.0
     else:
-        u, _, vt = np.linalg.svd(overlap, full_matrices=False)
+        if overlap.shape[1:] == (2, 2):
+            u, vt = _plane_rotations(overlap)
+        else:
+            u, _, vt = np.linalg.svd(overlap, full_matrices=False)
         left = v @ u[:, :, :k]
         right = w @ np.swapaxes(vt, 1, 2)[:, :, :k]
     # atan2 of the aligned pair keeps full precision near 0 where arccos of

@@ -983,8 +983,9 @@ def test_section_run_cap_exit_3_before_the_runs_are_allocated(tmp_path):
 
 
 # every shape l <= m <= d < n <= 5, and a beta below, at and above l + 1
-FUZZ_SHAPES = st.sampled_from([(l, m, d, n) for n in range(1, 6) for d in range(n)
-                               for m in range(d + 1) for l in range(m + 1)])
+SHAPES = [(l, m, d, n) for n in range(1, 6) for d in range(n) for m in range(d + 1)
+          for l in range(m + 1)]
+FUZZ_SHAPES = st.sampled_from(SHAPES)
 FUZZ_BETAS = st.sampled_from([0.0, 1.0, 2.5])
 
 
@@ -1008,13 +1009,49 @@ def _bl_audit_configs(draw):
                            constants={"tuples": draw(st.integers(1, 4))})
 
 
+# the shapes of the sweep fuzz stop at n = 4: its slab rasters grow much
+# faster with the dimension than the sharp union's samples
+SWEEP_SHAPES = st.sampled_from([shape for shape in SHAPES if shape[3] <= 4])
+
+
+@st.composite
+def _kakeya_sweep_configs(draw):
+    """A kakeya-sweep config of any sweep shape and fuzz beta, with two
+    dyadic scales in [2^-3, 2^-1]."""
+    l, m, d, n = draw(SWEEP_SHAPES)
+    coarse, fine = sorted(draw(st.lists(st.integers(1, 3), min_size=2, max_size=2,
+                                        unique=True)))
+    return base_config(experiment="kakeya-sweep",
+                       params={"l": l, "m": m, "d": d, "n": n, "beta": draw(FUZZ_BETAS)},
+                       deltas=[2.0 ** -coarse, 2.0 ** -fine])
+
+
+# suite_scale regimes of geometry-selftest: every suite size at its floor
+# of 10 samples, sizes between, and sizes whose projection block passes
+# SUITE_WORK_CAP, which refuses the run before any suite draws
+SCALE_REGIMES = {"floor": st.floats(1e-300, 0.009), "between": st.floats(0.011, 1.0),
+                 "cap": st.floats(2.25, 10.0)}
+
+
+@st.composite
+def _selftest_configs(draw):
+    """A geometry-selftest config of any seed and a suite_scale from one of
+    the regimes, with the regime's name."""
+    regime = draw(st.sampled_from(sorted(SCALE_REGIMES)))
+    seed = draw(st.integers(0, 2 ** 32) | st.sampled_from([2 ** 63, 10 ** 30]))
+    return regime, {"experiment": "geometry-selftest", "seed": seed,
+                    "constants": {"suite_scale": draw(SCALE_REGIMES[regime])}}
+
+
 def _run_exits_0_to_3_without_traceback(cfg):
+    """The child's exit code and its stdout, read as JSON."""
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "cfg.json"
         path.write_text(json.dumps(cfg))
         done = _run_limited(path, 3 << 30)
     assert done.returncode in (0, 1, 2, 3), done.stderr
     assert "Traceback" not in done.stderr
+    return done.returncode, json.loads(done.stdout)
 
 
 @settings(max_examples=8, derandomize=True, deadline=None)
@@ -1027,6 +1064,28 @@ def test_sharp_run_fuzz_exits_0_to_3_without_traceback(cfg):
 @given(_bl_audit_configs())
 def test_bl_audit_run_fuzz_exits_0_to_3_without_traceback(cfg):
     _run_exits_0_to_3_without_traceback(cfg)
+
+
+@settings(max_examples=8, derandomize=True, deadline=None)
+@given(_kakeya_sweep_configs())
+def test_kakeya_sweep_run_fuzz_exits_0_to_3_without_traceback(cfg):
+    code, out = _run_exits_0_to_3_without_traceback(cfg)
+    # exit 3 is the dense-grid check of the sweep's overlap counter
+    assert code != 3 or out["error"] == "resource-cap"
+
+
+@settings(max_examples=8, derandomize=True, deadline=None)
+@given(_selftest_configs())
+def test_selftest_run_fuzz_exits_0_to_3_without_traceback(case):
+    regime, cfg = case
+    code, out = _run_exits_0_to_3_without_traceback(cfg)
+    if regime == "cap":
+        assert code == 3 and out["error"] == "resource-cap", out
+        assert "above the cap" in out["message"]
+    else:
+        assert code == 0 and out["passed"], out
+        floor = regime == "floor"
+        assert (out["records"][0]["samples"] == 10) == floor, out["records"][0]
 
 
 def test_memory_error_exit_3(tmp_path, capsys, monkeypatch):

@@ -341,12 +341,10 @@ def test_project_stack_pads_only_the_degenerate_pairs():
 
 # ------------------------------------------------------ line pairs
 
-def lapack_aligned_angles(v, w, equal_dims=True):
-    """The stacked-SVD path of ``aligned_angles`` for every shape, 1x1
-    overlaps included: the reference its closed form for lines must match."""
-    v, w = gr._check_pair(v, w, equal_dims)
+def _rotated_angles(v, w, u, vt):
+    """The rest of ``aligned_angles`` after the rotations (u, vt) of its
+    overlaps, before any reorder."""
     k = min(v.shape[2], w.shape[2])
-    u, _, vt = np.linalg.svd(np.swapaxes(v, 1, 2) @ w, full_matrices=False)
     left = v @ u[:, :, :k]
     right = w @ np.swapaxes(vt, 1, 2)[:, :, :k]
     lt, rt = np.swapaxes(left, 1, 2), np.swapaxes(right, 1, 2)
@@ -354,6 +352,21 @@ def lapack_aligned_angles(v, w, equal_dims=True):
     gap = np.ascontiguousarray(rt - c[:, :, None] * lt)
     angles = np.minimum(np.arctan2(np.sqrt(np.vecdot(gap, gap)), c), np.pi / 2.0)
     return angles, left, right
+
+
+def lapack_aligned_angles(v, w, equal_dims=True):
+    """The stacked-SVD path of ``aligned_angles`` for every shape, 1x1 and
+    2x2 overlaps included: the reference its closed forms must match."""
+    v, w = gr._check_pair(v, w, equal_dims)
+    u, _, vt = np.linalg.svd(np.swapaxes(v, 1, 2) @ w, full_matrices=False)
+    return _rotated_angles(v, w, u, vt)
+
+
+def rotation_aligned_angles(v, w):
+    """``aligned_angles`` of (N, q, 2) stacks as it rotates them, the
+    closed form with its LAPACK fallback, before any reorder."""
+    v, w = gr._check_pair(v, w)
+    return _rotated_angles(v, w, *gr._plane_rotations(np.swapaxes(v, 1, 2) @ w))
 
 
 def line_pairs(q):
@@ -400,10 +413,10 @@ def test_line_pairs_match_the_lapack_path_bit_for_bit(q, monkeypatch):
     assert _bits(*closed) == _bits(*lapack)
 
 
-def _argsorted(v, w):
-    """``aligned_angles`` of (N, q, k) stacks as it always reordered: the
-    stacked-SVD path followed by the stable argsort of every row."""
-    angles, left, right = lapack_aligned_angles(v, w)
+def _argsorted(v, w, path=rotation_aligned_angles):
+    """``aligned_angles`` of (N, q, k) stacks as it would always reorder:
+    the unsorted ``path`` followed by the stable argsort of every row."""
+    angles, left, right = path(v, w)
     order = np.argsort(angles, axis=1, kind="stable")
     return (np.take_along_axis(angles, order, 1),
             np.take_along_axis(left, order[:, None, :], 2),
@@ -421,7 +434,7 @@ def test_sorted_angle_rows_skip_the_reorder_bit_for_bit():
                    np.cos(0.3) * e[1] + np.sin(0.3) * e[3]], axis=1)
     rotations = linalg.orthonormalize_stack(rng_for(2024).standard_normal((40, 4, 4)))[0]
     iso = np.stack([rotations @ v0, rotations @ w0], axis=1)
-    raw = lapack_aligned_angles(iso[:, 0], iso[:, 1])[0]
+    raw = rotation_aligned_angles(iso[:, 0], iso[:, 1])[0]
     tied = iso[raw[:, 0] == raw[:, 1]][:3]
     unsorted = iso[raw[:, 1] < raw[:, 0]][:1]
     assert len(tied) == 3 and len(unsorted) == 1
@@ -431,5 +444,141 @@ def test_sorted_angle_rows_skip_the_reorder_bit_for_bit():
     for name, pairs in stacks.items():
         v, w = pairs[:, 0], pairs[:, 1]
         assert _bits(*gr.aligned_angles(v, w)) == _bits(*_argsorted(v, w)), name
-        ascending = np.all(np.diff(lapack_aligned_angles(v, w)[0], axis=1) >= 0, axis=1)
+        ascending = np.all(np.diff(rotation_aligned_angles(v, w)[0], axis=1) >= 0, axis=1)
         assert ascending.all() == (name != "one-unsorted")
+
+
+# ------------------------------------------------------ plane pairs
+
+SWEEP_ANGLES = [1.2, 0.5] + [10.0 ** -e for e in range(2, 11)]
+SWEEP_RATIOS = [1.0, 1.0 + 1e-12, 1.0 + 1e-6, 1.001, 1.5, 2.0, 10.0]
+
+
+def plane_pairs(t1, t2, count, seed, turned):
+    """``count`` pairs of 2-planes in R^4 at principal angles (t1, t2),
+    moved by one random rotation of R^4 per pair, so that their overlap is
+    diag(cos t1, cos t2) up to rounding, or, when ``turned``, with each
+    basis also turned in its own plane, so that it is a full 2x2 matrix."""
+    e = np.eye(4)
+    v0 = e[:, :2]
+    w0 = np.stack([np.cos(t1) * e[0] + np.sin(t1) * e[2],
+                   np.cos(t2) * e[1] + np.sin(t2) * e[3]], axis=1)
+    g = rng_for(34, seed)
+    rotations = linalg.orthonormalize_stack(g.standard_normal((count, 4, 4)))[0]
+    v, w = rotations @ v0, rotations @ w0
+    if turned:
+        v = v @ linalg.orthonormalize_stack(g.standard_normal((count, 2, 2)))[0]
+        w = w @ linalg.orthonormalize_stack(g.standard_normal((count, 2, 2)))[0]
+    return v, w
+
+
+def test_plane_pairs_match_the_lapack_path_over_the_regime_sweep():
+    for i, t1 in enumerate(SWEEP_ANGLES):
+        for ratio in SWEEP_RATIOS:
+            t2 = t1 * ratio
+            if t2 > np.pi / 2:
+                continue
+            for turned in (False, True):
+                v, w = plane_pairs(t1, t2, 40, i, turned)
+                angles = gr.aligned_angles(v, w)[0]
+                lapack = np.sort(lapack_aligned_angles(v, w)[0], axis=1)
+                case = (t1, ratio, turned)
+                assert np.max(np.abs(angles - lapack)) <= 2e-15, case
+                if not turned:
+                    # LAPACK's vectors of a near-diagonal overlap are exact
+                    # enough for every angle, ties in float included; the
+                    # closed form alone put (1e-8, 1.5e-8) 2.7e-9 off
+                    assert np.max(np.abs(angles - [t1, t2])) <= 1e-15, case
+
+
+def test_random_plane_pairs_match_the_lapack_path():
+    g = rng_for(34, 1)
+    for q in (2, 3, 4, 6):
+        v, w = gr.random_subspaces(g, 2000, q, 2), gr.random_subspaces(g, 2000, q, 2)
+        angles = gr.aligned_angles(v, w)[0]
+        lapack = np.sort(lapack_aligned_angles(v, w)[0], axis=1)
+        assert np.max(np.abs(angles - lapack)) <= 2e-15, q
+
+
+def degenerate_plane_pairs():
+    """(name, v, w, angles) for overlaps that are zero, of rank one
+    (theta_2 = pi/2), the identity, its negative and exactly isoclinic, each
+    in coordinate position and moved by a rotation of R^4."""
+    e = np.eye(4)
+    t = 0.3
+    cases = {
+        "zero": (e[:, :2], e[:, 2:], [np.pi / 2, np.pi / 2]),
+        "rank-one": (e[:, :2], np.stack([np.cos(t) * e[0] + np.sin(t) * e[2], e[3]], axis=1),
+                     [t, np.pi / 2]),
+        "identical": (e[:, :2], e[:, :2], [0.0, 0.0]),
+        "negated": (e[:, :2], -e[:, :2], [0.0, 0.0]),
+        "isoclinic": (e[:, :2], np.stack([np.cos(t) * e[0] + np.sin(t) * e[2],
+                                          np.cos(t) * e[1] + np.sin(t) * e[3]], axis=1),
+                      [t, t]),
+    }
+    rotation = linalg.orthonormalize_stack(rng_for(34, 2).standard_normal((1, 4, 4)))[0][0]
+    for name, (v, w, angles) in cases.items():
+        yield name, v, w, angles
+        yield f"{name}-moved", rotation @ v, rotation @ w, angles
+
+
+@pytest.mark.parametrize("name, v, w, angles", list(degenerate_plane_pairs()),
+                         ids=[c[0] for c in degenerate_plane_pairs()])
+def test_degenerate_plane_overlaps(name, v, w, angles):
+    got, left, right = gr.aligned_angles(v[None], w[None])
+    assert np.allclose(got[0], angles, rtol=0.0, atol=1e-15)
+    cross = np.swapaxes(left[0], 0, 1) @ right[0]
+    assert np.max(np.abs(cross - np.diag(np.cos(got[0])))) <= 1e-15
+    for aligned in (left[0], right[0]):
+        assert np.max(np.abs(aligned.T @ aligned - np.eye(2))) <= 1e-15
+    if not name.startswith("rank-one"):
+        # every degenerate overlap but the rank-one one ties its cosines
+        assert _bits(got, left, right) == _bits(*_argsorted(v[None], w[None],
+                                                            lapack_aligned_angles))
+
+
+def _fallback_and_generic_pairs():
+    """An odd stack of plane pairs: generic ones, the degenerate ones and
+    near-ties at either side of ``ROTATION_GAP_TOL``."""
+    g = rng_for(34, 3)
+    v, w = [gr.random_subspaces(g, 301, 4, 2)], [gr.random_subspaces(g, 301, 4, 2)]
+    for _, v1, w1, _ in degenerate_plane_pairs():
+        v.append(v1[None])
+        w.append(w1[None])
+    for i, (t1, t2) in enumerate([(1e-8, 1.5e-8), (0.5, 0.5 + 1e-12), (1e-2, 1e-2 * 1.001),
+                                  (1.2, 1.2 * (1.0 + 1e-6))]):
+        for turned in (False, True):
+            pv, pw = plane_pairs(t1, t2, 5, 10 + i, turned)
+            v.append(pv)
+            w.append(pw)
+    return np.concatenate(v), np.concatenate(w)
+
+
+def test_fallback_rows_take_the_lapack_bits():
+    v, w = _fallback_and_generic_pairs()
+    overlap = np.swapaxes(v, 1, 2) @ w
+    u, vt = gr._plane_rotations(overlap)
+    s = np.linalg.svd(overlap, compute_uv=False)
+    # the closed form's own gap 2 min(Q, R) is the cosine gap up to rounding
+    far = s[:, 0] - s[:, 1] <= gr.ROTATION_GAP_TOL / 2
+    near = s[:, 0] - s[:, 1] > gr.ROTATION_GAP_TOL * 2
+    assert far.sum() >= 20 and near.sum() >= 300
+    lu, _, lvt = np.linalg.svd(overlap[far], full_matrices=False)
+    assert _bits(u[far], vt[far]) == _bits(lu, lvt)
+    lu, _, lvt = np.linalg.svd(overlap[near], full_matrices=False)
+    assert not np.array_equal(u[near], lu)
+    # and each closed-form rotation is a rotation that diagonalizes
+    for x in (u[near], vt[near]):
+        assert np.max(np.abs(np.swapaxes(x, 1, 2) @ x - np.eye(2))) <= 1e-15
+    d = np.swapaxes(u[near], 1, 2) @ overlap[near] @ np.swapaxes(vt[near], 1, 2)
+    assert np.max(np.abs(d[:, 0, 1])) <= 1e-15 and np.max(np.abs(d[:, 1, 0])) <= 1e-15
+    assert np.all(d[:, 0, 0] >= d[:, 1, 1] - 1e-15) and np.all(d[:, 1, 1] >= -1e-15)
+
+
+def test_plane_pair_gets_the_same_bits_alone_and_inside_a_stack():
+    v, w = _fallback_and_generic_pairs()
+    assert len(v) % 2 == 1
+    stacked = gr.aligned_angles(v, w)
+    for i in range(len(v)):
+        alone = gr.aligned_angles(v[i:i + 1], w[i:i + 1])
+        assert _bits(*alone) == _bits(*(x[i:i + 1] for x in stacked)), i

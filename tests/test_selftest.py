@@ -40,9 +40,9 @@ def test_projection_block_is_the_sequence_of_per_sample_draws():
 # the benchmark's suite_scale 0.5 at seed 0 and acceptance sizes at seed 1
 PINS = [
     ((0, 500, 250, 100, 250),
-     0.014953868477985077, 6.0923994738004694e-09, 0.6397435039895407, 1.4200652742694302),
+     0.014953868477985077, 6.0923994738004694e-09, 0.6397435039895407, 1.4200652742694306),
     ((1, 1000, 500, 200, 500),
-     0.05133074005571481, 1.0230261082710967e-11, 0.6331581801750547, 1.417447784053684),
+     0.05133074005571481, 1.0230261082710967e-11, 0.6331581801750545, 1.4174477840536839),
 ]
 
 
@@ -119,9 +119,9 @@ def _hexed(record: dict) -> dict:
 # embedding suite at suite_scale 0.5 (seed 0) and at acceptance size (seed 1)
 FIELD_PINS = [
     ("geodesic", (0, 500), {
-        "samples": 500, "max_symmetry_error": "0x1.8000000000000p-51",
-        "min_triangle_slack": "0x1.ea022407e3880p-7",
-        "max_scaling_error": "0x1.8000000000000p-51",
+        "samples": 500, "max_symmetry_error": "0x1.0000000000000p-51",
+        "min_triangle_slack": "0x1.ea022407e3900p-7",
+        "max_scaling_error": "0x1.0000000000000p-51",
         "max_containment_residual": "0x0.0p+0", "passed": True}),
     ("projection", (0, 250, 100), {
         "samples": 250, "contenders": 100, "max_containment_residual": "0x1.8000000000000p-52",
@@ -132,12 +132,12 @@ FIELD_PINS = [
     ("chart", (0, 250), {
         "samples": 250, "max_point_roundtrip": "0x1.0000000000000p-51",
         "max_projective_roundtrip": "0x1.77ea35d632e43p-54",
-        "ratio_low": "0x1.478c75e6ed52ep-1", "ratio_high": "0x1.6b8965d72c273p+0",
+        "ratio_low": "0x1.478c75e6ed52ep-1", "ratio_high": "0x1.6b8965d72c275p+0",
         "ratio_prefix_low": "0x1.478c75e6ed52ep-1",
-        "ratio_prefix_high": "0x1.697f020467aedp+0", "passed": True}),
+        "ratio_prefix_high": "0x1.697f020467aefp+0", "passed": True}),
     ("geodesic", (1, 1000), {
-        "samples": 1000, "max_symmetry_error": "0x1.8000000000000p-51",
-        "min_triangle_slack": "0x1.a4805d3a33620p-5",
+        "samples": 1000, "max_symmetry_error": "0x1.0000000000000p-51",
+        "min_triangle_slack": "0x1.a4805d3a33640p-5",
         "max_scaling_error": "0x1.0000000000000p-51",
         "max_containment_residual": "0x0.0p+0", "passed": True}),
     ("projection", (1, 500, 200), {
@@ -149,9 +149,9 @@ FIELD_PINS = [
     ("chart", (1, 500), {
         "samples": 500, "max_point_roundtrip": "0x1.c000000000000p-52",
         "max_projective_roundtrip": "0x1.0bbb307acafdbp-53",
-        "ratio_low": "0x1.442d4f1a17edbp-1", "ratio_high": "0x1.6adddba44c59bp+0",
-        "ratio_prefix_low": "0x1.442d4f1a17edbp-1",
-        "ratio_prefix_high": "0x1.6adddba44c59bp+0", "passed": True}),
+        "ratio_low": "0x1.442d4f1a17edap-1", "ratio_high": "0x1.6adddba44c59ap+0",
+        "ratio_prefix_low": "0x1.442d4f1a17edap-1",
+        "ratio_prefix_high": "0x1.6adddba44c59ap+0", "passed": True}),
 ]
 
 
